@@ -21,7 +21,7 @@ from contact_flow.harness import (
     generate_run,
     summarize_reports,
 )
-from contact_flow.scenarios import standard_suite
+from contact_flow.scenarios import derive_run_seeds, standard_suite
 
 
 @click.command()
@@ -38,8 +38,6 @@ def main(out_dir, grid_n, runs):
         cfg = scenario.guidance_config()
         cfg_m1 = dataclasses.replace(cfg, recurrence=1)
         for i in range(n_runs):
-            from contact_flow.scenarios import derive_run_seeds
-
             sc = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, i))
             for tag, mode, run_cfg in (
                 ("unguided", "unguided", cfg),

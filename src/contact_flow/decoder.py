@@ -10,7 +10,7 @@ products, which the guidance stack relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -107,19 +107,34 @@ def _upsample_transpose(fine: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _logit_grid(x: LatentGrid, params: DecoderParams) -> np.ndarray:
+def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Unclipped decoder output sigma(beta * upsample(<x, w>)) of a latent array (n, n, n, C)."""
+    coarse = np.tensordot(x, params.w, axes=([3], [0]))
+    logits = params.beta * _upsample(coarse, UPSAMPLE_FACTOR * x.shape[0])
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
+def _clip_occupancy(s: np.ndarray) -> np.ndarray:
+    # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
+    return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+
+
+def _sigmoid_vjp(s: np.ndarray, cotangent: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Transpose-Jacobian product of the decoder, given its unclipped output `s`."""
+    d_fine = cotangent * s * (1.0 - s) * params.beta
+    d_coarse = _upsample_transpose(d_fine, s.shape[0] // UPSAMPLE_FACTOR)
+    return d_coarse[..., None] * params.w
+
+
+def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
     if x.channels != params.channels:
         raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
-    return np.tensordot(x.data, params.w, axes=([3], [0]))
 
 
 def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     """sigma(beta * upsample(<x, w>_channels)); values strictly inside (0, 1)."""
-    N = UPSAMPLE_FACTOR * x.n
-    logits = params.beta * _upsample(_logit_grid(x, params), N)
-    s = 1.0 / (1.0 + np.exp(-logits))
-    # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
-    return OccupancyGrid(np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0)))
+    _check_channels(x, params)
+    return OccupancyGrid(_clip_occupancy(_sigmoid(x.data, params)))
 
 
 def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> np.ndarray:
@@ -133,11 +148,8 @@ def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> n
         raise ValueError(f"cotangent must have shape {(N, N, N)}, got {cot.shape}")
     if not np.all(np.isfinite(cot)):
         raise ValueError("cotangent contains non-finite entries")
-    logits = params.beta * _upsample(_logit_grid(x, params), N)
-    s = 1.0 / (1.0 + np.exp(-logits))
-    d_fine = cot * s * (1.0 - s) * params.beta
-    d_coarse = _upsample_transpose(d_fine, x.n)
-    return d_coarse[..., None] * params.w
+    _check_channels(x, params)
+    return _sigmoid_vjp(_sigmoid(x.data, params), cot, params)
 
 
 def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:

@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import ContactSet, nearest_occupied
-from .decoder import DecoderParams, decode, decode_vjp
+from .decoder import DecoderParams, _clip_occupancy, _sigmoid, _sigmoid_vjp, decode
 from .toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
-    predict_x0,
+    _check_time,
+    _velocity_batch,
+    _velocity_vjp,
     sample_base,
     time_grid,
-    velocity_vjp,
-    _velocity_batch,
 )
 from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, binarize, point_to_index
 
@@ -59,7 +59,6 @@ class GuidanceConfig:
     threshold: float = 0.5
     t_min: float = T_MIN_DEFAULT
     schedule: str = SCHEDULE_STAGED
-    aggregation: str = "sum"
 
     def __post_init__(self):
         if self.timesteps < 3:
@@ -79,14 +78,6 @@ class GuidanceConfig:
             raise ValueError("t_min must lie in (0, 1)")
         if self.schedule not in (SCHEDULE_STAGED, SCHEDULE_COVG):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.aggregation != "sum":
-            raise ValueError("only sum-over-contacts aggregation is supported")
-
-    @classmethod
-    def with_timesteps(cls, timesteps: int, **kwargs) -> "GuidanceConfig":
-        """Config with stage bounds at thirds of the given step count."""
-        bounds = kwargs.pop("stage_bounds", (timesteps // 3, (2 * timesteps) // 3))
-        return cls(timesteps=timesteps, stage_bounds=bounds, **kwargs)
 
     def lambda_schedule(self, step: int, t: float) -> float:
         """Stage weight for a given step index (staged) or time (cov-G variant).
@@ -114,11 +105,13 @@ class GuidanceConfig:
             "threshold": self.threshold,
             "t_min": self.t_min,
             "schedule": self.schedule,
-            "aggregation": self.aggregation,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceConfig":
+        # manifests written before contacts were always summed carry this key
+        if d.get("aggregation", "sum") != "sum":
+            raise ValueError("only sum-over-contacts aggregation is supported")
         return cls(
             timesteps=int(d["timesteps"]),
             stage_bounds=tuple(d["stage_bounds"]),
@@ -128,7 +121,6 @@ class GuidanceConfig:
             threshold=float(d["threshold"]),
             t_min=float(d["t_min"]),
             schedule=d["schedule"],
-            aggregation=d.get("aggregation", "sum"),
         )
 
 
@@ -217,10 +209,13 @@ def drag_loss(
     N = s0_hat.resolution
     if ref.binary.resolution != N:
         raise ValueError("reference and prediction resolutions differ")
-    r = cfg.radius
-    if 2 * r + 1 > N:
-        raise ValueError(f"neighborhood radius {r} does not fit a grid of resolution {N}")
-    s = s0_hat.data
+    if 2 * cfg.radius + 1 > N:
+        raise ValueError(f"neighborhood radius {cfg.radius} does not fit a grid of resolution {N}")
+    return _drag_loss(s0_hat.data, contacts, ref, cfg.radius)
+
+
+def _drag_loss(s: np.ndarray, contacts: ContactSet, ref: ReferenceShape, r: int):
+    N = s.shape[0]
     s_ref = ref.occupancy.data
     loss = 0.0
     grad = np.zeros_like(s)
@@ -235,6 +230,19 @@ def drag_loss(
         loss += float(np.sum(diff**2))
         grad[sl_a] += 2.0 * diff
     return loss, grad
+
+
+def _check_inputs(
+    model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceShape, cfg: GuidanceConfig
+) -> None:
+    """Checks the guidance kernels rely on, made once where the inputs enter."""
+    if dec.channels != model.channels:
+        raise ValueError(f"latent has {model.channels} channels, decoder expects {dec.channels}")
+    N = 4 * model.n
+    if ref.binary.resolution != N:
+        raise ValueError("reference resolution does not match the model's paired grid")
+    if 2 * cfg.radius + 1 > N:
+        raise ValueError(f"neighborhood radius {cfg.radius} does not fit resolution {N}")
 
 
 def energy_gradient(
@@ -252,15 +260,22 @@ def energy_gradient(
     grad_xt = grad_x0 - t * velocity_vjp(x_t, t, grad_x0), the transpose of
     d x0_hat / d x_t = I - t dv/dx applied to grad_x0.
     """
-    x0_hat = predict_x0(model, x_t, t)
-    return _energy_gradient_at(model, x_t, t, x0_hat, contacts, ref, dec, cfg)
+    _check_time(t)
+    _check_inputs(model, dec, ref, cfg)
+    if x_t.data.shape != model.latent_shape():
+        raise ValueError(f"latent must have shape {model.latent_shape()}, got {x_t.data.shape}")
+    _, r, x0 = _predict(model, x_t.data.reshape(-1), t)
+    J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, contacts, ref, dec, cfg.radius)
+    return J, g_xt.reshape(model.latent_shape()), g_x0.reshape(model.latent_shape())
 
 
-def _energy_gradient_at(model, x_t, t, x0_hat, contacts, ref, dec, cfg):
-    s0_hat = decode(x0_hat, dec)
-    J, g_s = drag_loss(s0_hat, contacts, ref, cfg)
-    g_x0 = decode_vjp(x0_hat, g_s, dec)
-    g_xt = g_x0 - t * velocity_vjp(model, x_t, t, g_x0.reshape(-1))
+def _energy_gradient(model, t, r, x0, contacts, ref, dec, radius):
+    """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 of a state
+    with responsibilities r; the backward pass reuses the forward sigmoid."""
+    s = _sigmoid(x0.reshape(model.latent_shape()), dec)
+    J, g_s = _drag_loss(_clip_occupancy(s), contacts, ref, radius)
+    g_x0 = _sigmoid_vjp(s, g_s, dec).reshape(-1)
+    g_xt = g_x0 - t * _velocity_vjp(model, r, t, g_x0)
     return J, g_xt, g_x0
 
 
@@ -276,11 +291,25 @@ def attenuation(grad_x0: np.ndarray, grad_xt: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+#
+# The samplers work on flat float64 states of length model.dim; containers are
+# built only for their inputs and outputs.
 
 
-def _velocity_flat(model: MixtureFlowModel, x: np.ndarray, t: float) -> np.ndarray:
+def _velocity_flat(model: MixtureFlowModel, x: np.ndarray, t: float):
     # single shared entry point so guided and unguided paths are bit-identical
-    return _velocity_batch(model, x[None, :], t)[0]
+    v, r = _velocity_batch(model, x[None, :], t)
+    return v[0], r[0]
+
+
+def _predict(model: MixtureFlowModel, x: np.ndarray, t: float):
+    """Velocity, responsibilities and one-step prediction x - t v at state x;
+    FloatingPointError when the prediction is not finite."""
+    v, r = _velocity_flat(model, x, t)
+    x0 = x - v * t
+    if not np.all(np.isfinite(x0)):
+        raise FloatingPointError("one-step prediction became non-finite")
+    return v, r, x0
 
 
 def unguided_sample(
@@ -291,14 +320,16 @@ def unguided_sample(
     ts, t_nexts = time_grid(cfg.timesteps, cfg.t_min)
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
         try:
-            v = _velocity_flat(model, x, t)
+            v, _ = _velocity_flat(model, x, t)
         except FloatingPointError as exc:
             raise GenerationAborted(step, 0, str(exc)) from exc
         x = x + v * (t_next - t)
         if not np.all(np.isfinite(x)):
             raise GenerationAborted(step, 0, "latent state became non-finite")
-    t_last = t_nexts[-1]
-    x0 = x - t_last * _velocity_flat(model, x, t_last)
+    try:
+        _, _, x0 = _predict(model, x, t_nexts[-1])
+    except FloatingPointError as exc:
+        raise GenerationAborted(cfg.timesteps - 1, 0, str(exc)) from exc
     return decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
 
 
@@ -332,11 +363,8 @@ def guided_sample(
     computed velocity.  A non-finite state aborts with the offending step and
     the trajectory recorded so far.
     """
-    N = 4 * model.n
-    if ref.binary.resolution != N:
-        raise ValueError("reference resolution does not match the model's paired grid")
-    if 2 * cfg.radius + 1 > N:
-        raise ValueError(f"neighborhood radius {cfg.radius} does not fit resolution {N}")
+    _check_inputs(model, dec, ref, cfg)
+    shape = model.latent_shape()
     x = sample_base(model, seed).data.reshape(-1)
     ts, t_nexts = time_grid(cfg.timesteps, cfg.t_min)
     records: list[StepRecord] = []
@@ -348,18 +376,12 @@ def guided_sample(
 
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
         lam_sched = cfg.lambda_schedule(step, t)
-        v = None
         for inner in range(cfg.recurrence):
             try:
-                v = _velocity_flat(model, x, t)
-                x0_flat = x - v * t
-                x_grid = LatentGrid(x.reshape(model.latent_shape()))
-                x0_hat = LatentGrid(x0_flat.reshape(model.latent_shape()))
-                J, g_xt, g_x0 = _energy_gradient_at(
-                    model, x_grid, t, x0_hat, contacts, ref, dec, cfg
-                )
-            except (FloatingPointError, ValueError) as exc:
+                v, r, x0 = _predict(model, x, t)
+            except FloatingPointError as exc:
                 abort(step, inner, str(exc))
+            J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, contacts, ref, dec, cfg.radius)
             if cfg.schedule == SCHEDULE_COVG:
                 # principled raw coefficient, deliberately without attenuation
                 lam_att = 1.0
@@ -369,12 +391,13 @@ def guided_sample(
                 lam_att = attenuation(g_x0, g_xt)
                 suppressed = lam_att == 0.0
                 lam = lam_sched * lam_att if not suppressed else 0.0
+            x_t = x
             if lam != 0.0:
                 # lam may be inf (cov-G at t=1); the non-finite state is caught below
                 with np.errstate(invalid="ignore", over="ignore"):
-                    g = lam * g_xt.reshape(-1)
+                    g = lam * g_xt
                     x = x + g * (t_next - t)
-                g_norm = float(np.linalg.norm(g))
+                    g_norm = float(np.linalg.norm(g))
             else:
                 g_norm = 0.0
             records.append(
@@ -391,9 +414,9 @@ def guided_sample(
                     lam=float(lam),
                     g_norm=g_norm,
                     suppressed=suppressed,
-                    x_t=x_grid.data if record_states else None,
-                    v_t=v.copy() if record_states else None,
-                    x0_hat=x0_hat.data if record_states else None,
+                    x_t=x_t.reshape(shape) if record_states else None,
+                    v_t=v if record_states else None,
+                    x0_hat=x0.reshape(shape) if record_states else None,
                 )
             )
             if not np.all(np.isfinite(x)):
@@ -402,11 +425,10 @@ def guided_sample(
         if not np.all(np.isfinite(x)):
             abort(step, cfg.recurrence - 1, "latent state became non-finite after Euler step")
 
-    t_last = t_nexts[-1]
     try:
-        x0 = x - t_last * _velocity_flat(model, x, t_last)
-        occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
-    except (FloatingPointError, ValueError) as exc:
+        _, _, x0 = _predict(model, x, t_nexts[-1])
+    except FloatingPointError as exc:
         abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
+    occupancy = decode(LatentGrid(x0.reshape(shape)), dec)
     final_J, _ = drag_loss(occupancy, contacts, ref, cfg)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,6 @@ from . import __version__
 from .contact import ContactSet, farthest_point_sample
 from .evaluation import (
     EvalConfig,
-    METRICS_CSV_COLUMNS,
     METRICS_SCHEMA_VERSION,
     MetricsReport,
     evaluate_run,
@@ -37,7 +35,6 @@ from .guidance import (
     GenerationAborted,
     GuidanceConfig,
     GuidedTrajectory,
-    ReferenceShape,
     guided_sample,
     make_reference,
     unguided_sample,
@@ -68,11 +65,11 @@ METHOD_GUIDED_NO_RECURRENCE = "guided_no_recurrence"
 
 
 def worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+    """Sweep pool size from CONTACT_FLOW_WORKERS, 1 when unset."""
+    value = os.environ.get(WORKERS_ENV) or "1"
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _sha256(data: bytes) -> str:
@@ -89,14 +86,18 @@ def method_label(mode: str, cfg: GuidanceConfig) -> str:
     return METHOD_GUIDED if cfg.recurrence > 1 else METHOD_GUIDED_NO_RECURRENCE
 
 
-def _json_default(o):
-    if isinstance(o, float) and not math.isfinite(o):
-        return None
-    raise TypeError(f"not JSON serializable: {o!r}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write `payload` to a temporary file beside `path`, then rename it over
+    `path`, so readers never see a half-written file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def generate_run(
@@ -352,6 +353,7 @@ def sweep(
     Cells that abort are recorded and the sweep continues.  Runs are
     parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
     """
+    workers = worker_count()
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
     lambdas = lambda_grid or [base.lambda_stage]
     recurrences = recurrence_grid or [base.recurrence]
@@ -382,7 +384,6 @@ def sweep(
                         }
                         for i in range(runs)
                     ]
-                    workers = worker_count()
                     if workers > 1:
                         with ProcessPoolExecutor(max_workers=workers) as pool:
                             results = list(pool.map(_sweep_task, tasks))
@@ -523,6 +524,7 @@ def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, schedules,
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, None, timesteps)
+        worker_count()  # a bad CONTACT_FLOW_WORKERS fails here, before any run
     except (ValueError, OSError, KeyError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)

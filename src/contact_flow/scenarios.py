@@ -212,7 +212,6 @@ class BuiltScenario:
     library_grids: tuple[BinaryGrid, ...]
     ground_truth: BinaryGrid
     visibility: BinaryGrid
-    prior_model: MixtureFlowModel
     model: MixtureFlowModel
     contacts: ContactSet
 
@@ -274,7 +273,6 @@ def build_scenario(spec, run_index: int | None = None) -> BuiltScenario:
         library_grids=grids,
         ground_truth=gt,
         visibility=visibility,
-        prior_model=prior,
         model=model,
         contacts=contacts,
     )
@@ -311,7 +309,7 @@ def _suite_seeds(index: int) -> ScenarioSeeds:
 def standard_suite(n: int = 16) -> list[Scenario]:
     """The versioned acceptance suite: one sanity scenario and three ambiguity
     constructions, each meant to be run with `runs` paired seeds."""
-    if n % 4 != 0 and n != 4:
+    if n % 4 != 0:
         raise ValueError("suite geometry requires n to be a multiple of 4")
     scenarios = [
         Scenario(

@@ -131,10 +131,6 @@ class VisibilityCondition:
         if self.gamma < 0.0:
             raise ValueError("sharpness gamma must be non-negative")
 
-    @property
-    def hidden_mask(self) -> np.ndarray:
-        return ~self.mask.data
-
 
 def _check_time(t: float):
     if not 0.0 < t <= 1.0:
@@ -174,26 +170,37 @@ def responsibilities(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> np.n
     return np.exp(logr[0])
 
 
-def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float) -> np.ndarray:
-    s2, c1, c2 = _path_coeffs(model, t)
+def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
+    """Velocities of batched states (B, dim) and the responsibilities (B, K) they mix."""
+    _, c1, c2 = _path_coeffs(model, t)
     r = np.exp(_log_responsibilities(model, x_flat, t))
     mubar = r @ model.means
-    return c1 * x_flat - c2 * mubar
+    return c1 * x_flat - c2 * mubar, r
 
 
 def velocity(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
     """Exact marginal velocity field of the mixture flow at (x_t, t)."""
     _check_time(t)
-    v = _velocity_batch(model, x_t.data.reshape(1, -1), t)
+    v, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
     return LatentGrid(v.reshape(model.latent_shape()))
 
 
 def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
     """One-step prediction x_t - t*v_t(x_t); equals the posterior mean E[x0 | x_t]."""
     _check_time(t)
-    v = _velocity_batch(model, x_t.data.reshape(1, -1), t)
+    v, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
     x0 = x_t.data.reshape(1, -1) - t * v
     return LatentGrid(x0.reshape(model.latent_shape()))
+
+
+def _velocity_vjp(model: MixtureFlowModel, r: np.ndarray, t: float, cot: np.ndarray) -> np.ndarray:
+    """Transpose-Jacobian product of the velocity at a state with responsibilities r (K,);
+    flat cotangent in, flat gradient out."""
+    s2, c1, c2 = _path_coeffs(model, t)
+    mubar = r @ model.means
+    mu_dot_u = model.means @ cot
+    cov_u = r @ (model.means * mu_dot_u[:, None]) - mubar * (mubar @ cot)
+    return c1 * cot - c2 * (1.0 - t) / s2 * cov_u
 
 
 def velocity_vjp(model: MixtureFlowModel, x_t: LatentGrid, t: float, cotangent: np.ndarray) -> np.ndarray:
@@ -206,14 +213,8 @@ def velocity_vjp(model: MixtureFlowModel, x_t: LatentGrid, t: float, cotangent: 
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
     if cot.shape[0] != model.dim:
         raise ValueError("cotangent shape does not match the latent dimension")
-    x_flat = x_t.data.reshape(1, -1)
-    s2, c1, c2 = _path_coeffs(model, t)
-    r = np.exp(_log_responsibilities(model, x_flat, t))[0]
-    mubar = r @ model.means
-    mu_dot_u = model.means @ cot
-    cov_u = r @ (model.means * mu_dot_u[:, None]) - mubar * (mubar @ cot)
-    out = c1 * cot - c2 * (1.0 - t) / s2 * cov_u
-    return out.reshape(model.latent_shape())
+    r = np.exp(_log_responsibilities(model, x_t.data.reshape(1, -1), t))[0]
+    return _velocity_vjp(model, r, t, cot).reshape(model.latent_shape())
 
 
 def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
@@ -245,20 +246,6 @@ def condition(
     return replace(model, weights=np.exp(logw))
 
 
-def integrate_flow(
-    model: MixtureFlowModel,
-    x1: LatentGrid,
-    steps: int,
-    t_min: float = T_MIN_DEFAULT,
-) -> LatentGrid:
-    """Plain Euler integration of dx = v dt from t=1 down to t_min (uniform grid)."""
-    x = x1.data.reshape(1, -1).copy()
-    for t, t_next in zip(*time_grid(steps, t_min)):
-        v = _velocity_batch(model, x, t)
-        x = x + v * (t_next - t)
-    return LatentGrid(x.reshape(model.latent_shape()))
-
-
 def integrate_flow_batch(
     model: MixtureFlowModel,
     count: int,
@@ -270,7 +257,7 @@ def integrate_flow_batch(
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((count, model.dim))
     for t, t_next in zip(*time_grid(steps, t_min)):
-        v = _velocity_batch(model, x, t)
+        v, _ = _velocity_batch(model, x, t)
         x = x + v * (t_next - t)
     return x
 

@@ -15,7 +15,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class LatentGrid:
     @property
     def channels(self) -> int:
         return self.data.shape[3]
-
-    @property
-    def paired_resolution(self) -> int:
-        return 4 * self.n
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,6 @@ class PointCloud:
     `normalize_to_unit_cube` also accepts clouds outside the cube)."""
 
     points: np.ndarray
-    scale_meters: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -131,10 +126,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def in_unit_cube(self) -> bool:
-        return bool((self.points >= 0.0).all() and (self.points <= 1.0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +376,7 @@ def extract_surface(grid: BinaryGrid) -> PointCloud:
     """
     if grid.is_empty():
         raise ValueError("cannot extract surface of an empty grid")
-    occ = grid.data
-    padded = np.pad(occ, 1, mode="constant", constant_values=False)
-    interior = (
-        padded[2:, 1:-1, 1:-1]
-        & padded[:-2, 1:-1, 1:-1]
-        & padded[1:-1, 2:, 1:-1]
-        & padded[1:-1, :-2, 1:-1]
-        & padded[1:-1, 1:-1, 2:]
-        & padded[1:-1, 1:-1, :-2]
-    )
-    surface = occ & ~interior
-    idx = np.argwhere(surface)
-    return PointCloud(index_to_point(idx, grid.resolution))
+    return PointCloud(index_to_point(np.argwhere(surface_mask(grid)), grid.resolution))
 
 
 def surface_mask(grid: BinaryGrid) -> np.ndarray:

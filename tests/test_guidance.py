@@ -432,3 +432,18 @@ def test_config_dict_roundtrip():
     cfg = GuidanceConfig(timesteps=9, stage_bounds=(3, 6), lambda_stage=(0.1, 0.9, 0.3),
                          recurrence=2, radius=4, schedule="covg")
     assert GuidanceConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_decoder_channel_mismatch_is_an_error_not_an_abort():
+    model, _, cfg, ref, contacts = toy_setup(seed=33)
+    wrong = DecoderParams.default(model.channels + 1, beta=2.0)
+    with pytest.raises(ValueError, match="channels"):
+        guided_sample(model, wrong, contacts, ref, cfg, seed=0)
+
+
+def test_config_from_dict_tolerates_legacy_sum_aggregation_only():
+    d = GuidanceConfig().to_dict()
+    assert "aggregation" not in d
+    assert GuidanceConfig.from_dict({**d, "aggregation": "sum"}) == GuidanceConfig()
+    with pytest.raises(ValueError, match="aggregation"):
+        GuidanceConfig.from_dict({**d, "aggregation": "mean"})

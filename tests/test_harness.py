@@ -12,6 +12,7 @@ from contact_flow.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_EVALUATION_FAILURE,
     EXIT_GENERATION_ABORT,
+    _write_json,
     evaluate_run_dir,
     evaluate_run_dirs,
     generate_run,
@@ -288,3 +289,46 @@ def test_cli_sweep_single_cell(tmp_path):
     data = json.loads((tmp_path / "sw" / "sweep.json").read_text())
     assert len(data["cells"]) == 1
     assert data["cells"][0]["recurrence"] == 1
+
+
+def test_rerun_manifest_accepts_legacy_aggregation_key(tmp_path, scenario):
+    manifest = generate_run(scenario, tmp_path / "orig", mode="guided")
+    legacy = json.loads(json.dumps(manifest))
+    legacy["guidance"]["aggregation"] = "sum"
+    again = rerun_manifest(legacy, tmp_path / "again")
+    assert artifact_hashes(again) == artifact_hashes(manifest)
+
+
+def test_failed_manifest_write_keeps_previous_file(tmp_path, scenario):
+    run = tmp_path / "run"
+    generate_run(scenario, run, mode="unguided")
+    path = run / "manifest.json"
+    before = path.read_bytes()
+    listing = sorted(p.name for p in run.iterdir())
+    # keys are written in sorted order, so the payload fails after part of it is out
+    payload = {**load_manifest(run), "zz_unserializable": object()}
+    with pytest.raises(TypeError):
+        _write_json(path, payload)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == listing
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_sweep_bad_worker_count_is_config_error(tmp_path, value):
+    runner = CliRunner()
+    result = runner.invoke(
+        main,
+        ["sweep", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--out", str(tmp_path / "sw"), "--runs", "1"],
+        env={"CONTACT_FLOW_WORKERS": value},
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert "config error" in result.output
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_sweep_rejects_bad_worker_count(tmp_path, scenario, monkeypatch, value):
+    monkeypatch.setenv("CONTACT_FLOW_WORKERS", value)
+    with pytest.raises(ValueError, match="CONTACT_FLOW_WORKERS"):
+        sweep(scenario, tmp_path / "sw", runs=1)
