@@ -57,54 +57,39 @@ class DecoderParams:
 
 
 @lru_cache(maxsize=32)
-def _axis_interp(n: int, N: int):
-    """Per-axis trilinear corner indices and weights for upsampling n -> N.
+def _interp_matrix(n: int, N: int) -> np.ndarray:
+    """Read-only (N, n) matrix of per-axis trilinear weights for upsampling n -> N.
 
     Fine voxel a has center (a+0.5)/N; in coarse cell-index space that is
     u = (a+0.5)*n/N - 0.5.  Samples are clamped to the hull of the coarse
-    cell centers (edge extension in the half-cell margin).
+    cell centers (edge extension in the half-cell margin), so row a weights
+    the two coarse cells around u, or the single cell when n == 1.
     """
-    a = np.arange(N, dtype=np.float64)
-    u = (a + 0.5) * n / N - 0.5
-    u = np.clip(u, 0.0, n - 1.0)
-    if n == 1:
-        i0 = np.zeros(N, dtype=np.int64)
-        i1 = np.zeros(N, dtype=np.int64)
-        w1 = np.zeros(N)
-    else:
-        i0 = np.minimum(np.floor(u).astype(np.int64), n - 2)
-        i1 = i0 + 1
-        w1 = u - i0
-    w0 = 1.0 - w1
-    return i0, i1, w0, w1
+    a = np.arange(N)
+    u = np.clip((a + 0.5) * n / N - 0.5, 0.0, n - 1.0)
+    i0 = np.minimum(np.floor(u).astype(np.int64), max(n - 2, 0))
+    w1 = u - i0
+    A = np.zeros((N, n))
+    A[a, i0] = 1.0 - w1
+    A[a, np.minimum(i0 + 1, n - 1)] += w1
+    return _freeze(A)
+
+
+# Contract the grid with one axis matrix at a time; BLAS does each step.  This
+# is the path einsum's optimizer picks at every n, fixed to skip the search.
+_AXIS_BY_AXIS = ["einsum_path", (0, 3), (0, 2), (0, 1)]
 
 
 def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
-    """Trilinear upsampling of an (n,n,n) grid to (N,N,N), axis by axis."""
-    n = coarse.shape[0]
-    i0, i1, w0, w1 = _axis_interp(n, N)
-    out = coarse[i0] * w0[:, None, None] + coarse[i1] * w1[:, None, None]
-    out = out[:, i0] * w0[None, :, None] + out[:, i1] * w1[None, :, None]
-    out = out[:, :, i0] * w0[None, None, :] + out[:, :, i1] * w1[None, None, :]
-    return out
+    """Trilinear upsampling of an (n,n,n) grid to (N,N,N): A applied along each axis."""
+    A = _interp_matrix(coarse.shape[0], N)
+    return np.einsum("ai,bj,ck,ijk->abc", A, A, A, coarse, optimize=_AXIS_BY_AXIS)
 
 
 def _upsample_transpose(fine: np.ndarray, n: int) -> np.ndarray:
-    """Exact adjoint of `_upsample`: scatter-add fine values back to the coarse grid."""
-    N = fine.shape[0]
-    i0, i1, w0, w1 = _axis_interp(n, N)
-
-    def adjoint_axis(arr, axis):
-        moved = np.moveaxis(arr, axis, 0)
-        out = np.zeros((n,) + moved.shape[1:])
-        np.add.at(out, i0, moved * w0.reshape((-1,) + (1,) * (moved.ndim - 1)))
-        np.add.at(out, i1, moved * w1.reshape((-1,) + (1,) * (moved.ndim - 1)))
-        return np.moveaxis(out, 0, axis)
-
-    out = adjoint_axis(fine, 2)
-    out = adjoint_axis(out, 1)
-    out = adjoint_axis(out, 0)
-    return out
+    """Exact adjoint of `_upsample`: the same contraction with A transposed."""
+    A = _interp_matrix(n, fine.shape[0])
+    return np.einsum("ai,bj,ck,abc->ijk", A, A, A, fine, optimize=_AXIS_BY_AXIS)
 
 
 def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:

@@ -90,13 +90,30 @@ class MetricsReport:
         }
 
 
+def _nn_distances(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbor distances a -> b and b -> a: one KD-tree query each way."""
+    d_ab, _ = cKDTree(b.points).query(a.points)
+    d_ba, _ = cKDTree(a.points).query(b.points)
+    return d_ab, d_ba
+
+
+def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+
+
+def _f_score(d_pg: np.ndarray, d_gp: np.ndarray, tau: float) -> float:
+    precision = float(np.mean(d_pg <= tau))
+    recall = float(np.mean(d_gp <= tau))
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def chamfer(a: PointCloud, b: PointCloud) -> float:
     """0.5 * (mean_a min_b |a-b| + mean_b min_a |a-b|), Euclidean, unit-cube units."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance requires non-empty point clouds")
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
-    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    return _chamfer(*_nn_distances(a, b))
 
 
 def f_score(pred: PointCloud, gt: PointCloud, tau: float) -> float:
@@ -105,13 +122,7 @@ def f_score(pred: PointCloud, gt: PointCloud, tau: float) -> float:
         raise ValueError("f-score requires non-empty point clouds")
     if tau <= 0:
         raise ValueError("threshold must be positive")
-    d_pg, _ = cKDTree(gt.points).query(pred.points)
-    d_gp, _ = cKDTree(pred.points).query(gt.points)
-    precision = float(np.mean(d_pg <= tau))
-    recall = float(np.mean(d_gp <= tau))
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _f_score(*_nn_distances(pred, gt), tau)
 
 
 def unit_cube_transform(points: PointCloud) -> tuple[float, np.ndarray]:
@@ -175,15 +186,16 @@ def evaluate_run(
     pred_surface = extract_surface(pred_binary)
     gt_surface = extract_surface(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    pred_n = PointCloud(pred_surface.points * scale + offset)
-    gt_n = PointCloud(gt_surface.points * scale + offset)
-    scores = {tau: f_score(pred_n, gt_n, tau) for tau in cfg.f_thresholds}
+    d_pg, d_gp = _nn_distances(
+        PointCloud(pred_surface.points * scale + offset),
+        PointCloud(gt_surface.points * scale + offset),
+    )
     residual = math.nan
     if contacts is not None:
         residual = float(np.median(contact_residuals(pred_binary, contacts)))
     return MetricsReport(
-        chamfer=chamfer(pred_n, gt_n),
-        f_scores=scores,
+        chamfer=_chamfer(d_pg, d_gp),
+        f_scores={tau: _f_score(d_pg, d_gp, tau) for tau in cfg.f_thresholds},
         contact_residual_median=residual,
         scenario=scenario,
         method=method,

@@ -206,19 +206,26 @@ def drag_loss(
     Offsets whose target falls outside the grid on either side are skipped.
     Returns the loss and its exact gradient w.r.t. the occupancy values.
     """
-    N = s0_hat.resolution
-    if ref.binary.resolution != N:
+    if ref.binary.resolution != s0_hat.resolution:
         raise ValueError("reference and prediction resolutions differ")
-    if 2 * cfg.radius + 1 > N:
-        raise ValueError(f"neighborhood radius {cfg.radius} does not fit a grid of resolution {N}")
-    return _drag_loss(s0_hat.data, contacts, ref, cfg.radius)
+    return _drag_loss(s0_hat.data, _drag_windows(ref, contacts, cfg.radius))
 
 
-def _drag_loss(s: np.ndarray, contacts: ContactSet, ref: ReferenceShape, r: int):
-    N = s.shape[0]
-    s_ref = ref.occupancy.data
-    loss = 0.0
-    grad = np.zeros_like(s)
+def _check_radius(radius: int, N: int) -> None:
+    if 2 * radius + 1 > N:
+        raise ValueError(f"neighborhood radius {radius} does not fit a grid of resolution {N}")
+
+
+def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int):
+    """Per contact, the window slices around its voxel and the reference values
+    in the same-shaped window around its nearest occupied reference voxel.
+
+    They depend only on (reference, contacts, radius), so a guided run builds
+    them once.
+    """
+    N = ref.binary.resolution
+    _check_radius(r, N)
+    windows = []
     for pc in contacts.points:
         a = point_to_index(pc, N)
         b = np.asarray(nearest_occupied(ref.binary, pc), dtype=np.int64)
@@ -226,23 +233,27 @@ def _drag_loss(s: np.ndarray, contacts: ContactSet, ref: ReferenceShape, r: int)
         hi = np.minimum(r, np.minimum(N - 1 - a, N - 1 - b))
         sl_a = tuple(slice(a[i] + lo[i], a[i] + hi[i] + 1) for i in range(3))
         sl_b = tuple(slice(b[i] + lo[i], b[i] + hi[i] + 1) for i in range(3))
-        diff = s[sl_a] - s_ref[sl_b]
+        windows.append((sl_a, ref.occupancy.data[sl_b]))
+    return windows
+
+
+def _drag_loss(s: np.ndarray, windows):
+    loss = 0.0
+    grad = np.zeros_like(s)
+    for sl, target in windows:
+        diff = s[sl] - target
         loss += float(np.sum(diff**2))
-        grad[sl_a] += 2.0 * diff
+        grad[sl] += 2.0 * diff
     return loss, grad
 
 
-def _check_inputs(
-    model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceShape, cfg: GuidanceConfig
-) -> None:
-    """Checks the guidance kernels rely on, made once where the inputs enter."""
+def _check_inputs(model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceShape) -> None:
+    """Checks the guidance kernels rely on, made once where the inputs enter;
+    `_drag_windows` checks the radius."""
     if dec.channels != model.channels:
         raise ValueError(f"latent has {model.channels} channels, decoder expects {dec.channels}")
-    N = 4 * model.n
-    if ref.binary.resolution != N:
+    if ref.binary.resolution != 4 * model.n:
         raise ValueError("reference resolution does not match the model's paired grid")
-    if 2 * cfg.radius + 1 > N:
-        raise ValueError(f"neighborhood radius {cfg.radius} does not fit resolution {N}")
 
 
 def energy_gradient(
@@ -261,19 +272,20 @@ def energy_gradient(
     d x0_hat / d x_t = I - t dv/dx applied to grad_x0.
     """
     _check_time(t)
-    _check_inputs(model, dec, ref, cfg)
+    _check_inputs(model, dec, ref)
+    windows = _drag_windows(ref, contacts, cfg.radius)
     if x_t.data.shape != model.latent_shape():
         raise ValueError(f"latent must have shape {model.latent_shape()}, got {x_t.data.shape}")
     _, r, x0 = _predict(model, x_t.data.reshape(-1), t)
-    J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, contacts, ref, dec, cfg.radius)
+    J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, windows, dec)
     return J, g_xt.reshape(model.latent_shape()), g_x0.reshape(model.latent_shape())
 
 
-def _energy_gradient(model, t, r, x0, contacts, ref, dec, radius):
+def _energy_gradient(model, t, r, x0, windows, dec):
     """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 of a state
     with responsibilities r; the backward pass reuses the forward sigmoid."""
     s = _sigmoid(x0.reshape(model.latent_shape()), dec)
-    J, g_s = _drag_loss(_clip_occupancy(s), contacts, ref, radius)
+    J, g_s = _drag_loss(_clip_occupancy(s), windows)
     g_x0 = _sigmoid_vjp(s, g_s, dec).reshape(-1)
     g_xt = g_x0 - t * _velocity_vjp(model, r, t, g_x0)
     return J, g_xt, g_x0
@@ -363,7 +375,8 @@ def guided_sample(
     computed velocity.  A non-finite state aborts with the offending step and
     the trajectory recorded so far.
     """
-    _check_inputs(model, dec, ref, cfg)
+    _check_inputs(model, dec, ref)
+    windows = _drag_windows(ref, contacts, cfg.radius)
     shape = model.latent_shape()
     x = sample_base(model, seed).data.reshape(-1)
     ts, t_nexts = time_grid(cfg.timesteps, cfg.t_min)
@@ -381,7 +394,7 @@ def guided_sample(
                 v, r, x0 = _predict(model, x, t)
             except FloatingPointError as exc:
                 abort(step, inner, str(exc))
-            J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, contacts, ref, dec, cfg.radius)
+            J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, windows, dec)
             if cfg.schedule == SCHEDULE_COVG:
                 # principled raw coefficient, deliberately without attenuation
                 lam_att = 1.0
@@ -430,5 +443,5 @@ def guided_sample(
     except FloatingPointError as exc:
         abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
     occupancy = decode(LatentGrid(x0.reshape(shape)), dec)
-    final_J, _ = drag_loss(occupancy, contacts, ref, cfg)
+    final_J, _ = _drag_loss(occupancy.data, windows)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .guidance import (
     GenerationAborted,
     GuidanceConfig,
     GuidedTrajectory,
+    _check_radius,
     guided_sample,
     make_reference,
     unguided_sample,
@@ -111,15 +113,16 @@ def generate_run(
 ) -> dict:
     """Build the scenario, run the sampler, and write all artifacts + manifest.
 
-    Returns the manifest dict.  On a non-finite abort the partial manifest
+    Returns the manifest dict.  An invalid configuration raises ValueError
+    before anything is written.  On a non-finite abort the partial manifest
     (with a failure record) is still written before GenerationAborted
     propagates to the caller.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if mode not in ("guided", "unguided"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg if cfg is not None else scenario.guidance_config()
+    if mode == "guided":
+        _check_radius(cfg.radius, scenario.resolution)
     built = build_scenario(scenario)
     contacts = external_contacts if external_contacts is not None else built.contacts
     if scenario.fps_count is not None and scenario.fps_count < len(contacts):
@@ -149,6 +152,9 @@ def generate_run(
         "failure": None,
         "metrics": None,
     }
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def add_artifact(name: str, filename: str):
         manifest["artifacts"][name] = {
@@ -338,6 +344,24 @@ def _sweep_task(args: dict):
             "contact_residual": report.contact_residual_median, "failed": report.failed}
 
 
+def _sweep_configs(scenario, base, lambdas, recurrences, schedules, radii) -> list[GuidanceConfig]:
+    """Every cell's guidance config in cell order, an empty grid keeping the base
+    value; ValueError on the first invalid one."""
+    cells = []
+    for lam, m, sched, radius in itertools.product(
+        lambdas or [base.lambda_stage],
+        recurrences or [base.recurrence],
+        schedules or [base.schedule],
+        radii or [base.radius],
+    ):
+        cfg = dataclasses.replace(
+            base, lambda_stage=tuple(lam), recurrence=m, schedule=sched, radius=radius
+        )
+        _check_radius(cfg.radius, scenario.resolution)
+        cells.append(cfg)
+    return cells
+
+
 def sweep(
     scenario: Scenario,
     out_dir,
@@ -350,66 +374,52 @@ def sweep(
 ) -> list[dict]:
     """Cross-product ablation over guidance knobs; one summary row per cell.
 
-    Cells that abort are recorded and the sweep continues.  Runs are
-    parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
+    Every cell's config is checked before the first cell runs.  Cells that
+    abort are recorded and the sweep continues.  Runs are parallelized across
+    seeds with a process pool (CONTACT_FLOW_WORKERS).
     """
     workers = worker_count()
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
-    lambdas = lambda_grid or [base.lambda_stage]
-    recurrences = recurrence_grid or [base.recurrence]
-    schedules = schedule_grid or [base.schedule]
-    radii = radius_grid or [base.radius]
+    cells = _sweep_configs(scenario, base, lambda_grid, recurrence_grid, schedule_grid, radius_grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    cell_index = 0
-    for lam in lambdas:
-        for m in recurrences:
-            for sched in schedules:
-                for radius in radii:
-                    cfg = dataclasses.replace(
-                        base,
-                        lambda_stage=tuple(lam),
-                        recurrence=m,
-                        schedule=sched,
-                        radius=radius,
-                    )
-                    cell_dir = out / f"cell_{cell_index:03d}"
-                    tasks = [
-                        {
-                            "scenario": scenario.to_dict(),
-                            "cfg": cfg.to_dict(),
-                            "run_index": i,
-                            "out_dir": str(cell_dir / f"run_{i:03d}"),
-                        }
-                        for i in range(runs)
-                    ]
-                    if workers > 1:
-                        with ProcessPoolExecutor(max_workers=workers) as pool:
-                            results = list(pool.map(_sweep_task, tasks))
-                    else:
-                        results = [_sweep_task(t) for t in tasks]
-                    ok = [r for r in results if not r["aborted"] and not r.get("failed")]
-                    aborted = [r for r in results if r["aborted"]]
-                    row = {
-                        "cell": cell_index,
-                        "lambda_stage": list(lam),
-                        "recurrence": m,
-                        "schedule": sched,
-                        "radius": radius,
-                        "runs": runs,
-                        "aborts": len(aborted),
-                        "generation_failures": len(results) - len(ok) - len(aborted),
-                    }
-                    if ok:
-                        row["chamfer_median"] = float(np.median([r["chamfer"] for r in ok]))
-                        row["chamfer_mean"] = float(np.mean([r["chamfer"] for r in ok]))
-                        row["final_J_median"] = float(np.median([r["final_J"] for r in ok]))
-                        row["contact_residual_median"] = float(
-                            np.median([r["contact_residual"] for r in ok])
-                        )
-                    rows.append(row)
-                    cell_index += 1
+    for cell_index, cfg in enumerate(cells):
+        cell_dir = out / f"cell_{cell_index:03d}"
+        tasks = [
+            {
+                "scenario": scenario.to_dict(),
+                "cfg": cfg.to_dict(),
+                "run_index": i,
+                "out_dir": str(cell_dir / f"run_{i:03d}"),
+            }
+            for i in range(runs)
+        ]
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_task, tasks))
+        else:
+            results = [_sweep_task(t) for t in tasks]
+        ok = [r for r in results if not r["aborted"] and not r.get("failed")]
+        aborted = [r for r in results if r["aborted"]]
+        row = {
+            "cell": cell_index,
+            "lambda_stage": list(cfg.lambda_stage),
+            "recurrence": cfg.recurrence,
+            "schedule": cfg.schedule,
+            "radius": cfg.radius,
+            "runs": runs,
+            "aborts": len(aborted),
+            "generation_failures": len(results) - len(ok) - len(aborted),
+        }
+        if ok:
+            row["chamfer_median"] = float(np.median([r["chamfer"] for r in ok]))
+            row["chamfer_mean"] = float(np.mean([r["chamfer"] for r in ok]))
+            row["final_J_median"] = float(np.median([r["final_J"] for r in ok]))
+            row["contact_residual_median"] = float(
+                np.median([r["contact_residual"] for r in ok])
+            )
+        rows.append(row)
     _write_json(out / "sweep.json", {"scenario": scenario.to_dict(), "cells": rows})
     return rows
 
@@ -472,6 +482,8 @@ def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurr
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         cfg = _cfg_from_flags(scenario, lam or None, recurrence, schedule, radius, timesteps)
+        if not unguided:
+            _check_radius(cfg.radius, scenario.resolution)
         external = ContactSet.load(contacts_path) if contacts_path else None
     except (ValueError, OSError, KeyError) as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -524,20 +536,13 @@ def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, schedules,
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, None, timesteps)
-        worker_count()  # a bad CONTACT_FLOW_WORKERS fails here, before any run
+        # a bad grid value or CONTACT_FLOW_WORKERS fails here, before any run
+        _sweep_configs(scenario, base, lambdas, recurrences, schedules, radii)
+        worker_count()
     except (ValueError, OSError, KeyError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    rows = sweep(
-        scenario,
-        out_dir,
-        runs,
-        lambda_grid=list(lambdas) or None,
-        recurrence_grid=list(recurrences) or None,
-        schedule_grid=list(schedules) or None,
-        radius_grid=list(radii) or None,
-        base_cfg=base,
-    )
+    rows = sweep(scenario, out_dir, runs, lambdas, recurrences, schedules, radii, base_cfg=base)
     for row in rows:
         click.echo(json.dumps(row))
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_flow.decoder import DecoderParams, decode, decode_vjp, encode
+from contact_flow.decoder import (
+    DecoderParams,
+    _upsample,
+    _upsample_transpose,
+    decode,
+    decode_vjp,
+    encode,
+)
 from contact_flow.voxelcore import (
     BinaryGrid,
     Box,
@@ -253,3 +260,22 @@ def test_decode_values_always_in_open_interval(seed):
     x = LatentGrid(rng.standard_normal((2, 2, 2, 2)) * 10)
     s = decode(x, params)
     assert 0.0 < s.data.min() and s.data.max() < 1.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_decode_matches_brute_force_oracle_at_odd_resolutions(n):
+    rng = np.random.Generator(np.random.PCG64(40 + n))
+    params = DecoderParams.default(3, beta=1.5)
+    x = LatentGrid(rng.standard_normal((n, n, n, 3)))
+    s = decode(x, params)
+    np.testing.assert_allclose(s.data, decode_oracle(x, params), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_upsample_transpose_is_the_adjoint_of_upsample(n):
+    rng = np.random.Generator(np.random.PCG64(50 + n))
+    coarse = rng.standard_normal((n, n, n))
+    fine = rng.standard_normal((4 * n, 4 * n, 4 * n))
+    lhs = float(np.sum(_upsample(coarse, 4 * n) * fine))
+    rhs = float(np.sum(coarse * _upsample_transpose(fine, n)))
+    assert lhs == pytest.approx(rhs, rel=1e-12)

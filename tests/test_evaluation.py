@@ -9,6 +9,7 @@ from scipy import ndimage
 from contact_flow.contact import ContactSet, nearest_occupied
 from contact_flow.evaluation import (
     EvalConfig,
+    F_SCORE_THRESHOLDS,
     METRICS_CSV_COLUMNS,
     chamfer,
     contact_residuals,
@@ -16,6 +17,7 @@ from contact_flow.evaluation import (
     f_score,
     normalize_to_unit_cube,
     read_metrics_csv,
+    unit_cube_transform,
     write_metrics_csv,
 )
 from contact_flow.voxelcore import (
@@ -23,6 +25,8 @@ from contact_flow.voxelcore import (
     Box,
     OccupancyGrid,
     PointCloud,
+    binarize,
+    extract_surface,
     index_to_point,
     voxelize_primitive,
 )
@@ -242,3 +246,17 @@ def test_eval_config_validation():
         EvalConfig(threshold=0.0)
     with pytest.raises(ValueError):
         EvalConfig(f_thresholds=(0.0,))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    gt = BinaryGrid(rng.random((16, 16, 16)) < 0.3)
+    output = OccupancyGrid(rng.random((16, 16, 16)))
+    rep = evaluate_run(output, gt, None)
+    gt_surface = extract_surface(gt)
+    scale, offset = unit_cube_transform(gt_surface)
+    pred = PointCloud(extract_surface(binarize(output, 0.5)).points * scale + offset)
+    truth = PointCloud(gt_surface.points * scale + offset)
+    assert rep.chamfer == chamfer(pred, truth)
+    assert rep.f_scores == {tau: f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import contact_flow.guidance as guidance_module
 from contact_flow.contact import ContactSet, nearest_occupied
 from contact_flow.decoder import DecoderParams, decode, encode
 from contact_flow.guidance import (
@@ -447,3 +448,17 @@ def test_config_from_dict_tolerates_legacy_sum_aggregation_only():
     assert GuidanceConfig.from_dict({**d, "aggregation": "sum"}) == GuidanceConfig()
     with pytest.raises(ValueError, match="aggregation"):
         GuidanceConfig.from_dict({**d, "aggregation": "mean"})
+
+
+def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
+    model, params, cfg, ref, contacts = toy_setup(seed=35)
+    calls = []
+
+    def counting(grid, point):
+        calls.append(tuple(point))
+        return nearest_occupied(grid, point)
+
+    monkeypatch.setattr(guidance_module, "nearest_occupied", counting)
+    _, traj = guided_sample(model, params, contacts, ref, cfg, seed=4)
+    assert len(traj) == cfg.timesteps * cfg.recurrence
+    assert calls == [tuple(pc) for pc in contacts.points]

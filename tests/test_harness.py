@@ -332,3 +332,42 @@ def test_sweep_rejects_bad_worker_count(tmp_path, scenario, monkeypatch, value):
     monkeypatch.setenv("CONTACT_FLOW_WORKERS", value)
     with pytest.raises(ValueError, match="CONTACT_FLOW_WORKERS"):
         sweep(scenario, tmp_path / "sw", runs=1)
+
+
+def test_cli_generate_radius_that_does_not_fit_is_config_error(tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main,
+        ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--radius", "40", "--out", str(out)],
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert "config error" in result.output
+    assert not out.exists()
+
+
+def test_generate_run_rejects_radius_before_writing(tmp_path, scenario):
+    cfg = scenario.guidance_config(radius=40)
+    with pytest.raises(ValueError, match="radius"):
+        generate_run(scenario, tmp_path / "run", mode="guided", cfg=cfg)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--radius", "-1"], ["--radius", "40"], ["--radius", "1", "--radius", "40"]]
+)
+def test_cli_sweep_invalid_grid_value_is_config_error(tmp_path, flags):
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--out", str(tmp_path / "sw"), "--runs", "1", *flags],
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert "config error" in result.output
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_checks_every_cell_before_the_first_runs(tmp_path, scenario):
+    with pytest.raises(ValueError, match="radius"):
+        sweep(scenario, tmp_path / "sw", runs=1, radius_grid=[1, 40])
+    assert not (tmp_path / "sw").exists()
