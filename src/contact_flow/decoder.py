@@ -75,40 +75,53 @@ def _interp_matrix(n: int, N: int) -> np.ndarray:
     return _freeze(A)
 
 
-# Contract the grid with one axis matrix at a time; BLAS does each step.  This
-# is the path einsum's optimizer picks at every n, fixed to skip the search.
-_AXIS_BY_AXIS = ["einsum_path", (0, 3), (0, 2), (0, 1)]
+def _interp(grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """out[a,b,c] = sum_ijk ax[a,i] ay[b,j] az[c,k] grid[i,j,k], one BLAS matmul per axis.
+
+    The decoder's only upsampling kernel: the full grid passes A on every axis,
+    a drag window passes its per-axis blocks of A, and the adjoint passes the
+    same matrices transposed.
+    """
+    i, j, k = grid.shape
+    out = (ax @ grid.reshape(i, j * k)).reshape(ax.shape[0], j, k)
+    return np.matmul(ay, out) @ az.T
 
 
 def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
     """Trilinear upsampling of an (n,n,n) grid to (N,N,N): A applied along each axis."""
     A = _interp_matrix(coarse.shape[0], N)
-    return np.einsum("ai,bj,ck,ijk->abc", A, A, A, coarse, optimize=_AXIS_BY_AXIS)
+    return _interp(coarse, A, A, A)
 
 
 def _upsample_transpose(fine: np.ndarray, n: int) -> np.ndarray:
     """Exact adjoint of `_upsample`: the same contraction with A transposed."""
-    A = _interp_matrix(n, fine.shape[0])
-    return np.einsum("ai,bj,ck,abc->ijk", A, A, A, fine, optimize=_AXIS_BY_AXIS)
+    At = _interp_matrix(n, fine.shape[0]).T
+    return _interp(fine, At, At, At)
+
+
+def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Coarse logit grid <x, w>_channels of a latent array (n, n, n, C)."""
+    return np.tensordot(x, params.w, axes=([3], [0]))
+
+
+def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
+    """Unclipped decoder output sigma(beta * u) of upsampled logits u."""
+    return 1.0 / (1.0 + np.exp(-(beta * u)))
+
+
+def _logistic_vjp(s: np.ndarray, cotangent: np.ndarray, beta: float) -> np.ndarray:
+    """Cotangent of the upsampled logits, given the output s = _logistic(u, beta)."""
+    return cotangent * s * (1.0 - s) * beta
 
 
 def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Unclipped decoder output sigma(beta * upsample(<x, w>)) of a latent array (n, n, n, C)."""
-    coarse = np.tensordot(x, params.w, axes=([3], [0]))
-    logits = params.beta * _upsample(coarse, UPSAMPLE_FACTOR * x.shape[0])
-    return 1.0 / (1.0 + np.exp(-logits))
+    """Unclipped decoder output of a latent array (n, n, n, C)."""
+    return _logistic(_upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0]), params.beta)
 
 
 def _clip_occupancy(s: np.ndarray) -> np.ndarray:
     # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
     return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
-
-
-def _sigmoid_vjp(s: np.ndarray, cotangent: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Transpose-Jacobian product of the decoder, given its unclipped output `s`."""
-    d_fine = cotangent * s * (1.0 - s) * params.beta
-    d_coarse = _upsample_transpose(d_fine, s.shape[0] // UPSAMPLE_FACTOR)
-    return d_coarse[..., None] * params.w
 
 
 def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
@@ -134,7 +147,8 @@ def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> n
     if not np.all(np.isfinite(cot)):
         raise ValueError("cotangent contains non-finite entries")
     _check_channels(x, params)
-    return _sigmoid_vjp(_sigmoid(x.data, params), cot, params)
+    d_fine = _logistic_vjp(_sigmoid(x.data, params), cot, params.beta)
+    return _upsample_transpose(d_fine, x.n)[..., None] * params.w
 
 
 def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:

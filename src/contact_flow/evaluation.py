@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .contact import ContactSet, nearest_occupied
+from .contact import ContactSet
 from .voxelcore import BinaryGrid, OccupancyGrid, PointCloud, binarize, extract_surface, index_to_point
 
 METRICS_SCHEMA_VERSION = "v1"
@@ -148,11 +148,11 @@ def normalize_to_unit_cube(points: PointCloud) -> PointCloud:
 
 def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
     """Distance from each contact point to the nearest occupied voxel center of the output."""
-    res = np.empty(len(contacts))
-    for i, pc in enumerate(contacts.points):
-        ps = nearest_occupied(output, pc)
-        res[i] = float(np.linalg.norm(index_to_point(np.asarray(ps), output.resolution) - pc))
-    return res
+    if output.is_empty():
+        raise ValueError("output grid has no occupied voxels")
+    centers = index_to_point(np.argwhere(output.data), output.resolution)
+    distances, _ = cKDTree(centers).query(contacts.points)
+    return distances
 
 
 def evaluate_run(

@@ -14,11 +14,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .contact import ContactSet, nearest_occupied
-from .decoder import DecoderParams, _clip_occupancy, _sigmoid, _sigmoid_vjp, decode
+from .decoder import (
+    UPSAMPLE_FACTOR,
+    DecoderParams,
+    _clip_occupancy,
+    _interp,
+    _interp_matrix,
+    _logistic,
+    _logistic_vjp,
+    _logits,
+    decode,
+)
 from .toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
@@ -216,15 +227,27 @@ def _check_radius(radius: int, N: int) -> None:
         raise ValueError(f"neighborhood radius {radius} does not fit a grid of resolution {N}")
 
 
-def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int):
-    """Per contact, the window slices around its voxel and the reference values
-    in the same-shaped window around its nearest occupied reference voxel.
+class _Window(NamedTuple):
+    """One contact's drag window: where it sits in the decoder output, what it
+    is compared with, and the part of the decoder that produces it."""
+
+    fine: tuple[slice, slice, slice]  # the window around the contact's voxel
+    target: np.ndarray  # reference values around its nearest occupied voxel
+    coarse: tuple[slice, slice, slice]  # the coarse cells the window's voxels read
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, A[fine rows, coarse cells]
+
+
+def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Window]:
+    """Per contact, the window slices around its voxel, the reference values in
+    the same-shaped window around its nearest occupied reference voxel, and the
+    blocks of the interpolation matrix that decode the window.
 
     They depend only on (reference, contacts, radius), so a guided run builds
     them once.
     """
     N = ref.binary.resolution
     _check_radius(r, N)
+    A = _interp_matrix(N // UPSAMPLE_FACTOR, N)
     windows = []
     for pc in contacts.points:
         a = point_to_index(pc, N)
@@ -233,17 +256,23 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int):
         hi = np.minimum(r, np.minimum(N - 1 - a, N - 1 - b))
         sl_a = tuple(slice(a[i] + lo[i], a[i] + hi[i] + 1) for i in range(3))
         sl_b = tuple(slice(b[i] + lo[i], b[i] + hi[i] + 1) for i in range(3))
-        windows.append((sl_a, ref.occupancy.data[sl_b]))
+        coarse, blocks = [], []
+        for rows in sl_a:
+            cells = np.flatnonzero(A[rows].any(axis=0))
+            cols = slice(cells[0], cells[-1] + 1)
+            coarse.append(cols)
+            blocks.append(A[rows, cols])
+        windows.append(_Window(sl_a, ref.occupancy.data[sl_b], tuple(coarse), tuple(blocks)))
     return windows
 
 
-def _drag_loss(s: np.ndarray, windows):
+def _drag_loss(s: np.ndarray, windows: list[_Window]):
     loss = 0.0
     grad = np.zeros_like(s)
-    for sl, target in windows:
-        diff = s[sl] - target
+    for win in windows:
+        diff = s[win.fine] - win.target
         loss += float(np.sum(diff**2))
-        grad[sl] += 2.0 * diff
+        grad[win.fine] += 2.0 * diff
     return loss, grad
 
 
@@ -283,10 +312,21 @@ def energy_gradient(
 
 def _energy_gradient(model, t, r, x0, windows, dec):
     """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 of a state
-    with responsibilities r; the backward pass reuses the forward sigmoid."""
-    s = _sigmoid(x0.reshape(model.latent_shape()), dec)
-    J, g_s = _drag_loss(_clip_occupancy(s), windows)
-    g_x0 = _sigmoid_vjp(s, g_s, dec).reshape(-1)
+    with responsibilities r.
+
+    The drag loss is zero outside the windows, so the decoder, the loss and the
+    decoder's adjoint run on each window alone; overlapping windows add up.
+    """
+    coarse = _logits(x0.reshape(model.latent_shape()), dec)
+    d_coarse = np.zeros_like(coarse)
+    J = 0.0
+    for win in windows:
+        s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
+        diff = _clip_occupancy(s) - win.target
+        J += float(np.sum(diff**2))
+        d_fine = _logistic_vjp(s, 2.0 * diff, dec.beta)
+        d_coarse[win.coarse] += _interp(d_fine, *(m.T for m in win.blocks))
+    g_x0 = (d_coarse[..., None] * dec.w).reshape(-1)
     g_xt = g_x0 - t * _velocity_vjp(model, r, t, g_x0)
     return J, g_xt, g_x0
 

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__
 from .contact import ContactSet, farthest_point_sample
@@ -59,6 +61,17 @@ EXIT_CONFIG_ERROR = 4
 
 WORKERS_ENV = "CONTACT_FLOW_WORKERS"
 
+# thread settings a BLAS or OpenMP runtime reads; reductions split across
+# threads can round differently, so they are part of a run's environment
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
 MANIFEST_NAME = "manifest.json"
 
 METHOD_UNGUIDED = "unguided"
@@ -72,6 +85,18 @@ def worker_count() -> int:
     if not value.isdecimal() or int(value) < 1:
         raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _environment() -> dict:
+    """The software environment a run's bit-reproducibility depends on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
+    }
 
 
 def _sha256(data: bytes) -> str:
@@ -147,6 +172,7 @@ def generate_run(
                   "contacts": built.scenario.seeds.contacts},
         "external_contacts": external_contacts is not None,
         "library_hashes": [_sha256(grid_to_bytes(g)) for g in built.library_grids],
+        "environment": _environment(),
         "artifacts": {},
         "timings": {},
         "failure": None,
@@ -344,9 +370,13 @@ def _sweep_task(args: dict):
             "contact_residual": report.contact_residual_median, "failed": report.failed}
 
 
-def _sweep_configs(scenario, base, lambdas, recurrences, schedules, radii) -> list[GuidanceConfig]:
+def _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii):
     """Every cell's guidance config in cell order, an empty grid keeping the base
-    value; ValueError on the first invalid one."""
+    value, and the pool size; ValueError on a bad run count, grid value or
+    CONTACT_FLOW_WORKERS, before any run."""
+    if runs < 1:
+        raise ValueError(f"runs per cell must be >= 1, got {runs}")
+    workers = worker_count()
     cells = []
     for lam, m, sched, radius in itertools.product(
         lambdas or [base.lambda_stage],
@@ -359,7 +389,7 @@ def _sweep_configs(scenario, base, lambdas, recurrences, schedules, radii) -> li
         )
         _check_radius(cfg.radius, scenario.resolution)
         cells.append(cfg)
-    return cells
+    return cells, workers
 
 
 def sweep(
@@ -374,13 +404,14 @@ def sweep(
 ) -> list[dict]:
     """Cross-product ablation over guidance knobs; one summary row per cell.
 
-    Every cell's config is checked before the first cell runs.  Cells that
-    abort are recorded and the sweep continues.  Runs are parallelized across
-    seeds with a process pool (CONTACT_FLOW_WORKERS).
+    The run count and every cell's config are checked before the first cell
+    runs.  Cells that abort are recorded and the sweep continues.  Runs are
+    parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
     """
-    workers = worker_count()
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
-    cells = _sweep_configs(scenario, base, lambda_grid, recurrence_grid, schedule_grid, radius_grid)
+    cells, workers = _sweep_plan(
+        scenario, base, runs, lambda_grid, recurrence_grid, schedule_grid, radius_grid
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -536,9 +567,8 @@ def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, schedules,
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, None, timesteps)
-        # a bad grid value or CONTACT_FLOW_WORKERS fails here, before any run
-        _sweep_configs(scenario, base, lambdas, recurrences, schedules, radii)
-        worker_count()
+        # a bad run count, grid value or CONTACT_FLOW_WORKERS fails here, before any run
+        _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii)
     except (ValueError, OSError, KeyError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .decoder import DecoderParams, decode
 from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, _freeze
@@ -144,20 +143,33 @@ def _path_coeffs(model: MixtureFlowModel, t: float):
     return s2, c1, c2
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, kept as a length-1 axis.
+
+    The maxima are shifted out and the rest summed through log1p: the
+    arithmetic of scipy.special.logsumexp, so the result matches it bit for bit.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=-1, keepdims=True)
+    rest = np.sum(np.where(is_max, 0.0, np.exp(a - a_max)), axis=-1, keepdims=True)
+    return np.log1p(rest / count) + np.log(count) + a_max
+
+
 def _log_responsibilities(model: MixtureFlowModel, x_flat: np.ndarray, t: float) -> np.ndarray:
     """Log posterior over components given batched states x_flat of shape (B, dim)."""
     s2, _, _ = _path_coeffs(model, t)
     m = (1.0 - t) * model.means
     # states far outside the support may overflow the quadratic; the resulting
     # all-underflow is reported below instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         quad = (
             np.sum(x_flat**2, axis=1)[:, None]
             - 2.0 * x_flat @ m.T
             + np.sum(m**2, axis=1)[None, :]
         )
         logits = np.log(model.weights)[None, :] - quad / (2.0 * s2)
-    norm = logsumexp(logits, axis=1, keepdims=True)
+        norm = _logsumexp(logits)
     if not np.all(np.isfinite(norm)):
         raise FloatingPointError("all mixture components underflowed in responsibility computation")
     return logits - norm
@@ -242,7 +254,7 @@ def condition(
     logits = np.log(model.weights) - cond.gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")
-    logw = logits - logsumexp(logits)
+    logw = logits - _logsumexp(logits)
     return replace(model, weights=np.exp(logw))
 
 

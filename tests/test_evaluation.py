@@ -260,3 +260,20 @@ def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
     truth = PointCloud(gt_surface.points * scale + offset)
     assert rep.chamfer == chamfer(pred, truth)
     assert rep.f_scores == {tau: f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
+
+
+@pytest.mark.parametrize("N, density, seed", [(4, 0.1, 0), (8, 0.02, 1), (16, 0.005, 2), (16, 0.4, 3)])
+def test_contact_residuals_match_brute_force_over_every_occupied_voxel(N, density, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = rng.random((N, N, N)) < density
+    data[tuple(rng.integers(N, size=3))] = True
+    grid = BinaryGrid(data)
+    contacts = ContactSet(rng.random((25, 3)))
+    centers = index_to_point(np.argwhere(data), N)
+    brute = [np.sqrt(np.sum((centers - pc) ** 2, axis=1)).min() for pc in contacts.points]
+    np.testing.assert_allclose(contact_residuals(grid, contacts), brute, rtol=0, atol=1e-15)
+
+
+def test_contact_residuals_reject_an_empty_output():
+    with pytest.raises(ValueError, match="no occupied voxels"):
+        contact_residuals(BinaryGrid(np.zeros((4, 4, 4), bool)), ContactSet(np.full((1, 3), 0.5)))

@@ -462,3 +462,63 @@ def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
     _, traj = guided_sample(model, params, contacts, ref, cfg, seed=4)
     assert len(traj) == cfg.timesteps * cfg.recurrence
     assert calls == [tuple(pc) for pc in contacts.points]
+
+
+# ---------------------------------------------------------------------------
+# windowed inner step
+# ---------------------------------------------------------------------------
+
+
+def full_grid_energy_gradient(model, params, cfg, ref, contacts, x, t):
+    """The inner step's chain on the whole grid through the public kernels:
+    decode -> drag_loss -> decode_vjp -> velocity_vjp."""
+    from contact_flow.decoder import decode_vjp
+    from contact_flow.toyflow import velocity_vjp
+
+    x0 = predict_x0(model, x, t)
+    J, g_s = drag_loss(decode(x0, params), contacts, ref, cfg)
+    g_x0 = decode_vjp(x0, g_s, params)
+    g_xt = g_x0 - t * velocity_vjp(model, x, t, g_x0.reshape(-1))
+    return J, g_xt, g_x0
+
+
+# one contact in a corner (windows clipped at the grid edge), two a voxel
+# apart (overlapping windows), one in the middle
+WINDOW_CONTACTS = ContactSet(
+    np.array([[0.01, 0.02, 0.99], [0.5, 0.5, 0.5], [0.56, 0.5, 0.44], [0.3, 0.7, 0.6]])
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_windowed_energy_gradient_equals_full_grid_chain(n, radius):
+    model, params, _, ref, _ = toy_setup(seed=n + radius, n=n)
+    cfg = small_cfg(radius=radius)
+    x = LatentGrid(sample_base(model, 11 + n).data * 0.8)
+    corner, middle, beside, _ = guidance_module._drag_windows(ref, WINDOW_CONTACTS, radius)
+    if radius > 0:
+        assert corner.target.shape != (2 * radius + 1,) * 3
+        assert all(a.start < b.stop and b.start < a.stop for a, b in zip(middle.fine, beside.fine))
+    for t in (0.9, 0.45, 0.05):
+        J, g_xt, g_x0 = energy_gradient(model, x, t, WINDOW_CONTACTS, ref, params, cfg)
+        J_ref, g_xt_ref, g_x0_ref = full_grid_energy_gradient(
+            model, params, cfg, ref, WINDOW_CONTACTS, x, t
+        )
+        assert J == pytest.approx(J_ref, rel=1e-10)
+        assert np.linalg.norm(g_x0_ref) > 0.0
+        assert np.linalg.norm(g_xt - g_xt_ref) <= 1e-10 * np.linalg.norm(g_xt_ref)
+        assert np.linalg.norm(g_x0 - g_x0_ref) <= 1e-10 * np.linalg.norm(g_x0_ref)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 0), (3, 2), (4, 3), (16, 10)])
+def test_window_decodes_the_same_values_as_the_full_grid(n, radius):
+    from contact_flow.decoder import _interp, _logistic, _logits
+
+    model, params, _, ref, _ = toy_setup(seed=n, n=n)
+    x0 = LatentGrid(sample_base(model, 5).data)
+    full = decode(x0, params).data
+    coarse = _logits(x0.data, params)
+    windows = guidance_module._drag_windows(ref, WINDOW_CONTACTS, radius)
+    for win in windows:
+        s = _logistic(_interp(coarse[win.coarse], *win.blocks), params.beta)
+        np.testing.assert_allclose(s, full[win.fine], rtol=0, atol=1e-14)

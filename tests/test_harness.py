@@ -371,3 +371,35 @@ def test_sweep_checks_every_cell_before_the_first_runs(tmp_path, scenario):
     with pytest.raises(ValueError, match="radius"):
         sweep(scenario, tmp_path / "sw", runs=1, radius_grid=[1, 40])
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_cli_sweep_without_runs_is_config_error(tmp_path, runs):
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--out", str(tmp_path / "sw"), "--runs", runs],
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert "config error" in result.output
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_sweep_rejects_a_run_count_below_one(tmp_path, scenario, runs):
+    with pytest.raises(ValueError, match="runs"):
+        sweep(scenario, tmp_path / "sw", runs=runs)
+    assert not (tmp_path / "sw").exists()
+
+
+def test_manifest_records_the_software_environment(tmp_path, scenario, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    generate_run(scenario, tmp_path / "run", mode="unguided")
+    env = load_manifest(tmp_path / "run")["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "thread_vars"}
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert "OMP_NUM_THREADS" not in env["thread_vars"]
+    assert verify_manifest(tmp_path / "run") == []

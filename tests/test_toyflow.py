@@ -351,3 +351,17 @@ def test_responsibilities_sum_to_one():
     r = responsibilities(model, x, 0.8)
     assert r.shape == (3,)
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    from contact_flow.toyflow import _logsumexp
+
+    rng = np.random.Generator(np.random.PCG64(17))
+    for scale in (1e-3, 1.0, 1e3):
+        a = rng.standard_normal((2000, 3)) * scale
+        a[:50, 1] = a[:50, 0]  # tied maxima or tied others
+        a[50:100, 2] = -np.inf  # a component with zero weight
+        assert np.array_equal(_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
+        assert np.array_equal(_logsumexp(a[0]), logsumexp(a[0], keepdims=True))
