@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .contact import ContactSet, farthest_point_sample, nearest_occupied, sample_contacts
 from .decoder import DecoderParams, decode, decode_vjp, encode
 from .evaluation import (
-    EvalConfig,
     MetricsReport,
     chamfer,
     evaluate_run,

@@ -26,6 +26,8 @@ class ContactSet:
             raise ValueError(f"contact points must have shape (M, 3), got {pts.shape}")
         if pts.shape[0] == 0:
             raise ValueError("contact set must be non-empty")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("contact points must be finite")
         if pts.min() < 0.0 or pts.max() > 1.0:
             raise ValueError("contact points must lie inside the unit cube")
         object.__setattr__(self, "points", _freeze(pts))
@@ -105,11 +107,18 @@ def nearest_occupied(ref: BinaryGrid, point) -> tuple[int, int, int]:
 
     Ties are broken by lexicographic index order for reproducibility.
     """
+    best = _nearest_occupied(ref, np.asarray(point, dtype=np.float64)[None])[0]
+    return tuple(int(v) for v in best)
+
+
+def _nearest_occupied(ref: BinaryGrid, points: np.ndarray) -> np.ndarray:
+    """(M, 3) indices of the occupied voxels closest to each of the (M, 3)
+    `points`, from one scan of the grid; ties as in `nearest_occupied`."""
     if ref.is_empty():
         raise ValueError("reference grid has no occupied voxels")
-    p = np.asarray(point, dtype=np.float64)
     idx = np.argwhere(ref.data)  # argwhere yields lexicographic order
     centers = index_to_point(idx, ref.resolution)
-    d2 = np.sum((centers - p) ** 2, axis=1)
-    best = int(np.argmin(d2))  # argmin returns the lowest index on ties
-    return tuple(int(v) for v in idx[best])
+    # argmin returns the lowest index on ties; one point at a time keeps the
+    # temporaries at the size of `centers`
+    best = [int(np.argmin(np.sum((centers - p) ** 2, axis=1))) for p in points]
+    return idx[best]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,18 +34,6 @@ METRICS_CSV_COLUMNS = (
     "final_J",
     "failed",
 )
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    threshold: float = 0.5
-    f_thresholds: tuple[float, ...] = F_SCORE_THRESHOLDS
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("binarization threshold must lie in (0, 1)")
-        if any(t <= 0 for t in self.f_thresholds):
-            raise ValueError("F-score thresholds must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,6 @@ def evaluate_run(
     output: OccupancyGrid,
     gt: BinaryGrid,
     contacts: ContactSet | None,
-    cfg: EvalConfig = EvalConfig(),
     scenario: str = "",
     method: str = "",
     seed: int = -1,
@@ -171,11 +158,11 @@ def evaluate_run(
     transform, so prediction scale errors stay visible.  An empty prediction
     yields a failure-flagged report with sentinel metrics.
     """
-    pred_binary = binarize(output, cfg.threshold)
+    pred_binary = binarize(output)
     if pred_binary.is_empty():
         return MetricsReport(
             chamfer=math.inf,
-            f_scores={tau: 0.0 for tau in cfg.f_thresholds},
+            f_scores={tau: 0.0 for tau in F_SCORE_THRESHOLDS},
             contact_residual_median=math.inf,
             scenario=scenario,
             method=method,
@@ -195,7 +182,7 @@ def evaluate_run(
         residual = float(np.median(contact_residuals(pred_binary, contacts)))
     return MetricsReport(
         chamfer=_chamfer(d_pg, d_gp),
-        f_scores={tau: _f_score(d_pg, d_gp, tau) for tau in cfg.f_thresholds},
+        f_scores={tau: _f_score(d_pg, d_gp, tau) for tau in F_SCORE_THRESHOLDS},
         contact_residual_median=residual,
         scenario=scenario,
         method=method,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .contact import ContactSet, nearest_occupied
+from .contact import ContactSet, _nearest_occupied
 from .decoder import (
     UPSAMPLE_FACTOR,
     DecoderParams,
@@ -46,6 +46,9 @@ ATTENUATION_GUARD = 1e-12
 SCHEDULE_STAGED = "staged"
 SCHEDULE_COVG = "covg"
 
+# manifest keys of fixed conventions, with the one value each may hold
+_LEGACY_KEYS = {"aggregation": "sum", "threshold": 0.5, "t_min": T_MIN_DEFAULT}
+
 
 class GenerationAborted(RuntimeError):
     """Raised when the latent state becomes non-finite during sampling."""
@@ -67,8 +70,6 @@ class GuidanceConfig:
     lambda_stage: tuple[float, float, float] = (0.2, 1.0, 0.5)
     recurrence: int = 3
     radius: int = 10
-    threshold: float = 0.5
-    t_min: float = T_MIN_DEFAULT
     schedule: str = SCHEDULE_STAGED
 
     def __post_init__(self):
@@ -83,10 +84,6 @@ class GuidanceConfig:
             raise ValueError("recurrence must be >= 1")
         if self.radius < 0:
             raise ValueError("neighborhood radius must be >= 0")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("binarization threshold must lie in (0, 1)")
-        if not 0.0 < self.t_min < 1.0:
-            raise ValueError("t_min must lie in (0, 1)")
         if self.schedule not in (SCHEDULE_STAGED, SCHEDULE_COVG):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -113,24 +110,21 @@ class GuidanceConfig:
             "lambda_stage": list(self.lambda_stage),
             "recurrence": self.recurrence,
             "radius": self.radius,
-            "threshold": self.threshold,
-            "t_min": self.t_min,
             "schedule": self.schedule,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceConfig":
-        # manifests written before contacts were always summed carry this key
-        if d.get("aggregation", "sum") != "sum":
-            raise ValueError("only sum-over-contacts aggregation is supported")
+        # older manifests carry these keys; each has one legal value
+        for key, only in _LEGACY_KEYS.items():
+            if d.get(key, only) != only:
+                raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
         return cls(
             timesteps=int(d["timesteps"]),
             stage_bounds=tuple(d["stage_bounds"]),
             lambda_stage=tuple(d["lambda_stage"]),
             recurrence=int(d["recurrence"]),
             radius=int(d["radius"]),
-            threshold=float(d["threshold"]),
-            t_min=float(d["t_min"]),
             schedule=d["schedule"],
         )
 
@@ -165,9 +159,6 @@ class StepRecord:
     lam: float
     g_norm: float
     suppressed: bool
-    x_t: np.ndarray | None = field(default=None, repr=False, compare=False)
-    v_t: np.ndarray | None = field(default=None, repr=False, compare=False)
-    x0_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,9 +240,8 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     _check_radius(r, N)
     A = _interp_matrix(N // UPSAMPLE_FACTOR, N)
     windows = []
-    for pc in contacts.points:
+    for pc, b in zip(contacts.points, _nearest_occupied(ref.binary, contacts.points)):
         a = point_to_index(pc, N)
-        b = np.asarray(nearest_occupied(ref.binary, pc), dtype=np.int64)
         lo = np.maximum(-r, np.maximum(-a, -b))
         hi = np.minimum(r, np.minimum(N - 1 - a, N - 1 - b))
         sl_a = tuple(slice(a[i] + lo[i], a[i] + hi[i] + 1) for i in range(3))
@@ -369,7 +359,7 @@ def unguided_sample(
 ) -> OccupancyGrid:
     """Plain Euler flow sampling; also the source of reference shapes."""
     x = sample_base(model, seed).data.reshape(-1)
-    ts, t_nexts = time_grid(cfg.timesteps, cfg.t_min)
+    ts, t_nexts = time_grid(cfg.timesteps)
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
         try:
             v, _ = _velocity_flat(model, x, t)
@@ -392,7 +382,7 @@ def make_reference(
     occ = unguided_sample(model, dec, cfg, seed)
     return ReferenceShape(
         occupancy=occ,
-        binary=binarize(occ, cfg.threshold),
+        binary=binarize(occ),
         seed=seed,
         timesteps=cfg.timesteps,
     )
@@ -405,7 +395,6 @@ def guided_sample(
     ref: ReferenceShape,
     cfg: GuidanceConfig,
     seed: int,
-    record_states: bool = False,
 ) -> tuple[OccupancyGrid, GuidedTrajectory]:
     """Recurrent guided sampling.
 
@@ -417,9 +406,8 @@ def guided_sample(
     """
     _check_inputs(model, dec, ref)
     windows = _drag_windows(ref, contacts, cfg.radius)
-    shape = model.latent_shape()
     x = sample_base(model, seed).data.reshape(-1)
-    ts, t_nexts = time_grid(cfg.timesteps, cfg.t_min)
+    ts, t_nexts = time_grid(cfg.timesteps)
     records: list[StepRecord] = []
 
     def abort(step, inner, reason):
@@ -444,7 +432,6 @@ def guided_sample(
                 lam_att = attenuation(g_x0, g_xt)
                 suppressed = lam_att == 0.0
                 lam = lam_sched * lam_att if not suppressed else 0.0
-            x_t = x
             if lam != 0.0:
                 # lam may be inf (cov-G at t=1); the non-finite state is caught below
                 with np.errstate(invalid="ignore", over="ignore"):
@@ -467,9 +454,6 @@ def guided_sample(
                     lam=float(lam),
                     g_norm=g_norm,
                     suppressed=suppressed,
-                    x_t=x_t.reshape(shape) if record_states else None,
-                    v_t=v if record_states else None,
-                    x0_hat=x0.reshape(shape) if record_states else None,
                 )
             )
             if not np.all(np.isfinite(x)):
@@ -482,6 +466,6 @@ def guided_sample(
         _, _, x0 = _predict(model, x, t_nexts[-1])
     except FloatingPointError as exc:
         abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
-    occupancy = decode(LatentGrid(x0.reshape(shape)), dec)
+    occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
     final_J, _ = _drag_loss(occupancy.data, windows)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

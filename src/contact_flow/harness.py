@@ -27,13 +27,7 @@ import scipy
 
 from . import __version__
 from .contact import ContactSet, farthest_point_sample
-from .evaluation import (
-    EvalConfig,
-    METRICS_SCHEMA_VERSION,
-    MetricsReport,
-    evaluate_run,
-    write_metrics_csv,
-)
+from .evaluation import METRICS_SCHEMA_VERSION, MetricsReport, evaluate_run, write_metrics_csv
 from .guidance import (
     GenerationAborted,
     GuidanceConfig,
@@ -170,7 +164,8 @@ def generate_run(
         "model": built.model.describe(),
         "seeds": {"run": run_seed, "reference": reference_seed,
                   "contacts": built.scenario.seeds.contacts},
-        "external_contacts": external_contacts is not None,
+        # as given, before farthest point sampling, so a rerun can pass them back
+        "external_contacts": None if external_contacts is None else external_contacts.to_dict(),
         "library_hashes": [_sha256(grid_to_bytes(g)) for g in built.library_grids],
         "environment": _environment(),
         "artifacts": {},
@@ -217,7 +212,7 @@ def generate_run(
 
     save_grid(occupancy, out / "occupancy.grid")
     add_artifact("occupancy", "occupancy.grid")
-    binary = binarize(occupancy, cfg.threshold)
+    binary = binarize(occupancy)
     save_grid(binary, out / "shape.grid")
     add_artifact("shape", "shape.grid")
     if not binary.is_empty():
@@ -252,6 +247,10 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
     """Re-execute a run from its manifest snapshot (determinism check)."""
     scenario = Scenario.from_dict(manifest["scenario"])
     cfg = GuidanceConfig.from_dict(manifest["guidance"])
+    external = manifest.get("external_contacts")
+    if external is True:
+        # older manifests recorded only that the contacts were external
+        raise ValueError("manifest does not record the external contacts of its run")
     return generate_run(
         scenario,
         out_dir,
@@ -259,10 +258,11 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
         cfg=cfg,
         run_seed=manifest["seeds"]["run"],
         reference_seed=manifest["seeds"]["reference"],
+        external_contacts=ContactSet.from_dict(external) if external else None,
     )
 
 
-def evaluate_run_dir(run_dir, eval_cfg: EvalConfig = EvalConfig()) -> MetricsReport:
+def evaluate_run_dir(run_dir) -> MetricsReport:
     """Evaluate one run directory against the ground truth its manifest encodes."""
     run = Path(run_dir)
     manifest = load_manifest(run)
@@ -276,7 +276,6 @@ def evaluate_run_dir(run_dir, eval_cfg: EvalConfig = EvalConfig()) -> MetricsRep
         occupancy,
         built.ground_truth,
         contacts,
-        eval_cfg,
         scenario=scenario.name,
         method=manifest["method"],
         seed=manifest["seeds"]["run"],
@@ -329,14 +328,14 @@ def format_summary_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def evaluate_run_dirs(run_dirs, out_dir=None, eval_cfg: EvalConfig = EvalConfig()):
+def evaluate_run_dirs(run_dirs, out_dir=None):
     """Evaluate many run dirs; returns (reports, skipped).  Writes metrics.csv,
     summary.txt, and summary.json under out_dir when given."""
     reports: list[MetricsReport] = []
     skipped: list[tuple[str, str]] = []
     for run_dir in run_dirs:
         try:
-            reports.append(evaluate_run_dir(run_dir, eval_cfg))
+            reports.append(evaluate_run_dir(run_dir))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             skipped.append((str(run_dir), str(exc)))
     if out_dir is not None and reports:

@@ -185,9 +185,9 @@ class Scenario:
         return GuidanceConfig(**overrides)
 
 
-def scaled_radius(resolution: int, base_radius: int = 10, base_resolution: int = 64) -> int:
+def scaled_radius(resolution: int) -> int:
     """Drag-neighborhood radius proportional to grid resolution (10 at 64^3)."""
-    r = max(1, round(base_radius * resolution / base_resolution))
+    r = max(1, round(10 * resolution / 64))
     return min(r, (resolution - 1) // 2)
 
 
@@ -215,19 +215,12 @@ class BuiltScenario:
     model: MixtureFlowModel
     contacts: ContactSet
 
-    @property
-    def ambiguous_pairs(self) -> tuple[tuple[int, int], ...]:
-        return ambiguous_pairs(self)
-
-
-def _decoded_binaries(model: MixtureFlowModel, params: DecoderParams, threshold: float = 0.5):
-    return [binarize(decode(model.mean_latent(k), params), threshold) for k in range(model.k)]
-
 
 def ambiguous_pairs(built: BuiltScenario) -> tuple[tuple[int, int], ...]:
     """Component pairs that binarize identically on the visible region while
     differing on >= HIDDEN_DIFF_FRACTION of their union in the hidden region."""
-    bins = _decoded_binaries(built.model, built.decoder)
+    model = built.model
+    bins = [binarize(decode(model.mean_latent(k), built.decoder)) for k in range(model.k)]
     visible = built.visibility.data
     pairs = []
     for i in range(len(bins)):

@@ -258,28 +258,21 @@ def condition(
     return replace(model, weights=np.exp(logw))
 
 
-def integrate_flow_batch(
-    model: MixtureFlowModel,
-    count: int,
-    steps: int,
-    seed: int,
-    t_min: float = T_MIN_DEFAULT,
-) -> np.ndarray:
+def integrate_flow_batch(model: MixtureFlowModel, count: int, steps: int, seed: int) -> np.ndarray:
     """Integrate `count` independent unguided trajectories at once; returns (count, dim)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((count, model.dim))
-    for t, t_next in zip(*time_grid(steps, t_min)):
+    for t, t_next in zip(*time_grid(steps)):
         v, _ = _velocity_batch(model, x, t)
         x = x + v * (t_next - t)
     return x
 
 
-def time_grid(steps: int, t_min: float = T_MIN_DEFAULT):
-    """Uniform knots 1 = t_0 > ... > t_T = t_min; returns (t, t_next) arrays of length T."""
+def time_grid(steps: int):
+    """Uniform knots 1 = t_0 > ... > t_T = T_MIN_DEFAULT; returns (t, t_next)
+    arrays of length T."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if not 0.0 < t_min < 1.0:
-        raise ValueError("t_min must lie in (0, 1)")
-    knots = 1.0 - np.arange(steps + 1) * (1.0 - t_min) / steps
-    knots[-1] = t_min
+    knots = 1.0 - np.arange(steps + 1) * (1.0 - T_MIN_DEFAULT) / steps
+    knots[-1] = T_MIN_DEFAULT
     return knots[:-1], knots[1:]

@@ -8,7 +8,6 @@ from scipy import ndimage
 
 from contact_flow.contact import ContactSet, nearest_occupied
 from contact_flow.evaluation import (
-    EvalConfig,
     F_SCORE_THRESHOLDS,
     METRICS_CSV_COLUMNS,
     chamfer,
@@ -239,13 +238,6 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert float(rows[0]["chamfer"]) == rep.chamfer
     assert rows[0]["method"] == "guided"
     assert int(rows[0]["seed"]) == 7
-
-
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        EvalConfig(f_thresholds=(0.0,))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import contact_flow.guidance as guidance_module
-from contact_flow.contact import ContactSet, nearest_occupied
+from contact_flow.contact import ContactSet, _nearest_occupied, nearest_occupied
 from contact_flow.decoder import DecoderParams, decode, encode
 from contact_flow.guidance import (
     GenerationAborted,
@@ -384,21 +384,6 @@ def test_trajectory_jsonl_dump(tmp_path):
     assert "final_J" in json.loads(lines[-1])
 
 
-def test_trajectory_state_recording_is_optional():
-    model, params, cfg, ref, contacts = toy_setup(seed=32)
-    _, lean = guided_sample(model, params, contacts, ref, cfg, seed=4)
-    assert all(r.x_t is None and r.v_t is None and r.x0_hat is None for r in lean.records)
-    _, full = guided_sample(model, params, contacts, ref, cfg, seed=4, record_states=True)
-    for rec in full.records:
-        assert rec.x_t.shape == model.latent_shape()
-        assert rec.v_t.shape == (model.dim,)
-        assert rec.x0_hat.shape == model.latent_shape()
-        # recorded one-step prediction is consistent with the recorded state
-        np.testing.assert_allclose(
-            rec.x0_hat.reshape(-1), rec.x_t.reshape(-1) - rec.t * rec.v_t, atol=1e-12
-        )
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         GuidanceConfig(timesteps=2)
@@ -442,26 +427,31 @@ def test_decoder_channel_mismatch_is_an_error_not_an_abort():
         guided_sample(model, wrong, contacts, ref, cfg, seed=0)
 
 
-def test_config_from_dict_tolerates_legacy_sum_aggregation_only():
+@pytest.mark.parametrize(
+    "key, legal, wrong",
+    [("aggregation", "sum", "mean"), ("threshold", 0.5, 0.4), ("t_min", 0.001, 0.01)],
+)
+def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wrong):
     d = GuidanceConfig().to_dict()
-    assert "aggregation" not in d
-    assert GuidanceConfig.from_dict({**d, "aggregation": "sum"}) == GuidanceConfig()
-    with pytest.raises(ValueError, match="aggregation"):
-        GuidanceConfig.from_dict({**d, "aggregation": "mean"})
+    assert key not in d
+    assert GuidanceConfig.from_dict({**d, key: legal}) == GuidanceConfig()
+    with pytest.raises(ValueError, match=key):
+        GuidanceConfig.from_dict({**d, key: wrong})
 
 
 def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
     model, params, cfg, ref, contacts = toy_setup(seed=35)
     calls = []
 
-    def counting(grid, point):
-        calls.append(tuple(point))
-        return nearest_occupied(grid, point)
+    def counting(grid, points):
+        calls.append(np.array(points))
+        return _nearest_occupied(grid, points)
 
-    monkeypatch.setattr(guidance_module, "nearest_occupied", counting)
+    monkeypatch.setattr(guidance_module, "_nearest_occupied", counting)
     _, traj = guided_sample(model, params, contacts, ref, cfg, seed=4)
     assert len(traj) == cfg.timesteps * cfg.recurrence
-    assert calls == [tuple(pc) for pc in contacts.points]
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], contacts.points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from contact_flow.harness import (
     sweep,
     verify_manifest,
 )
-from contact_flow.scenarios import suite_scenario
+from contact_flow.scenarios import build_scenario, suite_scenario
 
 
 @pytest.fixture(scope="module")
@@ -261,9 +263,6 @@ def test_cli_evaluate_and_failure_exit(tmp_path, scenario):
 
 
 def test_cli_external_contacts(tmp_path, scenario):
-    from contact_flow.harness import generate_run as _gen
-    from contact_flow.scenarios import build_scenario
-
     built = build_scenario(scenario)
     contacts_file = tmp_path / "contacts.json"
     built.contacts.save(contacts_file)
@@ -275,7 +274,40 @@ def test_cli_external_contacts(tmp_path, scenario):
     )
     assert result.exit_code == 0, result.output
     manifest = load_manifest(tmp_path / "run")
-    assert manifest["external_contacts"] is True
+    assert manifest["external_contacts"] == built.contacts.to_dict()
+
+
+def test_rerun_manifest_reproduces_a_run_with_external_contacts(tmp_path, scenario):
+    # ten external contacts, thinned to six by farthest point sampling
+    sampled = dataclasses.replace(scenario, fps_count=6)
+    other = build_scenario(scenario, run_index=1).contacts
+    manifest = generate_run(sampled, tmp_path / "orig", mode="guided", external_contacts=other)
+    again = rerun_manifest(manifest, tmp_path / "again")
+    assert artifact_hashes(again) == artifact_hashes(manifest)
+    assert again["external_contacts"] == manifest["external_contacts"]
+
+
+def test_rerun_manifest_without_external_contact_points_is_an_error(tmp_path, scenario):
+    manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
+    assert manifest["external_contacts"] is None
+    legacy = dict(manifest, external_contacts=True)
+    with pytest.raises(ValueError, match="external contacts"):
+        rerun_manifest(legacy, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
+def test_cli_non_finite_contact_is_config_error(tmp_path):
+    contacts_file = tmp_path / "contacts.json"
+    contacts_file.write_text(json.dumps({"points": [[0.5, float("nan"), 0.5]]}))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main,
+        ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--out", str(out), "--contacts", str(contacts_file)],
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert "finite" in result.output
+    assert not out.exists()
 
 
 def test_cli_sweep_single_cell(tmp_path):
@@ -291,12 +323,19 @@ def test_cli_sweep_single_cell(tmp_path):
     assert data["cells"][0]["recurrence"] == 1
 
 
-def test_rerun_manifest_accepts_legacy_aggregation_key(tmp_path, scenario):
+@pytest.mark.parametrize(
+    "key, legal, wrong",
+    [("aggregation", "sum", "mean"), ("threshold", 0.5, 0.4), ("t_min", 0.001, 0.01)],
+)
+def test_rerun_manifest_accepts_legacy_aggregation_key(tmp_path, scenario, key, legal, wrong):
     manifest = generate_run(scenario, tmp_path / "orig", mode="guided")
     legacy = json.loads(json.dumps(manifest))
-    legacy["guidance"]["aggregation"] = "sum"
+    legacy["guidance"][key] = legal
     again = rerun_manifest(legacy, tmp_path / "again")
     assert artifact_hashes(again) == artifact_hashes(manifest)
+    legacy["guidance"][key] = wrong
+    with pytest.raises(ValueError, match=key):
+        rerun_manifest(legacy, tmp_path / "wrong")
 
 
 def test_failed_manifest_write_keeps_previous_file(tmp_path, scenario):
@@ -403,3 +442,17 @@ def test_manifest_records_the_software_environment(tmp_path, scenario, monkeypat
     assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
     assert "OMP_NUM_THREADS" not in env["thread_vars"]
     assert verify_manifest(tmp_path / "run") == []
+
+
+def test_standard_suite_script_writes_one_row_per_run(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_standard_suite.py"
+    spec = importlib.util.spec_from_file_location("run_standard_suite", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "suite"
+    result = CliRunner().invoke(script.main, ["--out", str(out), "--grid-n", "4", "--runs", "1"])
+    assert result.exit_code == 0, result.output
+    rows = read_metrics_csv(out / "evaluation" / "metrics.csv")
+    # four scenarios, each unguided, guided and guided without recurrence
+    assert len(rows) == 12
+    assert {r["method"] for r in rows} == {"unguided", "guided", "guided_no_recurrence"}

@@ -48,7 +48,7 @@ def test_suite_matches_documented_manifest():
 def test_every_suite_scenario_builds_and_validates(name, n):
     built = build_scenario(suite_scenario(name, n=n))
     if built.scenario.ambiguous:
-        assert built.ambiguous_pairs
+        assert ambiguous_pairs(built)
     assert not built.ground_truth.is_empty()
     assert len(built.contacts) == built.scenario.contact_count
 
@@ -60,7 +60,7 @@ def test_ambiguous_components_match_exactly_on_visible_region():
         binarize(decode(built.model.mean_latent(k), built.decoder), 0.5)
         for k in range(built.model.k)
     ]
-    for i, j in built.ambiguous_pairs:
+    for i, j in ambiguous_pairs(built):
         sym = bins[i].data ^ bins[j].data
         assert (sym & visible).sum() == 0
         union = (bins[i].data | bins[j].data).sum()

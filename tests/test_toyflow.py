@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from contact_flow.decoder import DecoderParams, decode
 from contact_flow.toyflow import (
     MixtureFlowModel,
+    T_MIN_DEFAULT,
     VisibilityCondition,
     condition,
     integrate_flow_batch,
@@ -327,9 +328,9 @@ def test_visibility_condition_rejects_empty_or_full_mask():
 
 
 def test_time_grid_spans_one_to_t_min():
-    ts, t_nexts = time_grid(12, 1e-3)
+    ts, t_nexts = time_grid(12)
     assert ts[0] == 1.0
-    assert t_nexts[-1] == 1e-3
+    assert t_nexts[-1] == T_MIN_DEFAULT == 1e-3
     assert len(ts) == 12
     steps = ts - t_nexts
     np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
