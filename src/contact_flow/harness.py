@@ -46,6 +46,7 @@ from .voxelcore import (
     load_grid,
     save_grid,
     save_ply,
+    voxelize_primitive,
 )
 
 EXIT_OK = 0
@@ -71,6 +72,10 @@ MANIFEST_NAME = "manifest.json"
 METHOD_UNGUIDED = "unguided"
 METHOD_GUIDED = "guided"
 METHOD_GUIDED_NO_RECURRENCE = "guided_no_recurrence"
+
+
+class ConfigError(ValueError):
+    """An invalid scenario or configuration, found before anything is written."""
 
 
 def worker_count() -> int:
@@ -132,17 +137,20 @@ def generate_run(
 ) -> dict:
     """Build the scenario, run the sampler, and write all artifacts + manifest.
 
-    Returns the manifest dict.  An invalid configuration raises ValueError
-    before anything is written.  On a non-finite abort the partial manifest
-    (with a failure record) is still written before GenerationAborted
-    propagates to the caller.
+    Returns the manifest dict.  An invalid configuration or a scenario that
+    fails to build raises ConfigError before anything is written.  On a
+    non-finite abort the partial manifest (with a failure record) is still
+    written before GenerationAborted propagates to the caller.
     """
-    if mode not in ("guided", "unguided"):
-        raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg if cfg is not None else scenario.guidance_config()
-    if mode == "guided":
-        _check_radius(cfg.radius, scenario.resolution)
-    built = build_scenario(scenario)
+    try:
+        if mode not in ("guided", "unguided"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "guided":
+            _check_radius(cfg.radius, scenario.resolution)
+        built = build_scenario(scenario)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     contacts = external_contacts if external_contacts is not None else built.contacts
     if scenario.fps_count is not None and scenario.fps_count < len(contacts):
         cloud = farthest_point_sample(
@@ -263,18 +271,17 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
 
 
 def evaluate_run_dir(run_dir) -> MetricsReport:
-    """Evaluate one run directory against the ground truth its manifest encodes."""
+    """Evaluate one run directory against its scenario's true primitive, voxelized."""
     run = Path(run_dir)
     manifest = load_manifest(run)
     if manifest.get("failure"):
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
     scenario = Scenario.from_dict(manifest["scenario"])
-    built = build_scenario(scenario)
     occupancy = load_grid(run / manifest["artifacts"]["occupancy"]["path"])
     contacts = ContactSet.load(run / manifest["artifacts"]["contacts"]["path"])
     report = evaluate_run(
         occupancy,
-        built.ground_truth,
+        voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
         contacts,
         scenario=scenario.name,
         method=manifest["method"],
@@ -371,23 +378,27 @@ def _sweep_task(args: dict):
 
 def _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii):
     """Every cell's guidance config in cell order, an empty grid keeping the base
-    value, and the pool size; ValueError on a bad run count, grid value or
-    CONTACT_FLOW_WORKERS, before any run."""
-    if runs < 1:
-        raise ValueError(f"runs per cell must be >= 1, got {runs}")
-    workers = worker_count()
-    cells = []
-    for lam, m, sched, radius in itertools.product(
-        lambdas or [base.lambda_stage],
-        recurrences or [base.recurrence],
-        schedules or [base.schedule],
-        radii or [base.radius],
-    ):
-        cfg = dataclasses.replace(
-            base, lambda_stage=tuple(lam), recurrence=m, schedule=sched, radius=radius
-        )
-        _check_radius(cfg.radius, scenario.resolution)
-        cells.append(cfg)
+    value, and the pool size; ConfigError, before any run, on a bad run count,
+    grid value, CONTACT_FLOW_WORKERS or scenario (paired runs differ in seeds only)."""
+    try:
+        if runs < 1:
+            raise ValueError(f"runs per cell must be >= 1, got {runs}")
+        workers = worker_count()
+        cells = []
+        for lam, m, sched, radius in itertools.product(
+            lambdas or [base.lambda_stage],
+            recurrences or [base.recurrence],
+            schedules or [base.schedule],
+            radii or [base.radius],
+        ):
+            cfg = dataclasses.replace(
+                base, lambda_stage=tuple(lam), recurrence=m, schedule=sched, radius=radius
+            )
+            _check_radius(cfg.radius, scenario.resolution)
+            cells.append(cfg)
+        build_scenario(scenario)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cells, workers
 
 
@@ -403,8 +414,8 @@ def sweep(
 ) -> list[dict]:
     """Cross-product ablation over guidance knobs; one summary row per cell.
 
-    The run count and every cell's config are checked before the first cell
-    runs.  Cells that abort are recorded and the sweep continues.  Runs are
+    Invalid input raises ConfigError before the first cell runs, with nothing
+    written.  Cells that abort are recorded and the sweep continues.  Runs are
     parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
     """
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
@@ -485,6 +496,11 @@ def _cfg_from_flags(scenario, lam, recurrence, schedule, radius, timesteps):
     return scenario.guidance_config(**overrides)
 
 
+def _exit_config_error(exc: Exception) -> None:
+    click.echo(f"config error: {exc}", err=True)
+    sys.exit(EXIT_CONFIG_ERROR)
+
+
 @click.group()
 def main():
     """Contact-guided voxel shape generation and evaluation."""
@@ -512,12 +528,9 @@ def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurr
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         cfg = _cfg_from_flags(scenario, lam or None, recurrence, schedule, radius, timesteps)
-        if not unguided:
-            _check_radius(cfg.radius, scenario.resolution)
         external = ContactSet.load(contacts_path) if contacts_path else None
     except (ValueError, OSError, KeyError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _exit_config_error(exc)
     try:
         generate_run(
             scenario,
@@ -528,6 +541,8 @@ def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurr
             reference_seed=reference_seed,
             external_contacts=external,
         )
+    except ConfigError as exc:
+        _exit_config_error(exc)
     except GenerationAborted as abort:
         click.echo(f"generation aborted: {abort}", err=True)
         sys.exit(EXIT_GENERATION_ABORT)
@@ -566,12 +581,12 @@ def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, schedules,
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, None, timesteps)
-        # a bad run count, grid value or CONTACT_FLOW_WORKERS fails here, before any run
-        _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii)
     except (ValueError, OSError, KeyError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    rows = sweep(scenario, out_dir, runs, lambdas, recurrences, schedules, radii, base_cfg=base)
+        _exit_config_error(exc)
+    try:
+        rows = sweep(scenario, out_dir, runs, lambdas, recurrences, schedules, radii, base_cfg=base)
+    except ConfigError as exc:  # raised before any run, with nothing written
+        _exit_config_error(exc)
     for row in rows:
         click.echo(json.dumps(row))
 

@@ -12,6 +12,7 @@ in the hidden region, so contacts carry real information.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,10 +29,10 @@ from .voxelcore import (
     LBracket,
     Primitive,
     UnionOfBoxes,
+    axis_centers,
     binarize,
     primitive_from_dict,
     primitive_to_dict,
-    voxel_centers,
     voxelize_primitive,
 )
 
@@ -61,9 +62,9 @@ class VisibilitySpec:
             raise ValueError("visible_side must be 'below' or 'above'")
 
     def mask(self, resolution: int) -> BinaryGrid:
-        coords = voxel_centers(resolution)[:, self.axis].reshape((resolution,) * 3)
+        coords = axis_centers(resolution)[self.axis]
         visible = coords < self.offset if self.visible_side == "below" else coords > self.offset
-        return BinaryGrid(visible)
+        return BinaryGrid(np.broadcast_to(visible, (resolution,) * 3))
 
     def to_dict(self) -> dict:
         return {"axis": self.axis, "offset": self.offset, "visible_side": self.visible_side}
@@ -119,6 +120,8 @@ class Scenario:
             raise ValueError("weights must match the library size")
         if self.contact_count < 1:
             raise ValueError("contact count must be positive")
+        if self.fps_count is not None and self.fps_count < 1:
+            raise ValueError(f"fps_count must be >= 1, got {self.fps_count}")
 
     @property
     def resolution(self) -> int:
@@ -216,51 +219,52 @@ class BuiltScenario:
     contacts: ContactSet
 
 
-def ambiguous_pairs(built: BuiltScenario) -> tuple[tuple[int, int], ...]:
-    """Component pairs that binarize identically on the visible region while
-    differing on >= HIDDEN_DIFF_FRACTION of their union in the hidden region."""
-    model = built.model
-    bins = [binarize(decode(model.mean_latent(k), built.decoder)) for k in range(model.k)]
-    visible = built.visibility.data
+def ambiguous_pairs(decoded, visibility: BinaryGrid) -> tuple[tuple[int, int], ...]:
+    """Pairs of decoded components (OccupancyGrids) that binarize identically on the
+    visible region while differing on >= HIDDEN_DIFF_FRACTION of their union in
+    the hidden region."""
+    bins = [binarize(s).data for s in decoded]
+    visible = visibility.data
     pairs = []
-    for i in range(len(bins)):
-        for j in range(i + 1, len(bins)):
-            a, b = bins[i].data, bins[j].data
-            sym = a ^ b
-            union = int((a | b).sum())
-            if union == 0:
-                continue
-            vis_diff = int((sym & visible).sum())
-            hid_diff = int((sym & ~visible).sum())
-            if vis_diff < 1 and hid_diff >= HIDDEN_DIFF_FRACTION * union:
-                pairs.append((i, j))
+    for (i, a), (j, b) in itertools.combinations(enumerate(bins), 2):
+        sym = a ^ b
+        union = int((a | b).sum())
+        hidden = int((sym & ~visible).sum())
+        if union and not (sym & visible).any() and hidden >= HIDDEN_DIFF_FRACTION * union:
+            pairs.append((i, j))
     return tuple(pairs)
 
 
-def build_scenario(spec, run_index: int | None = None) -> BuiltScenario:
-    """Resolve a scenario (object or YAML path) into grids, model, and contacts.
+def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
+    """Resolve a scenario into grids, model, and contacts; each library latent is
+    decoded once, for the observation, the conditioning and the ambiguity check.
 
     With `run_index`, the scenario's seeds are shifted for that paired run.
-    Raises if an `ambiguous` scenario fails its ambiguity validation.
+    Raises ValueError if a primitive is empty at this resolution, the contacts
+    outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
     """
-    scenario = spec if isinstance(spec, Scenario) else Scenario.load(spec)
     if run_index is not None:
         scenario = replace(scenario, seeds=derive_run_seeds(scenario, run_index))
     N = scenario.resolution
     params = DecoderParams.default(channels=8, beta=scenario.beta)
     grids = tuple(voxelize_primitive(p, N) for p in scenario.library)
     latents = [encode(g, params) for g in grids]
+    decoded = tuple(decode(lat, params) for lat in latents)
     ids = tuple(f"{scenario.name}/shape_{k}" for k in range(len(grids)))
     prior = MixtureFlowModel.from_latents(
         latents, scenario.prior_weights(), scenario.sigma, component_ids=ids
     )
     gt = grids[scenario.true_index]
     visibility = scenario.visibility.mask(N)
-    observation = decode(latents[scenario.true_index], params)
-    cond = VisibilityCondition(mask=visibility, observation=observation, gamma=scenario.gamma)
-    model = condition(prior, cond, params)
+    cond = VisibilityCondition(visibility, decoded[scenario.true_index], scenario.gamma)
+    model = condition(prior, cond, decoded)
     contacts = sample_contacts(gt, visibility, scenario.contact_count, scenario.seeds.contacts)
-    built = BuiltScenario(
+    if scenario.ambiguous and not ambiguous_pairs(decoded, visibility):
+        raise ValueError(
+            f"scenario {scenario.name!r} demands ambiguity but no component pair "
+            "matches on the visible region while differing in the hidden region"
+        )
+    return BuiltScenario(
         scenario=scenario,
         decoder=params,
         library_grids=grids,
@@ -269,12 +273,6 @@ def build_scenario(spec, run_index: int | None = None) -> BuiltScenario:
         model=model,
         contacts=contacts,
     )
-    if scenario.ambiguous and not ambiguous_pairs(built):
-        raise ValueError(
-            f"scenario {scenario.name!r} demands ambiguity but no component pair "
-            "matches on the visible region while differing in the hidden region"
-        )
-    return built
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoder import DecoderParams, decode
 from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, _freeze
 
 T_MIN_DEFAULT = 1e-3
@@ -80,9 +79,6 @@ class MixtureFlowModel:
 
     def latent_shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.n, self.n, self.channels)
-
-    def mean_latent(self, k: int) -> LatentGrid:
-        return LatentGrid(self.means[k].reshape(self.latent_shape()))
 
     @classmethod
     def from_latents(cls, latents, weights, sigma, component_ids=()) -> "MixtureFlowModel":
@@ -236,21 +232,18 @@ def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
 
 
 def condition(
-    model: MixtureFlowModel, cond: VisibilityCondition, params: DecoderParams
+    model: MixtureFlowModel, cond: VisibilityCondition, decoded: tuple[OccupancyGrid, ...]
 ) -> MixtureFlowModel:
-    """Reweight components by how well their decoded shape matches the observation.
+    """Reweight components by how well their decoded means match the observation.
 
-    w_k' propto w_k * exp(-gamma * sum_visible (decode(mu_k) - o)^2), computed
-    with log-sum-exp stabilization.
+    With decoded[k] = decode(mu_k): w_k' propto w_k * exp(-gamma * sum_visible
+    (decoded[k] - o)^2), computed with log-sum-exp stabilization.
     """
-    if cond.mask.resolution != 4 * model.n:
-        raise ValueError("condition resolution does not match the model's paired grid")
+    if cond.mask.resolution != 4 * model.n or len(decoded) != model.k:
+        raise ValueError("condition needs the model's paired grid and one shape per component")
     v = cond.mask.data
     obs = cond.observation.data
-    energies = np.empty(model.k)
-    for k in range(model.k):
-        s_k = decode(model.mean_latent(k), params).data
-        energies[k] = np.sum((s_k[v] - obs[v]) ** 2)
+    energies = np.array([np.sum((s.data[v] - obs[v]) ** 2) for s in decoded])
     logits = np.log(model.weights) - cond.gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")

@@ -146,11 +146,10 @@ def point_to_index(point, resolution: int) -> np.ndarray:
     return np.clip(idx, 0, resolution - 1)
 
 
-def voxel_centers(resolution: int) -> np.ndarray:
-    """All N^3 voxel centers, shape (N^3, 3), in C (x-major) order."""
-    axis = (np.arange(resolution) + 0.5) / resolution
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Voxel-center coordinates along x, y, z, shaped to broadcast to the N^3 grid."""
+    c = index_to_point(np.arange(resolution), resolution)
+    return c[:, None, None], c[None, :, None], c[None, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,9 @@ class Box:
         if lo.min() < 0.0 or hi.max() > 1.0:
             raise ValueError("box parameters must lie inside the unit cube")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts < hi), axis=1)
+    def contains(self, x, y, z) -> np.ndarray:
+        (x0, y0, z0), (x1, y1, z1) = self.lo, self.hi
+        return (x >= x0) & (x < x1) & (y >= y0) & (y < y1) & (z >= z0) & (z < z1)
 
 
 @dataclass(frozen=True)
@@ -211,10 +209,11 @@ class Cylinder:
         ):
             raise ValueError("cylinder parameters must lie inside the unit cube")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        cross = [a for a in (0, 1, 2) if a != self.axis]
-        d2 = (pts[:, cross[0]] - self.center[0]) ** 2 + (pts[:, cross[1]] - self.center[1]) ** 2
-        along = pts[:, self.axis]
+    def contains(self, x, y, z) -> np.ndarray:
+        coords = (x, y, z)
+        u, v = (coords[a] for a in (0, 1, 2) if a != self.axis)
+        d2 = (u - self.center[0]) ** 2 + (v - self.center[1]) ** 2
+        along = coords[self.axis]
         return (d2 <= self.radius**2) & (along >= self.lo) & (along < self.hi)
 
 
@@ -229,8 +228,8 @@ class LBracket:
         self.first.validate()
         self.second.validate()
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.first.contains(pts) | self.second.contains(pts)
+    def contains(self, x, y, z) -> np.ndarray:
+        return self.first.contains(x, y, z) | self.second.contains(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -243,11 +242,8 @@ class UnionOfBoxes:
         for b in self.boxes:
             b.validate()
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for b in self.boxes:
-            mask |= b.contains(pts)
-        return mask
+    def contains(self, x, y, z) -> np.ndarray:
+        return np.logical_or.reduce([b.contains(x, y, z) for b in self.boxes])
 
 
 @dataclass(frozen=True)
@@ -277,13 +273,16 @@ class SphereCappedBox:
         center[self.cap_axis] = hi[self.cap_axis]
         return center
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, x, y, z) -> np.ndarray:
         center = self._cap_center()
-        in_ball = np.sum((pts - center) ** 2, axis=1) <= self.cap_radius**2
-        above = pts[:, self.cap_axis] >= center[self.cap_axis]
-        return self.box.contains(pts) | (in_ball & above)
+        d2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
+        above = (x, y, z)[self.cap_axis] >= center[self.cap_axis]
+        return self.box.contains(x, y, z) | ((d2 <= self.cap_radius**2) & above)
 
 
+# A primitive's contains(x, y, z) takes coordinate arrays that broadcast
+# together, such as the per-axis voxel centers of axis_centers, and returns
+# the mask of points inside it.
 Primitive = Box | Cylinder | LBracket | UnionOfBoxes | SphereCappedBox
 
 
@@ -361,8 +360,7 @@ def voxelize_primitive(spec: Primitive, resolution: int) -> BinaryGrid:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     spec.validate()
-    centers = voxel_centers(resolution)
-    mask = spec.contains(centers).reshape((resolution,) * 3)
+    mask = np.broadcast_to(spec.contains(*axis_centers(resolution)), (resolution,) * 3)
     if not mask.any():
         raise ValueError("primitive voxelizes to an empty grid at this resolution")
     return BinaryGrid(mask)

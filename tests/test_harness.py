@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from contact_flow import harness
 from contact_flow.evaluation import read_metrics_csv
 from contact_flow.guidance import GenerationAborted
 from contact_flow.harness import (
@@ -26,7 +27,14 @@ from contact_flow.harness import (
     sweep,
     verify_manifest,
 )
-from contact_flow.scenarios import build_scenario, suite_scenario
+from contact_flow.scenarios import (
+    Scenario,
+    ScenarioSeeds,
+    VisibilitySpec,
+    build_scenario,
+    suite_scenario,
+)
+from contact_flow.voxelcore import Box
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +123,18 @@ def test_evaluate_run_dir_writes_metrics_into_manifest(tmp_path, scenario):
     # evaluating again is idempotent
     report2 = evaluate_run_dir(tmp_path / "run")
     assert report2.chamfer == report.chamfer
+
+
+def test_evaluate_run_dir_reads_only_the_true_shape(tmp_path, scenario, monkeypatch):
+    run = tmp_path / "run"
+    generate_run(scenario, run, mode="guided")
+    expected = json.dumps(evaluate_run_dir(run).to_json_dict(), sort_keys=True)
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("evaluation rebuilt the scenario")
+
+    monkeypatch.setattr(harness, "build_scenario", rebuild)
+    assert json.dumps(evaluate_run_dir(run).to_json_dict(), sort_keys=True) == expected
 
 
 def test_evaluate_many_and_median_aggregation_oracle(tmp_path, scenario):
@@ -237,6 +257,50 @@ def test_cli_config_error_exit_code(tmp_path):
         main, ["generate", "--scenario", "suite:no_such", "--out", str(tmp_path / "x")]
     )
     assert result.exit_code == EXIT_CONFIG_ERROR
+
+
+UNBUILDABLE = {
+    # the two boxes differ on the visible half, so they cannot be ambiguous
+    "ambiguity": Scenario(
+        name="not_ambiguous",
+        n=4,
+        library=(
+            Box((0.125, 0.25, 0.25), (0.5, 0.75, 0.75)),
+            Box((0.125, 0.25, 0.25), (0.9375, 0.75, 0.75)),
+        ),
+        true_index=1,
+        visibility=VisibilitySpec(),
+        seeds=ScenarioSeeds(1, 2, 3),
+        ambiguous=True,
+    ),
+    "contact_count": dataclasses.replace(
+        suite_scenario("depth_boxes", n=4), contact_count=100_000
+    ),
+    # no voxel center of the 16^3 grid lies inside this box
+    "empty_primitive": Scenario(
+        name="too_small",
+        n=4,
+        library=(Box((0.5, 0.5, 0.5), (0.51, 0.51, 0.51)),),
+        true_index=0,
+        visibility=VisibilitySpec(),
+        seeds=ScenarioSeeds(1, 2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("failure", sorted(UNBUILDABLE))
+def test_cli_scenario_that_fails_to_build_is_config_error(tmp_path, failure, command):
+    path = tmp_path / "scenario.yaml"
+    UNBUILDABLE[failure].save(path)
+    out = tmp_path / "out"
+    extra = ["--runs", "1"] if command == "sweep" else []
+    result = CliRunner().invoke(
+        main, [command, "--scenario", str(path), "--out", str(out), *extra]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error:" in result.output
+    assert not out.exists()
 
 
 def test_cli_generation_abort_exit_code(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from contact_flow import decoder
 from contact_flow.decoder import decode
 from contact_flow.scenarios import (
     HIDDEN_DIFF_FRACTION,
@@ -19,7 +20,14 @@ from contact_flow.scenarios import (
     standard_suite,
     suite_scenario,
 )
-from contact_flow.voxelcore import Box, binarize, point_to_index, surface_mask
+from contact_flow.voxelcore import Box, LatentGrid, binarize, point_to_index, surface_mask
+
+
+def _decoded(built):
+    model = built.model
+    return tuple(
+        decode(LatentGrid(mu.reshape(model.latent_shape())), built.decoder) for mu in model.means
+    )
 
 
 def test_suite_is_deterministic_and_byte_identical():
@@ -48,19 +56,40 @@ def test_suite_matches_documented_manifest():
 def test_every_suite_scenario_builds_and_validates(name, n):
     built = build_scenario(suite_scenario(name, n=n))
     if built.scenario.ambiguous:
-        assert ambiguous_pairs(built)
+        assert ambiguous_pairs(_decoded(built), built.visibility)
     assert not built.ground_truth.is_empty()
     assert len(built.contacts) == built.scenario.contact_count
+
+
+def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
+    decoded = []
+    sigmoid = decoder._sigmoid
+
+    def counting(x, params):
+        decoded.append(x.reshape(-1).copy())
+        return sigmoid(x, params)
+
+    monkeypatch.setattr(decoder, "_sigmoid", counting)
+    built = build_scenario(suite_scenario("bracket_orientation", n=4))
+    assert len(decoded) == built.model.k == 3
+    assert np.array_equal(np.stack(decoded), built.model.means)
+
+
+@pytest.mark.parametrize("fps_count", [0, -3])
+def test_scenario_rejects_fps_count_below_one(fps_count):
+    sc = suite_scenario("depth_boxes", n=4)
+    with pytest.raises(ValueError, match="fps_count"):
+        dataclasses.replace(sc, fps_count=fps_count)
+    with pytest.raises(ValueError, match="fps_count"):
+        Scenario.from_dict({**sc.to_dict(), "fps_count": fps_count})
 
 
 def test_ambiguous_components_match_exactly_on_visible_region():
     built = build_scenario(suite_scenario("depth_boxes", n=4))
     visible = built.visibility.data
-    bins = [
-        binarize(decode(built.model.mean_latent(k), built.decoder), 0.5)
-        for k in range(built.model.k)
-    ]
-    for i, j in ambiguous_pairs(built):
+    decoded = _decoded(built)
+    bins = [binarize(s, 0.5) for s in decoded]
+    for i, j in ambiguous_pairs(decoded, built.visibility):
         sym = bins[i].data ^ bins[j].data
         assert (sym & visible).sum() == 0
         union = (bins[i].data | bins[j].data).sum()

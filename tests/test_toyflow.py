@@ -226,6 +226,14 @@ def _visibility(N):
     return BinaryGrid(mask)
 
 
+def _mean(model, k):
+    return LatentGrid(model.means[k].reshape(model.latent_shape()))
+
+
+def _decoded(model, params):
+    return tuple(decode(_mean(model, k), params) for k in range(model.k))
+
+
 def make_shape_model(n=4, sigma=0.2):
     """Two components identical on the visible (low-x) half, distinct hidden.
 
@@ -255,7 +263,7 @@ def test_condition_gamma_zero_is_identity():
         observation=OccupancyGrid(shallow.data.astype(float)),
         gamma=0.0,
     )
-    out = condition(model, cond, params)
+    out = condition(model, cond, _decoded(model, params))
     np.testing.assert_array_equal(out.weights, model.weights)
 
 
@@ -275,9 +283,9 @@ def test_condition_concentrates_on_matching_components():
         weights=[0.25, 0.5, 0.25],
         sigma=model.sigma,
     )
-    obs = decode(big.mean_latent(1), params)  # observe the deep shape's rendering
+    obs = decode(_mean(big, 1), params)  # observe the deep shape's rendering
     cond = VisibilityCondition(mask=_visibility(N), observation=obs, gamma=100.0)
-    out = condition(big, cond, params)
+    out = condition(big, cond, _decoded(big, params))
     assert out.weights[2] < 1e-6
     # the ambiguous pair splits mass proportionally to the prior (0.25 : 0.5)
     ratio = out.weights[0] / out.weights[1]
@@ -288,14 +296,14 @@ def test_condition_split_matches_closed_form_reweighting():
     model, params, shallow, deep = make_shape_model()
     N = 4 * model.n
     vis = _visibility(N)
-    obs = decode(model.mean_latent(0), params)
+    obs = decode(_mean(model, 0), params)
     gamma = 3.0
     cond = VisibilityCondition(mask=vis, observation=obs, gamma=gamma)
-    out = condition(model, cond, params)
+    out = condition(model, cond, _decoded(model, params))
     # independent reweighting computation
     energies = []
     for k in range(model.k):
-        s_k = decode(model.mean_latent(k), params).data
+        s_k = decode(_mean(model, k), params).data
         energies.append(np.sum((s_k[vis.data] - obs.data[vis.data]) ** 2))
     raw = model.weights * np.exp(-gamma * np.asarray(energies))
     np.testing.assert_allclose(out.weights, raw / raw.sum(), rtol=1e-12)
@@ -310,7 +318,7 @@ def test_condition_underflow_raises():
         gamma=math.inf,
     )
     with pytest.raises(ValueError, match="condition inconsistent with library"):
-        condition(model, cond, params)
+        condition(model, cond, _decoded(model, params))
 
 
 def test_visibility_condition_rejects_empty_or_full_mask():

@@ -24,9 +24,73 @@ from contact_flow.voxelcore import (
     primitive_to_dict,
     save_grid,
     save_ply,
-    voxel_centers,
     voxelize_primitive,
 )
+from contact_flow.scenarios import VisibilitySpec
+
+
+def voxel_centers(resolution: int) -> np.ndarray:
+    """Oracle: all N^3 voxel centers, shape (N^3, 3), in C (x-major) order."""
+    axis = (np.arange(resolution) + 0.5) / resolution
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def inside(prim, pts: np.ndarray) -> np.ndarray:
+    """Oracle: point-in-solid test of each row of an (M, 3) point array."""
+    if isinstance(prim, Box):
+        return np.all((pts >= np.asarray(prim.lo)) & (pts < np.asarray(prim.hi)), axis=1)
+    if isinstance(prim, Cylinder):
+        cross = [a for a in (0, 1, 2) if a != prim.axis]
+        d2 = (pts[:, cross[0]] - prim.center[0]) ** 2 + (pts[:, cross[1]] - prim.center[1]) ** 2
+        along = pts[:, prim.axis]
+        return (d2 <= prim.radius**2) & (along >= prim.lo) & (along < prim.hi)
+    if isinstance(prim, LBracket):
+        return inside(prim.first, pts) | inside(prim.second, pts)
+    if isinstance(prim, UnionOfBoxes):
+        return np.any([inside(b, pts) for b in prim.boxes], axis=0)
+    center = (np.asarray(prim.box.lo) + np.asarray(prim.box.hi)) / 2.0
+    center[prim.cap_axis] = prim.box.hi[prim.cap_axis]
+    in_ball = np.sum((pts - center) ** 2, axis=1) <= prim.cap_radius**2
+    above = pts[:, prim.cap_axis] >= center[prim.cap_axis]
+    return inside(prim.box, pts) | (in_ball & above)
+
+
+def _capped(cap_axis):
+    hi = [0.75, 0.75, 0.75]
+    hi[cap_axis] = 0.5
+    return SphereCappedBox(Box((0.25, 0.25, 0.25), tuple(hi)), cap_axis=cap_axis, cap_radius=0.2)
+
+
+# At N = 16 the faces at 11/32 and 21/32 fall on voxel centers, and so does the
+# rim of cylinder_y (axis at 17/32, radius 5/16); the faces and cap planes at
+# 0.5 fall on the center of N = 1 and N = 3.
+PRIMITIVES = [
+    pytest.param(Box((0.34375, 0.25, 0.125), (0.65625, 0.75, 0.90625)), id="box"),
+    pytest.param(Cylinder(0, (0.5, 0.46875), 0.3, 0.15625, 0.84375), id="cylinder_x"),
+    pytest.param(Cylinder(1, (0.53125, 0.53125), 0.3125, 0.125, 0.5), id="cylinder_y"),
+    pytest.param(Cylinder(2, (0.5, 0.5), 0.3, 0.25, 0.75), id="cylinder_z"),
+    pytest.param(
+        LBracket(
+            Box((0.25, 0.25, 0.25), (0.75, 0.53125, 0.75)),
+            Box((0.25, 0.25, 0.25), (0.46875, 0.875, 0.53125)),
+        ),
+        id="l_bracket",
+    ),
+    pytest.param(
+        UnionOfBoxes(
+            (
+                Box((0.125, 0.3125, 0.3125), (0.75, 0.6875, 0.6875)),
+                Box((0.75, 0.1875, 0.1875), (0.9375, 0.8125, 0.8125)),
+                Box((0.5, 0.5, 0.0), (0.6, 1.0, 0.2)),
+            )
+        ),
+        id="union_of_boxes",
+    ),
+    pytest.param(_capped(0), id="sphere_capped_box_x"),
+    pytest.param(_capped(1), id="sphere_capped_box_y"),
+    pytest.param(_capped(2), id="sphere_capped_box_z"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +154,26 @@ def test_out_of_cube_parameters_rejected():
         voxelize_primitive(Box(lo=(-0.1, 0, 0), hi=(0.5, 0.5, 0.5)), 8)
 
 
-def test_cylinder_voxelization_matches_direct_check():
-    cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.3, lo=0.25, hi=0.75)
-    N = 16
-    grid = voxelize_primitive(cyl, N)
-    centers = voxel_centers(N)
-    inside = (
-        ((centers[:, 0] - 0.5) ** 2 + (centers[:, 1] - 0.5) ** 2 <= 0.3**2)
-        & (centers[:, 2] >= 0.25)
-        & (centers[:, 2] < 0.75)
-    )
-    assert np.array_equal(grid.data.reshape(-1), inside)
+@pytest.mark.parametrize("N", [1, 3, 16, 64])
+@pytest.mark.parametrize("prim", PRIMITIVES)
+def test_primitive_voxelization_matches_direct_check(prim, N):
+    expected = inside(prim, voxel_centers(N)).reshape((N, N, N))
+    if not expected.any():
+        with pytest.raises(ValueError, match="empty"):
+            voxelize_primitive(prim, N)
+    else:
+        assert np.array_equal(voxelize_primitive(prim, N).data, expected)
+
+
+@pytest.mark.parametrize("N", [1, 3, 16, 64])
+@pytest.mark.parametrize("offset", [0.5, 0.34375])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_visibility_mask_matches_direct_check(axis, side, offset, N):
+    coord = voxel_centers(N)[:, axis]
+    expected = (coord < offset if side == "below" else coord > offset).reshape((N, N, N))
+    mask = VisibilitySpec(axis=axis, offset=offset, visible_side=side).mask(N)
+    assert np.array_equal(mask.data, expected)
 
 
 def test_sphere_capped_box_contains_cap_points():
