@@ -105,8 +105,15 @@ def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 
 def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
-    """Unclipped decoder output sigma(beta * u) of upsampled logits u."""
-    return 1.0 / (1.0 + np.exp(-(beta * u)))
+    """Unclipped decoder output sigma(beta * u) of upsampled logits u.
+
+    One output array, finished in place: the same IEEE operations as
+    1 / (1 + exp(-(beta * u))), without four full-size temporaries.
+    """
+    s = np.multiply(u, -beta)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _logistic_vjp(s: np.ndarray, cotangent: np.ndarray, beta: float) -> np.ndarray:
@@ -119,9 +126,9 @@ def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     return _logistic(_upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0]), params.beta)
 
 
-def _clip_occupancy(s: np.ndarray) -> np.ndarray:
+def _clip_occupancy(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
-    return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), out=out)
 
 
 def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
@@ -132,7 +139,8 @@ def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
 def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     """sigma(beta * upsample(<x, w>_channels)); values strictly inside (0, 1)."""
     _check_channels(x, params)
-    return OccupancyGrid(_clip_occupancy(_sigmoid(x.data, params)))
+    s = _sigmoid(x.data, params)
+    return OccupancyGrid(_clip_occupancy(s, out=s))
 
 
 def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> np.ndarray:

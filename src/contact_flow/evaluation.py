@@ -17,7 +17,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .contact import ContactSet
-from .voxelcore import BinaryGrid, OccupancyGrid, PointCloud, binarize, extract_surface, index_to_point
+from .voxelcore import (
+    BinaryGrid,
+    OccupancyGrid,
+    PointCloud,
+    binarize,
+    index_to_point,
+    point_to_index,
+    surface_mask,
+)
 
 METRICS_SCHEMA_VERSION = "v1"
 F_SCORE_THRESHOLDS = (0.01, 0.02, 0.05)
@@ -85,6 +93,20 @@ def _nn_distances(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndarray]
     return d_ab, d_ba
 
 
+def _nearest_distances(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Distance from each point of `a` to its nearest point of `b`.
+
+    `shared` flags the points of `a` that are also points of `b`.  Their
+    distance is exactly 0.0, the value a KD-tree query returns for them, so
+    only the rest are queried against a KD-tree of `b`.
+    """
+    d = np.zeros(len(a))
+    rest = ~shared
+    if rest.any():
+        d[rest], _ = cKDTree(b).query(a[rest])
+    return d
+
+
 def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
@@ -134,11 +156,29 @@ def normalize_to_unit_cube(points: PointCloud) -> PointCloud:
     return PointCloud(points.points * scale + offset)
 
 
+# voxel offsets of the 3x3x3 block around a voxel
+_BLOCK_OFFSETS = np.argwhere(np.ones((3, 3, 3), dtype=bool)) - 1
+
+
 def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
-    """Distance from each contact point to the nearest occupied voxel center of the output."""
+    """Distance from each contact point to the nearest occupied voxel center of the output.
+
+    The KD-tree holds only the voxels that can be nearest: the surface voxels
+    and the occupied voxels of the 3x3x3 block around each contact's voxel.
+    Any other occupied voxel is interior and two or more voxels from the
+    contact's along some axis; its 6-neighbor toward the contact on that axis
+    is occupied and nearer by at least 2/N^2 in squared distance, far above
+    rounding.  So the distances equal those of a tree over every occupied
+    voxel bit for bit.
+    """
     if output.is_empty():
         raise ValueError("output grid has no occupied voxels")
-    centers = index_to_point(np.argwhere(output.data), output.resolution)
+    N = output.resolution
+    block = point_to_index(contacts.points, N)[:, None, :] + _BLOCK_OFFSETS
+    block = block.reshape(-1, 3)
+    block = block[np.all((block >= 0) & (block < N), axis=1)]
+    block = block[output.data[tuple(block.T)]]
+    centers = index_to_point(np.concatenate([np.argwhere(surface_mask(output)), block]), N)
     distances, _ = cKDTree(centers).query(contacts.points)
     return distances
 
@@ -155,9 +195,15 @@ def evaluate_run(
     """Surface metrics of a generated occupancy against ground truth.
 
     Both surface clouds are mapped by the ground-truth cloud's unit-cube
-    transform, so prediction scale errors stay visible.  An empty prediction
-    yields a failure-flagged report with sentinel metrics.
+    transform, so prediction scale errors stay visible.  The distances equal
+    `_nn_distances` of the two clouds bit for bit.  An empty prediction yields
+    a failure-flagged report with sentinel metrics.  The two grids must share
+    one resolution.
     """
+    if output.resolution != gt.resolution:
+        raise ValueError(
+            f"output resolution {output.resolution} differs from ground truth {gt.resolution}"
+        )
     pred_binary = binarize(output)
     if pred_binary.is_empty():
         return MetricsReport(
@@ -170,13 +216,17 @@ def evaluate_run(
             final_J=final_J,
             failed=True,
         )
-    pred_surface = extract_surface(pred_binary)
-    gt_surface = extract_surface(gt)
-    scale, offset = unit_cube_transform(gt_surface)
-    d_pg, d_gp = _nn_distances(
-        PointCloud(pred_surface.points * scale + offset),
-        PointCloud(gt_surface.points * scale + offset),
-    )
+    if gt.is_empty():
+        raise ValueError("cannot evaluate against an empty ground truth")
+    # a voxel on both surfaces has one mapped center, shared by both clouds
+    pred_surface, gt_surface = surface_mask(pred_binary), surface_mask(gt)
+    pred_points = index_to_point(np.argwhere(pred_surface), gt.resolution)
+    gt_points = index_to_point(np.argwhere(gt_surface), gt.resolution)
+    scale, offset = unit_cube_transform(PointCloud(gt_points))
+    pred_points = pred_points * scale + offset
+    gt_points = gt_points * scale + offset
+    d_pg = _nearest_distances(pred_points, gt_points, shared=gt_surface[pred_surface])
+    d_gp = _nearest_distances(gt_points, pred_points, shared=pred_surface[gt_surface])
     residual = math.nan
     if contacts is not None:
         residual = float(np.median(contact_residuals(pred_binary, contacts)))

@@ -112,18 +112,28 @@ def method_label(mode: str, cfg: GuidanceConfig) -> str:
     return METHOD_GUIDED if cfg.recurrence > 1 else METHOD_GUIDED_NO_RECURRENCE
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write `payload` to a temporary file beside `path`, then rename it over
-    `path`, so readers never see a half-written file."""
+def _write_atomic(path: Path, write) -> None:
+    """Call `write(tmp)` on a temporary file beside `path`, then rename it over
+    `path`, so readers never see a half-written file; if `write` fails, the
+    temporary file is removed and `path` is left as it was."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """`payload` as indented, key-sorted JSON, written atomically."""
+
+    def write(tmp: Path) -> None:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+    _write_atomic(path, write)
 
 
 def generate_run(
@@ -185,14 +195,15 @@ def generate_run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def add_artifact(name: str, filename: str):
+    def add_artifact(name: str, filename: str, write) -> None:
+        """Write one artifact atomically with `write(path)` and record its hash."""
+        _write_atomic(out / filename, write)
         manifest["artifacts"][name] = {
             "path": filename,
             "sha256": _file_sha256(out / filename),
         }
 
-    contacts.save(out / "contacts.json")
-    add_artifact("contacts", "contacts.json")
+    add_artifact("contacts", "contacts.json", contacts.save)
 
     t0 = time.perf_counter()
     trajectory: GuidedTrajectory | None = None
@@ -203,8 +214,7 @@ def generate_run(
             t_ref = time.perf_counter()
             reference = make_reference(built.model, built.decoder, cfg, reference_seed)
             manifest["timings"]["reference_s"] = time.perf_counter() - t_ref
-            save_grid(reference.occupancy, out / "reference.grid")
-            add_artifact("reference", "reference.grid")
+            add_artifact("reference", "reference.grid", lambda p: save_grid(reference.occupancy, p))
             occupancy, trajectory = guided_sample(
                 built.model, built.decoder, contacts, reference, cfg, run_seed
             )
@@ -212,23 +222,19 @@ def generate_run(
         manifest["failure"] = {"step": abort.step, "inner": abort.inner, "reason": abort.reason}
         manifest["timings"]["generate_s"] = time.perf_counter() - t0
         if abort.trajectory is not None:
-            abort.trajectory.dump_jsonl(out / "trajectory.jsonl")
-            add_artifact("trajectory", "trajectory.jsonl")
+            add_artifact("trajectory", "trajectory.jsonl", abort.trajectory.dump_jsonl)
         _write_json(out / MANIFEST_NAME, manifest)
         raise
     manifest["timings"]["generate_s"] = time.perf_counter() - t0
 
-    save_grid(occupancy, out / "occupancy.grid")
-    add_artifact("occupancy", "occupancy.grid")
+    add_artifact("occupancy", "occupancy.grid", lambda p: save_grid(occupancy, p))
     binary = binarize(occupancy)
-    save_grid(binary, out / "shape.grid")
-    add_artifact("shape", "shape.grid")
+    add_artifact("shape", "shape.grid", lambda p: save_grid(binary, p))
     if not binary.is_empty():
-        save_ply(extract_surface(binary), out / "surface.ply")
-        add_artifact("surface", "surface.ply")
+        surface = extract_surface(binary)
+        add_artifact("surface", "surface.ply", lambda p: save_ply(surface, p))
     if trajectory is not None:
-        trajectory.dump_jsonl(out / "trajectory.jsonl")
-        add_artifact("trajectory", "trajectory.jsonl")
+        add_artifact("trajectory", "trajectory.jsonl", trajectory.dump_jsonl)
         manifest["final_J"] = trajectory.final_J
     _write_json(out / MANIFEST_NAME, manifest)
     return manifest
@@ -348,10 +354,11 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
     if out_dir is not None and reports:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out / "metrics.csv", reports)
+        _write_atomic(out / "metrics.csv", lambda p: write_metrics_csv(p, reports))
         summary = summarize_reports(reports)
         _write_json(out / "summary.json", summary)
-        (out / "summary.txt").write_text(format_summary_table(summary) + "\n")
+        table = format_summary_table(summary) + "\n"
+        _write_atomic(out / "summary.txt", lambda p: p.write_text(table))
     return reports, skipped
 
 

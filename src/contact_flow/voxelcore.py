@@ -408,9 +408,10 @@ def binarize(s: OccupancyGrid, threshold: float = 0.5) -> BinaryGrid:
 #   bytes  8..11  uint32 format version (currently 1)
 #   bytes 12..15  uint32 payload kind: 0 = occupancy float32, 1 = binary packed bits
 #   bytes 16..19  int32  N (lateral resolution)
-#   bytes 20..    payload, row-major (x-major):
-#                   occupancy: N^3 float32
+#   bytes 20..    payload, row-major (x-major), exactly:
+#                   occupancy: N^3 float32 (4 N^3 bytes)
 #                   binary:    ceil(N^3 / 8) bytes, np.packbits order
+# A loader rejects N < 1 and a payload of any other length.
 
 
 def grid_to_bytes(grid: OccupancyGrid | BinaryGrid) -> bytes:
@@ -433,14 +434,22 @@ def grid_from_bytes(blob: bytes) -> OccupancyGrid | BinaryGrid:
     if version != GRID_FORMAT_VERSION:
         raise ValueError(f"unsupported grid container version {version}")
     (n,) = struct.unpack("<i", blob[16:20])
-    payload = blob[20:]
+    if n < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {n}")
     if kind == _KIND_OCCUPANCY:
-        data = np.frombuffer(payload, dtype="<f4", count=n**3).reshape((n,) * 3)
+        expected = 4 * n**3
+    elif kind == _KIND_BINARY:
+        expected = -(-(n**3) // 8)
+    else:
+        raise ValueError(f"unknown grid payload kind {kind}")
+    payload = blob[20:]
+    if len(payload) != expected:
+        raise ValueError(f"grid payload is {len(payload)} bytes, expected {expected} for N={n}")
+    if kind == _KIND_OCCUPANCY:
+        data = np.frombuffer(payload, dtype="<f4").reshape((n,) * 3)
         return OccupancyGrid(data.astype(np.float64))
-    if kind == _KIND_BINARY:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n**3)
-        return BinaryGrid(bits.astype(bool).reshape((n,) * 3))
-    raise ValueError(f"unknown grid payload kind {kind}")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n**3)
+    return BinaryGrid(bits.astype(bool).reshape((n,) * 3))
 
 
 def save_grid(grid: OccupancyGrid | BinaryGrid, path) -> None:
@@ -454,19 +463,19 @@ def load_grid(path) -> OccupancyGrid | BinaryGrid:
 
 
 def save_ply(cloud: PointCloud, path) -> None:
-    """ASCII PLY with x, y, z vertex properties."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    lines.extend(f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f}" for p in cloud.points)
+    """ASCII PLY with x, y, z vertex properties, one "%.8f %.8f %.8f" line per point."""
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {len(cloud)}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        "end_header\n"
+    )
+    body = ("%.8f %.8f %.8f\n" * len(cloud)) % tuple(cloud.points.ravel().tolist())
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(header + body)
 
 
 def load_ply(path) -> PointCloud:

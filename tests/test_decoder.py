@@ -279,3 +279,28 @@ def test_upsample_transpose_is_the_adjoint_of_upsample(n):
     lhs = float(np.sum(_upsample(coarse, 4 * n) * fine))
     rhs = float(np.sum(coarse * _upsample_transpose(fine, n)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_decode_is_bit_identical_to_the_out_of_place_logistic_and_clip(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    params = DecoderParams.default(3, beta=4.0)
+    # a checkerboard of logits, high cells in [170, 177.4] and low cells at
+    # -177.4, takes the logistic past both clip bounds (below tiny at
+    # u < -177.1) without overflowing exp (at u < -177.44); interpolation
+    # between the cells gives the values in between
+    low = np.indices((n, n, n)).sum(axis=0) % 2 == 1
+    logits = np.where(low, -177.4, rng.uniform(170.0, 177.4, (n, n, n)))
+    x = LatentGrid(logits[..., None] * params.w)
+    u = _upsample(np.tensordot(x.data, params.w, axes=([3], [0])), 4 * n)
+    # the logistic and clip that decode computed before they were done in place
+    expected = np.clip(
+        1.0 / (1.0 + np.exp(-(params.beta * u))),
+        np.finfo(np.float64).tiny,
+        np.nextafter(1.0, 0.0),
+    )
+    got = decode(x, params).data
+    assert got.tobytes() == expected.tobytes()
+    assert got.max() == np.nextafter(1.0, 0.0)
+    if n > 1:
+        assert got.min() == np.finfo(np.float64).tiny

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from contact_flow.contact import ContactSet, nearest_occupied
 from contact_flow.evaluation import (
@@ -27,6 +28,7 @@ from contact_flow.voxelcore import (
     binarize,
     extract_surface,
     index_to_point,
+    surface_mask,
     voxelize_primitive,
 )
 
@@ -269,3 +271,80 @@ def test_contact_residuals_match_brute_force_over_every_occupied_voxel(N, densit
 def test_contact_residuals_reject_an_empty_output():
     with pytest.raises(ValueError, match="no occupied voxels"):
         contact_residuals(BinaryGrid(np.zeros((4, 4, 4), bool)), ContactSet(np.full((1, 3), 0.5)))
+
+
+def whole_volume_residuals(output, contacts):
+    """The contact residuals of a KD-tree over every occupied voxel center."""
+    centers = index_to_point(np.argwhere(output.data), output.resolution)
+    return cKDTree(centers).query(contacts.points)[0]
+
+
+def solid_and_shell(N):
+    """A thick box with a cavity, so it has interior voxels and an inner surface."""
+    g = np.zeros((N, N, N), dtype=bool)
+    lo, hi = N // 8, N - N // 8
+    g[lo:hi, lo:hi, lo:hi] = True
+    c = N // 2
+    g[c - 1 : c + 1, c - 1 : c + 1, c - 1 : c + 1] = False
+    return g
+
+
+@pytest.mark.parametrize("N", [8, 12, 16, 20, 64])
+def test_contact_residuals_equal_a_tree_over_every_occupied_voxel(N):
+    rng = np.random.Generator(np.random.PCG64(N))
+    grid = BinaryGrid(solid_and_shell(N))
+    occupied = np.argwhere(grid.data)
+    interior = np.argwhere(grid.data & ~surface_mask(grid))
+
+    def picks(idx, k):
+        return idx[rng.integers(len(idx), size=k)]
+
+    points = np.concatenate(
+        [
+            index_to_point(picks(occupied, 20), N),  # voxel centers
+            index_to_point(picks(interior, 20) + rng.uniform(-0.5, 0.5, (20, 3)), N),  # inside
+            picks(interior, 20) / N,  # cell corners
+            (picks(interior, 20) + [0.0, 0.5, 0.5]) / N,  # cell faces
+            (picks(interior, 20) + [0.5, 0.0, 0.0]) / N,  # cell edges
+            rng.random((40, 3)),  # anywhere, mostly outside the shape
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [1.0, 0.5, 0.0]],
+        ]
+    )
+    contacts = ContactSet(np.clip(points, 0.0, 1.0))
+    got = contact_residuals(grid, contacts)
+    assert np.array_equal(got, whole_volume_residuals(grid, contacts))
+
+
+@pytest.mark.parametrize("N, density, seed", [(12, 0.7, 0), (16, 0.9, 1), (20, 0.5, 2)])
+def test_contact_residuals_equal_a_tree_over_every_occupied_voxel_on_random_grids(N, density, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grid = BinaryGrid(rng.random((N, N, N)) < density)
+    lattice = rng.integers(0, 2 * N + 1, size=(200, 3)) / (2 * N)  # centers, faces, corners
+    contacts = ContactSet(np.concatenate([lattice, rng.random((100, 3))]))
+    assert np.array_equal(contact_residuals(grid, contacts), whole_volume_residuals(grid, contacts))
+
+
+@pytest.mark.parametrize("case", ["identical", "mostly_overlapping", "one_voxel_shift", "disjoint"])
+def test_evaluate_run_equals_public_chamfer_and_f_score(case):
+    N = 32
+    gt = box_grid(N)
+    rng = np.random.Generator(np.random.PCG64(7))
+    pred = {
+        "identical": gt,
+        "mostly_overlapping": BinaryGrid(gt.data & (rng.random(gt.data.shape) < 0.97)),
+        "one_voxel_shift": BinaryGrid(np.roll(gt.data, 1, axis=0)),
+        "disjoint": voxelize_primitive(Box((0.0, 0.0, 0.0), (0.125, 0.125, 0.9)), N),
+    }[case]
+    rep = evaluate_run(OccupancyGrid(pred.data.astype(float)), gt, None)
+    gt_surface = extract_surface(gt)
+    scale, offset = unit_cube_transform(gt_surface)
+    a = PointCloud(extract_surface(pred).points * scale + offset)
+    b = PointCloud(gt_surface.points * scale + offset)
+    assert rep.chamfer == chamfer(a, b)
+    assert rep.f_scores == {tau: f_score(a, b, tau) for tau in F_SCORE_THRESHOLDS}
+
+
+def test_evaluate_run_rejects_grids_of_different_resolutions():
+    gt = box_grid(16)
+    with pytest.raises(ValueError, match="resolution"):
+        evaluate_run(OccupancyGrid(np.ones((8, 8, 8))), gt, None)

@@ -15,6 +15,7 @@ from contact_flow.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_EVALUATION_FAILURE,
     EXIT_GENERATION_ABORT,
+    _write_atomic,
     _write_json,
     evaluate_run_dir,
     evaluate_run_dirs,
@@ -44,6 +45,14 @@ def scenario():
 
 def artifact_hashes(manifest):
     return {name: entry["sha256"] for name, entry in manifest["artifacts"].items()}
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +518,7 @@ def test_manifest_records_the_software_environment(tmp_path, scenario, monkeypat
 
 
 def test_standard_suite_script_writes_one_row_per_run(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_standard_suite.py"
-    spec = importlib.util.spec_from_file_location("run_standard_suite", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("run_standard_suite")
     out = tmp_path / "suite"
     result = CliRunner().invoke(script.main, ["--out", str(out), "--grid-n", "4", "--runs", "1"])
     assert result.exit_code == 0, result.output
@@ -520,3 +526,54 @@ def test_standard_suite_script_writes_one_row_per_run(tmp_path):
     # four scenarios, each unguided, guided and guided without recurrence
     assert len(rows) == 12
     assert {r["method"] for r in rows} == {"unguided", "guided", "guided_no_recurrence"}
+
+
+@pytest.mark.parametrize("writer", ["save_ply", "save_grid"])
+def test_an_artifact_writer_that_fails_partway_leaves_no_file(tmp_path, scenario, monkeypatch, writer):
+    real = getattr(harness, writer)
+
+    def fail_partway(obj, path):
+        real(obj, path)
+        with open(path, "r+b") as f:
+            f.truncate(10)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, writer, fail_partway)
+    run = tmp_path / "run"
+    with pytest.raises(OSError, match="disk full"):
+        generate_run(scenario, run, mode="unguided")
+    # the contacts were written before the failure; nothing else is there
+    assert sorted(p.name for p in run.iterdir()) == (
+        ["contacts.json", "occupancy.grid", "shape.grid"] if writer == "save_ply" else ["contacts.json"]
+    )
+
+
+def test_write_atomic_keeps_the_previous_file_when_the_writer_fails(tmp_path):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"previous")
+
+    def fail_partway(tmp):
+        tmp.write_bytes(b"half")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _write_atomic(path, fail_partway)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+
+def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_artifact(tmp_path):
+    suite, compare = load_script("run_standard_suite"), load_script("compare_runs")
+    for tree in ("a", "b"):
+        args = ["--out", str(tmp_path / tree), "--grid-n", "4", "--runs", "1"]
+        result = CliRunner().invoke(suite.main, args)
+        assert result.exit_code == 0, result.output
+    trees = [str(tmp_path / "a"), str(tmp_path / "b")]
+    result = CliRunner().invoke(compare.main, trees)
+    assert result.exit_code == 0, result.output
+    assert "12 runs in A: 0 difference(s)" in result.output
+    ply = tmp_path / "b" / "depth_boxes" / "run_000_guided" / "surface.ply"
+    ply.write_text(ply.read_text().replace("0.", "1.", 1))
+    result = CliRunner().invoke(compare.main, trees)
+    assert result.exit_code == 1
+    assert "run_000_guided: B artifact 'surface'" in result.output

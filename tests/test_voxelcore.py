@@ -384,3 +384,92 @@ def test_ply_roundtrip(tmp_path):
     assert text.startswith("ply\nformat ascii 1.0")
     loaded = load_ply(tmp_path / "c.ply")
     np.testing.assert_allclose(loaded.points, cloud.points, atol=1e-7)
+
+
+def save_ply_oracle(cloud: PointCloud, path) -> None:
+    """The per-point f-string PLY writer that save_ply replaced."""
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(cloud)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "end_header",
+    ]
+    lines.extend(f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f}" for p in cloud.points)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def assert_ply_bytes_match_oracle(cloud, tmp_path):
+    save_ply(cloud, tmp_path / "new.ply")
+    save_ply_oracle(cloud, tmp_path / "old.ply")
+    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+
+
+@pytest.mark.parametrize("N", [4, 16, 64])
+def test_save_ply_matches_fstring_writer_on_voxel_centers(tmp_path, N):
+    rng = np.random.Generator(np.random.PCG64(N))
+    occupied = rng.random((N, N, N)) < 0.3
+    cloud = extract_surface(BinaryGrid(occupied))
+    assert_ply_bytes_match_oracle(cloud, tmp_path)
+    assert_ply_bytes_match_oracle(PointCloud(index_to_point(np.argwhere(occupied), N)), tmp_path)
+
+
+def test_save_ply_matches_fstring_writer_on_arbitrary_floats(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(11))
+    # exact and near ties at the 8th decimal, both signs, zeros and large values
+    ties = (np.arange(-50, 50) + 0.5) * 1e-8
+    pts = np.concatenate(
+        [
+            ties,
+            np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf),
+            rng.uniform(-2.0, 2.0, 300),
+            rng.standard_normal(99) * 1e6,
+            [0.0, -0.0, 1.0, 0.999999995, 1e-300, -1e-300, 123456789.123456789],
+        ]
+    )
+    rng.shuffle(pts)
+    cloud = PointCloud(pts[: len(pts) // 3 * 3].reshape(-1, 3))
+    assert_ply_bytes_match_oracle(cloud, tmp_path)
+
+
+def test_save_ply_matches_fstring_writer_on_an_empty_cloud(tmp_path):
+    cloud = PointCloud(np.empty((0, 3)))
+    assert_ply_bytes_match_oracle(cloud, tmp_path)
+    assert len(load_ply(tmp_path / "new.ply")) == 0
+
+
+@pytest.mark.parametrize("kind", ["occupancy", "binary"])
+def test_grid_loader_rejects_a_truncated_payload(kind):
+    data = np.random.Generator(np.random.PCG64(5)).random((16, 16, 16))
+    grid = OccupancyGrid(data) if kind == "occupancy" else binarize(OccupancyGrid(data))
+    blob = grid_to_bytes(grid)
+    for cut in (1, (len(blob) - 20) // 2):
+        with pytest.raises(ValueError, match="payload"):
+            grid_from_bytes(blob[:-cut])
+
+
+@pytest.mark.parametrize("kind", ["occupancy", "binary"])
+def test_grid_loader_rejects_trailing_bytes(kind):
+    grid = OccupancyGrid(np.full((5, 5, 5), 0.75))
+    blob = grid_to_bytes(grid if kind == "occupancy" else binarize(grid))
+    grid_from_bytes(blob)
+    with pytest.raises(ValueError, match="payload"):
+        grid_from_bytes(blob + b"\x00")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_grid_loader_rejects_a_resolution_below_one(n):
+    blob = grid_to_bytes(BinaryGrid(np.ones((1, 1, 1), dtype=bool)))
+    with pytest.raises(ValueError, match="resolution"):
+        grid_from_bytes(blob[:16] + int(n).to_bytes(4, "little", signed=True))
+
+
+@pytest.mark.parametrize("N, length", [(1, 1), (3, 4), (4, 8), (5, 16)])
+def test_binary_payload_is_ceil_of_n_cubed_over_eight_bytes(N, length):
+    blob = grid_to_bytes(BinaryGrid(np.ones((N, N, N), dtype=bool)))
+    assert len(blob) - 20 == length
+    assert grid_from_bytes(blob).count == N**3
