@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxelcore import BinaryGrid, PointCloud, _freeze, index_to_point, surface_mask
+from .voxelcore import (
+    BinaryGrid,
+    PointCloud,
+    _freeze,
+    index_to_point,
+    nonzero_indices,
+    surface_mask,
+)
 
 PROVENANCE_SAMPLED = "sampled-from-ground-truth"
 PROVENANCE_EXTERNAL = "external file"
@@ -60,7 +67,7 @@ def hidden_surface_indices(gt: BinaryGrid, visibility: BinaryGrid) -> np.ndarray
     if gt.resolution != visibility.resolution:
         raise ValueError("ground truth and visibility resolutions differ")
     hidden_surface = surface_mask(gt) & ~visibility.data
-    return np.argwhere(hidden_surface)
+    return nonzero_indices(hidden_surface)
 
 
 def sample_contacts(gt: BinaryGrid, visibility: BinaryGrid, count: int, seed: int) -> ContactSet:
@@ -116,7 +123,7 @@ def _nearest_occupied(ref: BinaryGrid, points: np.ndarray) -> np.ndarray:
     `points`, from one scan of the grid; ties as in `nearest_occupied`."""
     if ref.is_empty():
         raise ValueError("reference grid has no occupied voxels")
-    idx = np.argwhere(ref.data)  # argwhere yields lexicographic order
+    idx = nonzero_indices(ref.data)  # lexicographic order
     centers = index_to_point(idx, ref.resolution)
     # argmin returns the lowest index on ties; one point at a time keeps the
     # temporaries at the size of `centers`

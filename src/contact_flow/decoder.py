@@ -108,7 +108,9 @@ def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
     """Unclipped decoder output sigma(beta * u) of upsampled logits u.
 
     One output array, finished in place: the same IEEE operations as
-    1 / (1 + exp(-(beta * u))), without four full-size temporaries.
+    1 / (1 + exp(-(beta * u))), without four full-size temporaries.  exp
+    overflows (to an output of exactly 0) for beta * u < -709.78; callers
+    enter np.errstate(over="ignore") once around their decoder passes.
     """
     s = np.multiply(u, -beta)
     np.exp(s, out=s)
@@ -116,9 +118,16 @@ def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def _logistic_vjp(s: np.ndarray, cotangent: np.ndarray, beta: float) -> np.ndarray:
-    """Cotangent of the upsampled logits, given the output s = _logistic(u, beta)."""
-    return cotangent * s * (1.0 - s) * beta
+def _logistic_vjp(
+    s: np.ndarray, cotangent: np.ndarray, beta: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Cotangent of the upsampled logits, cotangent * s * (1 - s) * beta, given the
+    output s = _logistic(u, beta).  Overwrites s with 1 - s; with out=cotangent
+    the whole product is formed in place."""
+    out = np.multiply(cotangent, s, out=out)
+    out *= np.subtract(1.0, s, out=s)
+    out *= beta
+    return out
 
 
 def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
@@ -131,6 +140,11 @@ def _clip_occupancy(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), out=out)
 
 
+def _spread_channels(coarse: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Latent array coarse[..., None] * w: each entry one product, as the broadcast gives it."""
+    return np.einsum("ijk,c->ijkc", coarse, params.w)
+
+
 def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
     if x.channels != params.channels:
         raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
@@ -139,7 +153,8 @@ def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
 def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     """sigma(beta * upsample(<x, w>_channels)); values strictly inside (0, 1)."""
     _check_channels(x, params)
-    s = _sigmoid(x.data, params)
+    with np.errstate(over="ignore"):
+        s = _sigmoid(x.data, params)
     return OccupancyGrid(_clip_occupancy(s, out=s))
 
 
@@ -155,8 +170,9 @@ def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> n
     if not np.all(np.isfinite(cot)):
         raise ValueError("cotangent contains non-finite entries")
     _check_channels(x, params)
-    d_fine = _logistic_vjp(_sigmoid(x.data, params), cot, params.beta)
-    return _upsample_transpose(d_fine, x.n)[..., None] * params.w
+    with np.errstate(over="ignore"):
+        s = _sigmoid(x.data, params)
+    return _spread_channels(_upsample_transpose(_logistic_vjp(s, cot, params.beta), x.n), params)
 
 
 def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:
@@ -175,4 +191,4 @@ def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:
     p = blocks.mean(axis=(1, 3, 5))
     p = np.clip(p, ENCODE_CLAMP, 1.0 - ENCODE_CLAMP)
     L = np.log(p / (1.0 - p)) / params.beta
-    return LatentGrid(L[..., None] * params.w)
+    return LatentGrid(_spread_channels(L, params))

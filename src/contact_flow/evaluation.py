@@ -23,6 +23,7 @@ from .voxelcore import (
     PointCloud,
     binarize,
     index_to_point,
+    nonzero_indices,
     point_to_index,
     surface_mask,
 )
@@ -157,7 +158,7 @@ def normalize_to_unit_cube(points: PointCloud) -> PointCloud:
 
 
 # voxel offsets of the 3x3x3 block around a voxel
-_BLOCK_OFFSETS = np.argwhere(np.ones((3, 3, 3), dtype=bool)) - 1
+_BLOCK_OFFSETS = nonzero_indices(np.ones((3, 3, 3), dtype=bool)) - 1
 
 
 def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
@@ -178,7 +179,7 @@ def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
     block = block.reshape(-1, 3)
     block = block[np.all((block >= 0) & (block < N), axis=1)]
     block = block[output.data[tuple(block.T)]]
-    centers = index_to_point(np.concatenate([np.argwhere(surface_mask(output)), block]), N)
+    centers = index_to_point(np.concatenate([nonzero_indices(surface_mask(output)), block]), N)
     distances, _ = cKDTree(centers).query(contacts.points)
     return distances
 
@@ -220,8 +221,8 @@ def evaluate_run(
         raise ValueError("cannot evaluate against an empty ground truth")
     # a voxel on both surfaces has one mapped center, shared by both clouds
     pred_surface, gt_surface = surface_mask(pred_binary), surface_mask(gt)
-    pred_points = index_to_point(np.argwhere(pred_surface), gt.resolution)
-    gt_points = index_to_point(np.argwhere(gt_surface), gt.resolution)
+    pred_points = index_to_point(nonzero_indices(pred_surface), gt.resolution)
+    gt_points = index_to_point(nonzero_indices(gt_surface), gt.resolution)
     scale, offset = unit_cube_transform(PointCloud(gt_points))
     pred_points = pred_points * scale + offset
     gt_points = gt_points * scale + offset

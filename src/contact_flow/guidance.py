@@ -28,14 +28,15 @@ from .decoder import (
     _logistic,
     _logistic_vjp,
     _logits,
+    _spread_channels,
     decode,
 )
 from .toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
     _check_time,
+    _predict_x0_vjp,
     _velocity_batch,
-    _velocity_vjp,
     sample_base,
     time_grid,
 )
@@ -226,6 +227,8 @@ class _Window(NamedTuple):
     target: np.ndarray  # reference values around its nearest occupied voxel
     coarse: tuple[slice, slice, slice]  # the coarse cells the window's voxels read
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, A[fine rows, coarse cells]
+    blocks_t: tuple[np.ndarray, np.ndarray, np.ndarray]  # their transposes, for the adjoint
+    diff: np.ndarray  # scratch of the window's shape; all windows share one buffer
 
 
 def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Window]:
@@ -234,11 +237,13 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     blocks of the interpolation matrix that decode the window.
 
     They depend only on (reference, contacts, radius), so a guided run builds
-    them once.
+    them once, with one scratch buffer that the windows, taken one at a time,
+    share.
     """
     N = ref.binary.resolution
     _check_radius(r, N)
     A = _interp_matrix(N // UPSAMPLE_FACTOR, N)
+    buffer = np.empty((2 * r + 1) ** 3)
     windows = []
     for pc, b in zip(contacts.points, _nearest_occupied(ref.binary, contacts.points)):
         a = point_to_index(pc, N)
@@ -252,7 +257,11 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
             cols = slice(cells[0], cells[-1] + 1)
             coarse.append(cols)
             blocks.append(A[rows, cols])
-        windows.append(_Window(sl_a, ref.occupancy.data[sl_b], tuple(coarse), tuple(blocks)))
+        target = np.ascontiguousarray(ref.occupancy.data[sl_b])  # read every inner step
+        diff = buffer[: target.size].reshape(target.shape)
+        windows.append(
+            _Window(sl_a, target, tuple(coarse), tuple(blocks), tuple(m.T for m in blocks), diff)
+        )
     return windows
 
 
@@ -295,39 +304,43 @@ def energy_gradient(
     windows = _drag_windows(ref, contacts, cfg.radius)
     if x_t.data.shape != model.latent_shape():
         raise ValueError(f"latent must have shape {model.latent_shape()}, got {x_t.data.shape}")
-    _, r, x0 = _predict(model, x_t.data.reshape(-1), t)
-    J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, windows, dec)
+    _, r, mubar, x0 = _predict(model, x_t.data.reshape(-1), t)
+    J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
     return J, g_xt.reshape(model.latent_shape()), g_x0.reshape(model.latent_shape())
 
 
-def _energy_gradient(model, t, r, x0, windows, dec):
+def _energy_gradient(model, t, r, mubar, x0, windows, dec):
     """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 of a state
-    with responsibilities r.
+    with responsibilities r and posterior mean mubar.
 
     The drag loss is zero outside the windows, so the decoder, the loss and the
     decoder's adjoint run on each window alone; overlapping windows add up.
+    Each window's mismatch and its logistic adjoint are formed in the window's
+    scratch buffer.
     """
     coarse = _logits(x0.reshape(model.latent_shape()), dec)
     d_coarse = np.zeros_like(coarse)
     J = 0.0
-    for win in windows:
-        s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
-        diff = _clip_occupancy(s) - win.target
-        J += float(np.sum(diff**2))
-        d_fine = _logistic_vjp(s, 2.0 * diff, dec.beta)
-        d_coarse[win.coarse] += _interp(d_fine, *(m.T for m in win.blocks))
-    g_x0 = (d_coarse[..., None] * dec.w).reshape(-1)
-    g_xt = g_x0 - t * _velocity_vjp(model, r, t, g_x0)
-    return J, g_xt, g_x0
+    # exp overflows to an occupancy of 0 (then tiny) far outside the shape
+    with np.errstate(over="ignore"):
+        for win in windows:
+            s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
+            diff = _clip_occupancy(s, out=win.diff)
+            diff -= win.target
+            J += float(np.sum(diff**2))
+            diff *= 2.0
+            d_fine = _logistic_vjp(s, diff, dec.beta, out=diff)
+            d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t)
+    g_x0 = _spread_channels(d_coarse, dec).reshape(-1)
+    return J, _predict_x0_vjp(model, r, mubar, t, g_x0), g_x0
 
 
-def attenuation(grad_x0: np.ndarray, grad_xt: np.ndarray) -> float:
-    """Norm ratio ||grad_x0|| / ||grad_xt||; 0 (guidance suppressed) when the
-    denominator vanishes."""
-    denom = float(np.linalg.norm(grad_xt))
-    if denom < ATTENUATION_GUARD:
+def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
+    """Norm ratio ||grad_x0|| / ||grad_xt|| from the two norms; 0 (guidance
+    suppressed) when the denominator vanishes."""
+    if grad_xt_norm < ATTENUATION_GUARD:
         return 0.0
-    return float(np.linalg.norm(grad_x0)) / denom
+    return grad_x0_norm / grad_xt_norm
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +353,18 @@ def attenuation(grad_x0: np.ndarray, grad_xt: np.ndarray) -> float:
 
 def _velocity_flat(model: MixtureFlowModel, x: np.ndarray, t: float):
     # single shared entry point so guided and unguided paths are bit-identical
-    v, r = _velocity_batch(model, x[None, :], t)
-    return v[0], r[0]
+    v, r, mubar = _velocity_batch(model, x[None, :], t)
+    return v[0], r[0], mubar[0]
 
 
 def _predict(model: MixtureFlowModel, x: np.ndarray, t: float):
-    """Velocity, responsibilities and one-step prediction x - t v at state x;
-    FloatingPointError when the prediction is not finite."""
-    v, r = _velocity_flat(model, x, t)
+    """Velocity, responsibilities, posterior mean and one-step prediction x - t v
+    at state x; FloatingPointError when the prediction is not finite."""
+    v, r, mubar = _velocity_flat(model, x, t)
     x0 = x - v * t
     if not np.all(np.isfinite(x0)):
         raise FloatingPointError("one-step prediction became non-finite")
-    return v, r, x0
+    return v, r, mubar, x0
 
 
 def unguided_sample(
@@ -362,14 +375,14 @@ def unguided_sample(
     ts, t_nexts = time_grid(cfg.timesteps)
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
         try:
-            v, _ = _velocity_flat(model, x, t)
+            v, _, _ = _velocity_flat(model, x, t)
         except FloatingPointError as exc:
             raise GenerationAborted(step, 0, str(exc)) from exc
         x = x + v * (t_next - t)
         if not np.all(np.isfinite(x)):
             raise GenerationAborted(step, 0, "latent state became non-finite")
     try:
-        _, _, x0 = _predict(model, x, t_nexts[-1])
+        *_, x0 = _predict(model, x, t_nexts[-1])
     except FloatingPointError as exc:
         raise GenerationAborted(cfg.timesteps - 1, 0, str(exc)) from exc
     return decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
@@ -419,17 +432,19 @@ def guided_sample(
         lam_sched = cfg.lambda_schedule(step, t)
         for inner in range(cfg.recurrence):
             try:
-                v, r, x0 = _predict(model, x, t)
+                v, r, mubar, x0 = _predict(model, x, t)
             except FloatingPointError as exc:
                 abort(step, inner, str(exc))
-            J, g_xt, g_x0 = _energy_gradient(model, t, r, x0, windows, dec)
+            J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
+            g_x0_norm = float(np.linalg.norm(g_x0))
+            g_xt_norm = float(np.linalg.norm(g_xt))
             if cfg.schedule == SCHEDULE_COVG:
                 # principled raw coefficient, deliberately without attenuation
                 lam_att = 1.0
                 suppressed = False
                 lam = lam_sched
             else:
-                lam_att = attenuation(g_x0, g_xt)
+                lam_att = attenuation(g_x0_norm, g_xt_norm)
                 suppressed = lam_att == 0.0
                 lam = lam_sched * lam_att if not suppressed else 0.0
             if lam != 0.0:
@@ -447,8 +462,8 @@ def guided_sample(
                     t=float(t),
                     t_next=float(t_next),
                     J=J,
-                    grad_x0_norm=float(np.linalg.norm(g_x0)),
-                    grad_xt_norm=float(np.linalg.norm(g_xt)),
+                    grad_x0_norm=g_x0_norm,
+                    grad_xt_norm=g_xt_norm,
                     lam_schedule=float(lam_sched),
                     lam_att=lam_att,
                     lam=float(lam),
@@ -463,7 +478,7 @@ def guided_sample(
             abort(step, cfg.recurrence - 1, "latent state became non-finite after Euler step")
 
     try:
-        _, _, x0 = _predict(model, x, t_nexts[-1])
+        *_, x0 = _predict(model, x, t_nexts[-1])
     except FloatingPointError as exc:
         abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)

@@ -21,12 +21,18 @@ responsibilities under that marginal:
 so x_t - t * v_t(x_t) equals E[x0 | x_t] exactly.  The velocity Jacobian is
 c1 I - c2 * ((1-t)/s_t^2) * Cov_r(mu), with Cov_r the responsibility-weighted
 covariance of the means, which gives an exact (symmetric) transpose-Jacobian
-product in O(K * dim).
+product in O(K * dim):
+
+    Cov_r(mu) u = (r * (mu . u)) @ mu - mubar (mubar . u),
+
+where the posterior mean mubar comes from the velocity pass.  The responsibility
+quadratic |x - (1-t) mu_k|^2 = |x|^2 - 2(1-t) x.mu_k + (1-t)^2 |mu_k|^2 uses the
+squared norms |mu_k|^2 kept from construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +51,8 @@ class MixtureFlowModel:
     weights: np.ndarray
     sigma: float
     component_ids: tuple[str, ...] = ()
+    # |mu_k|^2 per component, set from the means at construction
+    mean_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
@@ -68,6 +76,7 @@ class MixtureFlowModel:
             raise ValueError("component_ids must match the number of components")
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "mean_sq_norms", _freeze(np.sum(means**2, axis=1)))
 
     @property
     def k(self) -> int:
@@ -155,14 +164,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 def _log_responsibilities(model: MixtureFlowModel, x_flat: np.ndarray, t: float) -> np.ndarray:
     """Log posterior over components given batched states x_flat of shape (B, dim)."""
     s2, _, _ = _path_coeffs(model, t)
-    m = (1.0 - t) * model.means
+    a = 1.0 - t
     # states far outside the support may overflow the quadratic; the resulting
     # all-underflow is reported below instead of warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         quad = (
             np.sum(x_flat**2, axis=1)[:, None]
-            - 2.0 * x_flat @ m.T
-            + np.sum(m**2, axis=1)[None, :]
+            - (2.0 * a) * (x_flat @ model.means.T)
+            + (a * a) * model.mean_sq_norms
         )
         logits = np.log(model.weights)[None, :] - quad / (2.0 * s2)
         norm = _logsumexp(logits)
@@ -179,36 +188,44 @@ def responsibilities(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> np.n
 
 
 def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
-    """Velocities of batched states (B, dim) and the responsibilities (B, K) they mix."""
+    """Velocities of batched states (B, dim), the responsibilities (B, K) they mix
+    and the posterior means mubar = r @ means (B, dim)."""
     _, c1, c2 = _path_coeffs(model, t)
     r = np.exp(_log_responsibilities(model, x_flat, t))
     mubar = r @ model.means
-    return c1 * x_flat - c2 * mubar, r
+    return c1 * x_flat - c2 * mubar, r, mubar
 
 
 def velocity(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
     """Exact marginal velocity field of the mixture flow at (x_t, t)."""
     _check_time(t)
-    v, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
+    v, _, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
     return LatentGrid(v.reshape(model.latent_shape()))
 
 
 def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
     """One-step prediction x_t - t*v_t(x_t); equals the posterior mean E[x0 | x_t]."""
     _check_time(t)
-    v, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
+    v, _, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
     x0 = x_t.data.reshape(1, -1) - t * v
     return LatentGrid(x0.reshape(model.latent_shape()))
 
 
-def _velocity_vjp(model: MixtureFlowModel, r: np.ndarray, t: float, cot: np.ndarray) -> np.ndarray:
-    """Transpose-Jacobian product of the velocity at a state with responsibilities r (K,);
-    flat cotangent in, flat gradient out."""
+def _cov_means(
+    model: MixtureFlowModel, r: np.ndarray, mubar: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Cov_r(mu) u for one state's responsibilities r (K,) and posterior mean mubar (dim,)."""
+    return (r * (model.means @ u)) @ model.means - mubar * (mubar @ u)
+
+
+def _predict_x0_vjp(
+    model: MixtureFlowModel, r: np.ndarray, mubar: np.ndarray, t: float, u: np.ndarray
+) -> np.ndarray:
+    """Transpose-Jacobian product of the one-step prediction x - t v(x) at a state
+    with responsibilities r and posterior mean mubar:
+    (1 - t c1) u + t c2 (1-t)/s_t^2 Cov_r(mu) u."""
     s2, c1, c2 = _path_coeffs(model, t)
-    mubar = r @ model.means
-    mu_dot_u = model.means @ cot
-    cov_u = r @ (model.means * mu_dot_u[:, None]) - mubar * (mubar @ cot)
-    return c1 * cot - c2 * (1.0 - t) / s2 * cov_u
+    return (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * _cov_means(model, r, mubar, u)
 
 
 def velocity_vjp(model: MixtureFlowModel, x_t: LatentGrid, t: float, cotangent: np.ndarray) -> np.ndarray:
@@ -221,8 +238,10 @@ def velocity_vjp(model: MixtureFlowModel, x_t: LatentGrid, t: float, cotangent: 
     cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
     if cot.shape[0] != model.dim:
         raise ValueError("cotangent shape does not match the latent dimension")
-    r = np.exp(_log_responsibilities(model, x_t.data.reshape(1, -1), t))[0]
-    return _velocity_vjp(model, r, t, cot).reshape(model.latent_shape())
+    s2, c1, c2 = _path_coeffs(model, t)
+    _, r, mubar = _velocity_batch(model, x_t.data.reshape(1, -1), t)
+    g = c1 * cot - c2 * (1.0 - t) / s2 * _cov_means(model, r[0], mubar[0], cot)
+    return g.reshape(model.latent_shape())
 
 
 def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
@@ -256,7 +275,7 @@ def integrate_flow_batch(model: MixtureFlowModel, count: int, steps: int, seed: 
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((count, model.dim))
     for t, t_next in zip(*time_grid(steps)):
-        v, _ = _velocity_batch(model, x, t)
+        v, _, _ = _velocity_batch(model, x, t)
         x = x + v * (t_next - t)
     return x
 

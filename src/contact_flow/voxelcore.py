@@ -146,6 +146,12 @@ def point_to_index(point, resolution: int) -> np.ndarray:
     return np.clip(idx, 0, resolution - 1)
 
 
+def nonzero_indices(mask: np.ndarray) -> np.ndarray:
+    """(M, 3) int64 indices of the True voxels of a 3-D mask, in lexicographic
+    order: the values of np.argwhere, from one flat scan of the mask."""
+    return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
+
+
 def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Voxel-center coordinates along x, y, z, shaped to broadcast to the N^3 grid."""
     c = index_to_point(np.arange(resolution), resolution)
@@ -374,7 +380,7 @@ def extract_surface(grid: BinaryGrid) -> PointCloud:
     """
     if grid.is_empty():
         raise ValueError("cannot extract surface of an empty grid")
-    return PointCloud(index_to_point(np.argwhere(surface_mask(grid)), grid.resolution))
+    return PointCloud(index_to_point(nonzero_indices(surface_mask(grid)), grid.resolution))
 
 
 def surface_mask(grid: BinaryGrid) -> np.ndarray:

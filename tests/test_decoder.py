@@ -304,3 +304,14 @@ def test_decode_is_bit_identical_to_the_out_of_place_logistic_and_clip(n):
     assert got.max() == np.nextafter(1.0, 0.0)
     if n > 1:
         assert got.min() == np.finfo(np.float64).tiny
+
+
+def test_decode_of_a_far_negative_logit_is_tiny_without_an_overflow_warning():
+    # beta * u = -800 overflows exp; the pytest filter turns a leaked
+    # RuntimeWarning into an error
+    params = DecoderParams.default(2, beta=4.0)
+    x = LatentGrid(np.broadcast_to(-200.0 * params.w, (4, 4, 4, 2)).copy())
+    s = decode(x, params).data
+    assert np.all(s == np.finfo(np.float64).tiny)
+    g = decode_vjp(x, np.ones((16, 16, 16)), params)
+    assert np.count_nonzero(g) == 0

@@ -220,14 +220,18 @@ def test_energy_gradient_matches_end_to_end_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def norm(g):
+    return float(np.linalg.norm(g))
+
+
 def test_attenuation_equal_gradients_is_one():
     g = np.random.default_rng(0).standard_normal((5, 5))
-    assert attenuation(g, g) == pytest.approx(1.0, rel=1e-15)
+    assert attenuation(norm(g), norm(g)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_attenuation_double_norm_halves():
     g = np.random.default_rng(1).standard_normal((7,))
-    lam = attenuation(g, 2 * g)
+    lam = attenuation(norm(g), norm(2 * g))
     assert lam == pytest.approx(0.5, rel=1e-15)
     assert np.linalg.norm(lam * 2 * g) == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
@@ -237,14 +241,14 @@ def test_attenuation_norm_identity_generic():
     for _ in range(10):
         a = rng.standard_normal((4, 4, 4, 2))
         b = rng.standard_normal((4, 4, 4, 2))
-        lam = attenuation(a, b)
+        lam = attenuation(norm(a), norm(b))
         assert np.linalg.norm(lam * b) == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
 
 def test_attenuation_suppresses_on_vanishing_denominator():
-    a = np.ones((3, 3))
-    assert attenuation(a, np.zeros((3, 3))) == 0.0
-    assert attenuation(a, np.full((3, 3), 1e-14)) == 0.0
+    a = norm(np.ones((3, 3)))
+    assert attenuation(a, norm(np.zeros((3, 3)))) == 0.0
+    assert attenuation(a, norm(np.full((3, 3), 1e-14))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +516,65 @@ def test_window_decodes_the_same_values_as_the_full_grid(n, radius):
     for win in windows:
         s = _logistic(_interp(coarse[win.coarse], *win.blocks), params.beta)
         np.testing.assert_allclose(s, full[win.fine], rtol=0, atol=1e-14)
+
+
+def test_energy_gradient_is_finite_with_windows_where_the_logistic_overflows():
+    # one component whose decoded logit is -200 everywhere: beta * u = -800
+    # overflows exp in every window, which the pytest filter would report
+    params = DecoderParams.default(2, beta=4.0)
+    mean = LatentGrid(np.broadcast_to(-200.0 * params.w, (2, 2, 2, 2)).copy())
+    model = MixtureFlowModel.from_latents([mean], [1.0], sigma=0.3)
+    ref = make_reference_shape()
+    cfg = small_cfg(radius=2)
+    t = 0.5
+    x = LatentGrid((1.0 - t) * mean.data)  # the marginal mean: x0_hat is the mean
+    J, g_xt, g_x0 = energy_gradient(model, x, t, WINDOW_CONTACTS, ref, params, cfg)
+    assert math.isfinite(J) and J > 0.0
+    assert np.count_nonzero(g_x0) == 0
+    assert np.count_nonzero(g_xt) == 0
+
+
+def window_chain_oracle(coarse, windows, dec):
+    """The drag-window chain as it was: out-of-place clip, mismatch and
+    logistic adjoint, and the channel mix as a broadcast."""
+    from contact_flow.decoder import _clip_occupancy, _interp, _logistic
+
+    d_coarse = np.zeros_like(coarse)
+    J = 0.0
+    for win in windows:
+        s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
+        diff = _clip_occupancy(s) - win.target
+        J += float(np.sum(diff**2))
+        d_fine = 2.0 * diff * s * (1.0 - s) * dec.beta
+        d_coarse[win.coarse] += _interp(d_fine, *(m.T for m in win.blocks))
+    return J, (d_coarse[..., None] * dec.w).reshape(-1)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 1), (4, 3), (16, 10)])
+def test_in_place_window_chain_is_bit_identical_to_the_out_of_place_one(n, radius):
+    from contact_flow.decoder import _logits
+
+    model, params, _, ref, _ = toy_setup(seed=n, n=n)
+    windows = guidance_module._drag_windows(ref, WINDOW_CONTACTS, radius)
+    x = sample_base(model, 6).data.reshape(-1) * 0.8
+    for t in (0.9, 0.3):
+        _, r, mubar, x0 = guidance_module._predict(model, x, t)
+        J, _, g_x0 = guidance_module._energy_gradient(model, t, r, mubar, x0, windows, params)
+        J_want, g_x0_want = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), params), windows, params)
+        assert J == J_want
+        assert g_x0.tobytes() == g_x0_want.tobytes()
+
+
+def test_all_components_underflow_aborts_both_samplers(monkeypatch):
+    model, params, cfg, ref, contacts = toy_setup(seed=36)
+    monkeypatch.setattr(
+        guidance_module, "sample_base", lambda m, seed: LatentGrid(np.full(m.latent_shape(), 1e200))
+    )
+    for run in (
+        lambda: unguided_sample(model, params, cfg, seed=0),
+        lambda: guided_sample(model, params, contacts, ref, cfg, seed=0),
+    ):
+        with pytest.raises(GenerationAborted) as err:
+            run()
+        assert err.value.step == 0 and err.value.inner == 0
+        assert "underflowed" in err.value.reason

@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -577,3 +579,25 @@ def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_a
     result = CliRunner().invoke(compare.main, trees)
     assert result.exit_code == 1
     assert "run_000_guided: B artifact 'surface'" in result.output
+
+
+def test_expected_drift_passes_recorded_outputs_and_flags_a_changed_record(monkeypatch):
+    # the script sets BLAS thread variables and extends sys.path on import;
+    # both are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    drift = load_script("expected_drift")
+    monkeypatch.setitem(drift.workloads.POOL, 16, 1)  # run index 0 of each scenario
+    result = CliRunner().invoke(drift.main, ["guided_n16"])
+    assert result.exit_code == 0, result.output
+    assert "guided_n16 guided3/final_J: worst relative deviation" in result.output
+    assert "guided_n16 guided3/chamfer: worst relative deviation 0 " in result.output
+    expected = drift.workloads.load_expected()
+    expected["n16/depth_boxes/0"]["guided3"]["final_J"] *= 1.01
+    monkeypatch.setattr(drift.workloads, "load_expected", lambda: expected)
+    result = CliRunner().invoke(drift.main, ["guided_n16"])
+    assert result.exit_code == 1
+    assert "guided3/final_J: worst relative deviation 0.0099" in result.output
+    assert "1 keys over 1e-06" in result.output
+    assert "n16/depth_boxes/0/guided3/final_J: got" in result.output

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from contact_flow.toyflow import (
     time_grid,
     velocity,
     velocity_vjp,
+    _log_responsibilities,
+    _logsumexp,
+    _predict_x0_vjp,
+    _velocity_batch,
 )
 from contact_flow.voxelcore import BinaryGrid, LatentGrid, OccupancyGrid
 
@@ -374,3 +379,96 @@ def test_logsumexp_matches_scipy_bit_for_bit():
         a[50:100, 2] = -np.inf  # a component with zero weight
         assert np.array_equal(_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
         assert np.array_equal(_logsumexp(a[0]), logsumexp(a[0], keepdims=True))
+
+
+# ---------------------------------------------------------------------------
+# flow kernel against the formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def log_responsibilities_oracle(model, x_flat, t):
+    """The responsibility kernel before the squared mean norms were cached:
+    the scaled means (1-t) mu_k and their squares rebuilt at every call."""
+    s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+    m = (1.0 - t) * model.means
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        quad = np.sum(x_flat**2, axis=1)[:, None] - 2.0 * x_flat @ m.T + np.sum(m**2, axis=1)[None, :]
+        logits = np.log(model.weights)[None, :] - quad / (2.0 * s2)
+        norm = _logsumexp(logits)
+    if not np.all(np.isfinite(norm)):
+        raise FloatingPointError("all mixture components underflowed")
+    return logits - norm
+
+
+def predict_x0_vjp_oracle(model, r, t, u):
+    """g_xt = u - t * J_v^T u with the velocity VJP as it was: the posterior mean
+    recomputed and the covariance product formed through a (K, dim) temporary."""
+    s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+    c1 = (t - (1.0 - t) * model.sigma**2) / s2
+    c2 = t / s2
+    mubar = r @ model.means
+    mu_dot_u = model.means @ u
+    cov_u = r @ (model.means * mu_dot_u[:, None]) - mubar * (mubar @ u)
+    return u - t * (c1 * u - c2 * (1.0 - t) / s2 * cov_u)
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def kernel_model(k, tied):
+    model = make_model(seed=40 + k, k=k, n=4, channels=2, sigma=0.3)
+    if tied:
+        means = model.means.copy()
+        means[1] = means[0]
+        model = MixtureFlowModel(
+            n=model.n, channels=model.channels, means=means, weights=model.weights, sigma=model.sigma
+        )
+    return model
+
+
+@pytest.mark.parametrize("k, tied", [(1, False), (2, False), (5, False), (2, True), (5, True)])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_flow_kernel_matches_the_formulas_it_replaced(k, tied, scale):
+    model = kernel_model(k, tied)
+    rng = np.random.Generator(np.random.PCG64(k))
+    # states near the means, and far outside the support
+    x = (rng.standard_normal((3, model.dim)) + model.means[rng.integers(k, size=3)]) * scale
+    u = rng.standard_normal(model.dim)
+    for t in (1.0, 0.7, 0.3, T_MIN_DEFAULT):
+        r_want = np.exp(log_responsibilities_oracle(model, x, t))
+        assert_close_rel(np.exp(_log_responsibilities(model, x, t)), r_want)
+        v, r, mubar = _velocity_batch(model, x, t)
+        assert_close_rel(r, r_want)
+        mubar_want = r_want @ model.means
+        assert_close_rel(mubar, mubar_want)
+        s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+        v_want = ((t - (1.0 - t) * model.sigma**2) * x - t * mubar_want) / s2
+        assert_close_rel(v, v_want)
+        for row in range(3):
+            want = predict_x0_vjp_oracle(model, r_want[row], t, u)
+            got = _predict_x0_vjp(model, r[row], mubar[row], t, u)
+            if t == 1.0:
+                assert np.count_nonzero(want) == np.count_nonzero(got) == 0
+            else:
+                assert_close_rel(got, want)
+    if tied:
+        assert r[0, 0] == r[0, 1]
+
+
+def test_mean_norms_follow_the_means_through_replace():
+    model = make_model(seed=50, k=3)
+    np.testing.assert_array_equal(model.mean_sq_norms, np.sum(model.means**2, axis=1))
+    reweighted = replace(model, weights=[0.2, 0.3, 0.5])
+    np.testing.assert_array_equal(reweighted.mean_sq_norms, model.mean_sq_norms)
+    with pytest.raises(ValueError):
+        model.mean_sq_norms[0] = 1.0
+
+
+def test_all_components_underflow_raises_floating_point_error():
+    model = make_model(seed=51, k=3)
+    x = np.full((1, model.dim), 1e200)
+    with pytest.raises(FloatingPointError, match="underflowed"):
+        _log_responsibilities(model, x, 0.5)
+    with pytest.raises(FloatingPointError, match="underflowed"):
+        velocity(model, latent(model, x), 0.5)

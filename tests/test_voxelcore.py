@@ -19,6 +19,7 @@ from contact_flow.voxelcore import (
     index_to_point,
     load_grid,
     load_ply,
+    nonzero_indices,
     point_to_index,
     primitive_from_dict,
     primitive_to_dict,
@@ -325,6 +326,22 @@ def test_index_point_bijection_on_voxel_centers():
     idx = point_to_index(centers, N)
     expected = np.argwhere(np.ones((N, N, N), dtype=bool))
     assert np.array_equal(idx, expected)
+
+
+@pytest.mark.parametrize("N", [1, 3, 16, 64])
+@pytest.mark.parametrize("fill", ["random", "empty", "full"])
+def test_nonzero_indices_equals_argwhere(N, fill):
+    rng = np.random.Generator(np.random.PCG64(N))
+    mask = {
+        "random": rng.random((N, N, N)) < 0.3,
+        "empty": np.zeros((N, N, N), dtype=bool),
+        "full": np.ones((N, N, N), dtype=bool),
+    }[fill]
+    got = nonzero_indices(mask)
+    want = np.argwhere(mask)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape == (int(mask.sum()), 3)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
