@@ -13,6 +13,7 @@ from .voxelcore import (
     _freeze,
     index_to_point,
     nonzero_indices,
+    point_to_index,
     surface_mask,
 )
 
@@ -114,18 +115,43 @@ def nearest_occupied(ref: BinaryGrid, point) -> tuple[int, int, int]:
 
     Ties are broken by lexicographic index order for reproducibility.
     """
-    best = _nearest_occupied(ref, np.asarray(point, dtype=np.float64)[None])[0]
+    p = np.asarray(point, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"point must be finite, got {p}")
+    best = _nearest_occupied(ref, p[None])[0]
     return tuple(int(v) for v in best)
 
 
 def _nearest_occupied(ref: BinaryGrid, points: np.ndarray) -> np.ndarray:
     """(M, 3) indices of the occupied voxels closest to each of the (M, 3)
-    `points`, from one scan of the grid; ties as in `nearest_occupied`."""
+    `points`; ties as in `nearest_occupied`.
+
+    Each point is searched in a cube of voxels around its own voxel a. The
+    cube's half-width doubles until it holds an occupied voxel, whose squared
+    distance d bounds the answer. A point lies in a's cell (one outside the
+    unit cube is no nearer any voxel than its clamp into that cell), so a
+    voxel more than R = ceil(sqrt(d)·N) + 1 voxels from a along some axis is
+    at least (R + 0.5)/N > sqrt(d) away: the cube of half-width R holds the
+    minimum and all of its ties. Its occupied voxels are listed in
+    lexicographic order, so `argmin` picks the same voxel a scan of the whole
+    grid would.
+    """
     if ref.is_empty():
         raise ValueError("reference grid has no occupied voxels")
-    idx = nonzero_indices(ref.data)  # lexicographic order
-    centers = index_to_point(idx, ref.resolution)
-    # argmin returns the lowest index on ties; one point at a time keeps the
-    # temporaries at the size of `centers`
-    best = [int(np.argmin(np.sum((centers - p) ** 2, axis=1))) for p in points]
-    return idx[best]
+    N = ref.resolution
+
+    def occupied_near(a, half_width):
+        lo = np.maximum(a - half_width, 0)
+        hi = np.minimum(a + half_width + 1, N)
+        return lo + nonzero_indices(ref.data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]])
+
+    best = np.empty((len(points), 3), dtype=np.int64)
+    for m, (p, a) in enumerate(zip(points, point_to_index(points, N))):
+        half_width = 1
+        while not (idx := occupied_near(a, half_width)).size:
+            half_width *= 2
+        d = np.min(np.sum((index_to_point(idx, N) - p) ** 2, axis=1))
+        idx = occupied_near(a, int(np.ceil(np.sqrt(d) * N)) + 1)
+        # argmin returns the lowest index on ties
+        best[m] = idx[np.argmin(np.sum((index_to_point(idx, N) - p) ** 2, axis=1))]
+    return best

@@ -187,8 +187,12 @@ def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:
     if N % UPSAMPLE_FACTOR != 0:
         raise ValueError(f"grid resolution {N} is not a multiple of {UPSAMPLE_FACTOR}")
     n = N // UPSAMPLE_FACTOR
-    blocks = s.data.astype(np.float64).reshape(n, 4, n, 4, n, 4)
-    p = blocks.mean(axis=(1, 3, 5))
+    # occupied voxels per block, summed one block axis at a time over contiguous
+    # slices; a count of at most 64 fits uint8, and count / 64 is the block mean
+    c = s.data.view(np.uint8).reshape(n, 4, n, 4, n, 4)
+    c = c[..., 0] + c[..., 1] + c[..., 2] + c[..., 3]
+    c = c[:, :, :, 0] + c[:, :, :, 1] + c[:, :, :, 2] + c[:, :, :, 3]
+    p = (c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]) / 64
     p = np.clip(p, ENCODE_CLAMP, 1.0 - ENCODE_CLAMP)
     L = np.log(p / (1.0 - p)) / params.beta
     return LatentGrid(_spread_channels(L, params))

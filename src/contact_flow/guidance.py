@@ -211,7 +211,11 @@ def drag_loss(
     """
     if ref.binary.resolution != s0_hat.resolution:
         raise ValueError("reference and prediction resolutions differ")
-    return _drag_loss(s0_hat.data, _drag_windows(ref, contacts, cfg.radius))
+    windows = _drag_windows(ref, contacts, cfg.radius)
+    grad = np.zeros_like(s0_hat.data)
+    for win in windows:
+        grad[win.fine] += 2.0 * _mismatch(s0_hat.data, win)
+    return _drag_value(s0_hat.data, windows), grad
 
 
 def _check_radius(radius: int, N: int) -> None:
@@ -265,14 +269,16 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     return windows
 
 
-def _drag_loss(s: np.ndarray, windows: list[_Window]):
+def _mismatch(s: np.ndarray, win: _Window) -> np.ndarray:
+    return s[win.fine] - win.target
+
+
+def _drag_value(s: np.ndarray, windows: list[_Window]) -> float:
+    """The drag loss of occupancy `s`, without its gradient."""
     loss = 0.0
-    grad = np.zeros_like(s)
     for win in windows:
-        diff = s[win.fine] - win.target
-        loss += float(np.sum(diff**2))
-        grad[win.fine] += 2.0 * diff
-    return loss, grad
+        loss += float(np.sum(_mismatch(s, win) ** 2))
+    return loss
 
 
 def _check_inputs(model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceShape) -> None:
@@ -482,5 +488,5 @@ def guided_sample(
     except FloatingPointError as exc:
         abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
-    final_J, _ = _drag_loss(occupancy.data, windows)
+    final_J = _drag_value(occupancy.data, windows)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contact_flow.contact import (
     ContactSet,
+    _nearest_occupied,
     farthest_point_sample,
     hidden_surface_indices,
     nearest_occupied,
@@ -17,6 +18,7 @@ from contact_flow.voxelcore import (
     Box,
     PointCloud,
     index_to_point,
+    nonzero_indices,
     point_to_index,
     surface_mask,
     voxelize_primitive,
@@ -185,6 +187,12 @@ def test_nearest_occupied_empty_grid_raises():
         nearest_occupied(BinaryGrid(np.zeros((4, 4, 4), dtype=bool)), (0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("p", [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5), (0.5, 0.5, -np.inf)])
+def test_nearest_occupied_rejects_non_finite_point(p):
+    with pytest.raises(ValueError, match="finite"):
+        nearest_occupied(BinaryGrid(np.ones((4, 4, 4), dtype=bool)), p)
+
+
 def test_nearest_occupied_tie_breaks_lexicographically():
     data = np.zeros((4, 4, 4), dtype=bool)
     data[0, 1, 1] = True
@@ -202,13 +210,74 @@ def test_nearest_occupied_matches_exhaustive_scan(seed):
         data[3, 3, 3] = True
     grid = BinaryGrid(data)
     p = rng.random(3)
-    got = nearest_occupied(grid, p)
     best, best_d = None, np.inf
-    for idx in np.argwhere(data):
+    for idx in np.argwhere(data):  # lexicographic; strict < keeps the first of a tie
         d = float(np.sum((index_to_point(idx, 6) - p) ** 2))
-        if d < best_d - 1e-15:
-            best, best_d = tuple(idx), d
-    assert np.sum((index_to_point(np.array(got), 6) - p) ** 2) == pytest.approx(best_d, abs=1e-12)
+        if d < best_d:
+            best, best_d = tuple(int(v) for v in idx), d
+    assert nearest_occupied(grid, p) == best
+
+
+def full_scan_nearest(grid: BinaryGrid, points: np.ndarray) -> np.ndarray:
+    """Per point, the occupied voxel nearest to it from a distance to every
+    occupied voxel; ties to the lexicographically lowest index."""
+    idx = nonzero_indices(grid.data)
+    centers = index_to_point(idx, grid.resolution)
+    return idx[[int(np.argmin(np.sum((centers - p) ** 2, axis=1))) for p in points]]
+
+
+def assert_matches_full_scan(grid: BinaryGrid, points: np.ndarray) -> None:
+    expected = full_scan_nearest(grid, points)
+    np.testing.assert_array_equal(_nearest_occupied(grid, points), expected)
+    assert [nearest_occupied(grid, p) for p in points] == [tuple(map(int, e)) for e in expected]
+
+
+@given(
+    st.sampled_from([2, 3, 5, 16, 17, 64]),
+    st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.95]),
+    st.integers(0, 2**31 - 1),
+)
+def test_nearest_occupied_matches_full_scan_on_random_grids(N, density, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = rng.random((N, N, N)) < density
+    data[tuple(rng.integers(0, N, 3))] = True  # density 0.0 leaves this one voxel
+    grid = BinaryGrid(data)
+    points = np.concatenate(
+        [
+            index_to_point(rng.integers(0, N, (4, 3)), N),  # voxel centres
+            rng.random((4, 3)),  # off-centre
+            rng.integers(0, N + 1, (4, 3)) / N,  # on cell faces, 0.0 and 1.0 included
+            rng.uniform(-0.5, 1.5, (4, 3)),  # partly outside the unit cube
+        ]
+    )
+    assert_matches_full_scan(grid, points)
+
+
+def test_nearest_occupied_box_ties_match_full_scan():
+    # at N = 8 every distance below is exact: the six voxels two steps from
+    # (4, 4, 4) along an axis tie for its centre, and two voxels face to face
+    # tie for every point of their shared face
+    data = np.zeros((8, 8, 8), dtype=bool)
+    for axis in range(3):
+        for step in (-2, 2):
+            idx = [4, 4, 4]
+            idx[axis] += step
+            data[tuple(idx)] = True
+    data[0, 0, 0] = data[0, 0, 1] = True
+    grid = BinaryGrid(data)
+    points = np.array([index_to_point([4, 4, 4], 8), [0.0625, 0.0625, 0.125], [0.0, 0.0, 0.125]])
+    assert_matches_full_scan(grid, points)
+    assert [nearest_occupied(grid, p) for p in points] == [(2, 4, 4), (0, 0, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("N", [2, 5, 17, 64])
+def test_nearest_occupied_far_corner_voxel_grows_box_to_whole_grid(N):
+    data = np.zeros((N, N, N), dtype=bool)
+    data[-1, -1, -1] = True
+    grid = BinaryGrid(data)
+    points = np.array([[0.0, 0.0, 0.0], index_to_point([0, 0, 0], N), [0.3, 0.0, 0.1]])
+    assert_matches_full_scan(grid, points)
+    assert nearest_occupied(grid, (0.0, 0.0, 0.0)) == (N - 1, N - 1, N - 1)
 
 
 # ---------------------------------------------------------------------------

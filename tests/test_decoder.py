@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contact_flow.decoder import (
+    ENCODE_CLAMP,
     DecoderParams,
     _upsample,
     _upsample_transpose,
@@ -217,6 +218,33 @@ def test_encode_decode_roundtrip_recovers_half_space_box():
         N = 32
         dist_to_boundary = np.minimum(mism % 4, 3 - mism % 4)
         assert dist_to_boundary.min(axis=1).max() <= 1
+
+
+def encode_float_mean_oracle(grid: BinaryGrid, params: DecoderParams) -> np.ndarray:
+    """The block mean of the grid as float64, clamped, as a logit over beta,
+    times each channel weight."""
+    n = grid.resolution // 4
+    p = grid.data.astype(np.float64).reshape(n, 4, n, 4, n, 4).mean(axis=(1, 3, 5))
+    p = np.clip(p, ENCODE_CLAMP, 1.0 - ENCODE_CLAMP)
+    return (np.log(p / (1.0 - p)) / params.beta)[..., None] * params.w
+
+
+@pytest.mark.parametrize("N", [4, 8, 64])
+@pytest.mark.parametrize("kind", ["random", "full", "single"])
+def test_encode_is_bit_identical_to_the_float_mean(N, kind):
+    rng = np.random.Generator(np.random.PCG64(N))
+    n = N // 4
+    if kind == "random":
+        block_density = rng.random((n, 1, n, 1, n, 1))  # counts from 0 to 64 per block
+        data = (rng.random((n, 4, n, 4, n, 4)) < block_density).reshape(N, N, N)
+    elif kind == "full":
+        data = np.ones((N, N, N), dtype=bool)
+    else:
+        data = np.zeros((N, N, N), dtype=bool)
+        data[tuple(rng.integers(0, N, 3))] = True
+    grid = BinaryGrid(data)
+    params = DecoderParams.default(4)
+    np.testing.assert_array_equal(encode(grid, params).data, encode_float_mean_oracle(grid, params))
 
 
 def test_encode_rejects_empty_grid():
