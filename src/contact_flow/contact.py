@@ -10,6 +10,7 @@ import numpy as np
 from .voxelcore import (
     BinaryGrid,
     PointCloud,
+    _expect,
     _freeze,
     index_to_point,
     nonzero_indices,
@@ -48,6 +49,7 @@ class ContactSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContactSet":
+        _expect(d, dict, "contact set")
         return cls(
             points=np.asarray(d["points"], dtype=np.float64),
             provenance=d.get("provenance", PROVENANCE_EXTERNAL),

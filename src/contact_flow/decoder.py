@@ -51,10 +51,6 @@ class DecoderParams:
     def to_dict(self) -> dict:
         return {"w": self.w.tolist(), "beta": self.beta}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderParams":
-        return cls(w=np.asarray(d["w"], dtype=np.float64), beta=float(d["beta"]))
-
 
 @lru_cache(maxsize=32)
 def _interp_matrix(n: int, N: int) -> np.ndarray:

@@ -31,14 +31,15 @@ from .voxelcore import (
 METRICS_SCHEMA_VERSION = "v1"
 F_SCORE_THRESHOLDS = (0.01, 0.02, 0.05)
 
+# the metrics.csv column and summary name of the F-score at each threshold
+F_SCORE_COLUMNS = {tau: f"f_{tau:g}" for tau in F_SCORE_THRESHOLDS}
+
 METRICS_CSV_COLUMNS = (
     "scenario",
     "method",
     "seed",
     "chamfer",
-    "f_0.01",
-    "f_0.02",
-    "f_0.05",
+    *F_SCORE_COLUMNS.values(),
     "contact_residual_median",
     "final_J",
     "failed",
@@ -66,8 +67,8 @@ class MetricsReport:
             "final_J": self.final_J,
             "failed": int(self.failed),
         }
-        for tau in F_SCORE_THRESHOLDS:
-            row[f"f_{tau:g}"] = self.f_scores.get(tau, math.nan)
+        for tau, column in F_SCORE_COLUMNS.items():
+            row[column] = self.f_scores.get(tau, math.nan)
         return row
 
     def to_json_dict(self) -> dict:

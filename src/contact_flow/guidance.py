@@ -34,6 +34,7 @@ from .decoder import (
 from .toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
+    _check_finite,
     _check_time,
     _predict_x0_vjp,
     _velocity_batch,
@@ -79,8 +80,9 @@ class GuidanceConfig:
         b0, b1 = self.stage_bounds
         if not 0 <= b0 <= b1 <= self.timesteps:
             raise ValueError("stage bounds must partition [0, timesteps)")
-        if len(self.lambda_stage) != 3 or any(l < 0 for l in self.lambda_stage):
-            raise ValueError("lambda_stage must be three non-negative values")
+        # finite, so a suppressed step's weight lam_sched * 0.0 is 0.0
+        if len(self.lambda_stage) != 3 or not all(0 <= l < math.inf for l in self.lambda_stage):
+            raise ValueError("lambda_stage must be three finite non-negative values")
         if self.recurrence < 1:
             raise ValueError("recurrence must be >= 1")
         if self.radius < 0:
@@ -286,7 +288,7 @@ def _check_inputs(model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceSha
     `_drag_windows` checks the radius."""
     if dec.channels != model.channels:
         raise ValueError(f"latent has {model.channels} channels, decoder expects {dec.channels}")
-    if ref.binary.resolution != 4 * model.n:
+    if ref.binary.resolution != UPSAMPLE_FACTOR * model.n:
         raise ValueError("reference resolution does not match the model's paired grid")
 
 
@@ -353,44 +355,39 @@ def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 #
-# The samplers work on flat float64 states of length model.dim; containers are
-# built only for their inputs and outputs.
-
-
-def _velocity_flat(model: MixtureFlowModel, x: np.ndarray, t: float):
-    # single shared entry point so guided and unguided paths are bit-identical
-    v, r, mubar = _velocity_batch(model, x[None, :], t)
-    return v[0], r[0], mubar[0]
+# The samplers work on flat float64 states of length model.dim (the rows of a
+# (B, dim) array in `_integrate`); containers are built only for their inputs
+# and outputs.  Every non-finite check raises FloatingPointError, which each
+# sampler turns into one GenerationAborted at its current step.
 
 
 def _predict(model: MixtureFlowModel, x: np.ndarray, t: float):
     """Velocity, responsibilities, posterior mean and one-step prediction x - t v
     at state x; FloatingPointError when the prediction is not finite."""
-    v, r, mubar = _velocity_flat(model, x, t)
-    x0 = x - v * t
-    if not np.all(np.isfinite(x0)):
-        raise FloatingPointError("one-step prediction became non-finite")
-    return v, r, mubar, x0
+    v, r, mubar = _velocity_batch(model, x[None, :], t)
+    x0 = _check_finite(x - v[0] * t, "one-step prediction became non-finite")
+    return v[0], r[0], mubar[0], x0
+
+
+def _integrate(model: MixtureFlowModel, x: np.ndarray, steps: int) -> np.ndarray:
+    """Euler-integrate states x (B, dim) over time_grid(steps); returns their
+    one-step predictions at the last knot, or aborts at the step a state turns non-finite."""
+    ts, t_nexts = time_grid(steps)
+    try:
+        for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
+            v, _, _ = _velocity_batch(model, x, t)
+            x = _check_finite(x + v * (t_next - t), "latent state became non-finite")
+        v, _, _ = _velocity_batch(model, x, t_nexts[-1])
+        return _check_finite(x - v * t_nexts[-1], "one-step prediction became non-finite")
+    except FloatingPointError as exc:
+        raise GenerationAborted(step, 0, str(exc)) from exc
 
 
 def unguided_sample(
     model: MixtureFlowModel, dec: DecoderParams, cfg: GuidanceConfig, seed: int
 ) -> OccupancyGrid:
     """Plain Euler flow sampling; also the source of reference shapes."""
-    x = sample_base(model, seed).data.reshape(-1)
-    ts, t_nexts = time_grid(cfg.timesteps)
-    for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
-        try:
-            v, _, _ = _velocity_flat(model, x, t)
-        except FloatingPointError as exc:
-            raise GenerationAborted(step, 0, str(exc)) from exc
-        x = x + v * (t_next - t)
-        if not np.all(np.isfinite(x)):
-            raise GenerationAborted(step, 0, "latent state became non-finite")
-    try:
-        *_, x0 = _predict(model, x, t_nexts[-1])
-    except FloatingPointError as exc:
-        raise GenerationAborted(cfg.timesteps - 1, 0, str(exc)) from exc
+    x0 = _integrate(model, sample_base(model, seed).data.reshape(1, -1), cfg.timesteps)
     return decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
 
 
@@ -427,66 +424,50 @@ def guided_sample(
     windows = _drag_windows(ref, contacts, cfg.radius)
     x = sample_base(model, seed).data.reshape(-1)
     ts, t_nexts = time_grid(cfg.timesteps)
+    covg = cfg.schedule == SCHEDULE_COVG
     records: list[StepRecord] = []
-
-    def abort(step, inner, reason):
-        raise GenerationAborted(
-            step, inner, reason, GuidedTrajectory(tuple(records), final_J=math.nan)
-        )
-
-    for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
-        lam_sched = cfg.lambda_schedule(step, t)
-        for inner in range(cfg.recurrence):
-            try:
-                v, r, mubar, x0 = _predict(model, x, t)
-            except FloatingPointError as exc:
-                abort(step, inner, str(exc))
-            J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
-            g_x0_norm = float(np.linalg.norm(g_x0))
-            g_xt_norm = float(np.linalg.norm(g_xt))
-            if cfg.schedule == SCHEDULE_COVG:
-                # principled raw coefficient, deliberately without attenuation
-                lam_att = 1.0
-                suppressed = False
-                lam = lam_sched
-            else:
-                lam_att = attenuation(g_x0_norm, g_xt_norm)
-                suppressed = lam_att == 0.0
-                lam = lam_sched * lam_att if not suppressed else 0.0
-            if lam != 0.0:
-                # lam may be inf (cov-G at t=1); the non-finite state is caught below
-                with np.errstate(invalid="ignore", over="ignore"):
-                    g = lam * g_xt
-                    x = x + g * (t_next - t)
-                    g_norm = float(np.linalg.norm(g))
-            else:
-                g_norm = 0.0
-            records.append(
-                StepRecord(
-                    step=step,
-                    inner=inner,
-                    t=float(t),
-                    t_next=float(t_next),
-                    J=J,
-                    grad_x0_norm=g_x0_norm,
-                    grad_xt_norm=g_xt_norm,
-                    lam_schedule=float(lam_sched),
-                    lam_att=lam_att,
-                    lam=float(lam),
-                    g_norm=g_norm,
-                    suppressed=suppressed,
-                )
-            )
-            if not np.all(np.isfinite(x)):
-                abort(step, inner, "latent state became non-finite after guided update")
-        x = x + v * (t_next - t)
-        if not np.all(np.isfinite(x)):
-            abort(step, cfg.recurrence - 1, "latent state became non-finite after Euler step")
-
     try:
+        for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
+            lam_sched = cfg.lambda_schedule(step, t)
+            for inner in range(cfg.recurrence):
+                v, r, mubar, x0 = _predict(model, x, t)
+                J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
+                g_x0_norm = float(np.linalg.norm(g_x0))
+                g_xt_norm = float(np.linalg.norm(g_xt))
+                # cov-G's coefficient is the whole weight, deliberately without attenuation
+                lam_att = 1.0 if covg else attenuation(g_x0_norm, g_xt_norm)
+                suppressed = lam_att == 0.0
+                lam = lam_sched * lam_att
+                g_norm = 0.0
+                if lam != 0.0:
+                    # lam may be inf (cov-G at t=1); the non-finite state is caught below
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        g = lam * g_xt
+                        x = x + g * (t_next - t)
+                        g_norm = float(np.linalg.norm(g))
+                records.append(
+                    StepRecord(
+                        step=step,
+                        inner=inner,
+                        t=float(t),
+                        t_next=float(t_next),
+                        J=J,
+                        grad_x0_norm=g_x0_norm,
+                        grad_xt_norm=g_xt_norm,
+                        lam_schedule=float(lam_sched),
+                        lam_att=lam_att,
+                        lam=float(lam),
+                        g_norm=g_norm,
+                        suppressed=suppressed,
+                    )
+                )
+                _check_finite(x, "latent state became non-finite after guided update")
+            x = x + v * (t_next - t)
+            _check_finite(x, "latent state became non-finite after Euler step")
         *_, x0 = _predict(model, x, t_nexts[-1])
     except FloatingPointError as exc:
-        abort(cfg.timesteps - 1, cfg.recurrence - 1, str(exc))
+        trajectory = GuidedTrajectory(tuple(records), final_J=math.nan)
+        raise GenerationAborted(step, inner, str(exc), trajectory) from exc
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
     final_J = _drag_value(occupancy.data, windows)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

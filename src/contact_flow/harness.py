@@ -27,7 +27,13 @@ import scipy
 
 from . import __version__
 from .contact import ContactSet, farthest_point_sample
-from .evaluation import METRICS_SCHEMA_VERSION, MetricsReport, evaluate_run, write_metrics_csv
+from .evaluation import (
+    F_SCORE_COLUMNS,
+    METRICS_SCHEMA_VERSION,
+    MetricsReport,
+    evaluate_run,
+    write_metrics_csv,
+)
 from .guidance import (
     GenerationAborted,
     GuidanceConfig,
@@ -40,6 +46,7 @@ from .guidance import (
 from .scenarios import Scenario, build_scenario, derive_run_seeds, standard_suite, suite_scenario
 from .voxelcore import (
     PointCloud,
+    _expect,
     binarize,
     extract_surface,
     grid_to_bytes,
@@ -242,7 +249,7 @@ def generate_run(
 
 def load_manifest(run_dir) -> dict:
     with open(Path(run_dir) / MANIFEST_NAME) as f:
-        return json.load(f)
+        return _expect(json.load(f), dict, "run manifest")
 
 
 def verify_manifest(run_dir) -> list[str]:
@@ -311,9 +318,8 @@ def summarize_reports(reports: list[MetricsReport]) -> dict:
         if ok:
             for key, values in [
                 ("chamfer", [r.chamfer for r in ok]),
-                ("f_0.01", [r.f_scores.get(0.01, math.nan) for r in ok]),
-                ("f_0.02", [r.f_scores.get(0.02, math.nan) for r in ok]),
-                ("f_0.05", [r.f_scores.get(0.05, math.nan) for r in ok]),
+                *((name, [r.f_scores.get(tau, math.nan) for r in ok])
+                  for tau, name in F_SCORE_COLUMNS.items()),
                 ("contact_residual", [r.contact_residual_median for r in ok]),
             ]:
                 row[key] = {
@@ -325,7 +331,7 @@ def summarize_reports(reports: list[MetricsReport]) -> dict:
 
 
 def format_summary_table(summary: dict) -> str:
-    metrics = ["chamfer", "f_0.01", "f_0.02", "f_0.05", "contact_residual"]
+    metrics = ["chamfer", *F_SCORE_COLUMNS.values(), "contact_residual"]
     header = f"{'method':<24}{'runs':>6}" + "".join(
         f"{m + ' mean':>18}{m + ' med':>18}" for m in metrics
     )

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .contact import ContactSet, sample_contacts
-from .decoder import DecoderParams, decode, encode
+from .decoder import UPSAMPLE_FACTOR, DecoderParams, decode, encode
 from .guidance import GuidanceConfig
 from .toyflow import MixtureFlowModel, VisibilityCondition, condition
 from .voxelcore import (
@@ -29,6 +29,7 @@ from .voxelcore import (
     LBracket,
     Primitive,
     UnionOfBoxes,
+    _expect,
     axis_centers,
     binarize,
     primitive_from_dict,
@@ -71,6 +72,7 @@ class VisibilitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VisibilitySpec":
+        _expect(d, dict, "visibility")
         return cls(
             axis=int(d.get("axis", 0)),
             offset=float(d.get("offset", 0.5)),
@@ -89,6 +91,7 @@ class ScenarioSeeds:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSeeds":
+        _expect(d, dict, "scenario seeds")
         return cls(int(d["reference"]), int(d["guided"]), int(d["contacts"]))
 
 
@@ -125,7 +128,7 @@ class Scenario:
 
     @property
     def resolution(self) -> int:
-        return 4 * self.n
+        return UPSAMPLE_FACTOR * self.n
 
     def prior_weights(self) -> np.ndarray:
         if self.weights is None:
@@ -156,14 +159,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        _expect(d, dict, "scenario")
         return cls(
             name=d["name"],
-            n=int(d["grid"]["n"]),
-            library=tuple(primitive_from_dict(p) for p in d["library"]),
+            n=int(_expect(d["grid"], dict, "grid")["n"]),
+            library=tuple(primitive_from_dict(p) for p in _expect(d["library"], list, "library")),
             true_index=int(d["true_index"]),
             visibility=VisibilitySpec.from_dict(d.get("visibility", {})),
             seeds=ScenarioSeeds.from_dict(d["seeds"]),
-            weights=tuple(d["weights"]) if "weights" in d else None,
+            weights=tuple(_expect(d["weights"], list, "weights")) if "weights" in d else None,
             gamma=float(d.get("gamma", 1.0)),
             sigma=float(d.get("sigma", 0.05)),
             beta=float(d.get("beta", 4.0)),

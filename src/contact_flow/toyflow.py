@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .decoder import UPSAMPLE_FACTOR
 from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, _freeze
 
 T_MIN_DEFAULT = 1e-3
@@ -141,6 +142,13 @@ def _check_time(t: float):
         raise ValueError(f"time must lie in (0, 1], got {t}")
 
 
+def _check_finite(x: np.ndarray, reason: str) -> np.ndarray:
+    """x itself; FloatingPointError(reason) when any entry is not finite."""
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError(reason)
+    return x
+
+
 def _path_coeffs(model: MixtureFlowModel, t: float):
     s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
     c1 = (t - (1.0 - t) * model.sigma**2) / s2
@@ -175,8 +183,7 @@ def _log_responsibilities(model: MixtureFlowModel, x_flat: np.ndarray, t: float)
         )
         logits = np.log(model.weights)[None, :] - quad / (2.0 * s2)
         norm = _logsumexp(logits)
-    if not np.all(np.isfinite(norm)):
-        raise FloatingPointError("all mixture components underflowed in responsibility computation")
+    _check_finite(norm, "all mixture components underflowed in responsibility computation")
     return logits - norm
 
 
@@ -258,7 +265,7 @@ def condition(
     With decoded[k] = decode(mu_k): w_k' propto w_k * exp(-gamma * sum_visible
     (decoded[k] - o)^2), computed with log-sum-exp stabilization.
     """
-    if cond.mask.resolution != 4 * model.n or len(decoded) != model.k:
+    if cond.mask.resolution != UPSAMPLE_FACTOR * model.n or len(decoded) != model.k:
         raise ValueError("condition needs the model's paired grid and one shape per component")
     v = cond.mask.data
     obs = cond.observation.data
@@ -268,16 +275,6 @@ def condition(
         raise ValueError("condition inconsistent with library: all component masses underflow")
     logw = logits - _logsumexp(logits)
     return replace(model, weights=np.exp(logw))
-
-
-def integrate_flow_batch(model: MixtureFlowModel, count: int, steps: int, seed: int) -> np.ndarray:
-    """Integrate `count` independent unguided trajectories at once; returns (count, dim)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((count, model.dim))
-    for t, t_next in zip(*time_grid(steps)):
-        v, _, _ = _velocity_batch(model, x, t)
-        x = x + v * (t_next - t)
-    return x
 
 
 def time_grid(steps: int):

@@ -31,6 +31,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _expect(value, kind: type, what: str):
+    """`value` of a parsed input file; ValueError naming `what` when it is not a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ Primitive = Box | Cylinder | LBracket | UnionOfBoxes | SphereCappedBox
 
 def primitive_from_dict(spec: dict) -> Primitive:
     """Parse a primitive description (scenario-file form) into a Primitive."""
-    kind = spec.get("kind")
+    kind = _expect(spec, dict, "library entry").get("kind")
     if kind == "box":
         return Box(lo=tuple(spec["lo"]), hi=tuple(spec["hi"]))
     if kind == "cylinder":

@@ -23,6 +23,7 @@ from contact_flow.evaluation import chamfer, evaluate_run, f_score
 from contact_flow.guidance import (
     GuidanceConfig,
     ReferenceShape,
+    _integrate,
     drag_loss,
     energy_gradient,
     guided_sample,
@@ -33,7 +34,6 @@ from contact_flow.harness import generate_run, load_manifest, rerun_manifest, ev
 from contact_flow.scenarios import build_scenario, standard_suite, suite_scenario
 from contact_flow.toyflow import (
     MixtureFlowModel,
-    integrate_flow_batch,
     predict_x0,
     sample_base,
 )
@@ -210,7 +210,9 @@ def test_criterion_2_posterior_mean_identity():
 def test_criterion_3_unguided_sampling_fidelity():
     built = build_scenario(suite_scenario("bracket_orientation", n=4))
     model = built.model
-    finals = integrate_flow_batch(model, count=1000, steps=200, seed=42)
+    # 1000 draws through the Euler integrator that unguided_sample runs
+    x = np.random.Generator(np.random.PCG64(42)).standard_normal((1000, model.dim))
+    finals = _integrate(model, x, steps=200)
     d = np.linalg.norm(finals[:, None, :] - model.means[None], axis=2)
     nearest = np.argmin(d, axis=1)
     within = d[np.arange(1000), nearest].max() <= 3 * model.sigma * math.sqrt(model.dim)

@@ -395,6 +395,9 @@ def test_config_validation():
         GuidanceConfig(stage_bounds=(8, 4))
     with pytest.raises(ValueError):
         GuidanceConfig(lambda_stage=(-0.1, 1.0, 0.5))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GuidanceConfig(lambda_stage=(0.2, bad, 0.5))
     with pytest.raises(ValueError):
         GuidanceConfig(recurrence=0)
     with pytest.raises(ValueError):
@@ -570,9 +573,13 @@ def test_all_components_underflow_aborts_both_samplers(monkeypatch):
     monkeypatch.setattr(
         guidance_module, "sample_base", lambda m, seed: LatentGrid(np.full(m.latent_shape(), 1e200))
     )
+    # a batch of three states whose middle row underflows every component
+    batch = np.random.Generator(np.random.PCG64(0)).standard_normal((3, model.dim))
+    batch[1] = 1e200
     for run in (
         lambda: unguided_sample(model, params, cfg, seed=0),
         lambda: guided_sample(model, params, contacts, ref, cfg, seed=0),
+        lambda: guidance_module._integrate(model, batch, cfg.timesteps),
     ):
         with pytest.raises(GenerationAborted) as err:
             run()

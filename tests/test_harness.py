@@ -352,6 +352,48 @@ def test_cli_external_contacts(tmp_path, scenario):
     assert manifest["external_contacts"] == built.contacts.to_dict()
 
 
+EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "example.yaml"
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_cli_scenario_with_empty_weights_is_config_error(tmp_path, command):
+    text = EXAMPLE_SCENARIO.read_text()
+    assert "\nweights: [0.5, 0.5]\n" in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace("\nweights: [0.5, 0.5]\n", "\nweights:\n"))
+    out = tmp_path / "out"
+    extra = ["--runs", "1"] if command == "sweep" else []
+    result = CliRunner().invoke(
+        main, [command, "--scenario", str(path), "--grid-n", "4", "--out", str(out), *extra]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error: weights must be a list" in result.output
+    assert not out.exists()
+
+
+def test_cli_contact_file_that_is_not_a_mapping_is_config_error(tmp_path):
+    contacts_file = tmp_path / "contacts.json"
+    contacts_file.write_text("[[0.9, 0.5, 0.5]]")
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main,
+        ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4",
+         "--out", str(out), "--contacts", str(contacts_file)],
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error: contact set must be a dict" in result.output
+    assert not out.exists()
+
+
+def test_cli_evaluate_skips_a_manifest_that_is_not_a_mapping(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text("[]")
+    result = CliRunner().invoke(main, ["evaluate", str(run)])
+    assert result.exit_code == EXIT_EVALUATION_FAILURE
+    assert f"skipped {run}: run manifest must be a dict" in result.output
+
+
 def test_rerun_manifest_reproduces_a_run_with_external_contacts(tmp_path, scenario):
     # ten external contacts, thinned to six by farthest point sampling
     sampled = dataclasses.replace(scenario, fps_count=6)

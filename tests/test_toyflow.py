@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact_flow.decoder import DecoderParams, decode
+from contact_flow.guidance import _integrate
 from contact_flow.toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
     VisibilityCondition,
     condition,
-    integrate_flow_batch,
     predict_x0,
     responsibilities,
     sample_base,
@@ -351,7 +351,8 @@ def test_time_grid_spans_one_to_t_min():
 
 def test_unguided_runs_land_on_components_with_weight_frequencies():
     model = make_model(seed=20, k=2, n=2, channels=2, sigma=0.05, weights=[0.3, 0.7])
-    finals = integrate_flow_batch(model, count=400, steps=100, seed=5)
+    x = np.random.Generator(np.random.PCG64(5)).standard_normal((400, model.dim))
+    finals = _integrate(model, x, steps=100)
     d = np.linalg.norm(finals[:, None, :] - model.means[None], axis=2)
     nearest = np.argmin(d, axis=1)
     freqs = np.bincount(nearest, minlength=2) / 400
