@@ -71,16 +71,21 @@ def _interp_matrix(n: int, N: int) -> np.ndarray:
     return _freeze(A)
 
 
-def _interp(grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> np.ndarray:
+def _interp(
+    grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarray, out=(None, None, None)
+) -> np.ndarray:
     """out[a,b,c] = sum_ijk ax[a,i] ay[b,j] az[c,k] grid[i,j,k], one BLAS matmul per axis.
 
     The decoder's only upsampling kernel: the full grid passes A on every axis,
     a drag window passes its per-axis blocks of A, and the adjoint passes the
-    same matrices transposed.
+    same matrices transposed.  `out` optionally holds contiguous buffers for
+    the (a, j*k) and (a, b, k) intermediates and the result; a contiguous
+    `grid` is read in place.
     """
     i, j, k = grid.shape
-    out = (ax @ grid.reshape(i, j * k)).reshape(ax.shape[0], j, k)
-    return np.matmul(ay, out) @ az.T
+    first, second, result = out
+    first = np.matmul(ax, grid.reshape(i, j * k), out=first).reshape(ax.shape[0], j, k)
+    return np.matmul(np.matmul(ay, first, out=second), az.T, out=result)
 
 
 def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
@@ -100,15 +105,16 @@ def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     return np.tensordot(x, params.w, axes=([3], [0]))
 
 
-def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
+def _logistic(u: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
     """Unclipped decoder output sigma(beta * u) of upsampled logits u.
 
-    One output array, finished in place: the same IEEE operations as
-    1 / (1 + exp(-(beta * u))), without four full-size temporaries.  exp
-    overflows (to an output of exactly 0) for beta * u < -709.78; callers
-    enter np.errstate(over="ignore") once around their decoder passes.
+    One output array (`out`, which may be u), finished in place: the same IEEE
+    operations as 1 / (1 + exp(-(beta * u))), without four full-size
+    temporaries.  exp overflows (to an output of exactly 0) for
+    beta * u < -709.78; callers enter np.errstate(over="ignore") once around
+    their decoder passes.
     """
-    s = np.multiply(u, -beta)
+    s = np.multiply(u, -beta, out=out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
@@ -131,9 +137,16 @@ def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     return _logistic(_upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0]), params.beta)
 
 
+# the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
+_OCCUPANCY_BOUNDS = (np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+try:  # np.clip's ufunc, without np.clip's Python dispatch
+    _clip = np._core.umath.clip
+except AttributeError:  # numpy < 2
+    _clip = np.core.umath.clip
+
+
 def _clip_occupancy(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
-    return np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), out=out)
+    return _clip(s, *_OCCUPANCY_BOUNDS, out=out)
 
 
 def _spread_channels(coarse: np.ndarray, params: DecoderParams) -> np.ndarray:

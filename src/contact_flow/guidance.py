@@ -227,14 +227,19 @@ def _check_radius(radius: int, N: int) -> None:
 
 class _Window(NamedTuple):
     """One contact's drag window: where it sits in the decoder output, what it
-    is compared with, and the part of the decoder that produces it."""
+    is compared with, the part of the decoder that produces it, and its views
+    of the run's scratch for the window chain's intermediates."""
 
     fine: tuple[slice, slice, slice]  # the window around the contact's voxel
     target: np.ndarray  # reference values around its nearest occupied voxel
     coarse: tuple[slice, slice, slice]  # the coarse cells the window's voxels read
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, A[fine rows, coarse cells]
     blocks_t: tuple[np.ndarray, np.ndarray, np.ndarray]  # their transposes, for the adjoint
-    diff: np.ndarray  # scratch of the window's shape; all windows share one buffer
+    cells: np.ndarray  # the coarse cells read, then their adjoint
+    forward: tuple[np.ndarray, np.ndarray, np.ndarray]  # _interp's buffers; the last holds s
+    diff: np.ndarray  # the mismatch, then its logistic adjoint
+    squares: np.ndarray  # the squared mismatch
+    adjoint: tuple[np.ndarray, np.ndarray, np.ndarray]  # _interp's buffers for the adjoint
 
 
 def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Window]:
@@ -243,14 +248,14 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     blocks of the interpolation matrix that decode the window.
 
     They depend only on (reference, contacts, radius), so a guided run builds
-    them once, with one scratch buffer that the windows, taken one at a time,
-    share.
+    them once, with its scratch: one flat buffer per intermediate of the window
+    chain, as long as the largest window needs, which the windows, taken one at
+    a time, view in their own shapes.
     """
     N = ref.binary.resolution
     _check_radius(r, N)
     A = _interp_matrix(N // UPSAMPLE_FACTOR, N)
-    buffer = np.empty((2 * r + 1) ** 3)
-    windows = []
+    parts = []
     for pc, b in zip(contacts.points, _nearest_occupied(ref.binary, contacts.points)):
         a = point_to_index(pc, N)
         lo = np.maximum(-r, np.maximum(-a, -b))
@@ -264,9 +269,21 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
             coarse.append(cols)
             blocks.append(A[rows, cols])
         target = np.ascontiguousarray(ref.occupancy.data[sl_b])  # read every inner step
-        diff = buffer[: target.size].reshape(target.shape)
+        (fa, ci), (fb, cj), (fc, ck) = (m.shape for m in blocks)
+        # cells, forward's three, diff, squares, the adjoint's first two
+        fine = (fa, fb, fc)
+        shapes = [(ci, cj, ck), (fa, cj * ck), (fa, fb, ck), fine, fine, fine,
+                  (ci, fb * fc), (ci, cj, fc)]
+        parts.append((sl_a, target, tuple(coarse), tuple(blocks), shapes))
+    buffers = [np.empty(max((math.prod(p[-1][i]) for p in parts), default=0)) for i in range(8)]
+    windows = []
+    for sl_a, target, coarse, blocks, shapes in parts:
+        cells, f1, f2, s, diff, squares, a1, a2 = (
+            buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(buffers, shapes)
+        )
         windows.append(
-            _Window(sl_a, target, tuple(coarse), tuple(blocks), tuple(m.T for m in blocks), diff)
+            _Window(sl_a, target, coarse, blocks, tuple(m.T for m in blocks),
+                    cells, (f1, f2, s), diff, squares, (a1, a2, cells))
         )
     return windows
 
@@ -323,8 +340,7 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
 
     The drag loss is zero outside the windows, so the decoder, the loss and the
     decoder's adjoint run on each window alone; overlapping windows add up.
-    Each window's mismatch and its logistic adjoint are formed in the window's
-    scratch buffer.
+    Every intermediate of a window is formed in its views of the run's scratch.
     """
     coarse = _logits(x0.reshape(model.latent_shape()), dec)
     d_coarse = np.zeros_like(coarse)
@@ -332,13 +348,15 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
     # exp overflows to an occupancy of 0 (then tiny) far outside the shape
     with np.errstate(over="ignore"):
         for win in windows:
-            s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
+            np.copyto(win.cells, coarse[win.coarse])
+            u = _interp(win.cells, *win.blocks, out=win.forward)
+            s = _logistic(u, dec.beta, out=u)
             diff = _clip_occupancy(s, out=win.diff)
             diff -= win.target
-            J += float(np.sum(diff**2))
+            J += float(np.add.reduce(np.multiply(diff, diff, out=win.squares), axis=None))
             diff *= 2.0
             d_fine = _logistic_vjp(s, diff, dec.beta, out=diff)
-            d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t)
+            d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t, out=win.adjoint)
     g_x0 = _spread_channels(d_coarse, dec).reshape(-1)
     return J, _predict_x0_vjp(model, r, mubar, t, g_x0), g_x0
 
@@ -414,11 +432,13 @@ def guided_sample(
 ) -> tuple[OccupancyGrid, GuidedTrajectory]:
     """Recurrent guided sampling.
 
-    Per timestep, `recurrence` inner iterations each recompute the velocity and
+    Per timestep, `recurrence` inner iterations each compute the velocity and
     the energy gradient at the current state and nudge x_t by
     lambda * grad_xt * (t_next - t); the timestep then advances with the last
-    computed velocity.  A non-finite state aborts with the offending step and
-    the trajectory recorded so far.
+    computed velocity.  An iteration whose lambda is 0 leaves x_t where it was,
+    so the next one reuses its flow pass, gradients and weights (at t = 1 the
+    staged schedule's grad_xt is exactly 0).  A non-finite state aborts with
+    the offending step and the trajectory recorded so far.
     """
     _check_inputs(model, dec, ref)
     windows = _drag_windows(ref, contacts, cfg.radius)
@@ -430,14 +450,15 @@ def guided_sample(
         for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
             lam_sched = cfg.lambda_schedule(step, t)
             for inner in range(cfg.recurrence):
-                v, r, mubar, x0 = _predict(model, x, t)
-                J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
-                g_x0_norm = float(np.linalg.norm(g_x0))
-                g_xt_norm = float(np.linalg.norm(g_xt))
-                # cov-G's coefficient is the whole weight, deliberately without attenuation
-                lam_att = 1.0 if covg else attenuation(g_x0_norm, g_xt_norm)
-                suppressed = lam_att == 0.0
-                lam = lam_sched * lam_att
+                if inner == 0 or lam != 0.0:  # else x did not move: the values below hold
+                    v, r, mubar, x0 = _predict(model, x, t)
+                    J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
+                    g_x0_norm = float(np.linalg.norm(g_x0))
+                    g_xt_norm = float(np.linalg.norm(g_xt))
+                    # cov-G's coefficient is the whole weight, deliberately without attenuation
+                    lam_att = 1.0 if covg else attenuation(g_x0_norm, g_xt_norm)
+                    suppressed = lam_att == 0.0
+                    lam = lam_sched * lam_att
                 g_norm = 0.0
                 if lam != 0.0:
                     # lam may be inf (cov-G at t=1); the non-finite state is caught below

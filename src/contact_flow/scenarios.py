@@ -29,7 +29,9 @@ from .voxelcore import (
     LBracket,
     Primitive,
     UnionOfBoxes,
+    _convert,
     _expect,
+    _reals,
     axis_centers,
     binarize,
     primitive_from_dict,
@@ -74,8 +76,8 @@ class VisibilitySpec:
     def from_dict(cls, d: dict) -> "VisibilitySpec":
         _expect(d, dict, "visibility")
         return cls(
-            axis=int(d.get("axis", 0)),
-            offset=float(d.get("offset", 0.5)),
+            axis=_convert(d.get("axis", 0), int, "visibility axis"),
+            offset=_convert(d.get("offset", 0.5), float, "visibility offset"),
             visible_side=d.get("visible_side", "below"),
         )
 
@@ -92,7 +94,7 @@ class ScenarioSeeds:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSeeds":
         _expect(d, dict, "scenario seeds")
-        return cls(int(d["reference"]), int(d["guided"]), int(d["contacts"]))
+        return cls(*(_convert(d[k], int, f"{k} seed") for k in ("reference", "guided", "contacts")))
 
 
 @dataclass(frozen=True)
@@ -161,20 +163,20 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         _expect(d, dict, "scenario")
         return cls(
-            name=d["name"],
-            n=int(_expect(d["grid"], dict, "grid")["n"]),
+            name=_expect(d["name"], str, "name"),
+            n=_convert(_expect(d["grid"], dict, "grid")["n"], int, "grid n"),
             library=tuple(primitive_from_dict(p) for p in _expect(d["library"], list, "library")),
-            true_index=int(d["true_index"]),
+            true_index=_convert(d["true_index"], int, "true_index"),
             visibility=VisibilitySpec.from_dict(d.get("visibility", {})),
             seeds=ScenarioSeeds.from_dict(d["seeds"]),
-            weights=tuple(_expect(d["weights"], list, "weights")) if "weights" in d else None,
-            gamma=float(d.get("gamma", 1.0)),
-            sigma=float(d.get("sigma", 0.05)),
-            beta=float(d.get("beta", 4.0)),
-            contact_count=int(d.get("contact_count", 10)),
-            fps_count=int(d["fps_count"]) if "fps_count" in d else None,
-            ambiguous=bool(d.get("ambiguous", False)),
-            runs=int(d.get("runs", SUITE_RUNS_PER_SCENARIO)),
+            weights=_convert(d["weights"], _reals, "weights") if "weights" in d else None,
+            gamma=_convert(d.get("gamma", 1.0), float, "gamma"),
+            sigma=_convert(d.get("sigma", 0.05), float, "sigma"),
+            beta=_convert(d.get("beta", 4.0), float, "beta"),
+            contact_count=_convert(d.get("contact_count", 10), int, "contact_count"),
+            fps_count=_convert(d["fps_count"], int, "fps_count") if "fps_count" in d else None,
+            ambiguous=_expect(d.get("ambiguous", False), bool, "ambiguous"),
+            runs=_convert(d.get("runs", SUITE_RUNS_PER_SCENARIO), int, "runs"),
         )
 
     def save(self, path) -> None:

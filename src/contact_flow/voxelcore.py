@@ -14,6 +14,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +37,26 @@ def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _reals(value) -> tuple:
+    """tuple(value) of a list of real numbers; TypeError for anything else."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, numbers.Real) for v in value):
+        raise TypeError("not a list of numbers")
+    return tuple(value)
+
+
+_FIELD_KINDS = {int: "an integer", float: "a number", _reals: "a list of numbers"}
+
+
+def _convert(value, to, what: str):
+    """to(value) for a number or list field of a parsed input file (`to` one of
+    int, float, _reals); ValueError naming `what` when the value is not one,
+    such as the None of a YAML field left empty."""
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be {_FIELD_KINDS[to]}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +320,37 @@ class SphereCappedBox:
 Primitive = Box | Cylinder | LBracket | UnionOfBoxes | SphereCappedBox
 
 
+def _box_from_dict(spec, what: str) -> Box:
+    _expect(spec, dict, what)
+    return Box(*(_convert(spec[key], _reals, f"{what} {key}") for key in ("lo", "hi")))
+
+
 def primitive_from_dict(spec: dict) -> Primitive:
     """Parse a primitive description (scenario-file form) into a Primitive."""
     kind = _expect(spec, dict, "library entry").get("kind")
     if kind == "box":
-        return Box(lo=tuple(spec["lo"]), hi=tuple(spec["hi"]))
+        return _box_from_dict(spec, "box")
     if kind == "cylinder":
         return Cylinder(
-            axis=int(spec["axis"]),
-            center=tuple(spec["center"]),
-            radius=float(spec["radius"]),
-            lo=float(spec["lo"]),
-            hi=float(spec["hi"]),
+            axis=_convert(spec["axis"], int, "cylinder axis"),
+            center=_convert(spec["center"], _reals, "cylinder center"),
+            radius=_convert(spec["radius"], float, "cylinder radius"),
+            lo=_convert(spec["lo"], float, "cylinder lo"),
+            hi=_convert(spec["hi"], float, "cylinder hi"),
         )
     if kind == "l_bracket":
         return LBracket(
-            first=Box(tuple(spec["first"]["lo"]), tuple(spec["first"]["hi"])),
-            second=Box(tuple(spec["second"]["lo"]), tuple(spec["second"]["hi"])),
+            first=_box_from_dict(spec["first"], "l_bracket first"),
+            second=_box_from_dict(spec["second"], "l_bracket second"),
         )
     if kind == "union_of_boxes":
-        return UnionOfBoxes(
-            boxes=tuple(Box(tuple(b["lo"]), tuple(b["hi"])) for b in spec["boxes"])
-        )
+        boxes = _expect(spec["boxes"], list, "union_of_boxes boxes")
+        return UnionOfBoxes(boxes=tuple(_box_from_dict(b, "union_of_boxes box") for b in boxes))
     if kind == "sphere_capped_box":
         return SphereCappedBox(
-            box=Box(tuple(spec["box"]["lo"]), tuple(spec["box"]["hi"])),
-            cap_axis=int(spec["cap_axis"]),
-            cap_radius=float(spec["cap_radius"]),
+            box=_box_from_dict(spec["box"], "sphere_capped_box box"),
+            cap_axis=_convert(spec["cap_axis"], int, "sphere_capped_box cap_axis"),
+            cap_radius=_convert(spec["cap_radius"], float, "sphere_capped_box cap_radius"),
         )
     raise ValueError(f"unknown primitive kind: {kind!r}")
 

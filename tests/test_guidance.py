@@ -585,3 +585,137 @@ def test_all_components_underflow_aborts_both_samplers(monkeypatch):
             run()
         assert err.value.step == 0 and err.value.inner == 0
         assert "underflowed" in err.value.reason
+
+
+# a window clipped on y only and one clipped on z only, full along x
+CLIPPED_YZ_CONTACTS = ContactSet(np.array([[0.5, 0.03, 0.5], [0.5, 0.5, 0.98]]))
+
+
+@pytest.mark.parametrize("n, radius", [(4, 3), (16, 10)])
+def test_windows_clipped_on_y_or_z_run_the_out_of_place_chain_bit_for_bit(n, radius):
+    from contact_flow.decoder import _interp, _logistic, _logits
+
+    model, params, _, ref, _ = toy_setup(seed=n, n=n)
+    windows = guidance_module._drag_windows(ref, CLIPPED_YZ_CONTACTS, radius)
+    full = 2 * radius + 1
+    (_, y_clipped, _), (_, _, z_clipped) = (win.target.shape for win in windows)
+    assert [win.target.shape[0] for win in windows] == [full, full]
+    assert y_clipped < full and z_clipped < full
+    # the windows share one scratch
+    assert np.shares_memory(windows[0].diff, windows[1].diff)
+    x = sample_base(model, 6).data.reshape(-1) * 0.8
+    full_grid = decode(LatentGrid(x.reshape(model.latent_shape())), params).data
+    coarse = _logits(x.reshape(model.latent_shape()), params)
+    for win in windows:
+        s = _logistic(_interp(coarse[win.coarse], *win.blocks), params.beta)
+        np.testing.assert_allclose(s, full_grid[win.fine], rtol=0, atol=1e-14)
+    for t in (0.9, 0.3):
+        _, r, mubar, x0 = guidance_module._predict(model, x, t)
+        J, _, g_x0 = guidance_module._energy_gradient(model, t, r, mubar, x0, windows, params)
+        J_want, g_x0_want = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), params), windows, params)
+        assert J == J_want
+        assert g_x0.tobytes() == g_x0_want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# an inner iteration that did not move the state is reused
+# ---------------------------------------------------------------------------
+
+
+def every_iteration_guided_sample(model, dec, contacts, ref, cfg, seed):
+    """The staged guided loop with no reuse: every inner iteration runs the
+    flow pass and the window chain, the chain out of place (window_chain_oracle)."""
+    from contact_flow.decoder import _logits
+    from contact_flow.toyflow import _predict_x0_vjp, time_grid
+
+    windows = guidance_module._drag_windows(ref, contacts, cfg.radius)
+    x = sample_base(model, seed).data.reshape(-1)
+    ts, t_nexts = time_grid(cfg.timesteps)
+    records = []
+    for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
+        lam_sched = cfg.lambda_schedule(step, t)
+        for inner in range(cfg.recurrence):
+            v, r, mubar, x0 = guidance_module._predict(model, x, t)
+            J, g_x0 = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), dec), windows, dec)
+            g_xt = _predict_x0_vjp(model, r, mubar, t, g_x0)
+            g_x0_norm, g_xt_norm = float(np.linalg.norm(g_x0)), float(np.linalg.norm(g_xt))
+            lam_att = attenuation(g_x0_norm, g_xt_norm)
+            lam = lam_sched * lam_att
+            g_norm = 0.0
+            if lam != 0.0:
+                g = lam * g_xt
+                x = x + g * (t_next - t)
+                g_norm = float(np.linalg.norm(g))
+            records.append(
+                guidance_module.StepRecord(
+                    step, inner, float(t), float(t_next), J, g_x0_norm, g_xt_norm,
+                    float(lam_sched), lam_att, float(lam), g_norm, lam_att == 0.0,
+                )
+            )
+        x = x + v * (t_next - t)
+    *_, x0 = guidance_module._predict(model, x, t_nexts[-1])
+    occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
+    return occupancy, records, drag_loss(occupancy, contacts, ref, cfg)[0]
+
+
+@pytest.fixture(scope="module")
+def depth_boxes_n4():
+    from contact_flow.scenarios import build_scenario, suite_scenario
+
+    built = build_scenario(suite_scenario("depth_boxes", n=4), run_index=1)
+    cfg = built.scenario.guidance_config()
+    ref = make_reference(built.model, built.decoder, cfg, built.scenario.seeds.reference)
+    return built, cfg, ref
+
+
+@pytest.mark.parametrize("lambda_stage", [None, (0.0, 1.0, 0.5)])
+def test_reusing_unmoved_iterations_matches_the_every_iteration_loop_bit_for_bit(
+    depth_boxes_n4, lambda_stage
+):
+    built, cfg, ref = depth_boxes_n4
+    if lambda_stage is not None:
+        cfg = dataclasses.replace(cfg, lambda_stage=lambda_stage)
+    args = (built.model, built.decoder, built.contacts, ref, cfg, built.scenario.seeds.guided)
+    occupancy, traj = guided_sample(*args)
+    occupancy_want, records_want, final_J_want = every_iteration_guided_sample(*args)
+    assert occupancy.data.tobytes() == occupancy_want.data.tobytes()
+    assert traj.records == tuple(records_want)
+    assert traj.final_J == final_J_want
+
+
+@pytest.mark.parametrize(
+    "replace, calls",
+    [
+        ({}, 34),  # 12 x 3: step 0 (t = 1) has grad_xt = 0, so lambda = 0
+        ({"lambda_stage": (0.0, 1.0, 0.5)}, 28),  # the 4 unweighted steps make one call each
+        ({"recurrence": 1}, 12),
+    ],
+)
+def test_an_iteration_with_zero_lambda_is_computed_once(depth_boxes_n4, monkeypatch, replace, calls):
+    built, cfg, ref = depth_boxes_n4
+    cfg = dataclasses.replace(cfg, **replace)
+    assert (cfg.timesteps, cfg.recurrence) == (12, replace.get("recurrence", 3))
+    counted = []
+    energy_gradient_ = guidance_module._energy_gradient
+
+    def counting(*args):
+        counted.append(args[1])
+        return energy_gradient_(*args)
+
+    monkeypatch.setattr(guidance_module, "_energy_gradient", counting)
+    _, traj = guided_sample(
+        built.model, built.decoder, built.contacts, ref, cfg, built.scenario.seeds.guided
+    )
+    assert len(counted) == calls
+    assert len(traj) == cfg.timesteps * cfg.recurrence
+    assert counted[0] == 1.0 and traj.records[0].grad_xt_norm == 0.0
+
+
+def test_covg_still_aborts_at_its_first_iteration_with_its_record(depth_boxes_n4):
+    built, cfg, ref = depth_boxes_n4
+    covg = dataclasses.replace(cfg, schedule="covg")
+    with pytest.raises(GenerationAborted) as err:
+        guided_sample(built.model, built.decoder, built.contacts, ref, covg, built.scenario.seeds.guided)
+    assert (err.value.step, err.value.inner) == (0, 0)
+    (record,) = err.value.trajectory.records
+    assert record.lam == math.inf and not record.suppressed

@@ -371,6 +371,31 @@ def test_cli_scenario_with_empty_weights_is_config_error(tmp_path, command):
     assert not out.exists()
 
 
+# a number field and a box's corner left empty in the example scenario
+EMPTY_FIELDS = {
+    "gamma": ("\ngamma: 1.0\n", "\ngamma:\n", "gamma must be a number"),
+    "box_lo": ("\n    lo: [0.125, 0.3125, 0.3125]\n", "\n    lo:\n", "box lo must be a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("field", sorted(EMPTY_FIELDS))
+def test_cli_scenario_with_an_empty_number_or_list_field_is_config_error(tmp_path, field, command):
+    text = EXAMPLE_SCENARIO.read_text()
+    filled, empty, message = EMPTY_FIELDS[field]
+    assert filled in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(filled, empty, 1))
+    out = tmp_path / "out"
+    extra = ["--runs", "1"] if command == "sweep" else []
+    result = CliRunner().invoke(
+        main, [command, "--scenario", str(path), "--grid-n", "4", "--out", str(out), *extra]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert f"config error: {message}" in result.output
+    assert not out.exists()
+
+
 def test_cli_contact_file_that_is_not_a_mapping_is_config_error(tmp_path):
     contacts_file = tmp_path / "contacts.json"
     contacts_file.write_text("[[0.9, 0.5, 0.5]]")

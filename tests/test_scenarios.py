@@ -84,6 +84,42 @@ def test_scenario_rejects_fps_count_below_one(fps_count):
         Scenario.from_dict({**sc.to_dict(), "fps_count": fps_count})
 
 
+def _with(d, path, value):
+    """Copy of the nested scenario dict d with the field at `path` set to value."""
+    d = yaml.safe_load(yaml.safe_dump(d))
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "path, bad, message",
+    [
+        (("name",), None, "name must be a str"),
+        (("ambiguous",), "false", "ambiguous must be a bool"),
+        (("gamma",), None, "gamma must be a number"),
+        (("sigma",), [0.1], "sigma must be a number"),
+        (("contact_count",), None, "contact_count must be an integer"),
+        (("runs",), {}, "runs must be an integer"),
+        (("grid", "n"), None, "grid n must be an integer"),
+        (("true_index",), [1], "true_index must be an integer"),
+        (("seeds", "guided"), None, "guided seed must be an integer"),
+        (("visibility", "offset"), None, "visibility offset must be a number"),
+        (("visibility", "axis"), float("inf"), "visibility axis must be an integer"),
+        (("weights",), [None, 0.5], "weights must be a list of numbers"),
+        (("library", 0, "lo"), None, "box lo must be a list of numbers"),
+        (("library", 1, "hi"), [0.5, "x", 0.5], "box hi must be a list of numbers"),
+    ],
+)
+def test_from_dict_rejects_wrong_typed_fields_as_value_errors(path, bad, message):
+    d = suite_scenario("depth_boxes", n=4).to_dict()
+    assert d["library"][0]["kind"] == d["library"][1]["kind"] == "box"
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_dict(_with(d, path, bad))
+
+
 def test_ambiguous_components_match_exactly_on_visible_region():
     built = build_scenario(suite_scenario("depth_boxes", n=4))
     visible = built.visibility.data

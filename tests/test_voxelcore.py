@@ -200,6 +200,30 @@ def test_primitive_dict_roundtrip():
         assert primitive_from_dict(primitive_to_dict(p)) == p
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "box", "lo": None, "hi": [1, 1, 1]}, "box lo must be a list of numbers"),
+        ({"kind": "cylinder", "axis": None, "center": [0.5, 0.5], "radius": 0.2, "lo": 0, "hi": 1},
+         "cylinder axis must be an integer"),
+        ({"kind": "cylinder", "axis": 0, "center": 0.5, "radius": 0.2, "lo": 0, "hi": 1},
+         "cylinder center must be a list of numbers"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": None, "lo": 0, "hi": 1},
+         "cylinder radius must be a number"),
+        ({"kind": "l_bracket", "first": None, "second": {"lo": [0, 0, 0], "hi": [1, 1, 1]}},
+         "l_bracket first must be a dict"),
+        ({"kind": "union_of_boxes", "boxes": [{"lo": [0, 0, 0], "hi": None}]},
+         "union_of_boxes box hi must be a list of numbers"),
+        ({"kind": "union_of_boxes", "boxes": None}, "union_of_boxes boxes must be a list"),
+        ({"kind": "sphere_capped_box", "box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+          "cap_axis": 2, "cap_radius": [0.1]}, "sphere_capped_box cap_radius must be a number"),
+    ],
+)
+def test_primitive_from_dict_rejects_wrong_typed_fields_as_value_errors(spec, message):
+    with pytest.raises(ValueError, match=message):
+        primitive_from_dict(spec)
+
+
 # ---------------------------------------------------------------------------
 # extract_surface
 # ---------------------------------------------------------------------------
