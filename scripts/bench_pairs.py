@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run alternating perfbench pairs between two checkouts and test a speed claim.
 
-Pair i runs `perfbench/run.py --workload W --seed SEED0+i --trace 0` once in
-each checkout, each side with its own perfbench/ and src/, one process at a
-time; the parent runs first in even pairs and the change first in odd ones,
-and the workloads are interleaved pair by pair.  Each pair's end-to-end
+Pair i of 10 runs `perfbench/run.py --workload W --seed 1001+i --seconds S
+--trace 0` once in each checkout, for every workload W of the change's
+BENCHMARK.json and its run_seconds S, each side with its own perfbench/ and
+src/, one process at a time; the parent runs first in even pairs and the
+change first in odd ones, and the workloads are interleaved pair by pair.  Each pair's end-to-end
 metrics are printed as they arrive, then per workload and metric the medians
 and quartiles (numpy percentile, linear) of both sides, the parent's IQR and
-the pairs the change wins.  With --claim WORKLOAD:METRIC the rule is tested:
-the change must be better in at least 9 of 10 pairs (90%, rounded up) and its
-median must beat the parent's by more than the parent's IQR.  The exit code is
+the pairs the change wins.  With --claim WORKLOAD:METRIC (a BENCHMARK.json
+workload and end-to-end metric) the rule is tested: the change must be better
+in at least 9 of the 10 pairs and its median must beat the parent's by more
+than the parent's IQR.  The exit code is
 1 if the claim does not hold or a run's output check failed, 0 otherwise.
 
 The record is written to --out as JSON; the keys it does not write of an
@@ -21,7 +23,6 @@ Example:
 """
 
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,9 @@ import click
 import numpy as np
 
 SIDES = ("parent", "change")
-WIN_SHARE = 0.9
+PAIRS = 10
+WINS_NEEDED = 9
+SEED0 = 1001
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -55,10 +58,10 @@ def summarize(runs: dict, better: dict) -> dict:
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+        sign = 1.0 if better[name] == "lower" else -1.0
         gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
         metrics[name] = {
-            "better": better.get(name, "lower"),
+            "better": better[name],
             **{side: _quartiles(values[side]) for side in SIDES},
             "change_wins": sum(g > 0 for g in gains),
             "ties": sum(g == 0 for g in gains),
@@ -68,40 +71,40 @@ def summarize(runs: dict, better: dict) -> dict:
     return metrics
 
 
-def claim_holds(metric: dict, pairs: int) -> dict:
+def claim_holds(metric: dict) -> dict:
     """The claim rule on one summarized metric."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     difference = sign * (metric["parent"]["median"] - metric["change"]["median"])
     iqr = metric["parent"]["q3"] - metric["parent"]["q1"]
-    wins_needed = math.ceil(WIN_SHARE * pairs)
     return {
-        "rule": f"change better in >= {wins_needed} of {pairs} pairs and "
+        "rule": f"change better in >= {WINS_NEEDED} of {PAIRS} pairs and "
                 "median difference > parent q3 - q1",
         "median_difference": difference,
         "parent_iqr": iqr,
         "change_wins": metric["change_wins"],
-        "met": metric["change_wins"] >= wins_needed and difference > iqr,
+        "met": metric["change_wins"] >= WINS_NEEDED and difference > iqr,
     }
 
 
 @click.command()
 @click.option("--parent", "parent_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--change", "change_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--workload", "workloads", multiple=True, default=("guided_n16", "cli_unguided_n16"),
-              show_default=True)
-@click.option("--pairs", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seconds", type=float, default=50.0, show_default=True)
-@click.option("--seed0", type=int, default=1001, show_default=True, help="Seed of pair 0.")
 @click.option("--claim", default=None, help="WORKLOAD:METRIC whose gain the pairs must show.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def main(parent_dir, change_dir, workloads, pairs, seconds, seed0, claim, out_path):
+def main(parent_dir, change_dir, claim, out_path):
     checkouts = {"parent": Path(parent_dir).resolve(), "change": Path(change_dir).resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    if claim is not None and (claim.count(":") != 1 or claim.split(":")[0] not in workloads):
-        raise click.BadParameter(f"{claim!r} is not one of the run workloads' WORKLOAD:METRIC")
-    seeds = [seed0 + i for i in range(pairs)]
-    first = ["parent" if i % 2 == 0 else "change" for i in range(pairs)]
+    if claim is not None:
+        w, _, name = claim.partition(":")
+        if w not in workloads or name not in better:
+            raise click.BadParameter(
+                f"{claim!r} is not WORKLOAD:METRIC with WORKLOAD one of {workloads} "
+                f"and METRIC one of {list(better)}", param_hint="--claim")
+    seeds = [SEED0 + i for i in range(PAIRS)]
+    first = ["parent" if i % 2 == 0 else "change" for i in range(PAIRS)]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     envs = {}
     for i, seed in enumerate(seeds):
@@ -122,7 +125,7 @@ def main(parent_dir, change_dir, workloads, pairs, seconds, seed0, claim, out_pa
         "parent": rev.stdout.strip() if rev.returncode == 0 else str(checkouts["parent"]),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "protocol": (
-            f"{pairs} pairs per workload, seeds {seed0}..{seed0 + pairs - 1}, one seed per pair; "
+            f"{PAIRS} pairs per workload, seeds {seeds[0]}..{seeds[-1]}, one seed per pair; "
             "parent and change alternate which runs first (parent first in even pairs, see "
             "first_in_pair); pairs of the workloads interleaved; one benchmark process at a time; "
             "each side runs its own perfbench/ and src/. Values are medians and quartiles "
@@ -135,7 +138,7 @@ def main(parent_dir, change_dir, workloads, pairs, seconds, seed0, claim, out_pa
     correct = True
     for w in workloads:
         block = {
-            "pairs": pairs,
+            "pairs": PAIRS,
             "seeds": seeds,
             "first_in_pair": first,
             "correct": {side: all(r["correct"] for r in runs[w][side]) for side in SIDES},
@@ -151,16 +154,16 @@ def main(parent_dir, change_dir, workloads, pairs, seconds, seed0, claim, out_pa
                   f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} "
                   f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
                   f"parent IQR {m['parent']['q3'] - m['parent']['q1']:.4g}  "
-                  f"change wins {m['change_wins']}/{pairs} ({m['better']} is better)")
+                  f"change wins {m['change_wins']}/{PAIRS} ({m['better']} is better)")
     held = True
     if claim is not None:
         w, name = claim.split(":")
-        record["claimed"] = {"workload": w, "metric": name, "better": better.get(name, "lower"),
-                             **claim_holds(record["workloads"][w]["metrics"][name], pairs)}
+        record["claimed"] = {"workload": w, "metric": name, "better": better[name],
+                             **claim_holds(record["workloads"][w]["metrics"][name])}
         held = record["claimed"]["met"]
         c = record["claimed"]
         print(f"claim {claim}: median difference {c['median_difference']:.4g}, parent IQR "
-              f"{c['parent_iqr']:.4g}, change wins {c['change_wins']}/{pairs}: "
+              f"{c['parent_iqr']:.4g}, change wins {c['change_wins']}/{PAIRS}: "
               f"{'holds' if held else 'does not hold'}")
     out = Path(out_path)
     kept = json.loads(out.read_text()) if out.exists() else {}

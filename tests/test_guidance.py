@@ -484,6 +484,8 @@ def full_grid_energy_gradient(model, params, cfg, ref, contacts, x, t):
 WINDOW_CONTACTS = ContactSet(
     np.array([[0.01, 0.02, 0.99], [0.5, 0.5, 0.5], [0.56, 0.5, 0.44], [0.3, 0.7, 0.6]])
 )
+# a window clipped on y only and one clipped on z only, full along x
+CLIPPED_YZ_CONTACTS = ContactSet(np.array([[0.5, 0.03, 0.5], [0.5, 0.5, 0.98]]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -507,15 +509,25 @@ def test_windowed_energy_gradient_equals_full_grid_chain(n, radius):
         assert np.linalg.norm(g_x0 - g_x0_ref) <= 1e-10 * np.linalg.norm(g_x0_ref)
 
 
-@pytest.mark.parametrize("n, radius", [(2, 0), (3, 2), (4, 3), (16, 10)])
-def test_window_decodes_the_same_values_as_the_full_grid(n, radius):
+@pytest.mark.parametrize(
+    "n, radius, contacts",
+    [
+        pytest.param(2, 0, WINDOW_CONTACTS, id="2-0"),
+        pytest.param(3, 2, WINDOW_CONTACTS, id="3-2"),
+        pytest.param(4, 3, WINDOW_CONTACTS, id="4-3"),
+        pytest.param(16, 10, WINDOW_CONTACTS, id="16-10"),
+        pytest.param(4, 3, CLIPPED_YZ_CONTACTS, id="4-3-clipped-yz"),
+        pytest.param(16, 10, CLIPPED_YZ_CONTACTS, id="16-10-clipped-yz"),
+    ],
+)
+def test_window_decodes_the_same_values_as_the_full_grid(n, radius, contacts):
     from contact_flow.decoder import _interp, _logistic, _logits
 
     model, params, _, ref, _ = toy_setup(seed=n, n=n)
     x0 = LatentGrid(sample_base(model, 5).data)
     full = decode(x0, params).data
     coarse = _logits(x0.data, params)
-    windows = guidance_module._drag_windows(ref, WINDOW_CONTACTS, radius)
+    windows = guidance_module._drag_windows(ref, contacts, radius)
     for win in windows:
         s = _logistic(_interp(coarse[win.coarse], *win.blocks), params.beta)
         np.testing.assert_allclose(s, full[win.fine], rtol=0, atol=1e-14)
@@ -553,12 +565,21 @@ def window_chain_oracle(coarse, windows, dec):
     return J, (d_coarse[..., None] * dec.w).reshape(-1)
 
 
-@pytest.mark.parametrize("n, radius", [(2, 1), (4, 3), (16, 10)])
-def test_in_place_window_chain_is_bit_identical_to_the_out_of_place_one(n, radius):
+@pytest.mark.parametrize(
+    "n, radius, contacts",
+    [
+        pytest.param(2, 1, WINDOW_CONTACTS, id="2-1"),
+        pytest.param(4, 3, WINDOW_CONTACTS, id="4-3"),
+        pytest.param(16, 10, WINDOW_CONTACTS, id="16-10"),
+        pytest.param(4, 3, CLIPPED_YZ_CONTACTS, id="4-3-clipped-yz"),
+        pytest.param(16, 10, CLIPPED_YZ_CONTACTS, id="16-10-clipped-yz"),
+    ],
+)
+def test_in_place_window_chain_is_bit_identical_to_the_out_of_place_one(n, radius, contacts):
     from contact_flow.decoder import _logits
 
     model, params, _, ref, _ = toy_setup(seed=n, n=n)
-    windows = guidance_module._drag_windows(ref, WINDOW_CONTACTS, radius)
+    windows = guidance_module._drag_windows(ref, contacts, radius)
     x = sample_base(model, 6).data.reshape(-1) * 0.8
     for t in (0.9, 0.3):
         _, r, mubar, x0 = guidance_module._predict(model, x, t)
@@ -587,34 +608,15 @@ def test_all_components_underflow_aborts_both_samplers(monkeypatch):
         assert "underflowed" in err.value.reason
 
 
-# a window clipped on y only and one clipped on z only, full along x
-CLIPPED_YZ_CONTACTS = ContactSet(np.array([[0.5, 0.03, 0.5], [0.5, 0.5, 0.98]]))
-
-
 @pytest.mark.parametrize("n, radius", [(4, 3), (16, 10)])
-def test_windows_clipped_on_y_or_z_run_the_out_of_place_chain_bit_for_bit(n, radius):
-    from contact_flow.decoder import _interp, _logistic, _logits
-
-    model, params, _, ref, _ = toy_setup(seed=n, n=n)
+def test_clipped_yz_windows_are_clipped_on_y_or_z_and_share_one_scratch(n, radius):
+    _, _, _, ref, _ = toy_setup(seed=n, n=n)
     windows = guidance_module._drag_windows(ref, CLIPPED_YZ_CONTACTS, radius)
     full = 2 * radius + 1
     (_, y_clipped, _), (_, _, z_clipped) = (win.target.shape for win in windows)
     assert [win.target.shape[0] for win in windows] == [full, full]
     assert y_clipped < full and z_clipped < full
-    # the windows share one scratch
     assert np.shares_memory(windows[0].diff, windows[1].diff)
-    x = sample_base(model, 6).data.reshape(-1) * 0.8
-    full_grid = decode(LatentGrid(x.reshape(model.latent_shape())), params).data
-    coarse = _logits(x.reshape(model.latent_shape()), params)
-    for win in windows:
-        s = _logistic(_interp(coarse[win.coarse], *win.blocks), params.beta)
-        np.testing.assert_allclose(s, full_grid[win.fine], rtol=0, atol=1e-14)
-    for t in (0.9, 0.3):
-        _, r, mubar, x0 = guidance_module._predict(model, x, t)
-        J, _, g_x0 = guidance_module._energy_gradient(model, t, r, mubar, x0, windows, params)
-        J_want, g_x0_want = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), params), windows, params)
-        assert J == J_want
-        assert g_x0.tobytes() == g_x0_want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -668,3 +668,19 @@ def test_expected_drift_passes_recorded_outputs_and_flags_a_changed_record(monke
     assert "guided3/final_J: worst relative deviation 0.0099" in result.output
     assert "1 keys over 1e-06" in result.output
     assert "n16/depth_boxes/0/guided3/final_J: got" in result.output
+
+
+@pytest.mark.parametrize(
+    "claim", ["guided_n16:run_ref.p5", "guided_n16:decoder.decode.calls", "guided:run_ref.p50", "guided_n16"]
+)
+def test_bench_pairs_rejects_a_claim_outside_the_benchmark_before_any_run(tmp_path, monkeypatch, claim):
+    bench = load_script("bench_pairs")
+    monkeypatch.setattr(bench, "_run", lambda *a: pytest.fail("a benchmark run started"))
+    repo = Path(__file__).resolve().parents[1]
+    out = tmp_path / "record.json"
+    result = CliRunner().invoke(
+        bench.main, ["--parent", str(repo), "--change", str(repo), "--claim", claim, "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--claim" in result.output
+    assert not out.exists()
