@@ -139,10 +139,7 @@ def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
 _OCCUPANCY_BOUNDS = (np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
-try:  # np.clip's ufunc, without np.clip's Python dispatch
-    _clip = np._core.umath.clip
-except AttributeError:  # numpy < 2
-    _clip = np.core.umath.clip
+_clip = np._core.umath.clip  # np.clip's ufunc, without np.clip's Python dispatch
 
 
 def _clip_occupancy(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Geometry metrics: Chamfer distance, F-score at distance thresholds,
-unit-cube normalization, and contact-residual statistics.
+the unit-cube transform, and contact-residual statistics.
 
 Chamfer convention used throughout: mean of un-squared Euclidean
 nearest-neighbor distances, averaged over both directions and halved.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .contact import ContactSet
+from .contact import ContactSet, _nearest_occupied
 from .voxelcore import (
     BinaryGrid,
     OccupancyGrid,
@@ -24,7 +24,6 @@ from .voxelcore import (
     binarize,
     index_to_point,
     nonzero_indices,
-    point_to_index,
     surface_mask,
 )
 
@@ -152,37 +151,13 @@ def unit_cube_transform(points: PointCloud) -> tuple[float, np.ndarray]:
     return scale, offset
 
 
-def normalize_to_unit_cube(points: PointCloud) -> PointCloud:
-    """Isotropic rescale so the longest bounding-box edge has length 1, centered in the cube."""
-    scale, offset = unit_cube_transform(points)
-    return PointCloud(points.points * scale + offset)
-
-
-# voxel offsets of the 3x3x3 block around a voxel
-_BLOCK_OFFSETS = nonzero_indices(np.ones((3, 3, 3), dtype=bool)) - 1
-
-
 def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
-    """Distance from each contact point to the nearest occupied voxel center of the output.
-
-    The KD-tree holds only the voxels that can be nearest: the surface voxels
-    and the occupied voxels of the 3x3x3 block around each contact's voxel.
-    Any other occupied voxel is interior and two or more voxels from the
-    contact's along some axis; its 6-neighbor toward the contact on that axis
-    is occupied and nearer by at least 2/N^2 in squared distance, far above
-    rounding.  So the distances equal those of a tree over every occupied
-    voxel bit for bit.
-    """
+    """Distance from each contact point to the nearest occupied voxel center of
+    the output, found by the exact box search that places the drag windows."""
     if output.is_empty():
         raise ValueError("output grid has no occupied voxels")
-    N = output.resolution
-    block = point_to_index(contacts.points, N)[:, None, :] + _BLOCK_OFFSETS
-    block = block.reshape(-1, 3)
-    block = block[np.all((block >= 0) & (block < N), axis=1)]
-    block = block[output.data[tuple(block.T)]]
-    centers = index_to_point(np.concatenate([nonzero_indices(surface_mask(output)), block]), N)
-    distances, _ = cKDTree(centers).query(contacts.points)
-    return distances
+    nearest = index_to_point(_nearest_occupied(output, contacts.points), output.resolution)
+    return np.sqrt(np.sum((nearest - contacts.points) ** 2, axis=1))
 
 
 def evaluate_run(

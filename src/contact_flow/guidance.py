@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,15 @@ from .toyflow import (
     sample_base,
     time_grid,
 )
-from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, binarize, point_to_index
+from .voxelcore import (
+    BinaryGrid,
+    LatentGrid,
+    OccupancyGrid,
+    _convert,
+    _expect,
+    binarize,
+    point_to_index,
+)
 
 ATTENUATION_GUARD = 1e-12
 
@@ -118,17 +127,19 @@ class GuidanceConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceConfig":
+        _expect(d, dict, "guidance")
         # older manifests carry these keys; each has one legal value
         for key, only in _LEGACY_KEYS.items():
             if d.get(key, only) != only:
                 raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
+        bounds = _expect(d["stage_bounds"], list, "stage_bounds")
         return cls(
-            timesteps=int(d["timesteps"]),
-            stage_bounds=tuple(d["stage_bounds"]),
-            lambda_stage=tuple(d["lambda_stage"]),
-            recurrence=int(d["recurrence"]),
-            radius=int(d["radius"]),
-            schedule=d["schedule"],
+            timesteps=_convert(d["timesteps"], int, "timesteps"),
+            stage_bounds=tuple(_convert(b, int, "stage_bounds entry") for b in bounds),
+            lambda_stage=_convert(d["lambda_stage"], tuple, "lambda_stage"),
+            recurrence=_convert(d["recurrence"], int, "recurrence"),
+            radius=_convert(d["radius"], int, "radius"),
+            schedule=_expect(d["schedule"], str, "schedule"),
         )
 
 
@@ -164,20 +175,8 @@ class StepRecord:
     suppressed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "inner": self.inner,
-            "t": self.t,
-            "t_next": self.t_next,
-            "J": self.J,
-            "grad_x0_norm": self.grad_x0_norm,
-            "grad_xt_norm": self.grad_xt_norm,
-            "lambda_schedule": self.lam_schedule,
-            "lambda_att": self.lam_att,
-            "lambda": self.lam,
-            "g_norm": self.g_norm,
-            "suppressed": self.suppressed,
-        }
+        """The fields in order, the weights lam* spelled lambda*."""
+        return {re.sub("^lam", "lambda", f.name): getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

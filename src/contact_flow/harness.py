@@ -373,18 +373,15 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_task(args: dict):
+def _sweep_task(scenario: Scenario, cfg: GuidanceConfig, run_index: int, out_dir: str):
     """One guided run of one sweep cell (module-level for process pools)."""
-    scenario = Scenario.from_dict(args["scenario"])
-    scenario = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, args["run_index"]))
-    cfg = GuidanceConfig.from_dict(args["cfg"])
+    scenario = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, run_index))
     try:
-        generate_run(scenario, args["out_dir"], mode="guided", cfg=cfg)
+        generate_run(scenario, out_dir, mode="guided", cfg=cfg)
     except GenerationAborted as abort:
-        return {"run_index": args["run_index"], "aborted": True, "reason": abort.reason,
-                "step": abort.step}
-    report = evaluate_run_dir(args["out_dir"])
-    return {"run_index": args["run_index"], "aborted": False, "report": report.to_json_dict(),
+        return {"run_index": run_index, "aborted": True, "reason": abort.reason, "step": abort.step}
+    report = evaluate_run_dir(out_dir)
+    return {"run_index": run_index, "aborted": False, "report": report.to_json_dict(),
             "chamfer": report.chamfer, "final_J": report.final_J,
             "contact_residual": report.contact_residual_median, "failed": report.failed}
 
@@ -440,20 +437,13 @@ def sweep(
     rows = []
     for cell_index, cfg in enumerate(cells):
         cell_dir = out / f"cell_{cell_index:03d}"
-        tasks = [
-            {
-                "scenario": scenario.to_dict(),
-                "cfg": cfg.to_dict(),
-                "run_index": i,
-                "out_dir": str(cell_dir / f"run_{i:03d}"),
-            }
-            for i in range(runs)
-        ]
+        out_dirs = [str(cell_dir / f"run_{i:03d}") for i in range(runs)]
+        task_args = ([scenario] * runs, [cfg] * runs, range(runs), out_dirs)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_task, tasks))
+                results = list(pool.map(_sweep_task, *task_args))
         else:
-            results = [_sweep_task(t) for t in tasks]
+            results = list(map(_sweep_task, *task_args))
         ok = [r for r in results if not r["aborted"] and not r.get("failed")]
         aborted = [r for r in results if r["aborted"]]
         row = {

@@ -31,7 +31,6 @@ from .voxelcore import (
     UnionOfBoxes,
     _convert,
     _expect,
-    _reals,
     axis_centers,
     binarize,
     primitive_from_dict,
@@ -169,7 +168,7 @@ class Scenario:
             true_index=_convert(d["true_index"], int, "true_index"),
             visibility=VisibilitySpec.from_dict(d.get("visibility", {})),
             seeds=ScenarioSeeds.from_dict(d["seeds"]),
-            weights=_convert(d["weights"], _reals, "weights") if "weights" in d else None,
+            weights=_convert(d["weights"], tuple, "weights") if "weights" in d else None,
             gamma=_convert(d.get("gamma", 1.0), float, "gamma"),
             sigma=_convert(d.get("sigma", 0.05), float, "sigma"),
             beta=_convert(d.get("beta", 4.0), float, "beta"),
@@ -289,10 +288,6 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
 # identically at every supported resolution (N a multiple of 16).  The visible
 # half is x < 0.5; component differences are confined to x >= 0.75, which lies
 # outside the decoder's interpolation bleed of the visible region even at n=4.
-
-_CROSS_LO = (0.3125, 0.3125)
-_CROSS_HI = (0.6875, 0.6875)
-
 
 def _box(x0, x1, ylo=0.3125, yhi=0.6875, zlo=0.3125, zhi=0.6875) -> Box:
     return Box(lo=(x0, ylo, zlo), hi=(x1, yhi, zhi))

@@ -39,24 +39,30 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _reals(value) -> tuple:
-    """tuple(value) of a list of real numbers; TypeError for anything else."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, numbers.Real) for v in value):
-        raise TypeError("not a list of numbers")
-    return tuple(value)
+def _is_number(value) -> bool:
+    """A real number of a parsed input file; a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-_FIELD_KINDS = {int: "an integer", float: "a number", _reals: "a list of numbers"}
+# each kind of number or list field: its name and the values it takes
+_FIELD_KINDS = {
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
+    float: ("a number", _is_number),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
 
 
 def _convert(value, to, what: str):
     """to(value) for a number or list field of a parsed input file (`to` one of
-    int, float, _reals); ValueError naming `what` when the value is not one,
-    such as the None of a YAML field left empty."""
+    int, float, tuple); ValueError naming `what` when the value is not one, such
+    as the None of a YAML field left empty, a bool, a string, or 10.5 for an int."""
+    name, accepts = _FIELD_KINDS[to]
     try:
-        return to(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be {_FIELD_KINDS[to]}, got {value!r}") from None
+        if accepts(value):
+            return to(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{what} must be {name}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ class BinaryGrid:
 @dataclass(frozen=True)
 class PointCloud:
     """Points in unit-cube coordinates (pipeline-produced clouds stay in [0,1]^3;
-    `normalize_to_unit_cube` also accepts clouds outside the cube)."""
+    `evaluation.unit_cube_transform` also accepts clouds outside the cube)."""
 
     points: np.ndarray
 
@@ -320,72 +326,50 @@ class SphereCappedBox:
 Primitive = Box | Cylinder | LBracket | UnionOfBoxes | SphereCappedBox
 
 
-def _box_from_dict(spec, what: str) -> Box:
-    _expect(spec, dict, what)
-    return Box(*(_convert(spec[key], _reals, f"{what} {key}") for key in ("lo", "hi")))
+# kind -> (class, {field: reader}) of every primitive, fields in file order.  A
+# reader is int, float or tuple (a number or list field, see _convert), Box (a
+# nested {lo, hi} box) or (Box,) (a list of such boxes).
+_PRIMITIVES = {
+    "box": (Box, {"lo": tuple, "hi": tuple}),
+    "cylinder": (Cylinder, {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}),
+    "l_bracket": (LBracket, {"first": Box, "second": Box}),
+    "union_of_boxes": (UnionOfBoxes, {"boxes": (Box,)}),
+    "sphere_capped_box": (SphereCappedBox, {"box": Box, "cap_axis": int, "cap_radius": float}),
+}
+_KINDS = {cls: kind for kind, (cls, _) in _PRIMITIVES.items()}
+_FIELDS = dict(_PRIMITIVES.values())
+
+
+def _read(reader, value, what: str):
+    """One field of a parsed primitive; ValueError naming `what` when it has the wrong type."""
+    if reader in _FIELDS:
+        _expect(value, dict, what)
+        return reader(**{f: _read(r, value[f], f"{what} {f}") for f, r in _FIELDS[reader].items()})
+    if reader == (Box,):
+        # each entry is named in the singular: "union_of_boxes box hi"
+        return tuple(_read(Box, b, what.removesuffix("es")) for b in _expect(value, list, what))
+    return _convert(value, reader, what)
+
+
+def _write(value):
+    """The parsed-file form of a primitive field."""
+    if type(value) in _FIELDS:
+        return {f: _write(getattr(value, f)) for f in _FIELDS[type(value)]}
+    return value if isinstance(value, numbers.Real) else [_write(v) for v in value]
 
 
 def primitive_from_dict(spec: dict) -> Primitive:
     """Parse a primitive description (scenario-file form) into a Primitive."""
     kind = _expect(spec, dict, "library entry").get("kind")
-    if kind == "box":
-        return _box_from_dict(spec, "box")
-    if kind == "cylinder":
-        return Cylinder(
-            axis=_convert(spec["axis"], int, "cylinder axis"),
-            center=_convert(spec["center"], _reals, "cylinder center"),
-            radius=_convert(spec["radius"], float, "cylinder radius"),
-            lo=_convert(spec["lo"], float, "cylinder lo"),
-            hi=_convert(spec["hi"], float, "cylinder hi"),
-        )
-    if kind == "l_bracket":
-        return LBracket(
-            first=_box_from_dict(spec["first"], "l_bracket first"),
-            second=_box_from_dict(spec["second"], "l_bracket second"),
-        )
-    if kind == "union_of_boxes":
-        boxes = _expect(spec["boxes"], list, "union_of_boxes boxes")
-        return UnionOfBoxes(boxes=tuple(_box_from_dict(b, "union_of_boxes box") for b in boxes))
-    if kind == "sphere_capped_box":
-        return SphereCappedBox(
-            box=_box_from_dict(spec["box"], "sphere_capped_box box"),
-            cap_axis=_convert(spec["cap_axis"], int, "sphere_capped_box cap_axis"),
-            cap_radius=_convert(spec["cap_radius"], float, "sphere_capped_box cap_radius"),
-        )
-    raise ValueError(f"unknown primitive kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _PRIMITIVES:
+        raise ValueError(f"unknown primitive kind: {kind!r}")
+    return _read(_PRIMITIVES[kind][0], spec, kind)
 
 
 def primitive_to_dict(prim: Primitive) -> dict:
-    if isinstance(prim, Box):
-        return {"kind": "box", "lo": list(prim.lo), "hi": list(prim.hi)}
-    if isinstance(prim, Cylinder):
-        return {
-            "kind": "cylinder",
-            "axis": prim.axis,
-            "center": list(prim.center),
-            "radius": prim.radius,
-            "lo": prim.lo,
-            "hi": prim.hi,
-        }
-    if isinstance(prim, LBracket):
-        return {
-            "kind": "l_bracket",
-            "first": {"lo": list(prim.first.lo), "hi": list(prim.first.hi)},
-            "second": {"lo": list(prim.second.lo), "hi": list(prim.second.hi)},
-        }
-    if isinstance(prim, UnionOfBoxes):
-        return {
-            "kind": "union_of_boxes",
-            "boxes": [{"lo": list(b.lo), "hi": list(b.hi)} for b in prim.boxes],
-        }
-    if isinstance(prim, SphereCappedBox):
-        return {
-            "kind": "sphere_capped_box",
-            "box": {"lo": list(prim.box.lo), "hi": list(prim.box.hi)},
-            "cap_axis": prim.cap_axis,
-            "cap_radius": prim.cap_radius,
-        }
-    raise TypeError(f"not a primitive: {prim!r}")
+    if type(prim) not in _KINDS:
+        raise TypeError(f"not a primitive: {prim!r}")
+    return {"kind": _KINDS[type(prim)], **_write(prim)}
 
 
 # ---------------------------------------------------------------------------

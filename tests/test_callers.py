@@ -1,0 +1,77 @@
+"""Every public function and class of the package has a caller outside the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "contact_flow"
+
+# Public names whose only callers are tests, each kept as an oracle or contract.
+ORACLES = (
+    # exact-gradient contract: the gradient tests and the acceptance criteria
+    # check the sampler's fused kernels against these
+    "decode_vjp",
+    "velocity",
+    "velocity_vjp",
+    "responsibilities",
+    # the one-contact form of the drag-target search, checked against a full scan
+    "nearest_occupied",
+    # the evaluation's fused distances are checked against these public metrics
+    "chamfer",
+    "f_score",
+    # reads back save_ply's files in the PLY round-trip tests
+    "load_ply",
+    # the bit-reproducibility check: a manifest reruns to the same artifact hashes
+    "rerun_manifest",
+)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references_to(module: str, tree: ast.Module) -> set[str]:
+    """Names `tree` imports from `module` or reads as `module.<name>`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+        ):
+            names.add(node.attr)
+    return names
+
+
+def _callerless_public_names() -> dict[str, str]:
+    # a re-export in __init__.py is not a caller
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    referrers = [*modules, *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+    trees = {path: _tree(path) for path in referrers}
+    callerless = {}
+    for path in modules:
+        tree = trees[path]
+        used = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for other, other_tree in trees.items():
+            if other != path:
+                used |= _references_to(path.stem, other_tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # a decorated function, such as a CLI command, is called through its registration
+            registered = isinstance(node, ast.FunctionDef) and node.decorator_list
+            if node.name not in used and not registered:
+                callerless[node.name] = path.name
+    return callerless
+
+
+def test_every_public_name_has_a_caller_or_is_a_named_oracle():
+    callerless = _callerless_public_names()
+    unexplained = {name: module for name, module in callerless.items() if name not in ORACLES}
+    assert not unexplained, f"public names with no caller outside the tests: {unexplained}"
+    # an oracle that gained a caller, or was deleted, leaves the list
+    assert sorted(callerless) == sorted(ORACLES)

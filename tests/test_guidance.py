@@ -382,9 +382,14 @@ def test_trajectory_jsonl_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(traj.records) + 1
     first = json.loads(lines[0])
-    for key in ("step", "inner", "t", "t_next", "J", "grad_x0_norm", "grad_xt_norm",
-                "lambda_schedule", "lambda_att", "lambda", "g_norm", "suppressed"):
-        assert key in first
+    # the trajectory.jsonl record format: these keys, in this order
+    assert list(first) == [
+        "step", "inner", "t", "t_next", "J", "grad_x0_norm", "grad_xt_norm",
+        "lambda_schedule", "lambda_att", "lambda", "g_norm", "suppressed",
+    ]
+    rec = traj.records[0]
+    assert first["lambda_schedule"] == rec.lam_schedule and first["lambda_att"] == rec.lam_att
+    assert first["lambda"] == rec.lam and first["suppressed"] is rec.suppressed
     assert "final_J" in json.loads(lines[-1])
 
 
@@ -444,6 +449,29 @@ def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wron
     assert GuidanceConfig.from_dict({**d, key: legal}) == GuidanceConfig()
     with pytest.raises(ValueError, match=key):
         GuidanceConfig.from_dict({**d, key: wrong})
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("radius", None, "radius must be an integer"),
+        ("radius", True, "radius must be an integer"),
+        ("recurrence", 3.7, "recurrence must be an integer"),
+        ("timesteps", "12", "timesteps must be an integer"),
+        ("stage_bounds", None, "stage_bounds must be a list"),
+        ("stage_bounds", [4, 8.5], "stage_bounds entry must be an integer"),
+        ("lambda_stage", [0.2, None, 0.5], "lambda_stage must be a list of numbers"),
+        ("lambda_stage", [0.2, True, 0.5], "lambda_stage must be a list of numbers"),
+        ("schedule", 1, "schedule must be a str"),
+    ],
+)
+def test_config_from_dict_rejects_wrong_typed_fields_as_value_errors(key, bad, message):
+    d = GuidanceConfig().to_dict()
+    assert GuidanceConfig.from_dict(d) == GuidanceConfig()
+    with pytest.raises(ValueError, match=message):
+        GuidanceConfig.from_dict({**d, key: bad})
+    with pytest.raises(ValueError, match="guidance must be a dict"):
+        GuidanceConfig.from_dict([d])
 
 
 def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):

@@ -480,6 +480,20 @@ def test_rerun_manifest_accepts_legacy_aggregation_key(tmp_path, scenario, key, 
         rerun_manifest(legacy, tmp_path / "wrong")
 
 
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [("radius", None, "radius must be an integer"), ("recurrence", 3.7, "recurrence must be an integer")],
+)
+def test_rerun_manifest_with_a_wrong_typed_guidance_field_is_a_value_error(
+    tmp_path, scenario, key, bad, message
+):
+    guidance = {**scenario.guidance_config().to_dict(), key: bad}
+    manifest = {"scenario": scenario.to_dict(), "guidance": guidance}
+    with pytest.raises(ValueError, match=message):
+        rerun_manifest(manifest, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
 def test_failed_manifest_write_keeps_previous_file(tmp_path, scenario):
     run = tmp_path / "run"
     generate_run(scenario, run, mode="unguided")

@@ -111,6 +111,12 @@ def _with(d, path, value):
         (("weights",), [None, 0.5], "weights must be a list of numbers"),
         (("library", 0, "lo"), None, "box lo must be a list of numbers"),
         (("library", 1, "hi"), [0.5, "x", 0.5], "box hi must be a list of numbers"),
+        (("contact_count",), 10.5, "contact_count must be an integer"),
+        (("contact_count",), "7", "contact_count must be an integer"),
+        (("true_index",), True, "true_index must be an integer"),
+        (("gamma",), "1e0", "gamma must be a number"),
+        (("beta",), True, "beta must be a number"),
+        (("weights",), [True, 0.5], "weights must be a list of numbers"),
     ],
 )
 def test_from_dict_rejects_wrong_typed_fields_as_value_errors(path, bad, message):
@@ -227,3 +233,14 @@ def test_example_scenario_file_parses(tmp_path):
     sc = Scenario.load(example)
     built = build_scenario(sc)
     assert built.scenario.name == sc.name
+    # the scenario writes back the file's own mapping
+    assert sc.to_dict() == yaml.safe_load(example.read_text())
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_every_suite_scenario_dict_survives_from_dict_unchanged(n):
+    for sc in standard_suite(n):
+        d = sc.to_dict()
+        again = Scenario.from_dict(d)
+        assert again == sc
+        assert list(again.to_dict().items()) == list(d.items())

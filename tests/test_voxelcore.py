@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -200,6 +202,29 @@ def test_primitive_dict_roundtrip():
         assert primitive_from_dict(primitive_to_dict(p)) == p
 
 
+def test_primitive_to_dict_writes_the_scenario_file_form():
+    box = {"lo": [0.1, 0.2, 0.3], "hi": [0.5, 0.6, 0.7]}
+    forms = [
+        (Box((0.1, 0.2, 0.3), (0.5, 0.6, 0.7)), {"kind": "box", **box}),
+        (Cylinder(axis=1, center=(0.4, 0.6), radius=0.2, lo=0.1, hi=0.9),
+         {"kind": "cylinder", "axis": 1, "center": [0.4, 0.6], "radius": 0.2, "lo": 0.1, "hi": 0.9}),
+        (LBracket(Box((0.1, 0.2, 0.3), (0.5, 0.6, 0.7)), Box((0.1, 0.2, 0.3), (0.5, 0.6, 0.7))),
+         {"kind": "l_bracket", "first": box, "second": box}),
+        (UnionOfBoxes((Box((0.1, 0.2, 0.3), (0.5, 0.6, 0.7)),) * 2),
+         {"kind": "union_of_boxes", "boxes": [box, box]}),
+        (SphereCappedBox(Box((0.1, 0.2, 0.3), (0.5, 0.6, 0.7)), cap_axis=2, cap_radius=0.15),
+         {"kind": "sphere_capped_box", "box": box, "cap_axis": 2, "cap_radius": 0.15}),
+    ]
+    for prim, form in forms:
+        # equal as JSON text, so key order counts too
+        assert json.dumps(primitive_to_dict(prim)) == json.dumps(form)
+        assert primitive_from_dict(form) == prim
+    with pytest.raises(TypeError, match="not a primitive"):
+        primitive_to_dict(object())
+    with pytest.raises(ValueError, match="unknown primitive kind"):
+        primitive_from_dict({"kind": ["box"]})
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -217,6 +242,13 @@ def test_primitive_dict_roundtrip():
         ({"kind": "union_of_boxes", "boxes": None}, "union_of_boxes boxes must be a list"),
         ({"kind": "sphere_capped_box", "box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
           "cap_axis": 2, "cap_radius": [0.1]}, "sphere_capped_box cap_radius must be a number"),
+        ({"kind": "cylinder", "axis": 1.5, "center": [0.5, 0.5], "radius": 0.2, "lo": 0, "hi": 1},
+         "cylinder axis must be an integer"),
+        ({"kind": "box", "lo": [0, 0, 0], "hi": [1, True, 1]}, "box hi must be a list of numbers"),
+        ({"kind": "sphere_capped_box", "box": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+          "cap_axis": "2", "cap_radius": 0.1}, "sphere_capped_box cap_axis must be an integer"),
+        ({"kind": "l_bracket", "first": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+          "second": {"lo": [0, 0, False], "hi": [1, 1, 1]}}, "l_bracket second lo must be a list of numbers"),
     ],
 )
 def test_primitive_from_dict_rejects_wrong_typed_fields_as_value_errors(spec, message):
