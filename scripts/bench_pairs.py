@@ -5,14 +5,16 @@ Pair i of 10 runs `perfbench/run.py --workload W --seed 1001+i --seconds S
 --trace 0` once in each checkout, for every workload W of the change's
 BENCHMARK.json and its run_seconds S, each side with its own perfbench/ and
 src/, one process at a time; the parent runs first in even pairs and the
-change first in odd ones, and the workloads are interleaved pair by pair.  Each pair's end-to-end
-metrics are printed as they arrive, then per workload and metric the medians
-and quartiles (numpy percentile, linear) of both sides, the parent's IQR and
-the pairs the change wins.  With --claim WORKLOAD:METRIC (a BENCHMARK.json
-workload and end-to-end metric) the rule is tested: the change must be better
-in at least 9 of the 10 pairs and its median must beat the parent's by more
-than the parent's IQR.  The exit code is
-1 if the claim does not hold or a run's output check failed, 0 otherwise.
+change first in odd ones, and the workloads are interleaved pair by pair.
+Each pair's end-to-end metrics are printed as they arrive, then per workload
+and metric the medians and quartiles (numpy percentile, linear) of both sides,
+the parent's IQR and the pairs the change wins.  Each run's reference-kernel
+p50 seconds, the divisor of its unit times, is recorded next to its metrics.
+With --claim WORKLOAD:METRIC (a BENCHMARK.json workload and end-to-end metric)
+the rule is tested: the change must be better in at least 9 of the 10 pairs
+and its median must beat the parent's by more than the parent's IQR.  The exit
+code is 1 if the claim does not hold or a run's output check failed, 0
+otherwise.
 
 The record is written to --out as JSON; the keys it does not write of an
 existing file are kept, so other evidence can sit next to it.
@@ -23,6 +25,8 @@ Example:
 """
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,10 +38,13 @@ SIDES = ("parent", "change")
 PAIRS = 10
 WINS_NEEDED = 9
 SEED0 = 1001
+# the wall-clock line of a run's report; unit times are in multiples of this kernel
+KERNEL_P50 = re.compile(r"reference kernel p50 (\S+) s")
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark process; returns (its result line, its environment)."""
+    """One benchmark process; returns (its result line with the reference kernel's
+    p50 seconds added as `ref_kernel_p50_s`, its environment)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -45,7 +52,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     if not lines or not lines[-1].startswith("{"):
         raise click.ClickException(f"{checkout}: {' '.join(cmd[1:])} printed no result\n{proc.stderr}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    kernel = next((float(m[1]) for line in lines if (m := KERNEL_P50.search(line))), math.nan)
+    return {**json.loads(lines[-1]), "ref_kernel_p50_s": kernel}, env
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -118,7 +126,9 @@ def main(parent_dir, change_dir, claim, out_path):
                 f"{runs[w]['change'][-1]['metrics'][name]['value']:.6g}"
                 for name in runs[w]["parent"][-1]["metrics"]
             )
-            print(f"pair {i} {w} seed={seed} first={first[i]} (parent/change) {line}", flush=True)
+            kernel = "/".join(f"{runs[w][side][-1]['ref_kernel_p50_s']:.4g}" for side in SIDES)
+            print(f"pair {i} {w} seed={seed} first={first[i]} (parent/change) {line} "
+                  f"ref_kernel_p50_s={kernel}", flush=True)
     rev = subprocess.run(["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     record = {
@@ -144,6 +154,7 @@ def main(parent_dir, change_dir, claim, out_path):
             "correct": {side: all(r["correct"] for r in runs[w][side]) for side in SIDES},
             "attempted": {side: [r["attempted"] for r in runs[w][side]] for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[w][side]) for side in SIDES},
+            "ref_kernel_p50_s": {side: [r["ref_kernel_p50_s"] for r in runs[w][side]] for side in SIDES},
             "metrics": summarize(runs[w], better),
         }
         record["workloads"][w] = block

@@ -4,13 +4,15 @@
 For every suite scenario and paired seed this generates an unguided run, a
 guided run, and a guided run without recurrence (m=1), evaluates all of them,
 and prints a mean/median table per method, mirroring how the headline
-comparison is reported.
+comparison is reported.  Each scenario's generation time is printed as it
+finishes.
 
 Example:
     python scripts/run_standard_suite.py --out runs/suite --grid-n 4 --runs 10
 """
 
 import dataclasses
+import time
 from pathlib import Path
 
 import click
@@ -37,6 +39,7 @@ def main(out_dir, grid_n, runs):
         n_runs = runs if runs is not None else scenario.runs
         cfg = scenario.guidance_config()
         cfg_m1 = dataclasses.replace(cfg, recurrence=1)
+        t0 = time.perf_counter()
         for i in range(n_runs):
             sc = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, i))
             for tag, mode, run_cfg in (
@@ -47,7 +50,8 @@ def main(out_dir, grid_n, runs):
                 d = out / scenario.name / f"run_{i:03d}_{tag}"
                 generate_run(sc, d, mode=mode, cfg=run_cfg)
                 run_dirs.append(d)
-        click.echo(f"{scenario.name}: {n_runs} paired seeds done")
+        elapsed = time.perf_counter() - t0
+        click.echo(f"{scenario.name}: {n_runs} paired seeds done in {elapsed:.2f} s")
     reports, skipped = evaluate_run_dirs(run_dirs, out / "evaluation")
     for run_dir, reason in skipped:
         click.echo(f"skipped {run_dir}: {reason}", err=True)

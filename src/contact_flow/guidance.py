@@ -48,6 +48,7 @@ from .voxelcore import (
     OccupancyGrid,
     _convert,
     _expect,
+    _require,
     binarize,
     point_to_index,
 )
@@ -132,14 +133,15 @@ class GuidanceConfig:
         for key, only in _LEGACY_KEYS.items():
             if d.get(key, only) != only:
                 raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
-        bounds = _expect(d["stage_bounds"], list, "stage_bounds")
+        given = {f.name: _require(d, f.name, "guidance") for f in fields(cls)}
+        bounds = _expect(given["stage_bounds"], list, "stage_bounds")
         return cls(
-            timesteps=_convert(d["timesteps"], int, "timesteps"),
+            timesteps=_convert(given["timesteps"], int, "timesteps"),
             stage_bounds=tuple(_convert(b, int, "stage_bounds entry") for b in bounds),
-            lambda_stage=_convert(d["lambda_stage"], tuple, "lambda_stage"),
-            recurrence=_convert(d["recurrence"], int, "recurrence"),
-            radius=_convert(d["radius"], int, "radius"),
-            schedule=_expect(d["schedule"], str, "schedule"),
+            lambda_stage=_convert(given["lambda_stage"], tuple, "lambda_stage"),
+            recurrence=_convert(given["recurrence"], int, "recurrence"),
+            radius=_convert(given["radius"], int, "radius"),
+            schedule=_expect(given["schedule"], str, "schedule"),
         )
 
 

@@ -12,8 +12,10 @@ in the hidden region, so contacts carry real information.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -31,6 +33,7 @@ from .voxelcore import (
     UnionOfBoxes,
     _convert,
     _expect,
+    _require,
     axis_centers,
     binarize,
     primitive_from_dict,
@@ -93,7 +96,8 @@ class ScenarioSeeds:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSeeds":
         _expect(d, dict, "scenario seeds")
-        return cls(*(_convert(d[k], int, f"{k} seed") for k in ("reference", "guided", "contacts")))
+        keys = ("reference", "guided", "contacts")
+        return cls(*(_convert(_require(d, k, "scenario seeds"), int, f"{k} seed") for k in keys))
 
 
 @dataclass(frozen=True)
@@ -161,13 +165,15 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         _expect(d, dict, "scenario")
+        grid = _expect(_require(d, "grid", "scenario"), dict, "grid")
+        library = _expect(_require(d, "library", "scenario"), list, "library")
         return cls(
-            name=_expect(d["name"], str, "name"),
-            n=_convert(_expect(d["grid"], dict, "grid")["n"], int, "grid n"),
-            library=tuple(primitive_from_dict(p) for p in _expect(d["library"], list, "library")),
-            true_index=_convert(d["true_index"], int, "true_index"),
+            name=_expect(_require(d, "name", "scenario"), str, "name"),
+            n=_convert(_require(grid, "n", "grid"), int, "grid n"),
+            library=tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(library)),
+            true_index=_convert(_require(d, "true_index", "scenario"), int, "true_index"),
             visibility=VisibilitySpec.from_dict(d.get("visibility", {})),
-            seeds=ScenarioSeeds.from_dict(d["seeds"]),
+            seeds=ScenarioSeeds.from_dict(_require(d, "seeds", "scenario")),
             weights=_convert(d["weights"], tuple, "weights") if "weights" in d else None,
             gamma=_convert(d.get("gamma", 1.0), float, "gamma"),
             sigma=_convert(d.get("sigma", 0.05), float, "sigma"),
@@ -240,16 +246,27 @@ def ambiguous_pairs(decoded, visibility: BinaryGrid) -> tuple[tuple[int, int], .
     return tuple(pairs)
 
 
-def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
-    """Resolve a scenario into grids, model, and contacts; each library latent is
-    decoded once, for the observation, the conditioning and the ambiguity check.
+@dataclass(frozen=True)
+class _Geometry:
+    """A scenario compared and hashed by its seed-independent fields only, so
+    scenarios whose primitives hold lists can key a memo."""
 
-    With `run_index`, the scenario's seeds are shifted for that paired run.
-    Raises ValueError if a primitive is empty at this resolution, the contacts
-    outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
-    """
-    if run_index is not None:
-        scenario = replace(scenario, seeds=derive_run_seeds(scenario, run_index))
+    key: str  # to_dict() without seeds, as sorted-key JSON (numpy scalars by repr)
+    scenario: Scenario = field(compare=False)
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "_Geometry":
+        d = scenario.to_dict()
+        del d["seeds"]
+        return cls(json.dumps(d, sort_keys=True, default=repr), scenario)
+
+
+@functools.lru_cache(maxsize=len(SUITE_NAMES))
+def _seed_independent(geometry: _Geometry):
+    """Decoder, library grids, visibility mask, conditioned model, and whether
+    a demanded ambiguity is missing; one entry per suite scenario.  Every array
+    is read-only, so paired runs share them."""
+    scenario = geometry.scenario
     N = scenario.resolution
     params = DecoderParams.default(channels=8, beta=scenario.beta)
     grids = tuple(voxelize_primitive(p, N) for p in scenario.library)
@@ -259,12 +276,29 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
     prior = MixtureFlowModel.from_latents(
         latents, scenario.prior_weights(), scenario.sigma, component_ids=ids
     )
-    gt = grids[scenario.true_index]
     visibility = scenario.visibility.mask(N)
     cond = VisibilityCondition(visibility, decoded[scenario.true_index], scenario.gamma)
     model = condition(prior, cond, decoded)
+    unmet = scenario.ambiguous and not ambiguous_pairs(decoded, visibility)
+    return params, grids, visibility, model, unmet
+
+
+def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
+    """Resolve a scenario into grids, model, and contacts; each library latent is
+    decoded once, for the observation, the conditioning and the ambiguity check.
+
+    Only the contacts depend on the seeds, so the rest is built once per
+    process for the scenarios built most recently and shared by their runs.
+    With `run_index`, the scenario's seeds are shifted for that paired run.
+    Raises ValueError if a primitive is empty at this resolution, the contacts
+    outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
+    """
+    if run_index is not None:
+        scenario = replace(scenario, seeds=derive_run_seeds(scenario, run_index))
+    params, grids, visibility, model, unmet = _seed_independent(_Geometry.of(scenario))
+    gt = grids[scenario.true_index]
     contacts = sample_contacts(gt, visibility, scenario.contact_count, scenario.seeds.contacts)
-    if scenario.ambiguous and not ambiguous_pairs(decoded, visibility):
+    if unmet:
         raise ValueError(
             f"scenario {scenario.name!r} demands ambiguity but no component pair "
             "matches on the visible region while differing in the hidden region"

@@ -39,6 +39,13 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _require(d: dict, key: str, what: str):
+    """d[key] of a parsed input mapping `what`; ValueError naming `what` and `key` when it is missing."""
+    if key not in d:
+        raise ValueError(f"{what} is missing required field {key!r}")
+    return d[key]
+
+
 def _is_number(value) -> bool:
     """A real number of a parsed input file; a bool or a string is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -340,14 +347,19 @@ _KINDS = {cls: kind for kind, (cls, _) in _PRIMITIVES.items()}
 _FIELDS = dict(_PRIMITIVES.values())
 
 
-def _read(reader, value, what: str):
-    """One field of a parsed primitive; ValueError naming `what` when it has the wrong type."""
+def _read(reader, value, what: str, entry: str):
+    """One field of a parsed primitive; ValueError naming `what` when it has the
+    wrong type, or `entry` and the field when a field is missing."""
     if reader in _FIELDS:
         _expect(value, dict, what)
-        return reader(**{f: _read(r, value[f], f"{what} {f}") for f, r in _FIELDS[reader].items()})
+        return reader(**{
+            f: _read(r, _require(value, f, f"{entry} {what}"), f"{what} {f}", entry)
+            for f, r in _FIELDS[reader].items()
+        })
     if reader == (Box,):
         # each entry is named in the singular: "union_of_boxes box hi"
-        return tuple(_read(Box, b, what.removesuffix("es")) for b in _expect(value, list, what))
+        boxes = _expect(value, list, what)
+        return tuple(_read(Box, b, what.removesuffix("es"), entry) for b in boxes)
     return _convert(value, reader, what)
 
 
@@ -358,12 +370,13 @@ def _write(value):
     return value if isinstance(value, numbers.Real) else [_write(v) for v in value]
 
 
-def primitive_from_dict(spec: dict) -> Primitive:
-    """Parse a primitive description (scenario-file form) into a Primitive."""
-    kind = _expect(spec, dict, "library entry").get("kind")
+def primitive_from_dict(spec: dict, entry: str = "library entry") -> Primitive:
+    """Parse a primitive description (scenario-file form) into a Primitive;
+    `entry` names it in the error for a missing field, such as "library 0"."""
+    kind = _require(_expect(spec, dict, entry), "kind", entry)
     if not isinstance(kind, str) or kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    return _read(_PRIMITIVES[kind][0], spec, kind)
+    return _read(_PRIMITIVES[kind][0], spec, kind, entry)
 
 
 def primitive_to_dict(prim: Primitive) -> dict:

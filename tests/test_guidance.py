@@ -474,6 +474,14 @@ def test_config_from_dict_rejects_wrong_typed_fields_as_value_errors(key, bad, m
         GuidanceConfig.from_dict([d])
 
 
+@pytest.mark.parametrize("key", sorted(GuidanceConfig().to_dict()))
+def test_config_from_dict_names_a_missing_field_in_a_value_error(key):
+    d = GuidanceConfig().to_dict()
+    del d[key]
+    with pytest.raises(ValueError, match=f"^guidance is missing required field '{key}'$"):
+        GuidanceConfig.from_dict(d)
+
+
 def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
     model, params, cfg, ref, contacts = toy_setup(seed=35)
     calls = []

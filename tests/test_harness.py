@@ -396,6 +396,21 @@ def test_cli_scenario_with_an_empty_number_or_list_field_is_config_error(tmp_pat
     assert not out.exists()
 
 
+def test_cli_scenario_with_a_box_corner_missing_is_config_error_naming_entry_and_field(tmp_path):
+    text = EXAMPLE_SCENARIO.read_text()
+    corner = "\n    hi: [0.75, 0.6875, 0.6875]\n"
+    assert corner in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(corner, "\n", 1))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["generate", "--scenario", str(path), "--grid-n", "4", "--out", str(out)]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error: library 0 box is missing required field 'hi'" in result.output
+    assert not out.exists()
+
+
 def test_cli_contact_file_that_is_not_a_mapping_is_config_error(tmp_path):
     contacts_file = tmp_path / "contacts.json"
     contacts_file.write_text("[[0.9, 0.5, 0.5]]")
@@ -490,6 +505,15 @@ def test_rerun_manifest_with_a_wrong_typed_guidance_field_is_a_value_error(
     guidance = {**scenario.guidance_config().to_dict(), key: bad}
     manifest = {"scenario": scenario.to_dict(), "guidance": guidance}
     with pytest.raises(ValueError, match=message):
+        rerun_manifest(manifest, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
+def test_rerun_manifest_with_a_missing_guidance_field_is_a_value_error(tmp_path, scenario):
+    guidance = scenario.guidance_config().to_dict()
+    del guidance["radius"]
+    manifest = {"scenario": scenario.to_dict(), "guidance": guidance}
+    with pytest.raises(ValueError, match="guidance is missing required field 'radius'"):
         rerun_manifest(manifest, tmp_path / "again")
     assert not (tmp_path / "again").exists()
 

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from contact_flow import decoder
+from contact_flow import decoder, scenarios
 from contact_flow.decoder import decode
 from contact_flow.scenarios import (
     HIDDEN_DIFF_FRACTION,
@@ -70,6 +71,8 @@ def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
         return sigmoid(x, params)
 
     monkeypatch.setattr(decoder, "_sigmoid", counting)
+    # an earlier build of the same scenario would be reused without a decode
+    scenarios._seed_independent.cache_clear()
     built = build_scenario(suite_scenario("bracket_orientation", n=4))
     assert len(decoded) == built.model.k == 3
     assert np.array_equal(np.stack(decoded), built.model.means)
@@ -244,3 +247,134 @@ def test_every_suite_scenario_dict_survives_from_dict_unchanged(n):
         again = Scenario.from_dict(d)
         assert again == sc
         assert list(again.to_dict().items()) == list(d.items())
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("name",), "scenario is missing required field 'name'"),
+        (("grid",), "scenario is missing required field 'grid'"),
+        (("grid", "n"), "grid is missing required field 'n'"),
+        (("library",), "scenario is missing required field 'library'"),
+        (("true_index",), "scenario is missing required field 'true_index'"),
+        (("seeds",), "scenario is missing required field 'seeds'"),
+        (("seeds", "contacts"), "scenario seeds is missing required field 'contacts'"),
+        (("library", 0, "kind"), "library 0 is missing required field 'kind'"),
+        (("library", 1, "hi"), "library 1 box is missing required field 'hi'"),
+    ],
+)
+def test_from_dict_names_a_missing_required_field_in_a_value_error(path, message):
+    d = yaml.safe_load(yaml.safe_dump(suite_scenario("depth_boxes", n=4).to_dict()))
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Scenario.from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# the seed-independent part is built once per process
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """Equal values, comparing arrays inside dataclasses and tuples by content."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_reused_build_equals_a_fresh_one_in_every_field(name):
+    sc = suite_scenario(name, n=4)
+    build_scenario(sc)
+    reused = [build_scenario(sc, run_index=i) for i in range(4)]
+    for i, built in enumerate(reused):
+        scenarios._seed_independent.cache_clear()
+        fresh = build_scenario(sc, run_index=i)
+        for f in dataclasses.fields(fresh):
+            assert _same(getattr(built, f.name), getattr(fresh, f.name)), (i, f.name)
+
+
+def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatch):
+    sc = suite_scenario("bracket_orientation", n=4)
+    scenarios._seed_independent.cache_clear()
+    first = build_scenario(sc, run_index=0)
+    decodes = []
+    monkeypatch.setattr(scenarios, "decode", lambda *a: decodes.append(a))
+    second = build_scenario(sc, run_index=1)
+    assert decodes == []
+    assert second.model is first.model
+    assert second.library_grids is first.library_grids
+    assert second.visibility is first.visibility
+    assert second.scenario.seeds == derive_run_seeds(sc, 1)
+    assert not np.array_equal(second.contacts.points, first.contacts.points)
+
+
+@pytest.mark.parametrize("form", ["lists", "numpy scalars"])
+def test_an_api_scenario_with_list_or_numpy_fields_builds_like_its_plain_twin(form):
+    twin = dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=(0.5, 0.5))
+    if form == "lists":
+        library = tuple(Box(lo=list(b.lo), hi=list(b.hi)) for b in twin.library)
+        api = dataclasses.replace(twin, library=library, weights=[0.5, 0.5])
+    else:
+        api = dataclasses.replace(twin, n=np.int64(4), contact_count=np.int64(10))
+    expected = build_scenario(twin, run_index=2)
+    for _ in range(2):
+        built = build_scenario(api, run_index=2)
+        assert _same(built.model, expected.model)
+        assert _same(built.contacts, expected.contacts)
+
+
+def test_the_memo_keeps_the_suite_and_at_most_one_entry_per_suite_scenario():
+    scenarios._seed_independent.cache_clear()
+    suite = standard_suite(n=4)
+    for sc in suite + suite:
+        build_scenario(sc)
+    info = scenarios._seed_independent.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+    build_scenario(dataclasses.replace(suite[0], gamma=2.0))
+    assert scenarios._seed_independent.cache_info().currsize == 4
+
+
+NOT_AMBIGUOUS = Scenario(
+    name="not_ambiguous",
+    n=4,
+    library=(
+        Box((0.125, 0.25, 0.25), (0.5, 0.75, 0.75)),
+        Box((0.125, 0.25, 0.25), (0.9375, 0.75, 0.75)),
+    ),
+    true_index=1,
+    visibility=VisibilitySpec(),
+    seeds=ScenarioSeeds(1, 2, 3),
+    ambiguous=True,
+)
+
+
+@pytest.mark.parametrize(
+    "sc, message",
+    [
+        (NOT_AMBIGUOUS,
+         "scenario 'not_ambiguous' demands ambiguity but no component pair matches on the "
+         "visible region while differing in the hidden region"),
+        # the contact count fails before the ambiguity verdict
+        (dataclasses.replace(NOT_AMBIGUOUS, contact_count=100_000),
+         "contacts cannot complement vision: requested 100000 contacts but the hidden "
+         "surface has only 232 voxels"),
+        (dataclasses.replace(suite_scenario("depth_boxes", n=4), contact_count=100_000),
+         "contacts cannot complement vision: requested 100000 contacts but the hidden "
+         "surface has only 156 voxels"),
+    ],
+)
+def test_a_failed_build_raises_the_same_error_on_every_call(sc, message):
+    scenarios._seed_independent.cache_clear()
+    for run_index in (None, 0, 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_scenario(sc, run_index=run_index)

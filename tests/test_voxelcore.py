@@ -256,6 +256,26 @@ def test_primitive_from_dict_rejects_wrong_typed_fields_as_value_errors(spec, me
         primitive_from_dict(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"lo": [0, 0, 0], "hi": [1, 1, 1]}, "library 3 is missing required field 'kind'"),
+        ({"kind": "box", "lo": [0, 0, 0]}, "library 3 box is missing required field 'hi'"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "lo": 0, "hi": 1},
+         "library 3 cylinder is missing required field 'radius'"),
+        ({"kind": "l_bracket", "first": {"lo": [0, 0, 0], "hi": [1, 1, 1]}},
+         "library 3 l_bracket is missing required field 'second'"),
+        ({"kind": "l_bracket", "first": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "second": {"hi": [1, 1, 1]}},
+         "library 3 l_bracket second is missing required field 'lo'"),
+        ({"kind": "union_of_boxes", "boxes": [{"lo": [0, 0, 0]}]},
+         "library 3 union_of_boxes box is missing required field 'hi'"),
+    ],
+)
+def test_primitive_from_dict_names_the_entry_and_a_missing_field(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        primitive_from_dict(spec, "library 3")
+
+
 # ---------------------------------------------------------------------------
 # extract_surface
 # ---------------------------------------------------------------------------
