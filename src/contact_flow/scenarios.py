@@ -246,26 +246,34 @@ def ambiguous_pairs(decoded, visibility: BinaryGrid) -> tuple[tuple[int, int], .
     return tuple(pairs)
 
 
+# the to_dict() keys of the fields _seed_independent reads
+_GEOMETRY_KEYS = (
+    "name", "grid", "library", "true_index", "visibility", "weights",
+    "gamma", "sigma", "beta", "ambiguous",
+)
+
+
 @dataclass(frozen=True)
 class _Geometry:
-    """A scenario compared and hashed by its seed-independent fields only, so
-    scenarios whose primitives hold lists can key a memo."""
+    """A scenario compared and hashed by the fields its seed-independent part
+    reads, so scenarios whose primitives hold lists can key a memo."""
 
-    key: str  # to_dict() without seeds, as sorted-key JSON (numpy scalars by repr)
+    key: str  # those to_dict() fields as sorted-key JSON (numpy scalars by repr)
     scenario: Scenario = field(compare=False)
 
     @classmethod
     def of(cls, scenario: Scenario) -> "_Geometry":
         d = scenario.to_dict()
-        del d["seeds"]
-        return cls(json.dumps(d, sort_keys=True, default=repr), scenario)
+        fields = {k: d[k] for k in _GEOMETRY_KEYS if k in d}
+        return cls(json.dumps(fields, sort_keys=True, default=repr), scenario)
 
 
-@functools.lru_cache(maxsize=len(SUITE_NAMES))
+@functools.lru_cache(maxsize=1)
 def _seed_independent(geometry: _Geometry):
     """Decoder, library grids, visibility mask, conditioned model, and whether
-    a demanded ambiguity is missing; one entry per suite scenario.  Every array
-    is read-only, so paired runs share them."""
+    a demanded ambiguity is missing, for the geometry built last: the suite
+    fixture, run_standard_suite.py and a sweep build one scenario's runs back
+    to back.  Every array is read-only, so paired runs share them."""
     scenario = geometry.scenario
     N = scenario.resolution
     params = DecoderParams.default(channels=8, beta=scenario.beta)
@@ -287,8 +295,8 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
     """Resolve a scenario into grids, model, and contacts; each library latent is
     decoded once, for the observation, the conditioning and the ambiguity check.
 
-    Only the contacts depend on the seeds, so the rest is built once per
-    process for the scenarios built most recently and shared by their runs.
+    Only the contacts depend on the seeds, so the rest is kept for the
+    scenario built last and shared by its runs.
     With `run_index`, the scenario's seeds are shifted for that paired run.
     Raises ValueError if a primitive is empty at this resolution, the contacts
     outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.

@@ -508,9 +508,18 @@ def save_ply(cloud: PointCloud, path) -> None:
         "property float z\n"
         "end_header\n"
     )
-    body = ("%.8f %.8f %.8f\n" * len(cloud)) % tuple(cloud.points.ravel().tolist())
-    with open(path, "w") as f:
-        f.write(header + body)
+    # each distinct coordinate (a voxel-center cloud has at most N per axis) is
+    # formatted once; its NUL-padded bytes are gathered per point and the NULs
+    # dropped.  Distinct by bit pattern, so -0.0 keeps its sign.
+    bits, inverse = np.unique(cloud.points.reshape(-1).view(np.uint64), return_inverse=True)
+    text = ["%.8f" % v for v in bits.view(np.float64).tolist()]
+    width = max(map(len, text), default=0) + 1
+    table = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    cells = table[inverse].reshape(len(cloud), 3, width)
+    cells[:, :, -1] = np.frombuffer(b"  \n", dtype=np.uint8)  # one separator per cell
+    flat = cells.reshape(-1)
+    with open(path, "wb") as f:
+        f.write(header.encode() + flat[flat != 0].tobytes())
 
 
 def load_ply(path) -> PointCloud:

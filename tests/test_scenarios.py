@@ -333,15 +333,26 @@ def test_an_api_scenario_with_list_or_numpy_fields_builds_like_its_plain_twin(fo
         assert _same(built.contacts, expected.contacts)
 
 
-def test_the_memo_keeps_the_suite_and_at_most_one_entry_per_suite_scenario():
+def test_the_memo_keeps_only_the_geometry_built_last():
     scenarios._seed_independent.cache_clear()
-    suite = standard_suite(n=4)
-    for sc in suite + suite:
+    a, b = standard_suite(n=4)[:2]
+    for sc in (a, a, b, a):
         build_scenario(sc)
     info = scenarios._seed_independent.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
-    build_scenario(dataclasses.replace(suite[0], gamma=2.0))
-    assert scenarios._seed_independent.cache_info().currsize == 4
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+
+
+def test_fields_the_fixed_part_does_not_read_share_its_memo_entry():
+    sc = suite_scenario("depth_boxes", n=4)
+    scenarios._seed_independent.cache_clear()
+    first = build_scenario(sc)
+    for other in (
+        dataclasses.replace(sc, contact_count=3),
+        dataclasses.replace(sc, runs=2),
+        dataclasses.replace(sc, fps_count=5),
+    ):
+        assert build_scenario(other).model is first.model
+    assert scenarios._seed_independent.cache_info().misses == 1
 
 
 NOT_AMBIGUOUS = Scenario(
