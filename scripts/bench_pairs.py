@@ -8,8 +8,10 @@ src/, one process at a time; the parent runs first in even pairs and the
 change first in odd ones, and the workloads are interleaved pair by pair.
 Each pair's end-to-end metrics are printed as they arrive, then per workload
 and metric the medians and quartiles (numpy percentile, linear) of both sides,
-the parent's IQR and the pairs the change wins.  Each run's reference-kernel
-p50 seconds, the divisor of its unit times, is recorded next to its metrics.
+the parent's IQR and the pairs the change wins.  Each run's wall-clock unit
+p50 seconds and its reference-kernel p50 seconds, the divisor of its unit
+times, are recorded and printed next to its metrics, so a reader can tell
+whether a change of run_ref came from the unit or from the kernel.
 With --claim WORKLOAD:METRIC (a BENCHMARK.json workload and end-to-end metric)
 the rule is tested: the change must be better in at least 9 of the 10 pairs
 and its median must beat the parent's by more than the parent's IQR.  The exit
@@ -38,22 +40,35 @@ SIDES = ("parent", "change")
 PAIRS = 10
 WINS_NEEDED = 9
 SEED0 = 1001
-# the wall-clock line of a run's report; unit times are in multiples of this kernel
-KERNEL_P50 = re.compile(r"reference kernel p50 (\S+) s")
+# the wall-clock line of a run's report: the unit p50 seconds, and the p50
+# seconds of the reference kernel that the unit times are divided by
+WALL_CLOCK = re.compile(r"wall clock: run_s\.p50 (\S+) s, .*reference kernel p50 (\S+) s")
+# what a run records from its wall-clock line, in the order of the pattern's groups
+WALL_CLOCK_KEYS = ("run_s.p50", "ref_kernel_p50_s")
+
+
+def parse_report(stdout: str) -> tuple[dict, dict] | None:
+    """(result, environment) of a benchmark process's output: the result line
+    with the WALL_CLOCK_KEYS figures of its wall-clock line added (NaN without
+    one), and its `env` line; None if the output ends without a result line."""
+    lines = stdout.splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        return None
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    match = next((m for line in lines if (m := WALL_CLOCK.search(line))), None)
+    wall = {key: float(match[i + 1]) if match else math.nan for i, key in enumerate(WALL_CLOCK_KEYS)}
+    return {**json.loads(lines[-1]), **wall}, env
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark process; returns (its result line with the reference kernel's
-    p50 seconds added as `ref_kernel_p50_s`, its environment)."""
+    """One benchmark process; returns parse_report of its output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if not lines or not lines[-1].startswith("{"):
+    report = parse_report(proc.stdout)
+    if report is None:
         raise click.ClickException(f"{checkout}: {' '.join(cmd[1:])} printed no result\n{proc.stderr}")
-    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    kernel = next((float(m[1]) for line in lines if (m := KERNEL_P50.search(line))), math.nan)
-    return {**json.loads(lines[-1]), "ref_kernel_p50_s": kernel}, env
+    return report
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -126,9 +141,12 @@ def main(parent_dir, change_dir, claim, out_path):
                 f"{runs[w]['change'][-1]['metrics'][name]['value']:.6g}"
                 for name in runs[w]["parent"][-1]["metrics"]
             )
-            kernel = "/".join(f"{runs[w][side][-1]['ref_kernel_p50_s']:.4g}" for side in SIDES)
-            print(f"pair {i} {w} seed={seed} first={first[i]} (parent/change) {line} "
-                  f"ref_kernel_p50_s={kernel}", flush=True)
+            wall = " ".join(
+                f"{key}=" + "/".join(f"{runs[w][side][-1][key]:.4g}" for side in SIDES)
+                for key in WALL_CLOCK_KEYS
+            )
+            print(f"pair {i} {w} seed={seed} first={first[i]} (parent/change) {line} {wall}",
+                  flush=True)
     rev = subprocess.run(["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     record = {
@@ -154,7 +172,7 @@ def main(parent_dir, change_dir, claim, out_path):
             "correct": {side: all(r["correct"] for r in runs[w][side]) for side in SIDES},
             "attempted": {side: [r["attempted"] for r in runs[w][side]] for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[w][side]) for side in SIDES},
-            "ref_kernel_p50_s": {side: [r["ref_kernel_p50_s"] for r in runs[w][side]] for side in SIDES},
+            **{key: {side: [r[key] for r in runs[w][side]] for side in SIDES} for key in WALL_CLOCK_KEYS},
             "metrics": summarize(runs[w], better),
         }
         record["workloads"][w] = block

@@ -99,12 +99,14 @@ def _nearest_distances(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.n
 
     `shared` flags the points of `a` that are also points of `b`.  Their
     distance is exactly 0.0, the value a KD-tree query returns for them, so
-    only the rest are queried against a KD-tree of `b`.
+    only the rest are queried against a KD-tree of `b`.  An exact query
+    returns the same minimum whatever the tree's shape, so the tree is built
+    the cheap way: sliding-midpoint splits, no bounding-box shrinking.
     """
     d = np.zeros(len(a))
     rest = ~shared
     if rest.any():
-        d[rest], _ = cKDTree(b).query(a[rest])
+        d[rest], _ = cKDTree(b, balanced_tree=False, compact_nodes=False).query(a[rest])
     return d
 
 

@@ -46,7 +46,9 @@ from .guidance import (
 from .scenarios import Scenario, build_scenario, derive_run_seeds, standard_suite, suite_scenario
 from .voxelcore import (
     PointCloud,
+    _convert,
     _expect,
+    _require,
     binarize,
     extract_surface,
     grid_to_bytes,
@@ -134,13 +136,8 @@ def _write_atomic(path: Path, write) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     """`payload` as indented, key-sorted JSON, written atomically."""
-
-    def write(tmp: Path) -> None:
-        with open(tmp, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    _write_atomic(path, write)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
 def generate_run(
@@ -266,8 +263,9 @@ def verify_manifest(run_dir) -> list[str]:
 
 def rerun_manifest(manifest: dict, out_dir) -> dict:
     """Re-execute a run from its manifest snapshot (determinism check)."""
-    scenario = Scenario.from_dict(manifest["scenario"])
-    cfg = GuidanceConfig.from_dict(manifest["guidance"])
+    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
+    cfg = GuidanceConfig.from_dict(_require(manifest, "guidance", "manifest"))
+    seeds = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
     external = manifest.get("external_contacts")
     if external is True:
         # older manifests recorded only that the contacts were external
@@ -275,10 +273,10 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
     return generate_run(
         scenario,
         out_dir,
-        mode=manifest["mode"],
+        mode=_require(manifest, "mode", "manifest"),
         cfg=cfg,
-        run_seed=manifest["seeds"]["run"],
-        reference_seed=manifest["seeds"]["reference"],
+        run_seed=_convert(_require(seeds, "run", "manifest seeds"), int, "run seed"),
+        reference_seed=_convert(_require(seeds, "reference", "manifest seeds"), int, "reference seed"),
         external_contacts=ContactSet.from_dict(external) if external else None,
     )
 

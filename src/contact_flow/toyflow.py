@@ -268,8 +268,8 @@ def condition(
     if cond.mask.resolution != UPSAMPLE_FACTOR * model.n or len(decoded) != model.k:
         raise ValueError("condition needs the model's paired grid and one shape per component")
     v = cond.mask.data
-    obs = cond.observation.data
-    energies = np.array([np.sum((s.data[v] - obs[v]) ** 2) for s in decoded])
+    obs = cond.observation.data[v]
+    energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
     logits = np.log(model.weights) - cond.gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")

@@ -415,16 +415,18 @@ def extract_surface(grid: BinaryGrid) -> PointCloud:
 def surface_mask(grid: BinaryGrid) -> np.ndarray:
     """Boolean mask of the surface voxels of `grid` (same rule as extract_surface)."""
     occ = grid.data
-    padded = np.pad(occ, 1, mode="constant", constant_values=False)
-    interior = (
-        padded[2:, 1:-1, 1:-1]
-        & padded[:-2, 1:-1, 1:-1]
-        & padded[1:-1, 2:, 1:-1]
-        & padded[1:-1, :-2, 1:-1]
-        & padded[1:-1, 1:-1, 2:]
-        & padded[1:-1, 1:-1, :-2]
-    )
-    return occ & ~interior
+    # interior: occupied with all six neighbours occupied.  Each neighbour is a
+    # shift of the flat C-order grid; a shift that wraps past the end of a row
+    # or plane lands on a border voxel, and no border voxel is interior.
+    interior = occ.copy()
+    flat, inner = occ.reshape(-1), interior.reshape(-1)
+    n = grid.resolution
+    for step in (n * n, n, 1):
+        inner[step:] &= flat[:-step]
+        inner[:-step] &= flat[step:]
+    interior[[0, -1]] = interior[:, [0, -1]] = interior[:, :, [0, -1]] = False
+    interior ^= occ  # occ & ~interior, as interior lies inside occ
+    return interior
 
 
 def binarize(s: OccupancyGrid, threshold: float = 0.5) -> BinaryGrid:

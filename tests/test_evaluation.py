@@ -11,6 +11,7 @@ from contact_flow.contact import ContactSet, nearest_occupied
 from contact_flow.evaluation import (
     F_SCORE_THRESHOLDS,
     METRICS_CSV_COLUMNS,
+    _nearest_distances,
     chamfer,
     contact_residuals,
     evaluate_run,
@@ -259,6 +260,27 @@ def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
     truth = PointCloud(gt_surface.points * scale + offset)
     assert rep.chamfer == chamfer(pred, truth)
     assert rep.f_scores == {tau: f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
+
+
+@given(st.sampled_from([4, 16, 64]), st.integers(0, 2**31 - 1), st.floats(0.25, 4.0))
+def test_nearest_distances_equal_brute_force_and_a_default_tree_bitwise(N, seed, scale):
+    # voxel centers of a random sub-box of the lattice, under one scale and
+    # offset, like evaluate_run's surfaces: many candidates tie for nearest
+    rng = np.random.Generator(np.random.PCG64(seed))
+    span = int(rng.integers(2, N + 1))
+    lo = rng.integers(0, N - span + 1, size=3)
+    idx_a = np.unique(lo + rng.integers(0, span, size=(int(rng.integers(1, 150)), 3)), axis=0)
+    idx_b = np.unique(lo + rng.integers(0, span, size=(int(rng.integers(1, 300)), 3)), axis=0)
+    offset = rng.uniform(-1.0, 1.0, size=3)
+    a = index_to_point(idx_a, N) * scale + offset
+    b = index_to_point(idx_b, N) * scale + offset
+    shared = (idx_a[:, None, :] == idx_b[None, :, :]).all(axis=2).any(axis=1)
+    diff = a[:, None, :] - b[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    brute = np.sqrt((dx * dx + dy * dy) + dz * dz).min(axis=1)
+    got = _nearest_distances(a, b, shared)
+    assert np.array_equal(got, brute)
+    assert np.array_equal(got, cKDTree(b).query(a)[0])
 
 
 @pytest.mark.parametrize("N, density, seed", [(4, 0.1, 0), (8, 0.02, 1), (16, 0.005, 2), (16, 0.4, 3)])

@@ -518,6 +518,41 @@ def test_rerun_manifest_with_a_missing_guidance_field_is_a_value_error(tmp_path,
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("path", ["scenario", "guidance", "mode", "seeds", "seeds.run", "seeds.reference"])
+def test_rerun_manifest_names_a_missing_field(tmp_path, scenario, path):
+    manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
+    *blocks, key = path.split(".")
+    broken = json.loads(json.dumps(manifest))
+    block = broken
+    for name in blocks:
+        block = block[name]
+    del block[key]
+    what = " ".join(["manifest", *blocks])
+    with pytest.raises(ValueError, match=f"{what} is missing required field '{key}'"):
+        rerun_manifest(broken, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("key", ["run", "reference"])
+@pytest.mark.parametrize("bad", [None, "7", 7.5, True])
+def test_rerun_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, scenario, key, bad):
+    # a null run seed used to fall back to the scenario's own seed: another run
+    manifest = generate_run(scenario, tmp_path / "orig", mode="unguided", run_seed=123)
+    broken = json.loads(json.dumps(manifest))
+    broken["seeds"][key] = bad
+    with pytest.raises(ValueError, match=f"{key} seed must be an integer"):
+        rerun_manifest(broken, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
+def test_manifest_json_is_one_indented_key_sorted_document(tmp_path):
+    path = tmp_path / "m.json"
+    payload = {"b": [1, 2.5, None], "a": {"z": "x", "y": math.inf}}
+    _write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert json.loads(path.read_text()) == payload
+
+
 def test_failed_manifest_write_keeps_previous_file(tmp_path, scenario):
     run = tmp_path / "run"
     generate_run(scenario, run, mode="unguided")
@@ -706,6 +741,26 @@ def test_expected_drift_passes_recorded_outputs_and_flags_a_changed_record(monke
     assert "guided3/final_J: worst relative deviation 0.0099" in result.output
     assert "1 keys over 1e-06" in result.output
     assert "n16/depth_boxes/0/guided3/final_J: got" in result.output
+
+
+def test_bench_pairs_reads_unit_and_kernel_p50_from_the_wall_clock_line():
+    bench = load_script("bench_pairs")
+    result = '{"correct": true, "attempted": 32, "failed": 0, "metrics": {}}'
+    lines = [
+        'env {"cpu_count": 2}',
+        "workload cli_unguided_n16 n=16 seed=5 trace=0 attempted=32",
+        "  run_ref.p50                                        2.26263 ref",
+        "  wall clock: run_s.p50 0.0520936 s, run_s.p66 0.0556191 s, runs_per_s 19.0816 1/s, "
+        "reference kernel p50 0.023154 s over 60 calls",
+        result,
+    ]
+    report, env = bench.parse_report("\n".join(lines))
+    assert report == {**json.loads(result), "run_s.p50": 0.0520936, "ref_kernel_p50_s": 0.023154}
+    assert env == {"cpu_count": 2}
+    report, _ = bench.parse_report("\n".join(lines[:3] + lines[4:]))
+    assert all(math.isnan(report[key]) for key in bench.WALL_CLOCK_KEYS)
+    assert bench.parse_report("\n".join(lines[:4])) is None
+    assert bench.parse_report("") is None
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from contact_flow.voxelcore import (
     primitive_to_dict,
     save_grid,
     save_ply,
+    surface_mask,
     voxelize_primitive,
 )
 from contact_flow.scenarios import VisibilitySpec
@@ -300,6 +301,26 @@ def test_surface_of_empty_grid_raises():
         extract_surface(BinaryGrid(np.zeros((4, 4, 4), dtype=bool)))
 
 
+def brute_force_surface(data):
+    """Indices of the occupied voxels with a neighbour outside the grid or empty."""
+    N = len(data)
+    expected = set()
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                if not data[i, j, k]:
+                    continue
+                exposed = False
+                for di, dj, dk in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]:
+                    a, b, c = i + di, j + dj, k + dk
+                    if not (0 <= a < N and 0 <= b < N and 0 <= c < N) or not data[a, b, c]:
+                        exposed = True
+                        break
+                if exposed:
+                    expected.add((i, j, k))
+    return expected
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_surface_matches_brute_force_neighbor_scan(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -307,22 +328,19 @@ def test_surface_matches_brute_force_neighbor_scan(seed):
     if not data.any():
         data[0, 0, 0] = True
     cloud = extract_surface(BinaryGrid(data))
-    expected = set()
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                if not data[i, j, k]:
-                    continue
-                exposed = False
-                for di, dj, dk in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]:
-                    a, b, c = i + di, j + dj, k + dk
-                    if not (0 <= a < 8 and 0 <= b < 8 and 0 <= c < 8) or not data[a, b, c]:
-                        exposed = True
-                        break
-                if exposed:
-                    expected.add((i, j, k))
     got = {tuple(point_to_index(p, 8)) for p in cloud.points}
-    assert got == expected
+    assert got == brute_force_surface(data)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize("density", [0.6, 1.0])
+def test_surface_mask_matches_brute_force_on_small_and_full_grids(N, density):
+    # full grids occupy every border voxel, where a shifted neighbour wraps
+    # past the end of a row or plane
+    data = np.random.Generator(np.random.PCG64(N)).random((N, N, N)) < density
+    mask = surface_mask(BinaryGrid(data))
+    assert mask.dtype == np.bool_ and mask.shape == data.shape
+    assert set(map(tuple, np.argwhere(mask))) == brute_force_surface(data)
 
 
 def test_box_surface_points_lie_on_face_slabs():
