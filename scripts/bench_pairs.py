@@ -10,8 +10,9 @@ Each pair's end-to-end metrics are printed as they arrive, then per workload
 and metric the medians and quartiles (numpy percentile, linear) of both sides,
 the parent's IQR and the pairs the change wins.  Each run's wall-clock unit
 p50 seconds and its reference-kernel p50 seconds, the divisor of its unit
-times, are recorded and printed next to its metrics, so a reader can tell
-whether a change of run_ref came from the unit or from the kernel.
+times, are recorded and printed next to its metrics, and summarized the same
+way under each workload's table, so a reader can tell whether a change of
+run_ref came from the unit or from the kernel.
 With --claim WORKLOAD:METRIC (a BENCHMARK.json workload and end-to-end metric)
 the rule is tested: the change must be better in at least 9 of the 10 pairs
 and its median must beat the parent's by more than the parent's IQR.  The exit
@@ -76,22 +77,42 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def compare(values: dict, better: str) -> dict:
+    """One figure's quartiles on both sides, the change's wins and ties, and every run."""
+    sign = 1.0 if better == "lower" else -1.0
+    gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+    return {
+        "better": better,
+        **{side: _quartiles(values[side]) for side in SIDES},
+        "change_wins": sum(g > 0 for g in gains),
+        "ties": sum(g == 0 for g in gains),
+        "parent_runs": values["parent"],
+        "change_runs": values["change"],
+    }
+
+
 def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: both sides' quartiles, the change's wins and ties, and every run."""
-    metrics = {}
-    for name in runs["parent"][0]["metrics"]:
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        sign = 1.0 if better[name] == "lower" else -1.0
-        gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
-        metrics[name] = {
-            "better": better[name],
-            **{side: _quartiles(values[side]) for side in SIDES},
-            "change_wins": sum(g > 0 for g in gains),
-            "ties": sum(g == 0 for g in gains),
-            "parent_runs": values["parent"],
-            "change_runs": values["change"],
-        }
-    return metrics
+    """Per end-to-end metric, its `compare` over the pairs."""
+    return {
+        name: compare({side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES},
+                      better[name])
+        for name in runs["parent"][0]["metrics"]
+    }
+
+
+def summarize_wall_clock(runs: dict) -> dict:
+    """Per WALL_CLOCK_KEYS figure (seconds, lower is better), its `compare` over
+    the pairs: whether a change of run_ref came from the unit or the kernel."""
+    return {key: compare({side: [r[key] for r in runs[side]] for side in SIDES}, "lower")
+            for key in WALL_CLOCK_KEYS}
+
+
+def format_row(name: str, m: dict) -> str:
+    return (f"  {name:24s} parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
+            f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} "
+            f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
+            f"parent IQR {m['parent']['q3'] - m['parent']['q1']:.4g}  "
+            f"change wins {m['change_wins']}/{len(m['parent_runs'])} ({m['better']} is better)")
 
 
 def claim_holds(metric: dict) -> dict:
@@ -172,18 +193,17 @@ def main(parent_dir, change_dir, claim, out_path):
             "correct": {side: all(r["correct"] for r in runs[w][side]) for side in SIDES},
             "attempted": {side: [r["attempted"] for r in runs[w][side]] for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[w][side]) for side in SIDES},
-            **{key: {side: [r[key] for r in runs[w][side]] for side in SIDES} for key in WALL_CLOCK_KEYS},
+            **summarize_wall_clock(runs[w]),
             "metrics": summarize(runs[w], better),
         }
         record["workloads"][w] = block
         correct &= all(block["correct"].values())
         print(f"{w}: correct parent={block['correct']['parent']} change={block['correct']['change']}")
         for name, m in block["metrics"].items():
-            print(f"  {name:24s} parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
-                  f"{m['parent']['q3']:.6g}]  change {m['change']['median']:.6g} "
-                  f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
-                  f"parent IQR {m['parent']['q3'] - m['parent']['q1']:.4g}  "
-                  f"change wins {m['change_wins']}/{PAIRS} ({m['better']} is better)")
+            print(format_row(name, m))
+        print("  wall clock, seconds:")
+        for key in WALL_CLOCK_KEYS:
+            print(format_row(key, block[key]))
     held = True
     if claim is not None:
         w, name = claim.split(":")

@@ -10,8 +10,10 @@ import numpy as np
 from .voxelcore import (
     BinaryGrid,
     PointCloud,
+    _convert,
     _expect,
     _freeze,
+    _require,
     index_to_point,
     nonzero_indices,
     point_to_index,
@@ -50,8 +52,13 @@ class ContactSet:
     @classmethod
     def from_dict(cls, d: dict) -> "ContactSet":
         _expect(d, dict, "contact set")
+        what = "contact set points"
+        points = [[_convert(v, float, what) for v in _expect(row, list, what)]
+                  for row in _expect(_require(d, "points", "contact set"), list, what)]
+        if any(len(row) != 3 for row in points):
+            raise ValueError(f"{what} must be [x, y, z] lists")
         return cls(
-            points=np.asarray(d["points"], dtype=np.float64),
+            points=np.array(points, dtype=np.float64),
             provenance=d.get("provenance", PROVENANCE_EXTERNAL),
         )
 

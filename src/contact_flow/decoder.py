@@ -71,33 +71,39 @@ def _interp_matrix(n: int, N: int) -> np.ndarray:
     return _freeze(A)
 
 
+@lru_cache(maxsize=32)
+def _upsample_operands(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_interp`'s matrices for upsampling n -> N: A, A and a read-only contiguous A.T."""
+    A = _interp_matrix(n, N)
+    return A, A, _freeze(np.ascontiguousarray(A.T))
+
+
 def _interp(
-    grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarray, out=(None, None, None)
+    grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az_t: np.ndarray, out=(None, None, None)
 ) -> np.ndarray:
     """out[a,b,c] = sum_ijk ax[a,i] ay[b,j] az[c,k] grid[i,j,k], one BLAS matmul per axis.
 
-    The decoder's only upsampling kernel: the full grid passes A on every axis,
-    a drag window passes its per-axis blocks of A, and the adjoint passes the
-    same matrices transposed.  `out` optionally holds contiguous buffers for
-    the (a, j*k) and (a, b, k) intermediates and the result; a contiguous
-    `grid` is read in place.
-    """
+    The decoder's only upsampling kernel, for the full grid (A on every axis), a
+    drag window (its blocks of A) and their adjoints (the same transposed).  The
+    last matrix comes as az_t = az.T: a contiguous copy in the forward passes (which
+    BLAS multiplies faster), a view in the adjoints (a copy moves their last bit).
+    `out` optionally holds contiguous buffers for the (a, j*k) and (a, b, k)
+    intermediates and the result; a contiguous `grid` is read in place."""
     i, j, k = grid.shape
     first, second, result = out
     first = np.matmul(ax, grid.reshape(i, j * k), out=first).reshape(ax.shape[0], j, k)
-    return np.matmul(np.matmul(ay, first, out=second), az.T, out=result)
+    return np.matmul(np.matmul(ay, first, out=second), az_t, out=result)
 
 
 def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
     """Trilinear upsampling of an (n,n,n) grid to (N,N,N): A applied along each axis."""
-    A = _interp_matrix(coarse.shape[0], N)
-    return _interp(coarse, A, A, A)
+    return _interp(coarse, *_upsample_operands(coarse.shape[0], N))
 
 
 def _upsample_transpose(fine: np.ndarray, n: int) -> np.ndarray:
     """Exact adjoint of `_upsample`: the same contraction with A transposed."""
-    At = _interp_matrix(n, fine.shape[0]).T
-    return _interp(fine, At, At, At)
+    A = _interp_matrix(n, fine.shape[0])
+    return _interp(fine, A.T, A.T, A)
 
 
 def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
@@ -133,8 +139,9 @@ def _logistic_vjp(
 
 
 def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Unclipped decoder output of a latent array (n, n, n, C)."""
-    return _logistic(_upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0]), params.beta)
+    """Unclipped decoder output of a latent array (n, n, n, C), in one full-size array."""
+    u = _upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0])
+    return _logistic(u, params.beta, out=u)
 
 
 # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37

@@ -234,8 +234,11 @@ class _Window(NamedTuple):
     fine: tuple[slice, slice, slice]  # the window around the contact's voxel
     target: np.ndarray  # reference values around its nearest occupied voxel
     coarse: tuple[slice, slice, slice]  # the coarse cells the window's voxels read
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, A[fine rows, coarse cells]
-    blocks_t: tuple[np.ndarray, np.ndarray, np.ndarray]  # their transposes, for the adjoint
+    # per axis, A[fine rows, coarse cells], as `_interp` takes them: the forward
+    # with the last one transposed into a contiguous copy, the adjoint with the
+    # first two transposed (views) and the last one as it is
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks_t: tuple[np.ndarray, np.ndarray, np.ndarray]
     cells: np.ndarray  # the coarse cells read, then their adjoint
     forward: tuple[np.ndarray, np.ndarray, np.ndarray]  # _interp's buffers; the last holds s
     diff: np.ndarray  # the mismatch, then its logistic adjoint
@@ -278,12 +281,12 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
         parts.append((sl_a, target, tuple(coarse), tuple(blocks), shapes))
     buffers = [np.empty(max((math.prod(p[-1][i]) for p in parts), default=0)) for i in range(8)]
     windows = []
-    for sl_a, target, coarse, blocks, shapes in parts:
+    for sl_a, target, coarse, (bx, by, bz), shapes in parts:
         cells, f1, f2, s, diff, squares, a1, a2 = (
             buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(buffers, shapes)
         )
         windows.append(
-            _Window(sl_a, target, coarse, blocks, tuple(m.T for m in blocks),
+            _Window(sl_a, target, coarse, (bx, by, np.ascontiguousarray(bz.T)), (bx.T, by.T, bz),
                     cells, (f1, f2, s), diff, squares, (a1, a2, cells))
         )
     return windows

@@ -107,12 +107,12 @@ def _environment() -> dict:
     }
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _file_sha256(path: Path) -> str:
-    return _sha256(path.read_bytes())
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def method_label(mode: str, cfg: GuidanceConfig) -> str:
@@ -188,7 +188,7 @@ def generate_run(
                   "contacts": built.scenario.seeds.contacts},
         # as given, before farthest point sampling, so a rerun can pass them back
         "external_contacts": None if external_contacts is None else external_contacts.to_dict(),
-        "library_hashes": [_sha256(grid_to_bytes(g)) for g in built.library_grids],
+        "library_hashes": [hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in built.library_grids],
         "environment": _environment(),
         "artifacts": {},
         "timings": {},
@@ -287,16 +287,24 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
     manifest = load_manifest(run)
     if manifest.get("failure"):
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
-    scenario = Scenario.from_dict(manifest["scenario"])
-    occupancy = load_grid(run / manifest["artifacts"]["occupancy"]["path"])
-    contacts = ContactSet.load(run / manifest["artifacts"]["contacts"]["path"])
+    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
+    artifacts = _expect(_require(manifest, "artifacts", "manifest"), dict, "manifest artifacts")
+
+    def artifact_path(name: str) -> Path:
+        what = f"manifest artifact {name!r}"
+        entry = _expect(_require(artifacts, name, "manifest artifacts"), dict, what)
+        return run / _expect(_require(entry, "path", what), str, f"{what} path")
+
+    seeds = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
+    occupancy = load_grid(artifact_path("occupancy"))
+    contacts = ContactSet.load(artifact_path("contacts"))
     report = evaluate_run(
         occupancy,
         voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
         contacts,
         scenario=scenario.name,
-        method=manifest["method"],
-        seed=manifest["seeds"]["run"],
+        method=_expect(_require(manifest, "method", "manifest"), str, "manifest method"),
+        seed=_convert(_require(seeds, "run", "manifest seeds"), int, "run seed"),
         final_J=manifest.get("final_J", math.nan),
     )
     manifest["metrics"] = report.to_json_dict()
@@ -482,19 +490,11 @@ def _resolve_scenario(spec: str, grid_n: int | None) -> Scenario:
 
 
 def _cfg_from_flags(scenario, lam, recurrence, schedule, radius, timesteps):
-    overrides = {}
-    if timesteps is not None:
-        overrides["timesteps"] = timesteps
-        overrides["stage_bounds"] = (timesteps // 3, (2 * timesteps) // 3)
-    if lam is not None:
-        overrides["lambda_stage"] = tuple(lam)
-    if recurrence is not None:
-        overrides["recurrence"] = recurrence
-    if schedule is not None:
-        overrides["schedule"] = schedule
-    if radius is not None:
-        overrides["radius"] = radius
-    return scenario.guidance_config(**overrides)
+    """The scenario's guidance config with each flag that was given in place."""
+    flags = {"lambda_stage": None if lam is None else tuple(lam), "recurrence": recurrence,
+             "schedule": schedule, "radius": radius, "timesteps": timesteps,
+             "stage_bounds": None if timesteps is None else (timesteps // 3, (2 * timesteps) // 3)}
+    return scenario.guidance_config(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _exit_config_error(exc: Exception) -> None:

@@ -451,26 +451,30 @@ def binarize(s: OccupancyGrid, threshold: float = 0.5) -> BinaryGrid:
 # A loader rejects N < 1 and a payload of any other length.
 
 
-def grid_to_bytes(grid: OccupancyGrid | BinaryGrid) -> bytes:
+def _grid_parts(grid: OccupancyGrid | BinaryGrid) -> tuple[bytes, np.ndarray]:
+    """The container's 20-byte header and its payload as a contiguous array."""
     if isinstance(grid, OccupancyGrid):
         kind = _KIND_OCCUPANCY
-        payload = grid.data.astype("<f4").tobytes(order="C")
+        payload = grid.data.astype("<f4", order="C")
     elif isinstance(grid, BinaryGrid):
         kind = _KIND_BINARY
-        payload = np.packbits(grid.data.reshape(-1)).tobytes()
+        payload = np.packbits(grid.data.reshape(-1))
     else:
         raise TypeError(f"not a grid: {grid!r}")
-    header = GRID_MAGIC + struct.pack("<II", GRID_FORMAT_VERSION, kind)
-    return header + struct.pack("<i", grid.resolution) + payload
+    header = GRID_MAGIC + struct.pack("<IIi", GRID_FORMAT_VERSION, kind, grid.resolution)
+    return header, payload
+
+
+def grid_to_bytes(grid: OccupancyGrid | BinaryGrid) -> bytes:
+    return b"".join(_grid_parts(grid))
 
 
 def grid_from_bytes(blob: bytes) -> OccupancyGrid | BinaryGrid:
     if len(blob) < 20 or blob[:8] != GRID_MAGIC:
         raise ValueError("not a contact-flow grid container")
-    version, kind = struct.unpack("<II", blob[8:16])
+    version, kind, n = struct.unpack("<IIi", blob[8:20])
     if version != GRID_FORMAT_VERSION:
         raise ValueError(f"unsupported grid container version {version}")
-    (n,) = struct.unpack("<i", blob[16:20])
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
     if kind == _KIND_OCCUPANCY:
@@ -479,19 +483,22 @@ def grid_from_bytes(blob: bytes) -> OccupancyGrid | BinaryGrid:
         expected = -(-(n**3) // 8)
     else:
         raise ValueError(f"unknown grid payload kind {kind}")
-    payload = blob[20:]
-    if len(payload) != expected:
-        raise ValueError(f"grid payload is {len(payload)} bytes, expected {expected} for N={n}")
+    if len(blob) - 20 != expected:
+        raise ValueError(f"grid payload is {len(blob) - 20} bytes, expected {expected} for N={n}")
+    # the payload is read where it lies in the blob, not copied out of it
     if kind == _KIND_OCCUPANCY:
-        data = np.frombuffer(payload, dtype="<f4").reshape((n,) * 3)
+        data = np.frombuffer(blob, dtype="<f4", offset=20).reshape((n,) * 3)
         return OccupancyGrid(data.astype(np.float64))
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n**3)
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=20), count=n**3)
     return BinaryGrid(bits.astype(bool).reshape((n,) * 3))
 
 
 def save_grid(grid: OccupancyGrid | BinaryGrid, path) -> None:
+    """Write `grid_to_bytes(grid)`: the header, then the payload array's own buffer."""
+    header, payload = _grid_parts(grid)
     with open(path, "wb") as f:
-        f.write(grid_to_bytes(grid))
+        f.write(header)
+        f.write(payload)
 
 
 def load_grid(path) -> OccupancyGrid | BinaryGrid:
@@ -522,21 +529,3 @@ def save_ply(cloud: PointCloud, path) -> None:
     flat = cells.reshape(-1)
     with open(path, "wb") as f:
         f.write(header.encode() + flat[flat != 0].tobytes())
-
-
-def load_ply(path) -> PointCloud:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    try:
-        end = lines.index("end_header")
-    except ValueError as exc:
-        raise ValueError("not an ASCII PLY file") from exc
-    count = 0
-    for line in lines[:end]:
-        if line.startswith("element vertex"):
-            count = int(line.split()[-1])
-    pts = np.array(
-        [[float(v) for v in line.split()[:3]] for line in lines[end + 1 : end + 1 + count]],
-        dtype=np.float64,
-    ).reshape(count, 3)
-    return PointCloud(pts)

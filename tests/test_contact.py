@@ -302,3 +302,26 @@ def test_contact_set_rejects_out_of_cube_points():
 def test_contact_set_rejects_empty():
     with pytest.raises(ValueError):
         ContactSet(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({}, id="missing"),
+        pytest.param({"points": None}, id="null"),
+        pytest.param({"points": [[0.5, {}, 0.5]]}, id="dict-coordinate"),
+        pytest.param({"points": [[0.5, 10**400, 0.5]]}, id="huge-integer"),
+        pytest.param({"points": [[0.5, "0.5", 0.5]]}, id="string-coordinate"),
+        pytest.param({"points": [[True, 0.5, 0.5]]}, id="bool-coordinate"),
+        pytest.param({"points": [[0.5, 0.5, 0.5], [0.5]]}, id="ragged"),
+    ],
+)
+def test_contact_set_from_dict_rejects_bad_points_naming_the_field(doc):
+    with pytest.raises(ValueError, match="points"):
+        ContactSet.from_dict(doc)
+
+
+def test_contact_set_from_dict_reads_integer_coordinates():
+    loaded = ContactSet.from_dict({"points": [[0, 1, 0], [0.5, 0.25, 1]]})
+    assert loaded.points.dtype == np.float64
+    np.testing.assert_array_equal(loaded.points, [[0.0, 1.0, 0.0], [0.5, 0.25, 1.0]])

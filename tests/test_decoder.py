@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from contact_flow.decoder import (
     ENCODE_CLAMP,
     DecoderParams,
+    _interp_matrix,
     _upsample,
     _upsample_transpose,
     decode,
@@ -332,6 +333,32 @@ def test_decode_is_bit_identical_to_the_out_of_place_logistic_and_clip(n):
     assert got.max() == np.nextafter(1.0, 0.0)
     if n > 1:
         assert got.min() == np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_decoder_passes_are_bit_identical_to_the_view_operand_expressions(n):
+    # decode multiplies by a contiguous copy of A.T and finishes the logistic
+    # in the upsampled array; both must leave every byte as the three matmuls
+    # with the A.T view, a logistic into a fresh array and the clip give it.
+    # The adjoint keeps its A.T views and A.
+    rng = np.random.Generator(np.random.PCG64(70 + n))
+    params = DecoderParams.default(3, beta=4.0)
+    x = LatentGrid(3.0 * rng.standard_normal((n, n, n, 3)))
+    N = 4 * n
+    A = _interp_matrix(n, N)
+    coarse = np.tensordot(x.data, params.w, axes=([3], [0]))
+    first = np.matmul(A, coarse.reshape(n, n * n)).reshape(N, n, n)
+    u = np.matmul(np.matmul(A, first), A.T)
+    s = 1.0 / (1.0 + np.exp(-(params.beta * u)))
+    expected = np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    assert decode(x, params).data.tobytes() == expected.tobytes()
+
+    cot = rng.standard_normal((N, N, N))
+    d_fine = cot * s * (1.0 - s) * params.beta
+    first = np.matmul(A.T, d_fine.reshape(N, N * N)).reshape(n, N, N)
+    d_coarse = np.matmul(np.matmul(A.T, first), A)
+    expected = np.einsum("ijk,c->ijkc", d_coarse, params.w)
+    assert decode_vjp(x, cot, params).tobytes() == expected.tobytes()
 
 
 def test_decode_of_a_far_negative_logit_is_tiny_without_an_overflow_warning():

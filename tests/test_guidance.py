@@ -587,17 +587,21 @@ def test_energy_gradient_is_finite_with_windows_where_the_logistic_overflows():
 
 def window_chain_oracle(coarse, windows, dec):
     """The drag-window chain as it was: out-of-place clip, mismatch and
-    logistic adjoint, and the channel mix as a broadcast."""
-    from contact_flow.decoder import _clip_occupancy, _interp, _logistic
+    logistic adjoint, the channel mix as a broadcast, and every interpolation
+    operand a view of A (A[rows, cols] or its transpose), none a copy."""
+    from contact_flow.decoder import _clip_occupancy, _interp, _interp_matrix, _logistic
 
+    n = coarse.shape[0]
+    A = _interp_matrix(n, 4 * n)
     d_coarse = np.zeros_like(coarse)
     J = 0.0
     for win in windows:
-        s = _logistic(_interp(coarse[win.coarse], *win.blocks), dec.beta)
+        bx, by, bz = (A[rows, cols] for rows, cols in zip(win.fine, win.coarse))
+        s = _logistic(_interp(coarse[win.coarse], bx, by, bz.T), dec.beta)
         diff = _clip_occupancy(s) - win.target
         J += float(np.sum(diff**2))
         d_fine = 2.0 * diff * s * (1.0 - s) * dec.beta
-        d_coarse[win.coarse] += _interp(d_fine, *(m.T for m in win.blocks))
+        d_coarse[win.coarse] += _interp(d_fine, bx.T, by.T, bz)
     return J, (d_coarse[..., None] * dec.w).reshape(-1)
 
 

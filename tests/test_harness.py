@@ -179,6 +179,31 @@ def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
     assert len(skipped) == 1
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda m: m["artifacts"].update(occupancy=None), "'occupancy'", id="null-occupancy"),
+        pytest.param(lambda m: m["artifacts"].pop("contacts"), "'contacts'", id="no-contacts"),
+        pytest.param(lambda m: m["artifacts"]["occupancy"].update(path=None), "path", id="null-path"),
+        pytest.param(lambda m: m.update(artifacts=None), "artifacts", id="null-artifacts"),
+        pytest.param(lambda m: m.update(seeds=None), "seeds", id="null-seeds"),
+        pytest.param(lambda m: m["seeds"].pop("run"), "'run'", id="no-run-seed"),
+        pytest.param(lambda m: m["seeds"].update(run="7"), "run seed", id="string-run-seed"),
+        pytest.param(lambda m: m.pop("scenario"), "'scenario'", id="no-scenario"),
+        pytest.param(lambda m: m.update(method=None), "method", id="null-method"),
+    ],
+)
+def test_evaluate_skips_a_manifest_with_a_bad_field_naming_it(tmp_path, scenario, edit, field):
+    run = tmp_path / "run"
+    manifest = generate_run(scenario, run, mode="unguided")
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=field):
+        evaluate_run_dir(run)
+    reports, skipped = evaluate_run_dirs([run])
+    assert reports == [] and len(skipped) == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -757,6 +782,16 @@ def test_bench_pairs_reads_unit_and_kernel_p50_from_the_wall_clock_line():
     report, env = bench.parse_report("\n".join(lines))
     assert report == {**json.loads(result), "run_s.p50": 0.0520936, "ref_kernel_p50_s": 0.023154}
     assert env == {"cpu_count": 2}
+    # the wall-clock figures are summarized per side like the metrics
+    faster = "\n".join(lines).replace("0.0520936", "0.05").replace("0.023154", "0.024")
+    runs = {"parent": [report, report], "change": [report, bench.parse_report(faster)[0]]}
+    wall = bench.summarize_wall_clock(runs)
+    assert wall["run_s.p50"]["parent"] == {"median": 0.0520936, "q1": 0.0520936, "q3": 0.0520936}
+    assert wall["run_s.p50"]["change"]["median"] == pytest.approx((0.0520936 + 0.05) / 2)
+    assert (wall["run_s.p50"]["change_wins"], wall["run_s.p50"]["ties"]) == (1, 1)
+    assert (wall["ref_kernel_p50_s"]["change_wins"], wall["ref_kernel_p50_s"]["ties"]) == (0, 1)
+    assert wall["ref_kernel_p50_s"]["change_runs"] == [0.023154, 0.024]
+    assert "change wins 0/2 (lower is better)" in bench.format_row("ref_kernel_p50_s", wall["ref_kernel_p50_s"])
     report, _ = bench.parse_report("\n".join(lines[:3] + lines[4:]))
     assert all(math.isnan(report[key]) for key in bench.WALL_CLOCK_KEYS)
     assert bench.parse_report("\n".join(lines[:4])) is None

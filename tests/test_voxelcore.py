@@ -20,7 +20,6 @@ from contact_flow.voxelcore import (
     grid_to_bytes,
     index_to_point,
     load_grid,
-    load_ply,
     nonzero_indices,
     point_to_index,
     primitive_from_dict,
@@ -486,6 +485,55 @@ def test_grid_container_header_layout():
 def test_grid_container_rejects_garbage():
     with pytest.raises(ValueError):
         grid_from_bytes(b"not a grid at all, sorry")
+
+
+def load_ply(path) -> PointCloud:
+    """Reader of save_ply's ASCII PLY files, for the round-trip tests."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    end = lines.index("end_header")
+    count = next(int(line.split()[-1]) for line in lines[:end] if line.startswith("element vertex"))
+    pts = np.array([[float(v) for v in line.split()] for line in lines[end + 1 :]], dtype=np.float64)
+    assert len(pts) == count
+    return PointCloud(pts.reshape(count, 3))
+
+
+@pytest.mark.parametrize("kind", ["occupancy", "binary"])
+@pytest.mark.parametrize("N", [1, 5, 64])
+def test_save_grid_writes_the_bytes_of_grid_to_bytes(tmp_path, kind, N):
+    data = np.random.Generator(np.random.PCG64(N)).random((N, N, N))
+    grid = OccupancyGrid(data) if kind == "occupancy" else binarize(OccupancyGrid(data))
+    save_grid(grid, tmp_path / "g.grid")
+    blob = (tmp_path / "g.grid").read_bytes()
+    assert blob == grid_to_bytes(grid)
+    # the payload as the container defines it: float32 in C order, or packed bits
+    payload = data.astype("<f4").tobytes() if kind == "occupancy" else np.packbits(grid.data).tobytes()
+    assert blob[20:] == payload
+
+
+def _container(version: int, kind: int, n: int, payload: bytes = b"") -> bytes:
+    return b"CFLOWGRD" + version.to_bytes(4, "little") + kind.to_bytes(4, "little") + (
+        n.to_bytes(4, "little", signed=True) + payload
+    )
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"CFLOWGR", "not a contact-flow grid container"),
+        (b"NOTAGRID" + bytes(12), "not a contact-flow grid container"),
+        (_container(2, 0, 1, bytes(4)), "unsupported grid container version 2"),
+        (_container(1, 0, 0), "grid resolution must be >= 1, got 0"),
+        (_container(1, 7, 1, bytes(4)), "unknown grid payload kind 7"),
+        (_container(1, 0, 2, bytes(31)), "grid payload is 31 bytes, expected 32 for N=2"),
+        (_container(1, 1, 3, bytes(5)), "grid payload is 5 bytes, expected 4 for N=3"),
+        (_container(1, 1, 3), "grid payload is 0 bytes, expected 4 for N=3"),
+    ],
+)
+def test_grid_loader_error_messages(blob, message):
+    with pytest.raises(ValueError) as info:
+        grid_from_bytes(blob)
+    assert str(info.value) == message
 
 
 def test_ply_roundtrip(tmp_path):
