@@ -6,7 +6,8 @@ both trees with the same manifest, apart from its `timings` and `environment`
 blocks: the same artifact sha256s, `library_hashes`, seeds, `final_J` and
 metrics.  Each artifact file must still match the hash its manifest records,
 and every metrics.csv and summary.json must hold the same rows.  One line is
-printed per difference; the exit code is 1 if there is any, 0 otherwise.
+printed per difference, naming a differing manifest field by its dotted path
+(`guidance.radius`); the exit code is 1 if there is any, 0 otherwise.
 
 Example:
     python scripts/compare_runs.py runs/parent runs/change
@@ -28,6 +29,15 @@ IGNORED_KEYS = ("timings", "environment")
 def _canonical(value) -> str:
     # JSON text compares NaN equal to itself, unlike the float
     return json.dumps(value, sort_keys=True)
+
+
+def _differing_fields(a, b, name: str) -> list[str]:
+    """Dotted names of the fields where manifest values `a` and `b` differ,
+    descending into the dicts both hold; a missing field reads as None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [field for key in sorted(a.keys() | b.keys())
+                for field in _differing_fields(a.get(key), b.get(key), f"{name}.{key}")]
+    return [name] if _canonical(a) != _canonical(b) else []
 
 
 def _files(root: Path, name: str) -> set[Path]:
@@ -52,8 +62,8 @@ def compare_trees(a: Path, b: Path) -> list[str]:
             ]
         ma, mb = load_manifest(a / run), load_manifest(b / run)
         for key in sorted((ma.keys() | mb.keys()) - set(IGNORED_KEYS)):
-            if _canonical(ma.get(key)) != _canonical(mb.get(key)):
-                diffs.append(f"{run}: manifest {key!r} differs")
+            diffs += [f"{run}: manifest {field!r} differs"
+                      for field in _differing_fields(ma.get(key), mb.get(key), key)]
     for name, read in (
         ("metrics.csv", read_metrics_csv),
         ("summary.json", lambda path: [json.loads(path.read_text())]),

@@ -35,8 +35,8 @@ class DecoderParams:
         norm = float(np.linalg.norm(w))
         if not np.isclose(norm, 1.0, rtol=0, atol=1e-9):
             raise ValueError(f"channel mixing vector must have unit norm, got {norm}")
-        if self.beta <= 0.0:
-            raise ValueError("logistic gain beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("logistic gain beta must be positive and finite")
         object.__setattr__(self, "w", _freeze(w))
 
     @property

@@ -55,11 +55,8 @@ from .voxelcore import (
 
 ATTENUATION_GUARD = 1e-12
 
-SCHEDULE_STAGED = "staged"
-SCHEDULE_COVG = "covg"
-
 # manifest keys of fixed conventions, with the one value each may hold
-_LEGACY_KEYS = {"aggregation": "sum", "threshold": 0.5, "t_min": T_MIN_DEFAULT}
+_LEGACY_KEYS = {"aggregation": "sum", "threshold": 0.5, "t_min": T_MIN_DEFAULT, "schedule": "staged"}
 
 
 class GenerationAborted(RuntimeError):
@@ -82,7 +79,6 @@ class GuidanceConfig:
     lambda_stage: tuple[float, float, float] = (0.2, 1.0, 0.5)
     recurrence: int = 3
     radius: int = 10
-    schedule: str = SCHEDULE_STAGED
 
     def __post_init__(self):
         if self.timesteps < 3:
@@ -97,18 +93,9 @@ class GuidanceConfig:
             raise ValueError("recurrence must be >= 1")
         if self.radius < 0:
             raise ValueError("neighborhood radius must be >= 0")
-        if self.schedule not in (SCHEDULE_STAGED, SCHEDULE_COVG):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
-    def lambda_schedule(self, step: int, t: float) -> float:
-        """Stage weight for a given step index (staged) or time (cov-G variant).
-
-        The cov-G coefficient t/(1-t) is the complete guidance weight (no
-        attenuation is composed with it) and diverges at t=1 by construction;
-        the resulting non-finite state is reported as an abort, not masked.
-        """
-        if self.schedule == SCHEDULE_COVG:
-            return math.inf if t >= 1.0 else t / (1.0 - t)
+    def lambda_schedule(self, step: int) -> float:
+        """Stage weight of the step with index `step`."""
         b0, b1 = self.stage_bounds
         if step < b0:
             return self.lambda_stage[0]
@@ -123,7 +110,6 @@ class GuidanceConfig:
             "lambda_stage": list(self.lambda_stage),
             "recurrence": self.recurrence,
             "radius": self.radius,
-            "schedule": self.schedule,
         }
 
     @classmethod
@@ -141,7 +127,6 @@ class GuidanceConfig:
             lambda_stage=_convert(given["lambda_stage"], tuple, "lambda_stage"),
             recurrence=_convert(given["recurrence"], int, "recurrence"),
             radius=_convert(given["radius"], int, "radius"),
-            schedule=_expect(given["schedule"], str, "schedule"),
         )
 
 
@@ -440,32 +425,30 @@ def guided_sample(
     the energy gradient at the current state and nudge x_t by
     lambda * grad_xt * (t_next - t); the timestep then advances with the last
     computed velocity.  An iteration whose lambda is 0 leaves x_t where it was,
-    so the next one reuses its flow pass, gradients and weights (at t = 1 the
-    staged schedule's grad_xt is exactly 0).  A non-finite state aborts with
-    the offending step and the trajectory recorded so far.
+    so the next one reuses its flow pass, gradients and weights (at t = 1,
+    grad_xt is exactly 0).  A non-finite state aborts with the offending step
+    and the trajectory recorded so far.
     """
     _check_inputs(model, dec, ref)
     windows = _drag_windows(ref, contacts, cfg.radius)
     x = sample_base(model, seed).data.reshape(-1)
     ts, t_nexts = time_grid(cfg.timesteps)
-    covg = cfg.schedule == SCHEDULE_COVG
     records: list[StepRecord] = []
     try:
         for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
-            lam_sched = cfg.lambda_schedule(step, t)
+            lam_sched = cfg.lambda_schedule(step)
             for inner in range(cfg.recurrence):
                 if inner == 0 or lam != 0.0:  # else x did not move: the values below hold
                     v, r, mubar, x0 = _predict(model, x, t)
                     J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
                     g_x0_norm = float(np.linalg.norm(g_x0))
                     g_xt_norm = float(np.linalg.norm(g_xt))
-                    # cov-G's coefficient is the whole weight, deliberately without attenuation
-                    lam_att = 1.0 if covg else attenuation(g_x0_norm, g_xt_norm)
+                    lam_att = attenuation(g_x0_norm, g_xt_norm)
                     suppressed = lam_att == 0.0
                     lam = lam_sched * lam_att
                 g_norm = 0.0
                 if lam != 0.0:
-                    # lam may be inf (cov-G at t=1); the non-finite state is caught below
+                    # a huge finite lam can overflow g; the non-finite checks below abort the run
                     with np.errstate(invalid="ignore", over="ignore"):
                         g = lam * g_xt
                         x = x + g * (t_next - t)

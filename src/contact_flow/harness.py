@@ -4,7 +4,7 @@ run -> evaluation -> reports.
 Every run writes a self-contained directory with a JSON manifest recording the
 resolved scenario, all seeds, configs, artifact hashes, and timings — enough
 to bit-reproduce the run.  Exit codes: 0 success, 2 generation abort,
-3 evaluation failure, 4 config error.
+3 evaluation failure, 4 config or usage error.
 """
 
 from __future__ import annotations
@@ -249,16 +249,27 @@ def load_manifest(run_dir) -> dict:
         return _expect(json.load(f), dict, "run manifest")
 
 
+def _artifact_entry(artifacts: dict, name: str, key: str) -> str:
+    """The `key` ("path" or "sha256") of artifact `name`, a ValueError naming both if malformed."""
+    what = f"manifest artifact {name!r}"
+    entry = _expect(_require(artifacts, name, "manifest artifacts"), dict, what)
+    return _expect(_require(entry, key, what), str, f"{what} {key}")
+
+
 def verify_manifest(run_dir) -> list[str]:
-    """Names of artifacts that are missing or whose hash differs; empty = intact."""
+    """Names of artifacts that are missing, malformed in the manifest, or whose
+    hash differs; empty = intact."""
     run = Path(run_dir)
-    manifest = load_manifest(run)
-    bad = []
-    for name, entry in manifest["artifacts"].items():
-        path = run / entry["path"]
-        if not path.exists() or _file_sha256(path) != entry["sha256"]:
-            bad.append(name)
-    return bad
+    artifacts = _expect(_require(load_manifest(run), "artifacts", "manifest"), dict, "manifest artifacts")
+
+    def intact(name: str) -> bool:
+        try:
+            path = run / _artifact_entry(artifacts, name, "path")
+            return path.exists() and _file_sha256(path) == _artifact_entry(artifacts, name, "sha256")
+        except ValueError:
+            return False
+
+    return [name for name in artifacts if not intact(name)]
 
 
 def rerun_manifest(manifest: dict, out_dir) -> dict:
@@ -289,15 +300,9 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
     scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
     artifacts = _expect(_require(manifest, "artifacts", "manifest"), dict, "manifest artifacts")
-
-    def artifact_path(name: str) -> Path:
-        what = f"manifest artifact {name!r}"
-        entry = _expect(_require(artifacts, name, "manifest artifacts"), dict, what)
-        return run / _expect(_require(entry, "path", what), str, f"{what} path")
-
     seeds = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
-    occupancy = load_grid(artifact_path("occupancy"))
-    contacts = ContactSet.load(artifact_path("contacts"))
+    occupancy = load_grid(run / _artifact_entry(artifacts, "occupancy", "path"))
+    contacts = ContactSet.load(run / _artifact_entry(artifacts, "contacts", "path"))
     report = evaluate_run(
         occupancy,
         voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
@@ -305,7 +310,7 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
         scenario=scenario.name,
         method=_expect(_require(manifest, "method", "manifest"), str, "manifest method"),
         seed=_convert(_require(seeds, "run", "manifest seeds"), int, "run seed"),
-        final_J=manifest.get("final_J", math.nan),
+        final_J=_convert(manifest["final_J"], float, "final_J") if "final_J" in manifest else math.nan,
     )
     manifest["metrics"] = report.to_json_dict()
     _write_json(run / MANIFEST_NAME, manifest)
@@ -392,7 +397,7 @@ def _sweep_task(scenario: Scenario, cfg: GuidanceConfig, run_index: int, out_dir
             "contact_residual": report.contact_residual_median, "failed": report.failed}
 
 
-def _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii):
+def _sweep_plan(scenario, base, runs, lambdas, recurrences, radii):
     """Every cell's guidance config in cell order, an empty grid keeping the base
     value, and the pool size; ConfigError, before any run, on a bad run count,
     grid value, CONTACT_FLOW_WORKERS or scenario (paired runs differ in seeds only)."""
@@ -401,15 +406,10 @@ def _sweep_plan(scenario, base, runs, lambdas, recurrences, schedules, radii):
             raise ValueError(f"runs per cell must be >= 1, got {runs}")
         workers = worker_count()
         cells = []
-        for lam, m, sched, radius in itertools.product(
-            lambdas or [base.lambda_stage],
-            recurrences or [base.recurrence],
-            schedules or [base.schedule],
-            radii or [base.radius],
+        for lam, m, radius in itertools.product(
+            lambdas or [base.lambda_stage], recurrences or [base.recurrence], radii or [base.radius]
         ):
-            cfg = dataclasses.replace(
-                base, lambda_stage=tuple(lam), recurrence=m, schedule=sched, radius=radius
-            )
+            cfg = dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius)
             _check_radius(cfg.radius, scenario.resolution)
             cells.append(cfg)
         build_scenario(scenario)
@@ -424,7 +424,6 @@ def sweep(
     runs: int,
     lambda_grid: list[tuple[float, float, float]] | None = None,
     recurrence_grid: list[int] | None = None,
-    schedule_grid: list[str] | None = None,
     radius_grid: list[int] | None = None,
     base_cfg: GuidanceConfig | None = None,
 ) -> list[dict]:
@@ -435,9 +434,7 @@ def sweep(
     parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
     """
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
-    cells, workers = _sweep_plan(
-        scenario, base, runs, lambda_grid, recurrence_grid, schedule_grid, radius_grid
-    )
+    cells, workers = _sweep_plan(scenario, base, runs, lambda_grid, recurrence_grid, radius_grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -456,7 +453,6 @@ def sweep(
             "cell": cell_index,
             "lambda_stage": list(cfg.lambda_stage),
             "recurrence": cfg.recurrence,
-            "schedule": cfg.schedule,
             "radius": cfg.radius,
             "runs": runs,
             "aborts": len(aborted),
@@ -489,10 +485,10 @@ def _resolve_scenario(spec: str, grid_n: int | None) -> Scenario:
     return scenario
 
 
-def _cfg_from_flags(scenario, lam, recurrence, schedule, radius, timesteps):
+def _cfg_from_flags(scenario, lam, recurrence, radius, timesteps):
     """The scenario's guidance config with each flag that was given in place."""
     flags = {"lambda_stage": None if lam is None else tuple(lam), "recurrence": recurrence,
-             "schedule": schedule, "radius": radius, "timesteps": timesteps,
+             "radius": radius, "timesteps": timesteps,
              "stage_bounds": None if timesteps is None else (timesteps // 3, (2 * timesteps) // 3)}
     return scenario.guidance_config(**{k: v for k, v in flags.items() if v is not None})
 
@@ -502,7 +498,25 @@ def _exit_config_error(exc: Exception) -> None:
     sys.exit(EXIT_CONFIG_ERROR)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Usage errors (an unknown option, say) exit 4, a config error: 2 means a generation abort here."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_is_config_error(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_is_config_error(super().invoke, ctx)
+
+
+def _usage_is_config_error(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG_ERROR
+        raise
+
+
+@click.group(cls=_Cli)
 def main():
     """Contact-guided voxel shape generation and evaluation."""
 
@@ -517,18 +531,17 @@ def main():
 @click.option("--lambda", "lam", nargs=3, type=float, default=None,
               help="Stage guidance weights (early middle late).")
 @click.option("--recurrence", type=int, default=None, help="Inner guided updates per timestep.")
-@click.option("--schedule", type=click.Choice(["staged", "covg"]), default=None)
 @click.option("--radius", type=int, default=None, help="Drag neighborhood radius (voxels).")
 @click.option("--timesteps", type=int, default=None, help="Number of flow timesteps.")
 @click.option("--grid-n", type=int, default=None, help="Latent resolution override.")
 @click.option("--contacts", "contacts_path", type=click.Path(exists=True), default=None,
               help="External contact-point JSON instead of sampled contacts.")
 def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurrence,
-             schedule, radius, timesteps, grid_n, contacts_path):
+             radius, timesteps, grid_n, contacts_path):
     """Generate one shape (guided by default) and write its run directory."""
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
-        cfg = _cfg_from_flags(scenario, lam or None, recurrence, schedule, radius, timesteps)
+        cfg = _cfg_from_flags(scenario, lam or None, recurrence, radius, timesteps)
         external = ContactSet.load(contacts_path) if contacts_path else None
     except (ValueError, OSError, KeyError) as exc:
         _exit_config_error(exc)
@@ -572,20 +585,18 @@ def evaluate(run_dirs, out_dir):
 @click.option("--lambda", "lambdas", nargs=3, type=float, multiple=True,
               help="Stage weights; repeat for multiple cells.")
 @click.option("--recurrence", "recurrences", type=int, multiple=True)
-@click.option("--schedule", "schedules", type=click.Choice(["staged", "covg"]), multiple=True)
 @click.option("--radius", "radii", type=int, multiple=True)
 @click.option("--timesteps", type=int, default=None)
 @click.option("--grid-n", type=int, default=None)
-def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, schedules, radii,
-                  timesteps, grid_n):
+def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, radii, timesteps, grid_n):
     """Cross-product ablation sweep over guidance knobs."""
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
-        base = _cfg_from_flags(scenario, None, None, None, None, timesteps)
+        base = _cfg_from_flags(scenario, None, None, None, timesteps)
     except (ValueError, OSError, KeyError) as exc:
         _exit_config_error(exc)
     try:
-        rows = sweep(scenario, out_dir, runs, lambdas, recurrences, schedules, radii, base_cfg=base)
+        rows = sweep(scenario, out_dir, runs, lambdas, recurrences, radii, base_cfg=base)
     except ConfigError as exc:  # raised before any run, with nothing written
         _exit_config_error(exc)
     for row in rows:

@@ -67,8 +67,8 @@ class MixtureFlowModel:
             raise ValueError("weights must have one entry per component")
         if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-12):
             raise ValueError("weights must be a probability simplex vector")
-        if self.sigma <= 0.0:
-            raise ValueError("component noise scale sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("component noise scale sigma must be positive and finite")
         if not self.component_ids:
             object.__setattr__(
                 self, "component_ids", tuple(f"component_{k}" for k in range(means.shape[0]))
@@ -133,8 +133,8 @@ class VisibilityCondition:
             raise ValueError("visibility mask must be non-empty and not cover the full volume")
         if self.mask.resolution != self.observation.resolution:
             raise ValueError("mask and observation resolutions differ")
-        if self.gamma < 0.0:
-            raise ValueError("sharpness gamma must be non-negative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("sharpness gamma must be non-negative and finite")
 
 
 def _check_time(t: float):
@@ -270,7 +270,8 @@ def condition(
     v = cond.mask.data
     obs = cond.observation.data[v]
     energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
-    logits = np.log(model.weights) - cond.gamma * energies
+    with np.errstate(over="ignore"):  # gamma * energy may overflow: a mass of 0, checked below
+        logits = np.log(model.weights) - cond.gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")
     logw = logits - _logsumexp(logits)

@@ -14,6 +14,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass
@@ -51,11 +52,13 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# each kind of number or list field: its name and the values it takes
+# each kind of number or list field: its name and the values it takes (a list's
+# entries finite: NaN, inf and an int beyond the float range are not coordinates)
 _FIELD_KINDS = {
     int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
     float: ("a number", _is_number),
-    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+    tuple: ("a list of numbers",
+            lambda v: isinstance(v, (list, tuple)) and all(_is_number(x) and math.isfinite(x) for x in v)),
 }
 
 

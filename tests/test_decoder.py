@@ -278,8 +278,9 @@ def test_roundtrip_iou_at_production_resolution(prim):
 def test_params_require_unit_norm_and_positive_gain():
     with pytest.raises(ValueError):
         DecoderParams(w=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        DecoderParams(w=np.array([1.0]), beta=0.0)
+    for beta in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            DecoderParams(w=np.array([1.0]), beta=beta)
 
 
 @given(st.integers(0, 2**32 - 1))

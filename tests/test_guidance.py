@@ -355,23 +355,19 @@ def test_unguided_two_components_both_modes_appear():
     assert len(np.unique(landings // 20)) >= 2
 
 
-def test_covg_schedule_aborts_with_recorded_trajectory():
-    model, params, cfg, ref, contacts = toy_setup(seed=29)
-    covg = dataclasses.replace(cfg, schedule="covg")
-    with pytest.raises(GenerationAborted) as err:
-        guided_sample(model, params, contacts, ref, covg, seed=0)
-    assert err.value.step == 0
-    assert err.value.trajectory is not None
-    assert len(err.value.trajectory.records) >= 1
-
-
 def test_huge_lambda_aborts_with_step_info():
     model, params, cfg, ref, contacts = toy_setup(seed=30)
     hot = dataclasses.replace(cfg, lambda_stage=(1e300, 1e300, 1e300))
     with pytest.raises(GenerationAborted) as err:
         guided_sample(model, params, contacts, ref, hot, seed=0)
-    assert err.value.step >= 0
-    assert "non-finite" in err.value.reason or "underflowed" in err.value.reason
+    # step 0 (t = 1) has grad_xt = 0, so its weight is 0; the first weighted
+    # update sends the state so far out that the next flow pass underflows
+    assert (err.value.step, err.value.inner) == (1, 1)
+    assert "all mixture components underflowed" in err.value.reason
+    records = err.value.trajectory.records
+    assert [(r.step, r.inner) for r in records] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert all(r.suppressed and r.lam == 0.0 for r in records[:3])
+    assert records[3].lam > 1e300 and not records[3].suppressed
 
 
 def test_trajectory_jsonl_dump(tmp_path):
@@ -405,8 +401,6 @@ def test_config_validation():
             GuidanceConfig(lambda_stage=(0.2, bad, 0.5))
     with pytest.raises(ValueError):
         GuidanceConfig(recurrence=0)
-    with pytest.raises(ValueError):
-        GuidanceConfig(schedule="linear")
     cfg = GuidanceConfig()
     assert cfg.timesteps == 12
     assert cfg.stage_bounds == (4, 8)
@@ -417,18 +411,14 @@ def test_config_validation():
 
 def test_lambda_schedule_stages():
     cfg = GuidanceConfig()
-    assert [cfg.lambda_schedule(i, 0.5) for i in (0, 3)] == [0.2, 0.2]
-    assert [cfg.lambda_schedule(i, 0.5) for i in (4, 7)] == [1.0, 1.0]
-    assert [cfg.lambda_schedule(i, 0.5) for i in (8, 11)] == [0.5, 0.5]
-    covg = GuidanceConfig(schedule="covg")
-    assert covg.lambda_schedule(0, 1.0) == math.inf
-    assert covg.lambda_schedule(1, 0.5) == pytest.approx(1.0)
-    assert covg.lambda_schedule(1, 0.8) == pytest.approx(4.0)
+    assert [cfg.lambda_schedule(i) for i in (0, 3)] == [0.2, 0.2]
+    assert [cfg.lambda_schedule(i) for i in (4, 7)] == [1.0, 1.0]
+    assert [cfg.lambda_schedule(i) for i in (8, 11)] == [0.5, 0.5]
 
 
 def test_config_dict_roundtrip():
     cfg = GuidanceConfig(timesteps=9, stage_bounds=(3, 6), lambda_stage=(0.1, 0.9, 0.3),
-                         recurrence=2, radius=4, schedule="covg")
+                         recurrence=2, radius=4)
     assert GuidanceConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -441,7 +431,12 @@ def test_decoder_channel_mismatch_is_an_error_not_an_abort():
 
 @pytest.mark.parametrize(
     "key, legal, wrong",
-    [("aggregation", "sum", "mean"), ("threshold", 0.5, 0.4), ("t_min", 0.001, 0.01)],
+    [
+        ("aggregation", "sum", "mean"),
+        ("threshold", 0.5, 0.4),
+        ("t_min", 0.001, 0.01),
+        ("schedule", "staged", "covg"),
+    ],
 )
 def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wrong):
     d = GuidanceConfig().to_dict()
@@ -462,7 +457,6 @@ def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wron
         ("stage_bounds", [4, 8.5], "stage_bounds entry must be an integer"),
         ("lambda_stage", [0.2, None, 0.5], "lambda_stage must be a list of numbers"),
         ("lambda_stage", [0.2, True, 0.5], "lambda_stage must be a list of numbers"),
-        ("schedule", 1, "schedule must be a str"),
     ],
 )
 def test_config_from_dict_rejects_wrong_typed_fields_as_value_errors(key, bad, message):
@@ -675,7 +669,7 @@ def every_iteration_guided_sample(model, dec, contacts, ref, cfg, seed):
     ts, t_nexts = time_grid(cfg.timesteps)
     records = []
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
-        lam_sched = cfg.lambda_schedule(step, t)
+        lam_sched = cfg.lambda_schedule(step)
         for inner in range(cfg.recurrence):
             v, r, mubar, x0 = guidance_module._predict(model, x, t)
             J, g_x0 = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), dec), windows, dec)
@@ -751,13 +745,3 @@ def test_an_iteration_with_zero_lambda_is_computed_once(depth_boxes_n4, monkeypa
     assert len(counted) == calls
     assert len(traj) == cfg.timesteps * cfg.recurrence
     assert counted[0] == 1.0 and traj.records[0].grad_xt_norm == 0.0
-
-
-def test_covg_still_aborts_at_its_first_iteration_with_its_record(depth_boxes_n4):
-    built, cfg, ref = depth_boxes_n4
-    covg = dataclasses.replace(cfg, schedule="covg")
-    with pytest.raises(GenerationAborted) as err:
-        guided_sample(built.model, built.decoder, built.contacts, ref, covg, built.scenario.seeds.guided)
-    assert (err.value.step, err.value.inner) == (0, 0)
-    (record,) = err.value.trajectory.records
-    assert record.lam == math.inf and not record.suppressed

@@ -91,9 +91,13 @@ def test_manifest_records_everything_needed(tmp_path, scenario):
 
 
 def test_verify_manifest_detects_tampering(tmp_path, scenario):
-    generate_run(scenario, tmp_path / "run", mode="guided")
+    manifest = generate_run(scenario, tmp_path / "run", mode="guided")
     (tmp_path / "run" / "occupancy.grid").write_bytes(b"corrupted")
     assert "occupancy" in verify_manifest(tmp_path / "run")
+    # a malformed entry is listed too, not a TypeError
+    manifest["artifacts"].update(shape=None, surface={"path": "surface.ply"})
+    _write_json(tmp_path / "run" / "manifest.json", manifest)
+    assert verify_manifest(tmp_path / "run") == ["occupancy", "shape", "surface"]
 
 
 def test_rerun_manifest_reproduces_hashes_exactly(tmp_path, scenario):
@@ -103,13 +107,17 @@ def test_rerun_manifest_reproduces_hashes_exactly(tmp_path, scenario):
 
 
 def test_generation_abort_writes_partial_manifest(tmp_path, scenario):
-    cfg = scenario.guidance_config(schedule="covg")
+    cfg = scenario.guidance_config(lambda_stage=(1e300,) * 3)
     with pytest.raises(GenerationAborted):
         generate_run(scenario, tmp_path / "hot", mode="guided", cfg=cfg)
     manifest = load_manifest(tmp_path / "hot")
-    assert manifest["failure"] is not None
-    assert manifest["failure"]["step"] == 0
-    assert "trajectory" in manifest["artifacts"]
+    assert (manifest["failure"]["step"], manifest["failure"]["inner"]) == (1, 1)
+    assert "underflowed" in manifest["failure"]["reason"]
+    assert "trajectory" in manifest["artifacts"] and "occupancy" not in manifest["artifacts"]
+    assert verify_manifest(tmp_path / "hot") == []
+    # the four records up to the abort, then a NaN final_J
+    lines = (tmp_path / "hot" / "trajectory.jsonl").read_text().splitlines()
+    assert len(lines) == 5 and math.isnan(json.loads(lines[-1])["final_J"])
 
 
 def test_method_labels(scenario):
@@ -191,6 +199,7 @@ def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
         pytest.param(lambda m: m["seeds"].update(run="7"), "run seed", id="string-run-seed"),
         pytest.param(lambda m: m.pop("scenario"), "'scenario'", id="no-scenario"),
         pytest.param(lambda m: m.update(method=None), "method", id="null-method"),
+        pytest.param(lambda m: m.update(final_J="x"), "final_J must be a number", id="string-final-J"),
     ],
 )
 def test_evaluate_skips_a_manifest_with_a_bad_field_naming_it(tmp_path, scenario, edit, field):
@@ -239,13 +248,14 @@ def test_sweep_with_worker_pool_matches_serial(tmp_path, scenario, monkeypatch):
     assert serial[0]["final_J_median"] == parallel[0]["final_J_median"]
 
 
-def test_covg_cells_record_aborts_and_sweep_continues(tmp_path, scenario):
+def test_aborting_cells_are_recorded_and_sweep_continues(tmp_path, scenario):
     rows = sweep(
-        scenario, tmp_path / "sweep", runs=2, schedule_grid=["covg", "staged"]
+        scenario, tmp_path / "sweep", runs=2, lambda_grid=[(1e300,) * 3, (0.2, 1.0, 0.5)]
     )
-    covg = next(r for r in rows if r["schedule"] == "covg")
-    staged = next(r for r in rows if r["schedule"] == "staged")
-    assert covg["aborts"] == 2
+    hot, staged = rows
+    assert "schedule" not in hot
+    assert (hot["lambda_stage"], hot["aborts"]) == ([1e300] * 3, 2)
+    assert "chamfer_median" not in hot
     assert staged["aborts"] == 0
     assert "chamfer_median" in staged
 
@@ -289,10 +299,17 @@ def test_cli_zero_lambda_equals_unguided(tmp_path):
 
 def test_cli_config_error_exit_code(tmp_path):
     runner = CliRunner()
-    result = runner.invoke(
-        main, ["generate", "--scenario", "suite:no_such", "--out", str(tmp_path / "x")]
-    )
+    out = tmp_path / "x"
+    result = runner.invoke(main, ["generate", "--scenario", "suite:no_such", "--out", str(out)])
     assert result.exit_code == EXIT_CONFIG_ERROR
+    # usage errors click would exit 2 with, which here means a generation abort
+    for args in (
+        ["generate", "--scenario", "suite:depth_boxes", "--out", str(out), "--schedule", "staged"],
+        ["sweep", "--scenario", "suite:depth_boxes", "--out", str(out), "--recurrence", "x"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert not out.exists()
 
 
 UNBUILDABLE = {
@@ -321,6 +338,14 @@ UNBUILDABLE = {
         visibility=VisibilitySpec(),
         seeds=ScenarioSeeds(1, 2, 3),
     ),
+    # a noise scale, likelihood sharpness or logistic gain that is not finite
+    **{
+        f"{field}_{value}": dataclasses.replace(
+            suite_scenario("depth_boxes", n=4), **{field: float(value)}
+        )
+        for field in ("sigma", "gamma", "beta")
+        for value in ("nan", "inf")
+    },
 }
 
 
@@ -344,9 +369,10 @@ def test_cli_generation_abort_exit_code(tmp_path):
     result = runner.invoke(
         main,
         ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4",
-         "--out", str(tmp_path / "x"), "--schedule", "covg"],
+         "--out", str(tmp_path / "x"), "--lambda", "1e300", "1e300", "1e300"],
     )
     assert result.exit_code == EXIT_GENERATION_ABORT
+    assert "generation aborted at step 1 (inner 1)" in result.output
 
 
 def test_cli_evaluate_and_failure_exit(tmp_path, scenario):
@@ -744,6 +770,14 @@ def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_a
     result = CliRunner().invoke(compare.main, trees)
     assert result.exit_code == 1
     assert "run_000_guided: B artifact 'surface'" in result.output
+    # a differing field inside a manifest block is named by its dotted path
+    manifest_path = tmp_path / "b" / "depth_boxes" / "run_000_unguided" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["guidance"]["schedule"] = "staged"
+    manifest_path.write_text(json.dumps(manifest))
+    result = CliRunner().invoke(compare.main, trees)
+    assert "run_000_unguided: manifest 'guidance.schedule' differs" in result.output
+    assert "manifest 'guidance' differs" not in result.output
 
 
 def test_expected_drift_passes_recorded_outputs_and_flags_a_changed_record(monkeypatch):

@@ -120,6 +120,9 @@ def _with(d, path, value):
         (("gamma",), "1e0", "gamma must be a number"),
         (("beta",), True, "beta must be a number"),
         (("weights",), [True, 0.5], "weights must be a list of numbers"),
+        (("weights",), [float("nan"), 0.5], "weights must be a list of numbers"),
+        (("library", 0, "hi"), [float("inf"), 0.5, 0.5], "box hi must be a list of numbers"),
+        (("library", 0, "lo"), [10**400, 0.25, 0.25], "box lo must be a list of numbers"),
     ],
 )
 def test_from_dict_rejects_wrong_typed_fields_as_value_errors(path, bad, message):

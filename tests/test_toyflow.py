@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -320,7 +321,7 @@ def test_condition_underflow_raises():
     cond = VisibilityCondition(
         mask=_visibility(N),
         observation=OccupancyGrid(np.zeros((N, N, N))),
-        gamma=math.inf,
+        gamma=sys.float_info.max,  # times any energy above 1, -inf
     )
     with pytest.raises(ValueError, match="condition inconsistent with library"):
         condition(model, cond, _decoded(model, params))
