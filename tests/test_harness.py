@@ -302,7 +302,7 @@ def test_cli_config_error_exit_code(tmp_path):
     out = tmp_path / "x"
     result = runner.invoke(main, ["generate", "--scenario", "suite:no_such", "--out", str(out)])
     assert result.exit_code == EXIT_CONFIG_ERROR
-    # usage errors click would exit 2 with, which here means a generation abort
+    # usage errors: click's own exit code, 2, would read as a generation abort
     for args in (
         ["generate", "--scenario", "suite:depth_boxes", "--out", str(out), "--schedule", "staged"],
         ["sweep", "--scenario", "suite:depth_boxes", "--out", str(out), "--recurrence", "x"],
