@@ -30,7 +30,7 @@ from contact_flow.scenarios import derive_run_seeds, standard_suite
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--grid-n", type=int, default=16, show_default=True,
               help="Latent resolution (4 for a quick desk-scale pass).")
-@click.option("--runs", type=int, default=None,
+@click.option("--runs", type=click.IntRange(min=1), default=None,
               help="Paired seeds per scenario (default: the scenario's own count).")
 def main(out_dir, grid_n, runs):
     out = Path(out_dir)

@@ -10,10 +10,10 @@ import numpy as np
 from .voxelcore import (
     BinaryGrid,
     PointCloud,
-    _convert,
     _expect,
     _freeze,
-    _require,
+    _read,
+    _write,
     index_to_point,
     nonzero_indices,
     point_to_index,
@@ -31,8 +31,13 @@ class ContactSet:
     points: np.ndarray
     provenance: str = PROVENANCE_SAMPLED
 
+    FIELDS = {"points": (tuple,), "provenance": str}
+
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        try:
+            pts = np.asarray(self.points, dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            raise ValueError("contact points must be [x, y, z] rows") from None
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"contact points must have shape (M, 3), got {pts.shape}")
         if pts.shape[0] == 0:
@@ -47,20 +52,13 @@ class ContactSet:
         return self.points.shape[0]
 
     def to_dict(self) -> dict:
-        return {"points": self.points.tolist(), "provenance": self.provenance}
+        return _write(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContactSet":
-        _expect(d, dict, "contact set")
-        what = "contact set points"
-        points = [[_convert(v, float, what) for v in _expect(row, list, what)]
-                  for row in _expect(_require(d, "points", "contact set"), list, what)]
-        if any(len(row) != 3 for row in points):
-            raise ValueError(f"{what} must be [x, y, z] lists")
-        return cls(
-            points=np.array(points, dtype=np.float64),
-            provenance=d.get("provenance", PROVENANCE_EXTERNAL),
-        )
+        # a file that does not say where its contacts came from holds external ones
+        d = {"provenance": PROVENANCE_EXTERNAL, **_expect(d, dict, "contact set")}
+        return _read(cls, d, "", "contact set")
 
     def save(self, path) -> None:
         with open(path, "w") as f:

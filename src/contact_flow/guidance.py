@@ -46,9 +46,9 @@ from .voxelcore import (
     BinaryGrid,
     LatentGrid,
     OccupancyGrid,
-    _convert,
     _expect,
-    _require,
+    _read,
+    _write,
     binarize,
     point_to_index,
 )
@@ -80,12 +80,19 @@ class GuidanceConfig:
     recurrence: int = 3
     radius: int = 10
 
+    FIELDS = {
+        "timesteps": int, "stage_bounds": (int,), "lambda_stage": tuple, "recurrence": int, "radius": int,
+    }
+    OPTIONAL = frozenset()  # a manifest's guidance block names every field
+
     def __post_init__(self):
         if self.timesteps < 3:
             raise ValueError("need at least 3 timesteps")
+        if len(self.stage_bounds) != 2:
+            raise ValueError(f"stage_bounds must be two step indices, got {self.stage_bounds}")
         b0, b1 = self.stage_bounds
         if not 0 <= b0 <= b1 <= self.timesteps:
-            raise ValueError("stage bounds must partition [0, timesteps)")
+            raise ValueError("stage_bounds must partition [0, timesteps)")
         # finite, so a suppressed step's weight lam_sched * 0.0 is 0.0
         if len(self.lambda_stage) != 3 or not all(0 <= l < math.inf for l in self.lambda_stage):
             raise ValueError("lambda_stage must be three finite non-negative values")
@@ -104,13 +111,7 @@ class GuidanceConfig:
         return self.lambda_stage[2]
 
     def to_dict(self) -> dict:
-        return {
-            "timesteps": self.timesteps,
-            "stage_bounds": list(self.stage_bounds),
-            "lambda_stage": list(self.lambda_stage),
-            "recurrence": self.recurrence,
-            "radius": self.radius,
-        }
+        return _write(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceConfig":
@@ -119,15 +120,7 @@ class GuidanceConfig:
         for key, only in _LEGACY_KEYS.items():
             if d.get(key, only) != only:
                 raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
-        given = {f.name: _require(d, f.name, "guidance") for f in fields(cls)}
-        bounds = _expect(given["stage_bounds"], list, "stage_bounds")
-        return cls(
-            timesteps=_convert(given["timesteps"], int, "timesteps"),
-            stage_bounds=tuple(_convert(b, int, "stage_bounds entry") for b in bounds),
-            lambda_stage=_convert(given["lambda_stage"], tuple, "lambda_stage"),
-            recurrence=_convert(given["recurrence"], int, "recurrence"),
-            radius=_convert(given["radius"], int, "radius"),
-        )
+        return _read(cls, d, "", "guidance")
 
 
 @dataclass(frozen=True)

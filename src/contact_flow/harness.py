@@ -162,6 +162,11 @@ def generate_run(
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "guided":
             _check_radius(cfg.radius, scenario.resolution)
+        run_seed = run_seed if run_seed is not None else scenario.seeds.guided
+        reference_seed = reference_seed if reference_seed is not None else scenario.seeds.reference
+        for name, seed in (("run", run_seed), ("reference", reference_seed)):
+            if seed < 0:
+                raise ValueError(f"{name} seed must be >= 0, got {seed}")
         built = build_scenario(scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -171,8 +176,6 @@ def generate_run(
             PointCloud(contacts.points), scenario.fps_count, seed=scenario.seeds.contacts
         )
         contacts = ContactSet(cloud.points, provenance=contacts.provenance)
-    run_seed = run_seed if run_seed is not None else scenario.seeds.guided
-    reference_seed = reference_seed if reference_seed is not None else scenario.seeds.reference
 
     manifest: dict = {
         "tool": "contact-flow",
@@ -525,8 +528,8 @@ def main():
 @click.option("--scenario", "scenario_spec", required=True,
               help="Scenario YAML path, or suite:NAME for a standard-suite scenario.")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Run directory.")
-@click.option("--seed", type=int, default=None, help="Run seed (defaults to the scenario's).")
-@click.option("--reference-seed", type=int, default=None, help="Reference-run seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Run seed (defaults to the scenario's).")
+@click.option("--reference-seed", type=click.IntRange(min=0), default=None, help="Reference-run seed override.")
 @click.option("--unguided", is_flag=True, help="Skip guidance; plain flow sampling.")
 @click.option("--lambda", "lam", nargs=3, type=float, default=None,
               help="Stage guidance weights (early middle late).")

@@ -33,7 +33,9 @@ from .voxelcore import (
     UnionOfBoxes,
     _convert,
     _expect,
+    _read,
     _require,
+    _write,
     axis_centers,
     binarize,
     primitive_from_dict,
@@ -58,6 +60,8 @@ class VisibilitySpec:
     offset: float = 0.5
     visible_side: str = "below"
 
+    FIELDS = {"axis": int, "offset": float, "visible_side": str}
+
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise ValueError("visibility axis must be 0, 1 or 2")
@@ -71,18 +75,6 @@ class VisibilitySpec:
         visible = coords < self.offset if self.visible_side == "below" else coords > self.offset
         return BinaryGrid(np.broadcast_to(visible, (resolution,) * 3))
 
-    def to_dict(self) -> dict:
-        return {"axis": self.axis, "offset": self.offset, "visible_side": self.visible_side}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VisibilitySpec":
-        _expect(d, dict, "visibility")
-        return cls(
-            axis=_convert(d.get("axis", 0), int, "visibility axis"),
-            offset=_convert(d.get("offset", 0.5), float, "visibility offset"),
-            visible_side=d.get("visible_side", "below"),
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioSeeds:
@@ -90,14 +82,12 @@ class ScenarioSeeds:
     guided: int
     contacts: int
 
-    def to_dict(self) -> dict:
-        return {"reference": self.reference, "guided": self.guided, "contacts": self.contacts}
+    FIELDS = {"reference": int, "guided": int, "contacts": int}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSeeds":
-        _expect(d, dict, "scenario seeds")
-        keys = ("reference", "guided", "contacts")
-        return cls(*(_convert(_require(d, k, "scenario seeds"), int, f"{k} seed") for k in keys))
+    def __post_init__(self):
+        for name in self.FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"seeds {name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +96,8 @@ class Scenario:
     n: int
     library: tuple[Primitive, ...]
     true_index: int
-    visibility: VisibilitySpec
     seeds: ScenarioSeeds
+    visibility: VisibilitySpec = VisibilitySpec()
     weights: tuple[float, ...] | None = None
     gamma: float = 1.0
     sigma: float = 0.05
@@ -117,19 +107,29 @@ class Scenario:
     ambiguous: bool = False
     runs: int = SUITE_RUNS_PER_SCENARIO
 
+    # in file order, after the name, grid and library that to_dict and
+    # from_dict write and read themselves
+    FIELDS = {
+        "true_index": int, "visibility": VisibilitySpec, "seeds": ScenarioSeeds,
+        "gamma": float, "sigma": float, "beta": float, "contact_count": int,
+        "ambiguous": bool, "runs": int, "weights": tuple, "fps_count": int,
+    }
+
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("latent resolution n must be >= 1")
         if not self.library:
             raise ValueError("scenario library must be non-empty")
         if not 0 <= self.true_index < len(self.library):
-            raise ValueError("true shape index outside the library")
+            raise ValueError(f"true_index {self.true_index} outside the library of {len(self.library)} shapes")
         if self.weights is not None and len(self.weights) != len(self.library):
             raise ValueError("weights must match the library size")
         if self.contact_count < 1:
-            raise ValueError("contact count must be positive")
+            raise ValueError("contact_count must be positive")
         if self.fps_count is not None and self.fps_count < 1:
             raise ValueError(f"fps_count must be >= 1, got {self.fps_count}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
 
     @property
     def resolution(self) -> int:
@@ -142,47 +142,18 @@ class Scenario:
         return np.asarray(self.weights, dtype=np.float64)
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "grid": {"n": self.n},
-            "library": [primitive_to_dict(p) for p in self.library],
-            "true_index": self.true_index,
-            "visibility": self.visibility.to_dict(),
-            "seeds": self.seeds.to_dict(),
-            "gamma": self.gamma,
-            "sigma": self.sigma,
-            "beta": self.beta,
-            "contact_count": self.contact_count,
-            "ambiguous": self.ambiguous,
-            "runs": self.runs,
-        }
-        if self.weights is not None:
-            d["weights"] = list(self.weights)
-        if self.fps_count is not None:
-            d["fps_count"] = self.fps_count
-        return d
+        library = [primitive_to_dict(p) for p in self.library]
+        return {"name": self.name, "grid": {"n": self.n}, "library": library, **_write(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         _expect(d, dict, "scenario")
         grid = _expect(_require(d, "grid", "scenario"), dict, "grid")
-        library = _expect(_require(d, "library", "scenario"), list, "library")
-        return cls(
-            name=_expect(_require(d, "name", "scenario"), str, "name"),
-            n=_convert(_require(grid, "n", "grid"), int, "grid n"),
-            library=tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(library)),
-            true_index=_convert(_require(d, "true_index", "scenario"), int, "true_index"),
-            visibility=VisibilitySpec.from_dict(d.get("visibility", {})),
-            seeds=ScenarioSeeds.from_dict(_require(d, "seeds", "scenario")),
-            weights=_convert(d["weights"], tuple, "weights") if "weights" in d else None,
-            gamma=_convert(d.get("gamma", 1.0), float, "gamma"),
-            sigma=_convert(d.get("sigma", 0.05), float, "sigma"),
-            beta=_convert(d.get("beta", 4.0), float, "beta"),
-            contact_count=_convert(d.get("contact_count", 10), int, "contact_count"),
-            fps_count=_convert(d["fps_count"], int, "fps_count") if "fps_count" in d else None,
-            ambiguous=_expect(d.get("ambiguous", False), bool, "ambiguous"),
-            runs=_convert(d.get("runs", SUITE_RUNS_PER_SCENARIO), int, "runs"),
-        )
+        entries = _expect(_require(d, "library", "scenario"), list, "library")
+        name = _expect(_require(d, "name", "scenario"), str, "name")
+        n = _convert(_require(grid, "n", "grid"), int, "grid n")
+        library = tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(entries))
+        return _read(cls, d, "", "scenario", name=name, n=n, library=library)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -209,12 +180,7 @@ def derive_run_seeds(scenario: Scenario, run_index: int) -> ScenarioSeeds:
     """Per-run seeds for paired comparisons; reference and guided streams stay disjoint."""
     if run_index < 0:
         raise ValueError("run index must be >= 0")
-    s = scenario.seeds
-    return ScenarioSeeds(
-        reference=s.reference + run_index,
-        guided=s.guided + run_index,
-        contacts=s.contacts + run_index,
-    )
+    return ScenarioSeeds(**{f: getattr(scenario.seeds, f) + run_index for f in ScenarioSeeds.FIELDS})
 
 
 @dataclass(frozen=True)
@@ -353,9 +319,7 @@ def standard_suite(n: int = 16) -> list[Scenario]:
                 Cylinder(axis=0, center=(0.5, 0.5), radius=0.25, lo=0.125, hi=0.875),
             ),
             true_index=0,
-            visibility=VisibilitySpec(),
             seeds=_suite_seeds(0),
-            ambiguous=False,
         ),
         Scenario(
             name="depth_boxes",
@@ -365,7 +329,6 @@ def standard_suite(n: int = 16) -> list[Scenario]:
                 _box(0.125, 0.9375),
             ),
             true_index=1,
-            visibility=VisibilitySpec(),
             seeds=_suite_seeds(1),
             ambiguous=True,
         ),
@@ -378,7 +341,6 @@ def standard_suite(n: int = 16) -> list[Scenario]:
                 LBracket(_box(0.125, 0.75), Box((0.75, 0.5, 0.3125), (0.9375, 0.875, 0.6875))),
             ),
             true_index=0,
-            visibility=VisibilitySpec(),
             seeds=_suite_seeds(2),
             ambiguous=True,
         ),
@@ -395,7 +357,6 @@ def standard_suite(n: int = 16) -> list[Scenario]:
                 ),
             ),
             true_index=1,
-            visibility=VisibilitySpec(),
             seeds=_suite_seeds(3),
             ambiguous=True,
         ),

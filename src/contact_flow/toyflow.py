@@ -270,7 +270,9 @@ def condition(
     v = cond.mask.data
     obs = cond.observation.data[v]
     energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
-    with np.errstate(over="ignore"):  # gamma * energy may overflow: a mass of 0, checked below
+    # a prior weight of 0 has log -inf, and gamma * energy may overflow: both a
+    # mass of 0, checked below
+    with np.errstate(over="ignore", divide="ignore"):
         logits = np.log(model.weights) - cond.gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")

@@ -14,6 +14,8 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import numbers
 import struct
@@ -48,17 +50,17 @@ def _require(d: dict, key: str, what: str):
 
 
 def _is_number(value) -> bool:
-    """A real number of a parsed input file; a bool or a string is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number of a parsed input file; a bool, a string, NaN and inf are not one."""
+    # a plain int or float skips the slower abstract-class check
+    real = type(value) in (int, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
-# each kind of number or list field: its name and the values it takes (a list's
-# entries finite: NaN, inf and an int beyond the float range are not coordinates)
+# each kind of number or list field: its name and the values it takes
 _FIELD_KINDS = {
     int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
     float: ("a number", _is_number),
-    tuple: ("a list of numbers",
-            lambda v: isinstance(v, (list, tuple)) and all(_is_number(x) and math.isfinite(x) for x in v)),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
 
 
@@ -203,6 +205,58 @@ def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# input documents
+# ---------------------------------------------------------------------------
+#
+# Each input document class (the primitives below, and the scenario, contact
+# and guidance documents) declares FIELDS = {field: reader}, in file order.  A
+# reader is int, float or tuple (a number or list field, see _convert), str or
+# bool, a document class (a nested mapping), or (reader,) (a list of them).  A
+# file may leave out a field whose dataclass has a default, unless the class
+# declares its own OPTIONAL set of such fields.
+
+
+@functools.cache
+def _optional(cls) -> frozenset:
+    """The fields a `cls` document may leave out."""
+    defaults = frozenset(f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING)
+    return getattr(cls, "OPTIONAL", defaults)
+
+
+def _read(reader, value, what: str, entry: str, **given):
+    """A field of a parsed input document, read by `reader`; ValueError naming
+    `what` when it has the wrong type, or `entry`, `what` and the field when a
+    document lacks a required one.  `given` holds the fields a class reads itself."""
+    if reader in _FIELD_KINDS:
+        return _convert(value, reader, what)
+    if reader is str or reader is bool:
+        return _expect(value, reader, what)
+    if type(reader) is tuple:
+        # each entry is named in the singular: "union_of_boxes box hi"
+        return tuple(_read(reader[0], v, what.removesuffix("es"), entry) for v in _expect(value, list, what))
+    _expect(value, dict, what or entry)
+    for f, r in reader.FIELDS.items():
+        if f in value:
+            given[f] = _read(r, value[f], f"{what} {f}".lstrip(), entry)
+        elif f not in _optional(reader):
+            raise ValueError(f"{entry} {what}".rstrip() + f" is missing required field {f!r}")
+    return reader(**given)
+
+
+def _write(value, reader=None):
+    """The parsed-file form of a document, or of a field read by `reader`; a
+    document's fields that are None are left out."""
+    reader = reader or type(value)
+    if reader in (int, float, str, bool):
+        return value
+    if reader is tuple:
+        return value.tolist() if isinstance(value, np.ndarray) else list(value)
+    if type(reader) is tuple:
+        return [_write(v, reader[0]) for v in value]
+    return {f: _write(v, r) for f, r in reader.FIELDS.items() if (v := getattr(value, f)) is not None}
+
+
+# ---------------------------------------------------------------------------
 # procedural primitives
 # ---------------------------------------------------------------------------
 
@@ -213,6 +267,8 @@ class Box:
 
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
+
+    FIELDS = {"lo": tuple, "hi": tuple}
 
     def validate(self):
         lo = np.asarray(self.lo, dtype=np.float64)
@@ -243,14 +299,18 @@ class Cylinder:
     lo: float
     hi: float
 
+    FIELDS = {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}
+
     def validate(self):
         if self.axis not in (0, 1, 2):
             raise ValueError("cylinder axis must be 0, 1 or 2")
+        c = np.asarray(self.center, dtype=np.float64)
+        if c.shape != (2,):
+            raise ValueError("cylinder center must be a 2-vector")
         if self.radius <= 0.0:
             raise ValueError("degenerate primitive: cylinder radius must be positive")
         if self.hi <= self.lo:
             raise ValueError("degenerate primitive: cylinder span has zero/negative extent")
-        c = np.asarray(self.center, dtype=np.float64)
         if (
             self.lo < 0.0
             or self.hi > 1.0
@@ -274,6 +334,8 @@ class LBracket:
     first: Box
     second: Box
 
+    FIELDS = {"first": Box, "second": Box}
+
     def validate(self):
         self.first.validate()
         self.second.validate()
@@ -285,6 +347,8 @@ class LBracket:
 @dataclass(frozen=True)
 class UnionOfBoxes:
     boxes: tuple[Box, ...]
+
+    FIELDS = {"boxes": (Box,)}
 
     def validate(self):
         if not self.boxes:
@@ -303,6 +367,8 @@ class SphereCappedBox:
     box: Box
     cap_axis: int
     cap_radius: float
+
+    FIELDS = {"box": Box, "cap_axis": int, "cap_radius": float}
 
     def validate(self):
         self.box.validate()
@@ -335,42 +401,10 @@ class SphereCappedBox:
 # the mask of points inside it.
 Primitive = Box | Cylinder | LBracket | UnionOfBoxes | SphereCappedBox
 
-
-# kind -> (class, {field: reader}) of every primitive, fields in file order.  A
-# reader is int, float or tuple (a number or list field, see _convert), Box (a
-# nested {lo, hi} box) or (Box,) (a list of such boxes).
-_PRIMITIVES = {
-    "box": (Box, {"lo": tuple, "hi": tuple}),
-    "cylinder": (Cylinder, {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}),
-    "l_bracket": (LBracket, {"first": Box, "second": Box}),
-    "union_of_boxes": (UnionOfBoxes, {"boxes": (Box,)}),
-    "sphere_capped_box": (SphereCappedBox, {"box": Box, "cap_axis": int, "cap_radius": float}),
-}
-_KINDS = {cls: kind for kind, (cls, _) in _PRIMITIVES.items()}
-_FIELDS = dict(_PRIMITIVES.values())
-
-
-def _read(reader, value, what: str, entry: str):
-    """One field of a parsed primitive; ValueError naming `what` when it has the
-    wrong type, or `entry` and the field when a field is missing."""
-    if reader in _FIELDS:
-        _expect(value, dict, what)
-        return reader(**{
-            f: _read(r, _require(value, f, f"{entry} {what}"), f"{what} {f}", entry)
-            for f, r in _FIELDS[reader].items()
-        })
-    if reader == (Box,):
-        # each entry is named in the singular: "union_of_boxes box hi"
-        boxes = _expect(value, list, what)
-        return tuple(_read(Box, b, what.removesuffix("es"), entry) for b in boxes)
-    return _convert(value, reader, what)
-
-
-def _write(value):
-    """The parsed-file form of a primitive field."""
-    if type(value) in _FIELDS:
-        return {f: _write(getattr(value, f)) for f in _FIELDS[type(value)]}
-    return value if isinstance(value, numbers.Real) else [_write(v) for v in value]
+# the file-form kind of each primitive class
+_KINDS = {Box: "box", Cylinder: "cylinder", LBracket: "l_bracket",
+          UnionOfBoxes: "union_of_boxes", SphereCappedBox: "sphere_capped_box"}
+_PRIMITIVES = {kind: cls for cls, kind in _KINDS.items()}
 
 
 def primitive_from_dict(spec: dict, entry: str = "library entry") -> Primitive:
@@ -379,7 +413,7 @@ def primitive_from_dict(spec: dict, entry: str = "library entry") -> Primitive:
     kind = _require(_expect(spec, dict, entry), "kind", entry)
     if not isinstance(kind, str) or kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    return _read(_PRIMITIVES[kind][0], spec, kind, entry)
+    return _read(_PRIMITIVES[kind], spec, kind, entry)
 
 
 def primitive_to_dict(prim: Primitive) -> dict:

@@ -1,0 +1,119 @@
+"""The input documents (scenario, contact and guidance files, run manifests)
+and their field tables: every field is read, checked and written by one
+table, and a wrong value is a ValueError that names the field."""
+
+import copy
+import dataclasses
+import json
+import math
+import warnings
+
+import pytest
+
+from contact_flow.contact import ContactSet
+from contact_flow.guidance import GuidanceConfig
+from contact_flow.harness import MANIFEST_NAME, evaluate_run_dirs, generate_run, verify_manifest
+from contact_flow.scenarios import (
+    SUITE_NAMES,
+    Scenario,
+    ScenarioSeeds,
+    VisibilitySpec,
+    build_scenario,
+    suite_scenario,
+)
+from contact_flow.voxelcore import Box, Cylinder, LBracket, SphereCappedBox, UnionOfBoxes
+
+DELETE = object()  # the mutant that removes the field
+MUTANTS = (None, True, "x", [], {}, 10**400, math.nan, math.inf, -1, 0, DELETE)
+
+# the fields each document class reads and writes itself, beside its table
+HAND_WRITTEN = {Scenario: {"name", "n", "library"}}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Box, Cylinder, LBracket, UnionOfBoxes, SphereCappedBox,
+     VisibilitySpec, ScenarioSeeds, Scenario, GuidanceConfig, ContactSet],
+)
+def test_each_table_lists_every_field_its_class_is_built_from(cls):
+    # a field missing from the table would drop out of to_dict, so out of
+    # manifests and out of the scenario memo's key
+    own = HAND_WRITTEN.get(cls, set())
+    assert not own & set(cls.FIELDS)
+    assert own | set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls) if f.init}
+
+
+def _paths(doc, prefix=()):
+    """The path of every field of a parsed document, list entries included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    if value is DELETE:
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = value
+    return doc
+
+
+def _escapes(read, doc, paths, then=None):
+    """Each (path, mutant, error) for which `read` of the mutated document
+    raises anything but a ValueError naming the field (the path's last key
+    that is not a list index), or `then` of what it read raises anything but
+    a ValueError."""
+    found = []
+    for path in paths:
+        field = next(key for key in reversed(path) if isinstance(key, str))
+        for value in MUTANTS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    read_back = read(_mutated(doc, path, value))
+                    if then is not None:
+                        try:
+                            then(read_back)
+                        except ValueError:
+                            pass
+                except ValueError as exc:
+                    if field not in str(exc):
+                        found.append((path, value, f"ValueError not naming {field!r}: {exc}"))
+                except Exception as exc:  # noqa: BLE001 - every other escape is reported
+                    found.append((path, value, repr(exc)))
+    return found
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_mutated_scenario_field_is_read_or_named(name):
+    doc = json.loads(json.dumps(suite_scenario(name, n=4).to_dict()))
+    assert _escapes(Scenario.from_dict, doc, list(_paths(doc)), then=build_scenario) == []
+
+
+def test_every_mutated_contact_and_guidance_field_is_read_or_named():
+    contacts = build_scenario(suite_scenario("depth_boxes", n=4)).contacts.to_dict()
+    guidance = suite_scenario("depth_boxes", n=4).guidance_config().to_dict()
+    assert _escapes(ContactSet.from_dict, contacts, list(_paths(contacts))) == []
+    assert _escapes(GuidanceConfig.from_dict, guidance, list(_paths(guidance))) == []
+
+
+def test_every_mutated_manifest_entry_is_listed_or_skipped(tmp_path):
+    run = tmp_path / "run"
+    manifest = json.loads(json.dumps(generate_run(suite_scenario("depth_boxes", n=4), run)))
+    paths = [(key,) for key in manifest]
+    paths += [(block, key) for block in ("artifacts", "seeds") for key in manifest[block]]
+
+    def read(doc):
+        (run / MANIFEST_NAME).write_text(json.dumps(doc))
+        try:
+            assert isinstance(verify_manifest(run), list)
+        except ValueError:
+            pass
+        evaluate_run_dirs([run])  # skips what it cannot read, so raises nothing
+
+    assert _escapes(read, manifest, paths) == []

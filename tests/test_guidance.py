@@ -394,6 +394,9 @@ def test_config_validation():
         GuidanceConfig(timesteps=2)
     with pytest.raises(ValueError):
         GuidanceConfig(stage_bounds=(8, 4))
+    for bad in ((4,), (), (2, 4, 8)):
+        with pytest.raises(ValueError, match="stage_bounds"):
+            GuidanceConfig(stage_bounds=bad)
     with pytest.raises(ValueError):
         GuidanceConfig(lambda_stage=(-0.1, 1.0, 0.5))
     for bad in (math.inf, math.nan):
@@ -454,7 +457,7 @@ def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wron
         ("recurrence", 3.7, "recurrence must be an integer"),
         ("timesteps", "12", "timesteps must be an integer"),
         ("stage_bounds", None, "stage_bounds must be a list"),
-        ("stage_bounds", [4, 8.5], "stage_bounds entry must be an integer"),
+        ("stage_bounds", [4, 8.5], "stage_bounds must be an integer"),
         ("lambda_stage", [0.2, None, 0.5], "lambda_stage must be a list of numbers"),
         ("lambda_stage", [0.2, True, 0.5], "lambda_stage must be a list of numbers"),
     ],

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from contact_flow import harness
@@ -306,10 +307,33 @@ def test_cli_config_error_exit_code(tmp_path):
     for args in (
         ["generate", "--scenario", "suite:depth_boxes", "--out", str(out), "--schedule", "staged"],
         ["sweep", "--scenario", "suite:depth_boxes", "--out", str(out), "--recurrence", "x"],
+        ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4", "--out", str(out), "--seed", "-1"],
+        ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4", "--out", str(out),
+         "--reference-seed", "-5"],
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_CONFIG_ERROR, result.output
         assert not out.exists()
+    # a scenario file with a negative seed or run count
+    d = suite_scenario("depth_boxes", n=4).to_dict()
+    for changes, message in (
+        ({"seeds": {**d["seeds"], "guided": -1}}, "seeds guided must be >= 0"),
+        ({"seeds": {**d["seeds"], "contacts": -1}}, "seeds contacts must be >= 0"),
+        ({"runs": -3}, "runs must be >= 1"),
+    ):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({**d, **changes}))
+        result = runner.invoke(main, ["generate", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert f"config error: {message}" in result.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [{"run_seed": -1}, {"reference_seed": -5}])
+def test_generate_run_rejects_a_negative_seed_before_writing(tmp_path, scenario, seeds):
+    with pytest.raises(harness.ConfigError, match="seed must be >= 0"):
+        generate_run(scenario, tmp_path / "run", **seeds)
+    assert not (tmp_path / "run").exists()
 
 
 UNBUILDABLE = {
@@ -514,7 +538,7 @@ def test_cli_non_finite_contact_is_config_error(tmp_path):
          "--out", str(out), "--contacts", str(contacts_file)],
     )
     assert result.exit_code == EXIT_CONFIG_ERROR
-    assert "finite" in result.output
+    assert "config error: points must be a list of numbers" in result.output
     assert not out.exists()
 
 
@@ -753,6 +777,14 @@ def test_write_atomic_keeps_the_previous_file_when_the_writer_fails(tmp_path):
         _write_atomic(path, fail_partway)
     assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_run_standard_suite_rejects_a_run_count_below_one(tmp_path, runs):
+    args = ["--out", str(tmp_path / "suite"), "--grid-n", "4", "--runs", runs]
+    result = CliRunner().invoke(load_script("run_standard_suite").main, args)
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "suite").exists()
 
 
 def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_artifact(tmp_path):

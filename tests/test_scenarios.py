@@ -87,6 +87,29 @@ def test_scenario_rejects_fps_count_below_one(fps_count):
         Scenario.from_dict({**sc.to_dict(), "fps_count": fps_count})
 
 
+def test_a_zero_prior_weight_conditions_to_exactly_zero():
+    # log 0 = -inf is a component of no mass, not a warning
+    built = build_scenario(dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=(0.0, 1.0)))
+    assert built.model.weights[0] == 0.0
+    assert built.model.weights[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"runs": 0}, "runs must be >= 1, got 0"),
+        ({"runs": -3}, "runs must be >= 1, got -3"),
+        ({"contact_count": 0}, "contact_count must be positive"),
+        ({"true_index": 2}, "true_index 2 outside the library of 2 shapes"),
+        ({"seeds": {"reference": 1, "guided": -1, "contacts": 3}}, "seeds guided must be >= 0, got -1"),
+    ],
+)
+def test_from_dict_names_a_field_with_an_out_of_range_value(changes, message):
+    d = {**suite_scenario("depth_boxes", n=4).to_dict(), **changes}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scenario.from_dict(d)
+
+
 def _with(d, path, value):
     """Copy of the nested scenario dict d with the field at `path` set to value."""
     d = yaml.safe_load(yaml.safe_dump(d))
@@ -108,7 +131,7 @@ def _with(d, path, value):
         (("runs",), {}, "runs must be an integer"),
         (("grid", "n"), None, "grid n must be an integer"),
         (("true_index",), [1], "true_index must be an integer"),
-        (("seeds", "guided"), None, "guided seed must be an integer"),
+        (("seeds", "guided"), None, "seeds guided must be an integer"),
         (("visibility", "offset"), None, "visibility offset must be a number"),
         (("visibility", "axis"), float("inf"), "visibility axis must be an integer"),
         (("weights",), [None, 0.5], "weights must be a list of numbers"),

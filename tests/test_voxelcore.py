@@ -145,6 +145,8 @@ def test_l_bracket_count_matches_inclusion_exclusion_and_brute_force():
         Cylinder(axis=1, center=(0.5, 0.5), radius=0.2, lo=0.7, hi=0.7),
         UnionOfBoxes(boxes=()),
         SphereCappedBox(Box((0.2, 0.2, 0.2), (0.8, 0.8, 0.8)), cap_axis=2, cap_radius=0.0),
+        # a cylinder center that is not a 2-vector
+        *(Cylinder(axis=0, center=c, radius=0.2, lo=0.1, hi=0.9) for c in [(), (0.5,), (0.5, 0.5, 0.5)]),
     ],
 )
 def test_degenerate_primitives_rejected(bad):
@@ -249,6 +251,14 @@ def test_primitive_to_dict_writes_the_scenario_file_form():
           "cap_axis": "2", "cap_radius": 0.1}, "sphere_capped_box cap_axis must be an integer"),
         ({"kind": "l_bracket", "first": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
           "second": {"lo": [0, 0, False], "hi": [1, 1, 1]}}, "l_bracket second lo must be a list of numbers"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": float("nan"), "lo": 0, "hi": 1},
+         "cylinder radius must be a number"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": 0.2, "lo": float("nan"), "hi": 1},
+         "cylinder lo must be a number"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": 0.2, "lo": 0, "hi": float("inf")},
+         "cylinder hi must be a number"),
+        ({"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": float("-inf"), "lo": 0, "hi": 1},
+         "cylinder radius must be a number"),
     ],
 )
 def test_primitive_from_dict_rejects_wrong_typed_fields_as_value_errors(spec, message):
