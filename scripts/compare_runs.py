@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Compare two output trees of run_standard_suite.py and list every difference.
+"""Compare two output trees of run_standard_suite.py or `contact-flow sweep`
+and list every difference.
 
 Every run directory (a directory holding manifest.json) must be present in
 both trees with the same manifest, apart from its `timings` and `environment`
 blocks: the same artifact sha256s, `library_hashes`, seeds, `final_J` and
 metrics.  Each artifact file must still match the hash its manifest records,
-and every metrics.csv and summary.json must hold the same rows.  One line is
+and every metrics.csv, summary.json and sweep.json must hold the same rows
+(a sweep.json's rows are its cells, then the rest of the document).  One line is
 printed per difference, naming a differing manifest field by its dotted path
 (`guidance.radius`); the exit code is 1 if there is any, 0 otherwise.
 
@@ -48,6 +50,11 @@ def _one_side(rel: Path, in_a: set[Path]) -> str:
     return f"{rel}: only in {'A' if rel in in_a else 'B'}"
 
 
+def _sweep_rows(path: Path) -> list:
+    doc = json.loads(path.read_text())
+    return [*doc.pop("cells"), doc]
+
+
 def compare_trees(a: Path, b: Path) -> list[str]:
     """Every difference between the run trees `a` and `b`, one line each."""
     diffs = []
@@ -67,6 +74,7 @@ def compare_trees(a: Path, b: Path) -> list[str]:
     for name, read in (
         ("metrics.csv", read_metrics_csv),
         ("summary.json", lambda path: [json.loads(path.read_text())]),
+        ("sweep.json", _sweep_rows),
     ):
         files_a, files_b = _files(a, name), _files(b, name)
         diffs += [_one_side(rel, files_a) for rel in sorted(files_a ^ files_b)]

@@ -23,25 +23,33 @@ from contact_flow.harness import (
     generate_run,
     summarize_reports,
 )
-from contact_flow.scenarios import derive_run_seeds, standard_suite
+from contact_flow.scenarios import standard_suite
+
+
+def _suite_at(ctx, param, n):
+    """The standard suite at latent resolution `n`; a usage error naming --grid-n when there is none."""
+    try:
+        return standard_suite(n=n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 @click.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--grid-n", type=int, default=16, show_default=True,
-              help="Latent resolution (4 for a quick desk-scale pass).")
+@click.option("--grid-n", "suite", type=int, default=16, show_default=True, callback=_suite_at,
+              help="Latent resolution, a multiple of 4 (4 for a quick desk-scale pass).")
 @click.option("--runs", type=click.IntRange(min=1), default=None,
               help="Paired seeds per scenario (default: the scenario's own count).")
-def main(out_dir, grid_n, runs):
+def main(out_dir, suite, runs):
     out = Path(out_dir)
     run_dirs = []
-    for scenario in standard_suite(n=grid_n):
+    for scenario in suite:
         n_runs = runs if runs is not None else scenario.runs
         cfg = scenario.guidance_config()
         cfg_m1 = dataclasses.replace(cfg, recurrence=1)
         t0 = time.perf_counter()
         for i in range(n_runs):
-            sc = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, i))
+            sc = scenario.for_run(i)
             for tag, mode, run_cfg in (
                 ("unguided", "unguided", cfg),
                 ("guided", "guided", cfg),

@@ -120,7 +120,7 @@ class GuidanceConfig:
         for key, only in _LEGACY_KEYS.items():
             if d.get(key, only) != only:
                 raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
-        return _read(cls, d, "", "guidance")
+        return _read(cls, d, "", "guidance", own=_LEGACY_KEYS)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .guidance import (
     make_reference,
     unguided_sample,
 )
-from .scenarios import Scenario, build_scenario, derive_run_seeds, standard_suite, suite_scenario
+from .scenarios import Scenario, build_scenario, suite_scenario
 from .voxelcore import (
     PointCloud,
     _convert,
@@ -145,11 +145,9 @@ def generate_run(
     out_dir,
     mode: str = "guided",
     cfg: GuidanceConfig | None = None,
-    run_seed: int | None = None,
-    reference_seed: int | None = None,
     external_contacts: ContactSet | None = None,
 ) -> dict:
-    """Build the scenario, run the sampler, and write all artifacts + manifest.
+    """Build the scenario, run the sampler on its seeds, and write all artifacts + manifest.
 
     Returns the manifest dict.  An invalid configuration or a scenario that
     fails to build raises ConfigError before anything is written.  On a
@@ -162,19 +160,13 @@ def generate_run(
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "guided":
             _check_radius(cfg.radius, scenario.resolution)
-        run_seed = run_seed if run_seed is not None else scenario.seeds.guided
-        reference_seed = reference_seed if reference_seed is not None else scenario.seeds.reference
-        for name, seed in (("run", run_seed), ("reference", reference_seed)):
-            if seed < 0:
-                raise ValueError(f"{name} seed must be >= 0, got {seed}")
         built = build_scenario(scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    seeds = scenario.seeds
     contacts = external_contacts if external_contacts is not None else built.contacts
     if scenario.fps_count is not None and scenario.fps_count < len(contacts):
-        cloud = farthest_point_sample(
-            PointCloud(contacts.points), scenario.fps_count, seed=scenario.seeds.contacts
-        )
+        cloud = farthest_point_sample(PointCloud(contacts.points), scenario.fps_count, seed=seeds.contacts)
         contacts = ContactSet(cloud.points, provenance=contacts.provenance)
 
     manifest: dict = {
@@ -183,12 +175,11 @@ def generate_run(
         "metrics_schema": METRICS_SCHEMA_VERSION,
         "mode": mode,
         "method": method_label(mode, cfg),
-        "scenario": built.scenario.to_dict(),
+        "scenario": scenario.to_dict(),
         "guidance": cfg.to_dict(),
         "decoder": built.decoder.to_dict(),
         "model": built.model.describe(),
-        "seeds": {"run": run_seed, "reference": reference_seed,
-                  "contacts": built.scenario.seeds.contacts},
+        "seeds": {"run": seeds.guided, "reference": seeds.reference, "contacts": seeds.contacts},
         # as given, before farthest point sampling, so a rerun can pass them back
         "external_contacts": None if external_contacts is None else external_contacts.to_dict(),
         "library_hashes": [hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in built.library_grids],
@@ -216,14 +207,14 @@ def generate_run(
     trajectory: GuidedTrajectory | None = None
     try:
         if mode == "unguided":
-            occupancy = unguided_sample(built.model, built.decoder, cfg, run_seed)
+            occupancy = unguided_sample(built.model, built.decoder, cfg, seeds.guided)
         else:
             t_ref = time.perf_counter()
-            reference = make_reference(built.model, built.decoder, cfg, reference_seed)
+            reference = make_reference(built.model, built.decoder, cfg, seeds.reference)
             manifest["timings"]["reference_s"] = time.perf_counter() - t_ref
             add_artifact("reference", "reference.grid", lambda p: save_grid(reference.occupancy, p))
             occupancy, trajectory = guided_sample(
-                built.model, built.decoder, contacts, reference, cfg, run_seed
+                built.model, built.decoder, contacts, reference, cfg, seeds.guided
             )
     except GenerationAborted as abort:
         manifest["failure"] = {"step": abort.step, "inner": abort.inner, "reason": abort.reason}
@@ -275,11 +266,20 @@ def verify_manifest(run_dir) -> list[str]:
     return [name for name in artifacts if not intact(name)]
 
 
+def _run_scenario(manifest: dict) -> Scenario:
+    """A manifest's `scenario` with the run and reference seeds of its `seeds`
+    block, the one place older manifests record overridden seeds."""
+    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
+    given = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
+    seeds = {field: _convert(_require(given, key, "manifest seeds"), int, f"{key} seed")
+             for key, field in (("run", "guided"), ("reference", "reference"))}
+    return dataclasses.replace(scenario, seeds=dataclasses.replace(scenario.seeds, **seeds))
+
+
 def rerun_manifest(manifest: dict, out_dir) -> dict:
     """Re-execute a run from its manifest snapshot (determinism check)."""
-    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
     cfg = GuidanceConfig.from_dict(_require(manifest, "guidance", "manifest"))
-    seeds = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
+    scenario = _run_scenario(manifest)
     external = manifest.get("external_contacts")
     if external is True:
         # older manifests recorded only that the contacts were external
@@ -289,8 +289,6 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
         out_dir,
         mode=_require(manifest, "mode", "manifest"),
         cfg=cfg,
-        run_seed=_convert(_require(seeds, "run", "manifest seeds"), int, "run seed"),
-        reference_seed=_convert(_require(seeds, "reference", "manifest seeds"), int, "reference seed"),
         external_contacts=ContactSet.from_dict(external) if external else None,
     )
 
@@ -301,9 +299,8 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
     manifest = load_manifest(run)
     if manifest.get("failure"):
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
-    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
+    scenario = _run_scenario(manifest)
     artifacts = _expect(_require(manifest, "artifacts", "manifest"), dict, "manifest artifacts")
-    seeds = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
     occupancy = load_grid(run / _artifact_entry(artifacts, "occupancy", "path"))
     contacts = ContactSet.load(run / _artifact_entry(artifacts, "contacts", "path"))
     report = evaluate_run(
@@ -312,7 +309,7 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
         contacts,
         scenario=scenario.name,
         method=_expect(_require(manifest, "method", "manifest"), str, "manifest method"),
-        seed=_convert(_require(seeds, "run", "manifest seeds"), int, "run seed"),
+        seed=scenario.seeds.guided,
         final_J=_convert(manifest["final_J"], float, "final_J") if "final_J" in manifest else math.nan,
     )
     manifest["metrics"] = report.to_json_dict()
@@ -369,7 +366,7 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
     for run_dir in run_dirs:
         try:
             reports.append(evaluate_run_dir(run_dir))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             skipped.append((str(run_dir), str(exc)))
     if out_dir is not None and reports:
         out = Path(out_dir)
@@ -387,38 +384,13 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_task(scenario: Scenario, cfg: GuidanceConfig, run_index: int, out_dir: str):
-    """One guided run of one sweep cell (module-level for process pools)."""
-    scenario = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, run_index))
+def _sweep_task(scenario: Scenario, cfg: GuidanceConfig, out_dir: str) -> MetricsReport | None:
+    """A guided sweep run's report, None if generation aborts (module-level for process pools)."""
     try:
         generate_run(scenario, out_dir, mode="guided", cfg=cfg)
-    except GenerationAborted as abort:
-        return {"run_index": run_index, "aborted": True, "reason": abort.reason, "step": abort.step}
-    report = evaluate_run_dir(out_dir)
-    return {"run_index": run_index, "aborted": False, "report": report.to_json_dict(),
-            "chamfer": report.chamfer, "final_J": report.final_J,
-            "contact_residual": report.contact_residual_median, "failed": report.failed}
-
-
-def _sweep_plan(scenario, base, runs, lambdas, recurrences, radii):
-    """Every cell's guidance config in cell order, an empty grid keeping the base
-    value, and the pool size; ConfigError, before any run, on a bad run count,
-    grid value, CONTACT_FLOW_WORKERS or scenario (paired runs differ in seeds only)."""
-    try:
-        if runs < 1:
-            raise ValueError(f"runs per cell must be >= 1, got {runs}")
-        workers = worker_count()
-        cells = []
-        for lam, m, radius in itertools.product(
-            lambdas or [base.lambda_stage], recurrences or [base.recurrence], radii or [base.radius]
-        ):
-            cfg = dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius)
-            _check_radius(cfg.radius, scenario.resolution)
-            cells.append(cfg)
-        build_scenario(scenario)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cells, workers
+    except GenerationAborted:
+        return None
+    return evaluate_run_dir(out_dir)
 
 
 def sweep(
@@ -432,42 +404,54 @@ def sweep(
 ) -> list[dict]:
     """Cross-product ablation over guidance knobs; one summary row per cell.
 
-    Invalid input raises ConfigError before the first cell runs, with nothing
-    written.  Cells that abort are recorded and the sweep continues.  Runs are
-    parallelized across seeds with a process pool (CONTACT_FLOW_WORKERS).
+    An empty grid keeps the base value.  Bad input raises ConfigError before
+    the first run, with nothing written.  Cells that abort are recorded and the
+    sweep continues.  With CONTACT_FLOW_WORKERS > 1, all runs share one process pool.
     """
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
-    cells, workers = _sweep_plan(scenario, base, runs, lambda_grid, recurrence_grid, radius_grid)
+    try:
+        if runs < 1:
+            raise ValueError(f"runs per cell must be >= 1, got {runs}")
+        workers = worker_count()
+        cells = []
+        for lam, m, radius in itertools.product(
+            lambda_grid or [base.lambda_stage], recurrence_grid or [base.recurrence], radius_grid or [base.radius]
+        ):
+            cfg = dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius)
+            _check_radius(cfg.radius, scenario.resolution)
+            cells.append(cfg)
+        build_scenario(scenario)  # paired runs differ in seeds only
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # (run scenario, config, run directory) of every run, in cell order
+    tasks = [(scenario.for_run(i), cfg, str(out / f"cell_{c:03d}" / f"run_{i:03d}"))
+             for c, cfg in enumerate(cells) for i in range(runs)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_sweep_task, *zip(*tasks)))
+    else:
+        reports = list(map(_sweep_task, *zip(*tasks)))
     rows = []
     for cell_index, cfg in enumerate(cells):
-        cell_dir = out / f"cell_{cell_index:03d}"
-        out_dirs = [str(cell_dir / f"run_{i:03d}") for i in range(runs)]
-        task_args = ([scenario] * runs, [cfg] * runs, range(runs), out_dirs)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_task, *task_args))
-        else:
-            results = list(map(_sweep_task, *task_args))
-        ok = [r for r in results if not r["aborted"] and not r.get("failed")]
-        aborted = [r for r in results if r["aborted"]]
+        cell = reports[cell_index * runs:(cell_index + 1) * runs]
+        ok = [r for r in cell if r is not None and not r.failed]
+        aborts = sum(r is None for r in cell)
         row = {
             "cell": cell_index,
             "lambda_stage": list(cfg.lambda_stage),
             "recurrence": cfg.recurrence,
             "radius": cfg.radius,
             "runs": runs,
-            "aborts": len(aborted),
-            "generation_failures": len(results) - len(ok) - len(aborted),
+            "aborts": aborts,
+            "generation_failures": len(cell) - len(ok) - aborts,
         }
         if ok:
-            row["chamfer_median"] = float(np.median([r["chamfer"] for r in ok]))
-            row["chamfer_mean"] = float(np.mean([r["chamfer"] for r in ok]))
-            row["final_J_median"] = float(np.median([r["final_J"] for r in ok]))
-            row["contact_residual_median"] = float(
-                np.median([r["contact_residual"] for r in ok])
-            )
+            row["chamfer_median"] = float(np.median([r.chamfer for r in ok]))
+            row["chamfer_mean"] = float(np.mean([r.chamfer for r in ok]))
+            row["final_J_median"] = float(np.median([r.final_J for r in ok]))
+            row["contact_residual_median"] = float(np.median([r.contact_residual_median for r in ok]))
         rows.append(row)
     _write_json(out / "sweep.json", {"scenario": scenario.to_dict(), "cells": rows})
     return rows
@@ -528,8 +512,10 @@ def main():
 @click.option("--scenario", "scenario_spec", required=True,
               help="Scenario YAML path, or suite:NAME for a standard-suite scenario.")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Run directory.")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Run seed (defaults to the scenario's).")
-@click.option("--reference-seed", type=click.IntRange(min=0), default=None, help="Reference-run seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Run seed, in place of the scenario's seeds.guided.")
+@click.option("--reference-seed", "ref_seed", type=click.IntRange(min=0), default=None,
+              help="Reference-run seed, in place of the scenario's seeds.reference.")
 @click.option("--unguided", is_flag=True, help="Skip guidance; plain flow sampling.")
 @click.option("--lambda", "lam", nargs=3, type=float, default=None,
               help="Stage guidance weights (early middle late).")
@@ -539,14 +525,17 @@ def main():
 @click.option("--grid-n", type=int, default=None, help="Latent resolution override.")
 @click.option("--contacts", "contacts_path", type=click.Path(exists=True), default=None,
               help="External contact-point JSON instead of sampled contacts.")
-def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurrence,
+def generate(scenario_spec, out_dir, seed, ref_seed, unguided, lam, recurrence,
              radius, timesteps, grid_n, contacts_path):
     """Generate one shape (guided by default) and write its run directory."""
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
+        given = {"guided": seed, "reference": ref_seed}
+        seeds = dataclasses.replace(scenario.seeds, **{k: v for k, v in given.items() if v is not None})
+        scenario = dataclasses.replace(scenario, seeds=seeds)
         cfg = _cfg_from_flags(scenario, lam or None, recurrence, radius, timesteps)
         external = ContactSet.load(contacts_path) if contacts_path else None
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         _exit_config_error(exc)
     try:
         generate_run(
@@ -554,8 +543,6 @@ def generate(scenario_spec, out_dir, seed, reference_seed, unguided, lam, recurr
             out_dir,
             mode="unguided" if unguided else "guided",
             cfg=cfg,
-            run_seed=seed,
-            reference_seed=reference_seed,
             external_contacts=external,
         )
     except ConfigError as exc:
@@ -596,7 +583,7 @@ def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, radii, tim
     try:
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, timesteps)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         _exit_config_error(exc)
     try:
         rows = sweep(scenario, out_dir, runs, lambdas, recurrences, radii, base_cfg=base)

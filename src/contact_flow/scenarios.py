@@ -34,6 +34,7 @@ from .voxelcore import (
     _convert,
     _expect,
     _read,
+    _reject_unknown,
     _require,
     _write,
     axis_centers,
@@ -151,9 +152,10 @@ class Scenario:
         grid = _expect(_require(d, "grid", "scenario"), dict, "grid")
         entries = _expect(_require(d, "library", "scenario"), list, "library")
         name = _expect(_require(d, "name", "scenario"), str, "name")
+        _reject_unknown(grid, ("n",), "grid")
         n = _convert(_require(grid, "n", "grid"), int, "grid n")
         library = tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(entries))
-        return _read(cls, d, "", "scenario", name=name, n=n, library=library)
+        return _read(cls, d, "", "scenario", ("name", "grid", "library"), name=name, n=n, library=library)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -161,8 +163,16 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as f:
-            return cls.from_dict(yaml.safe_load(f))
+        try:
+            with open(path) as f:
+                return cls.from_dict(yaml.safe_load(f))
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {exc}") from None
+
+    def for_run(self, run_index: int) -> "Scenario":
+        """This scenario for paired run `run_index` >= 0: each of its seeds shifted by the index."""
+        shifted = {f: getattr(self.seeds, f) + run_index for f in ScenarioSeeds.FIELDS}
+        return replace(self, seeds=ScenarioSeeds(**shifted))
 
     def guidance_config(self, **overrides) -> GuidanceConfig:
         """Default guidance config with the drag radius scaled to this grid size."""
@@ -174,13 +184,6 @@ def scaled_radius(resolution: int) -> int:
     """Drag-neighborhood radius proportional to grid resolution (10 at 64^3)."""
     r = max(1, round(10 * resolution / 64))
     return min(r, (resolution - 1) // 2)
-
-
-def derive_run_seeds(scenario: Scenario, run_index: int) -> ScenarioSeeds:
-    """Per-run seeds for paired comparisons; reference and guided streams stay disjoint."""
-    if run_index < 0:
-        raise ValueError("run index must be >= 0")
-    return ScenarioSeeds(**{f: getattr(scenario.seeds, f) + run_index for f in ScenarioSeeds.FIELDS})
 
 
 @dataclass(frozen=True)
@@ -263,12 +266,12 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
 
     Only the contacts depend on the seeds, so the rest is kept for the
     scenario built last and shared by its runs.
-    With `run_index`, the scenario's seeds are shifted for that paired run.
+    With `run_index`, the scenario is built for that paired run (`Scenario.for_run`).
     Raises ValueError if a primitive is empty at this resolution, the contacts
     outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
     """
     if run_index is not None:
-        scenario = replace(scenario, seeds=derive_run_seeds(scenario, run_index))
+        scenario = scenario.for_run(run_index)
     params, grids, visibility, model, unmet = _seed_independent(_Geometry.of(scenario))
     gt = grids[scenario.true_index]
     contacts = sample_contacts(gt, visibility, scenario.contact_count, scenario.seeds.contacts)

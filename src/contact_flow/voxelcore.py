@@ -213,7 +213,7 @@ def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # reader is int, float or tuple (a number or list field, see _convert), str or
 # bool, a document class (a nested mapping), or (reader,) (a list of them).  A
 # file may leave out a field whose dataclass has a default, unless the class
-# declares its own OPTIONAL set of such fields.
+# declares its own OPTIONAL set of such fields, and may hold no other key.
 
 
 @functools.cache
@@ -223,10 +223,18 @@ def _optional(cls) -> frozenset:
     return getattr(cls, "OPTIONAL", defaults)
 
 
-def _read(reader, value, what: str, entry: str, **given):
+def _reject_unknown(d: dict, known, what: str) -> None:
+    """ValueError naming `what` and the key when parsed mapping `d` holds a key outside `known`."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{what} has unknown field {key!r}")
+
+
+def _read(reader, value, what: str, entry: str, own=(), **given):
     """A field of a parsed input document, read by `reader`; ValueError naming
-    `what` when it has the wrong type, or `entry`, `what` and the field when a
-    document lacks a required one.  `given` holds the fields a class reads itself."""
+    `what` when it has the wrong type, or `entry`, `what` and the key when a
+    document lacks a field or holds a key neither a field nor read by its caller
+    (the keys `own`, read into the fields `given`)."""
     if reader in _FIELD_KINDS:
         return _convert(value, reader, what)
     if reader is str or reader is bool:
@@ -235,11 +243,13 @@ def _read(reader, value, what: str, entry: str, **given):
         # each entry is named in the singular: "union_of_boxes box hi"
         return tuple(_read(reader[0], v, what.removesuffix("es"), entry) for v in _expect(value, list, what))
     _expect(value, dict, what or entry)
+    where = f"{entry} {what}".rstrip()
+    _reject_unknown(value, reader.FIELDS.keys() | own, where)
     for f, r in reader.FIELDS.items():
         if f in value:
             given[f] = _read(r, value[f], f"{what} {f}".lstrip(), entry)
         elif f not in _optional(reader):
-            raise ValueError(f"{entry} {what}".rstrip() + f" is missing required field {f!r}")
+            raise ValueError(f"{where} is missing required field {f!r}")
     return reader(**given)
 
 
@@ -413,7 +423,7 @@ def primitive_from_dict(spec: dict, entry: str = "library entry") -> Primitive:
     kind = _require(_expect(spec, dict, entry), "kind", entry)
     if not isinstance(kind, str) or kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    return _read(_PRIMITIVES[kind], spec, kind, entry)
+    return _read(_PRIMITIVES[kind], spec, kind, entry, own=("kind",))
 
 
 def primitive_to_dict(prim: Primitive) -> dict:

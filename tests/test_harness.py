@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -46,6 +47,10 @@ def scenario():
     return suite_scenario("depth_boxes", n=4)
 
 
+def with_seeds(scenario, **seeds):
+    return dataclasses.replace(scenario, seeds=dataclasses.replace(scenario.seeds, **seeds))
+
+
 def artifact_hashes(manifest):
     return {name: entry["sha256"] for name, entry in manifest["artifacts"].items()}
 
@@ -71,8 +76,9 @@ def test_generate_twice_is_bit_identical(tmp_path, scenario):
 
 def test_zero_lambda_guided_equals_unguided_output(tmp_path, scenario):
     cfg = scenario.guidance_config(lambda_stage=(0.0, 0.0, 0.0))
-    g = generate_run(scenario, tmp_path / "zero", mode="guided", cfg=cfg, run_seed=7)
-    u = generate_run(scenario, tmp_path / "plain", mode="unguided", run_seed=7)
+    seven = with_seeds(scenario, guided=7)
+    g = generate_run(seven, tmp_path / "zero", mode="guided", cfg=cfg)
+    u = generate_run(seven, tmp_path / "plain", mode="unguided")
     for name in ("occupancy", "shape", "surface"):
         assert g["artifacts"][name]["sha256"] == u["artifacts"][name]["sha256"]
 
@@ -161,8 +167,8 @@ def test_evaluate_many_and_median_aggregation_oracle(tmp_path, scenario):
     dirs = []
     for i in range(4):
         out = tmp_path / f"run{i}"
-        generate_run(scenario, out, mode="guided" if i % 2 else "unguided",
-                     run_seed=scenario.seeds.guided + i)
+        generate_run(with_seeds(scenario, guided=scenario.seeds.guided + i), out,
+                     mode="guided" if i % 2 else "unguided")
         dirs.append(out)
     reports, skipped = evaluate_run_dirs(dirs, tmp_path / "agg")
     assert not skipped
@@ -222,14 +228,11 @@ def test_evaluate_skips_a_manifest_with_a_bad_field_naming_it(tmp_path, scenario
 def test_single_cell_sweep_equals_generate_plus_evaluate(tmp_path, scenario):
     rows = sweep(scenario, tmp_path / "sweep", runs=2)
     assert len(rows) == 1
-    # reproduce by hand with the same derived seeds
-    from contact_flow.scenarios import derive_run_seeds
-
+    # reproduce by hand with the same paired-run scenarios
     chamfers = []
     for i in range(2):
-        sc_i = dataclasses.replace(scenario, seeds=derive_run_seeds(scenario, i))
         out = tmp_path / f"manual{i}"
-        generate_run(sc_i, out, mode="guided")
+        generate_run(scenario.for_run(i), out, mode="guided")
         chamfers.append(evaluate_run_dir(out).chamfer)
     assert rows[0]["chamfer_median"] == pytest.approx(float(np.median(chamfers)), rel=1e-12)
     assert rows[0]["aborts"] == 0
@@ -242,11 +245,15 @@ def test_recurrence_sweep_reproduces_ablation_direction(tmp_path, scenario):
 
 
 def test_sweep_with_worker_pool_matches_serial(tmp_path, scenario, monkeypatch):
-    serial = sweep(scenario, tmp_path / "serial", runs=2)
+    serial = sweep(scenario, tmp_path / "serial", runs=2, recurrence_grid=[1, 3])
     monkeypatch.setenv("CONTACT_FLOW_WORKERS", "2")
-    parallel = sweep(scenario, tmp_path / "parallel", runs=2)
-    assert serial[0]["chamfer_median"] == parallel[0]["chamfer_median"]
-    assert serial[0]["final_J_median"] == parallel[0]["final_J_median"]
+    parallel = sweep(scenario, tmp_path / "parallel", runs=2, recurrence_grid=[1, 3])
+    assert serial == parallel and len(serial) == 2
+    runs = [p.parent.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("manifest.json")]
+    assert len(runs) == 4
+    for run in runs:
+        hashes = [artifact_hashes(load_manifest(tmp_path / tree / run)) for tree in ("serial", "parallel")]
+        assert hashes[0] == hashes[1] and "occupancy" in hashes[0]
 
 
 def test_aborting_cells_are_recorded_and_sweep_continues(tmp_path, scenario):
@@ -272,12 +279,15 @@ def test_cli_generate_on_suite_scenario(tmp_path):
     result = runner.invoke(
         main,
         ["generate", "--scenario", "suite:depth_boxes", "--grid-n", "4",
-         "--out", str(out), "--seed", "7"],
+         "--out", str(out), "--seed", "7", "--reference-seed", "9"],
     )
     assert result.exit_code == 0, result.output
     manifest = load_manifest(out)
     for entry in manifest["artifacts"].values():
         assert (out / entry["path"]).exists()
+    # the flags replace the scenario's seeds, so both seed blocks hold them
+    assert manifest["seeds"] == {"run": 7, "reference": 9, "contacts": manifest["scenario"]["seeds"]["contacts"]}
+    assert manifest["scenario"]["seeds"]["guided"] == 7 and manifest["scenario"]["seeds"]["reference"] == 9
 
 
 def test_cli_zero_lambda_equals_unguided(tmp_path):
@@ -327,13 +337,24 @@ def test_cli_config_error_exit_code(tmp_path):
         assert result.exit_code == EXIT_CONFIG_ERROR, result.output
         assert f"config error: {message}" in result.output
         assert not out.exists()
+    # a file that is not YAML: an unclosed mapping, and a tab-indented one
+    for text in ("grid: {n: 4\n", "grid:\n\tn: 4\n"):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        for command, extra in (("generate", []), ("sweep", ["--runs", "1"])):
+            result = runner.invoke(main, [command, "--scenario", str(path), "--out", str(out), *extra])
+            assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+            assert f"config error: {path} is not valid YAML" in result.output
+            assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [{"run_seed": -1}, {"reference_seed": -5}])
-def test_generate_run_rejects_a_negative_seed_before_writing(tmp_path, scenario, seeds):
-    with pytest.raises(harness.ConfigError, match="seed must be >= 0"):
-        generate_run(scenario, tmp_path / "run", **seeds)
-    assert not (tmp_path / "run").exists()
+@pytest.mark.parametrize("key, field", [("run", "guided"), ("reference", "reference")])
+def test_rerun_manifest_rejects_a_negative_seed_before_writing(tmp_path, scenario, key, field):
+    manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
+    manifest["seeds"][key] = -1
+    with pytest.raises(ValueError, match=f"seeds {field} must be >= 0"):
+        rerun_manifest(manifest, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
 
 
 UNBUILDABLE = {
@@ -612,7 +633,7 @@ def test_rerun_manifest_names_a_missing_field(tmp_path, scenario, path):
 @pytest.mark.parametrize("bad", [None, "7", 7.5, True])
 def test_rerun_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, scenario, key, bad):
     # a null run seed used to fall back to the scenario's own seed: another run
-    manifest = generate_run(scenario, tmp_path / "orig", mode="unguided", run_seed=123)
+    manifest = generate_run(with_seeds(scenario, guided=123), tmp_path / "orig", mode="unguided")
     broken = json.loads(json.dumps(manifest))
     broken["seeds"][key] = bad
     with pytest.raises(ValueError, match=f"{key} seed must be an integer"):
@@ -785,6 +806,31 @@ def test_run_standard_suite_rejects_a_run_count_below_one(tmp_path, runs):
     result = CliRunner().invoke(load_script("run_standard_suite").main, args)
     assert result.exit_code == 2, result.output
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("grid_n", ["3", "0"])
+def test_run_standard_suite_rejects_a_grid_size_without_a_suite(tmp_path, grid_n):
+    args = ["--out", str(tmp_path / "suite"), "--grid-n", grid_n, "--runs", "1"]
+    result = CliRunner().invoke(load_script("run_standard_suite").main, args)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--grid-n'" in result.output
+    assert not (tmp_path / "suite").exists()
+
+
+def test_compare_runs_finds_a_sweep_row_that_differs(tmp_path, scenario):
+    sweep(scenario, tmp_path / "a", runs=1, recurrence_grid=[1, 3])
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    trees = [str(tmp_path / "a"), str(tmp_path / "b")]
+    compare = load_script("compare_runs")
+    result = CliRunner().invoke(compare.main, trees)
+    assert result.exit_code == 0 and "2 runs in A: 0 difference(s)" in result.output, result.output
+    path = tmp_path / "b" / "sweep.json"
+    doc = json.loads(path.read_text())
+    doc["cells"][1]["chamfer_median"] += 1e-9
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(compare.main, trees)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["sweep.json: row 1 differs", "2 runs in A: 1 difference(s)"]
 
 
 def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_artifact(tmp_path):

@@ -16,7 +16,6 @@ from contact_flow.scenarios import (
     VisibilitySpec,
     ambiguous_pairs,
     build_scenario,
-    derive_run_seeds,
     scaled_radius,
     standard_suite,
     suite_scenario,
@@ -231,15 +230,17 @@ def test_scenario_yaml_roundtrip(tmp_path):
     assert loaded == sc
 
 
-def test_derive_run_seeds_are_paired_and_disjoint():
+def test_for_run_seeds_are_paired_and_disjoint():
     sc = suite_scenario("depth_boxes", n=4)
-    s0 = derive_run_seeds(sc, 0)
-    s7 = derive_run_seeds(sc, 7)
+    s0 = sc.for_run(0).seeds
+    s7 = sc.for_run(7).seeds
+    assert s0 == sc.seeds
     assert s7.guided == s0.guided + 7
     assert s7.reference == s0.reference + 7
     assert s7.contacts == s0.contacts + 7
-    guided = {derive_run_seeds(sc, i).guided for i in range(50)}
-    refs = {derive_run_seeds(sc, i).reference for i in range(50)}
+    assert sc.for_run(7) == dataclasses.replace(sc, seeds=s7)
+    guided = {sc.for_run(i).seeds.guided for i in range(50)}
+    refs = {sc.for_run(i).seeds.reference for i in range(50)}
     assert not guided & refs
 
 
@@ -340,7 +341,7 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
     assert second.model is first.model
     assert second.library_grids is first.library_grids
     assert second.visibility is first.visibility
-    assert second.scenario.seeds == derive_run_seeds(sc, 1)
+    assert second.scenario == sc.for_run(1)
     assert not np.array_equal(second.contacts.points, first.contacts.points)
 
 
