@@ -13,6 +13,7 @@ from .voxelcore import (
     _expect,
     _freeze,
     _read,
+    _unique_keys,
     _write,
     index_to_point,
     nonzero_indices,
@@ -67,7 +68,7 @@ class ContactSet:
     @classmethod
     def load(cls, path) -> "ContactSet":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
 def hidden_surface_indices(gt: BinaryGrid, visibility: BinaryGrid) -> np.ndarray:

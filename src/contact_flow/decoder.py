@@ -78,21 +78,17 @@ def _upsample_operands(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return A, A, _freeze(np.ascontiguousarray(A.T))
 
 
-def _interp(
-    grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az_t: np.ndarray, out=(None, None, None)
-) -> np.ndarray:
+def _interp(grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az_t: np.ndarray) -> np.ndarray:
     """out[a,b,c] = sum_ijk ax[a,i] ay[b,j] az[c,k] grid[i,j,k], one BLAS matmul per axis.
 
     The decoder's only upsampling kernel, for the full grid (A on every axis), a
     drag window (its blocks of A) and their adjoints (the same transposed).  The
     last matrix comes as az_t = az.T: a contiguous copy in the forward passes (which
     BLAS multiplies faster), a view in the adjoints (a copy moves their last bit).
-    `out` optionally holds contiguous buffers for the (a, j*k) and (a, b, k)
-    intermediates and the result; a contiguous `grid` is read in place."""
+    A contiguous `grid` is read in place; each matmul makes a fresh array."""
     i, j, k = grid.shape
-    first, second, result = out
-    first = np.matmul(ax, grid.reshape(i, j * k), out=first).reshape(ax.shape[0], j, k)
-    return np.matmul(np.matmul(ay, first, out=second), az_t, out=result)
+    first = np.matmul(ax, grid.reshape(i, j * k)).reshape(ax.shape[0], j, k)
+    return np.matmul(np.matmul(ay, first), az_t)
 
 
 def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:

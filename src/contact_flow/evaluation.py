@@ -21,6 +21,7 @@ from .voxelcore import (
     BinaryGrid,
     OccupancyGrid,
     PointCloud,
+    _finite_or_none,
     binarize,
     index_to_point,
     nonzero_indices,
@@ -71,18 +72,15 @@ class MetricsReport:
         return row
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
-
         return {
             "schema": METRICS_SCHEMA_VERSION,
             "scenario": self.scenario,
             "method": self.method,
             "seed": self.seed,
-            "chamfer": clean(self.chamfer),
-            "f_scores": {f"{tau:g}": clean(v) for tau, v in sorted(self.f_scores.items())},
-            "contact_residual_median": clean(self.contact_residual_median),
-            "final_J": clean(self.final_J),
+            "chamfer": _finite_or_none(self.chamfer),
+            "f_scores": {f"{tau:g}": _finite_or_none(v) for tau, v in sorted(self.f_scores.items())},
+            "contact_residual_median": _finite_or_none(self.contact_residual_median),
+            "final_J": _finite_or_none(self.final_J),
             "failed": self.failed,
         }
 

@@ -47,6 +47,7 @@ from .voxelcore import (
     LatentGrid,
     OccupancyGrid,
     _expect,
+    _finite_or_none,
     _read,
     _write,
     binarize,
@@ -155,8 +156,8 @@ class StepRecord:
     suppressed: bool
 
     def to_json_dict(self) -> dict:
-        """The fields in order, the weights lam* spelled lambda*."""
-        return {re.sub("^lam", "lambda", f.name): getattr(self, f.name) for f in fields(self)}
+        """The fields in order, the weights lam* spelled lambda*, a non-finite number None."""
+        return {re.sub("^lam", "lambda", f.name): _finite_or_none(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,11 @@ class GuidedTrajectory:
         return len(self.records)
 
     def dump_jsonl(self, path) -> None:
+        """One JSON line per record, then one holding final_J; a non-finite number is null."""
+        lines = [rec.to_json_dict() for rec in self.records] + [{"final_J": _finite_or_none(self.final_J)}]
         with open(path, "w") as f:
-            for rec in self.records:
-                f.write(json.dumps(rec.to_json_dict()) + "\n")
-            f.write(json.dumps({"final_J": self.final_J}) + "\n")
+            for line in lines:
+                f.write(json.dumps(line, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,7 @@ def _check_radius(radius: int, N: int) -> None:
 
 class _Window(NamedTuple):
     """One contact's drag window: where it sits in the decoder output, what it
-    is compared with, the part of the decoder that produces it, and its views
-    of the run's scratch for the window chain's intermediates."""
+    is compared with, and the part of the decoder that produces it."""
 
     fine: tuple[slice, slice, slice]  # the window around the contact's voxel
     target: np.ndarray  # reference values around its nearest occupied voxel
@@ -217,11 +218,6 @@ class _Window(NamedTuple):
     # first two transposed (views) and the last one as it is
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
     blocks_t: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cells: np.ndarray  # the coarse cells read, then their adjoint
-    forward: tuple[np.ndarray, np.ndarray, np.ndarray]  # _interp's buffers; the last holds s
-    diff: np.ndarray  # the mismatch, then its logistic adjoint
-    squares: np.ndarray  # the squared mismatch
-    adjoint: tuple[np.ndarray, np.ndarray, np.ndarray]  # _interp's buffers for the adjoint
 
 
 def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Window]:
@@ -230,14 +226,12 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     blocks of the interpolation matrix that decode the window.
 
     They depend only on (reference, contacts, radius), so a guided run builds
-    them once, with its scratch: one flat buffer per intermediate of the window
-    chain, as long as the largest window needs, which the windows, taken one at
-    a time, view in their own shapes.
+    them once.
     """
     N = ref.binary.resolution
     _check_radius(r, N)
     A = _interp_matrix(N // UPSAMPLE_FACTOR, N)
-    parts = []
+    windows = []
     for pc, b in zip(contacts.points, _nearest_occupied(ref.binary, contacts.points)):
         a = point_to_index(pc, N)
         lo = np.maximum(-r, np.maximum(-a, -b))
@@ -251,21 +245,9 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
             coarse.append(cols)
             blocks.append(A[rows, cols])
         target = np.ascontiguousarray(ref.occupancy.data[sl_b])  # read every inner step
-        (fa, ci), (fb, cj), (fc, ck) = (m.shape for m in blocks)
-        # cells, forward's three, diff, squares, the adjoint's first two
-        fine = (fa, fb, fc)
-        shapes = [(ci, cj, ck), (fa, cj * ck), (fa, fb, ck), fine, fine, fine,
-                  (ci, fb * fc), (ci, cj, fc)]
-        parts.append((sl_a, target, tuple(coarse), tuple(blocks), shapes))
-    buffers = [np.empty(max((math.prod(p[-1][i]) for p in parts), default=0)) for i in range(8)]
-    windows = []
-    for sl_a, target, coarse, (bx, by, bz), shapes in parts:
-        cells, f1, f2, s, diff, squares, a1, a2 = (
-            buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(buffers, shapes)
-        )
+        bx, by, bz = blocks
         windows.append(
-            _Window(sl_a, target, coarse, (bx, by, np.ascontiguousarray(bz.T)), (bx.T, by.T, bz),
-                    cells, (f1, f2, s), diff, squares, (a1, a2, cells))
+            _Window(sl_a, target, tuple(coarse), (bx, by, np.ascontiguousarray(bz.T)), (bx.T, by.T, bz))
         )
     return windows
 
@@ -322,7 +304,6 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
 
     The drag loss is zero outside the windows, so the decoder, the loss and the
     decoder's adjoint run on each window alone; overlapping windows add up.
-    Every intermediate of a window is formed in its views of the run's scratch.
     """
     coarse = _logits(x0.reshape(model.latent_shape()), dec)
     d_coarse = np.zeros_like(coarse)
@@ -330,15 +311,14 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
     # exp overflows to an occupancy of 0 (then tiny) far outside the shape
     with np.errstate(over="ignore"):
         for win in windows:
-            np.copyto(win.cells, coarse[win.coarse])
-            u = _interp(win.cells, *win.blocks, out=win.forward)
+            u = _interp(np.ascontiguousarray(coarse[win.coarse]), *win.blocks)
             s = _logistic(u, dec.beta, out=u)
-            diff = _clip_occupancy(s, out=win.diff)
+            diff = _clip_occupancy(s)
             diff -= win.target
-            J += float(np.add.reduce(np.multiply(diff, diff, out=win.squares), axis=None))
+            J += float(np.add.reduce(diff * diff, axis=None))
             diff *= 2.0
             d_fine = _logistic_vjp(s, diff, dec.beta, out=diff)
-            d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t, out=win.adjoint)
+            d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t)
     g_x0 = _spread_channels(d_coarse, dec).reshape(-1)
     return J, _predict_x0_vjp(model, r, mubar, t, g_x0), g_x0
 

@@ -49,6 +49,7 @@ from .voxelcore import (
     _convert,
     _expect,
     _require,
+    _unique_keys,
     binarize,
     extract_surface,
     grid_to_bytes,
@@ -149,8 +150,9 @@ def generate_run(
 ) -> dict:
     """Build the scenario, run the sampler on its seeds, and write all artifacts + manifest.
 
-    Returns the manifest dict.  An invalid configuration or a scenario that
-    fails to build raises ConfigError before anything is written.  On a
+    Returns the manifest dict.  An invalid configuration, a scenario that
+    fails to build or a run directory that cannot be made raises ConfigError
+    before anything is written.  On a
     non-finite abort the partial manifest (with a failure record) is still
     written before GenerationAborted propagates to the caller.
     """
@@ -161,7 +163,9 @@ def generate_run(
         if mode == "guided":
             _check_radius(cfg.radius, scenario.resolution)
         built = build_scenario(scenario)
-    except ValueError as exc:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     seeds = scenario.seeds
     contacts = external_contacts if external_contacts is not None else built.contacts
@@ -189,9 +193,6 @@ def generate_run(
         "failure": None,
         "metrics": None,
     }
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def add_artifact(name: str, filename: str, write) -> None:
         """Write one artifact atomically with `write(path)` and record its hash."""
@@ -240,7 +241,7 @@ def generate_run(
 
 def load_manifest(run_dir) -> dict:
     with open(Path(run_dir) / MANIFEST_NAME) as f:
-        return _expect(json.load(f), dict, "run manifest")
+        return _expect(json.load(f, object_pairs_hook=_unique_keys), dict, "run manifest")
 
 
 def _artifact_entry(artifacts: dict, name: str, key: str) -> str:
@@ -421,10 +422,10 @@ def sweep(
             _check_radius(cfg.radius, scenario.resolution)
             cells.append(cfg)
         build_scenario(scenario)  # paired runs differ in seeds only
-    except ValueError as exc:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # (run scenario, config, run directory) of every run, in cell order
     tasks = [(scenario.for_run(i), cfg, str(out / f"cell_{c:03d}" / f"run_{i:03d}"))
              for c, cfg in enumerate(cells) for i in range(runs)]
@@ -464,7 +465,7 @@ def sweep(
 
 def _resolve_scenario(spec: str, grid_n: int | None) -> Scenario:
     if spec.startswith("suite:"):
-        scenario = suite_scenario(spec.split(":", 1)[1], n=grid_n or 16)
+        scenario = suite_scenario(spec.split(":", 1)[1], n=16 if grid_n is None else grid_n)
     else:
         scenario = Scenario.load(spec)
         if grid_n is not None:

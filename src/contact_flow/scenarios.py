@@ -36,6 +36,7 @@ from .voxelcore import (
     _read,
     _reject_unknown,
     _require,
+    _unique_keys,
     _write,
     axis_centers,
     binarize,
@@ -89,6 +90,15 @@ class ScenarioSeeds:
         for name in self.FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"seeds {name} must be >= 0, got {getattr(self, name)}")
+
+
+class _YamlLoader(yaml.SafeLoader):
+    """yaml.SafeLoader, with a mapping that repeats a key a ValueError naming it."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        _unique_keys((self.construct_object(key), None) for key, _ in node.value)
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             with open(path) as f:
-                return cls.from_dict(yaml.safe_load(f))
+                return cls.from_dict(yaml.load(f, _YamlLoader))
         except yaml.YAMLError as exc:
             raise ValueError(f"{path} is not valid YAML: {exc}") from None
 

@@ -230,6 +230,22 @@ def _reject_unknown(d: dict, known, what: str) -> None:
             raise ValueError(f"{what} has unknown field {key!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """The mapping of a parsed document's (key, value) `pairs`; ValueError naming
+    the key when one repeats, which JSON and YAML readers would keep the last of."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValueError(f"repeated key {key!r}")
+        d[key] = value
+    return d
+
+
+def _finite_or_none(v):
+    """`v`, or None (JSON null) when it is a non-finite float."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _read(reader, value, what: str, entry: str, own=(), **given):
     """A field of a parsed input document, read by `reader`; ValueError naming
     `what` when it has the wrong type, or `entry`, `what` and the key when a

@@ -12,7 +12,7 @@ import pytest
 
 from contact_flow.contact import ContactSet
 from contact_flow.guidance import GuidanceConfig
-from contact_flow.harness import MANIFEST_NAME, evaluate_run_dirs, generate_run, verify_manifest
+from contact_flow.harness import MANIFEST_NAME, evaluate_run_dirs, generate_run, load_manifest, verify_manifest
 from contact_flow.scenarios import (
     SUITE_NAMES,
     Scenario,
@@ -26,6 +26,7 @@ from contact_flow.voxelcore import Box, Cylinder, LBracket, SphereCappedBox, Uni
 DELETE = object()  # the mutant that removes the field
 MUTANTS = (None, True, "x", [], {}, 10**400, math.nan, math.inf, -1, 0, DELETE)
 EXTRA = object()  # the mutant that adds the key "extra_key" to a mapping
+REPEAT = object()  # the mutant that repeats a mapping's first key in the document's text
 
 # the fields each document class reads and writes itself, beside its table
 HAND_WRITTEN = {Scenario: {"name", "n", "library"}}
@@ -69,23 +70,44 @@ def _mutated(doc, path, value):
     return doc
 
 
-def _escapes(read, doc, paths, then=None, strict=True):
+def _repeated(doc, path) -> str:
+    """JSON text (which YAML reads too) of `doc` whose mapping at `path` holds
+    its first key twice, the second time with the same value."""
+    doc = copy.deepcopy(doc)
+    mapping = _at(doc, path)
+    key = next(iter(mapping))
+    mapping["repeat-marker"] = mapping[key]
+    return json.dumps(doc).replace('"repeat-marker"', json.dumps(key))
+
+
+def _escapes(read, doc, paths, then=None, strict=True, load=None):
     """Each (path, mutant, error) for which `read` of the mutated document
     raises anything but a ValueError naming the field (the path's last key
     that is not a list index), or `then` of what it read raises anything but
     a ValueError.  Every mapping, the document included, also gets an extra
-    key, which a `strict` reader must reject naming that key."""
+    key, which a `strict` reader must reject naming that key, and, read from
+    its text by `load`, a repeated key, which every reader must reject naming it."""
     mutants = [(path, value) for path in paths for value in MUTANTS]
-    mutants += [(path, EXTRA) for path in [(), *paths] if isinstance(_at(doc, path), dict)]
+    mappings = [path for path in [(), *paths] if isinstance(_at(doc, path), dict)]
+    mutants += [(path, EXTRA) for path in mappings]
+    mutants += [(path, REPEAT) for path in mappings if load is not None and _at(doc, path)]
     found = []
     for path, value in mutants:
-        field = "extra_key" if value is EXTRA else next(key for key in reversed(path) if isinstance(key, str))
+        if value is EXTRA:
+            field = "extra_key"
+        elif value is REPEAT:
+            field = f"repeated key {next(iter(_at(doc, path)))!r}"
+        else:
+            field = next(key for key in reversed(path) if isinstance(key, str))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                read_back = read(_mutated(doc, path, value))
-                if value is EXTRA and strict:
-                    found.append((path, value, "read an unknown key"))
+                if value is REPEAT:
+                    read_back = load(_repeated(doc, path))
+                else:
+                    read_back = read(_mutated(doc, path, value))
+                if value is REPEAT or (value is EXTRA and strict):
+                    found.append((path, value, "read a repeated or unknown key"))
                 elif then is not None:
                     try:
                         then(read_back)
@@ -99,16 +121,27 @@ def _escapes(read, doc, paths, then=None, strict=True):
     return found
 
 
+def _file_reader(path, read):
+    """A `load` for `_escapes`: `read` of `path` holding the text."""
+    def load(text):
+        path.write_text(text)
+        return read(path)
+
+    return load
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_every_mutated_scenario_field_is_read_or_named(name):
+def test_every_mutated_scenario_field_is_read_or_named(tmp_path, name):
     doc = json.loads(json.dumps(suite_scenario(name, n=4).to_dict()))
-    assert _escapes(Scenario.from_dict, doc, list(_paths(doc)), then=build_scenario) == []
+    load = _file_reader(tmp_path / "scenario.yaml", Scenario.load)
+    assert _escapes(Scenario.from_dict, doc, list(_paths(doc)), then=build_scenario, load=load) == []
 
 
-def test_every_mutated_contact_and_guidance_field_is_read_or_named():
+def test_every_mutated_contact_and_guidance_field_is_read_or_named(tmp_path):
     contacts = build_scenario(suite_scenario("depth_boxes", n=4)).contacts.to_dict()
     guidance = suite_scenario("depth_boxes", n=4).guidance_config().to_dict()
-    assert _escapes(ContactSet.from_dict, contacts, list(_paths(contacts))) == []
+    load = _file_reader(tmp_path / "contacts.json", ContactSet.load)
+    assert _escapes(ContactSet.from_dict, contacts, list(_paths(contacts)), load=load) == []
     assert _escapes(GuidanceConfig.from_dict, guidance, list(_paths(guidance))) == []
 
 
@@ -126,5 +159,11 @@ def test_every_mutated_manifest_entry_is_listed_or_skipped(tmp_path):
             pass
         evaluate_run_dirs([run])  # skips what it cannot read, so raises nothing
 
+    def load(text):
+        (run / MANIFEST_NAME).write_text(text)
+        reports, [(_, reason)] = evaluate_run_dirs([run])
+        assert reports == [] and "repeated key" in reason
+        return load_manifest(run)
+
     # a manifest is read by hand, so an extra key must only not escape
-    assert _escapes(read, manifest, paths, strict=False) == []
+    assert _escapes(read, manifest, paths, strict=False, load=load) == []

@@ -122,9 +122,15 @@ def test_generation_abort_writes_partial_manifest(tmp_path, scenario):
     assert "underflowed" in manifest["failure"]["reason"]
     assert "trajectory" in manifest["artifacts"] and "occupancy" not in manifest["artifacts"]
     assert verify_manifest(tmp_path / "hot") == []
-    # the four records up to the abort, then a NaN final_J
+    # the four records up to the abort, then a NaN final_J, each line strict
+    # JSON: a non-finite number (the overflowed g_norm too) is null
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     lines = (tmp_path / "hot" / "trajectory.jsonl").read_text().splitlines()
-    assert len(lines) == 5 and math.isnan(json.loads(lines[-1])["final_J"])
+    records = [json.loads(line, parse_constant=reject) for line in lines]
+    assert len(records) == 5 and records[-1] == {"final_J": None}
+    assert records[-2]["g_norm"] is None
 
 
 def test_method_labels(scenario):
@@ -324,6 +330,14 @@ def test_cli_config_error_exit_code(tmp_path):
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_CONFIG_ERROR, result.output
         assert not out.exists()
+    # a suite scenario at resolution 0, as a scenario file at 0 is
+    for command, extra in (("generate", ["--unguided"]), ("sweep", ["--runs", "1"])):
+        result = runner.invoke(
+            main, [command, "--scenario", "suite:depth_boxes", "--grid-n", "0", "--out", str(out), *extra]
+        )
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert "config error: latent resolution n must be >= 1" in result.output
+        assert not out.exists()
     # a scenario file with a negative seed or run count
     d = suite_scenario("depth_boxes", n=4).to_dict()
     for changes, message in (
@@ -346,6 +360,14 @@ def test_cli_config_error_exit_code(tmp_path):
             assert result.exit_code == EXIT_CONFIG_ERROR, result.output
             assert f"config error: {path} is not valid YAML" in result.output
             assert not out.exists()
+    # a scenario file that gives gamma twice
+    path = tmp_path / "scenario.yaml"
+    path.write_text(EXAMPLE_SCENARIO.read_text() + "gamma: 50.0\n")
+    for command, extra in (("generate", []), ("sweep", ["--runs", "1"])):
+        result = runner.invoke(main, [command, "--scenario", str(path), "--out", str(out), *extra])
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert "config error: repeated key 'gamma'" in result.output
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, field", [("run", "guided"), ("reference", "reference")])
@@ -407,6 +429,18 @@ def test_cli_scenario_that_fails_to_build_is_config_error(tmp_path, failure, com
     assert result.exit_code == EXIT_CONFIG_ERROR, result.output
     assert "config error:" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [("generate", []), ("sweep", ["--runs", "1"])])
+def test_cli_out_naming_a_file_is_config_error(tmp_path, command, extra):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    result = CliRunner().invoke(
+        main, [command, "--scenario", "suite:depth_boxes", "--grid-n", "4", "--out", str(out), *extra]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error:" in result.output and "File exists" in result.output
+    assert sorted(tmp_path.iterdir()) == [out] and out.read_text() == "not a directory\n"
 
 
 def test_cli_generation_abort_exit_code(tmp_path):
