@@ -152,9 +152,9 @@ def generate_run(
 
     Returns the manifest dict.  An invalid configuration, a scenario that
     fails to build or a run directory that cannot be made raises ConfigError
-    before anything is written.  On a
-    non-finite abort the partial manifest (with a failure record) is still
-    written before GenerationAborted propagates to the caller.
+    before anything is written.  On a non-finite abort the partial manifest
+    (with a failure record) is still written before GenerationAborted
+    propagates to the caller.
     """
     cfg = cfg if cfg is not None else scenario.guidance_config()
     try:
