@@ -3,7 +3,8 @@
 
 A line counts when it is not blank and, with its indentation stripped, does
 not start with `#`.  Docstrings and code both count.  One line is printed per
-module, then the total.
+module, then the total, then the total of the test modules under tests/, so
+code moved from src/ into the tests shows in both numbers.
 
 Example:
     python scripts/count_loc.py
@@ -12,7 +13,9 @@ Example:
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def count_loc(path: Path) -> int:
@@ -27,6 +30,7 @@ def main() -> int:
         total += loc
         print(f"{loc:6d}  {path.relative_to(SRC)}")
     print(f"{total:6d}  total")
+    print(f"{sum(count_loc(path) for path in TESTS.rglob('*.py')):6d}  tests/ total")
     return 0
 
 

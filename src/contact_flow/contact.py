@@ -118,21 +118,9 @@ def farthest_point_sample(points: PointCloud, k: int, seed: int) -> PointCloud:
     return PointCloud(pts[selected])
 
 
-def nearest_occupied(ref: BinaryGrid, point) -> tuple[int, int, int]:
-    """Index of the occupied voxel whose center is closest to `point`.
-
-    Ties are broken by lexicographic index order for reproducibility.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"point must be finite, got {p}")
-    best = _nearest_occupied(ref, p[None])[0]
-    return tuple(int(v) for v in best)
-
-
 def _nearest_occupied(ref: BinaryGrid, points: np.ndarray) -> np.ndarray:
     """(M, 3) indices of the occupied voxels closest to each of the (M, 3)
-    `points`; ties as in `nearest_occupied`.
+    finite `points`; a tie goes to the lexicographically lowest index.
 
     Each point is searched in a cube of voxels around its own voxel a. The
     cube's half-width doubles until it holds an occupied voxel, whose squared

@@ -96,12 +96,6 @@ def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
     return _interp(coarse, *_upsample_operands(coarse.shape[0], N))
 
 
-def _upsample_transpose(fine: np.ndarray, n: int) -> np.ndarray:
-    """Exact adjoint of `_upsample`: the same contraction with A transposed."""
-    A = _interp_matrix(n, fine.shape[0])
-    return _interp(fine, A.T, A.T, A)
-
-
 def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Coarse logit grid <x, w>_channels of a latent array (n, n, n, C)."""
     return np.tensordot(x, params.w, axes=([3], [0]))
@@ -134,12 +128,6 @@ def _logistic_vjp(
     return out
 
 
-def _sigmoid(x: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Unclipped decoder output of a latent array (n, n, n, C), in one full-size array."""
-    u = _upsample(_logits(x, params), UPSAMPLE_FACTOR * x.shape[0])
-    return _logistic(u, params.beta, out=u)
-
-
 # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
 _OCCUPANCY_BOUNDS = (np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
 _clip = np._core.umath.clip  # np.clip's ufunc, without np.clip's Python dispatch
@@ -154,34 +142,14 @@ def _spread_channels(coarse: np.ndarray, params: DecoderParams) -> np.ndarray:
     return np.einsum("ijk,c->ijkc", coarse, params.w)
 
 
-def _check_channels(x: LatentGrid, params: DecoderParams) -> None:
-    if x.channels != params.channels:
-        raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
-
-
 def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     """sigma(beta * upsample(<x, w>_channels)); values strictly inside (0, 1)."""
-    _check_channels(x, params)
+    if x.channels != params.channels:
+        raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
     with np.errstate(over="ignore"):
-        s = _sigmoid(x.data, params)
+        u = _upsample(_logits(x.data, params), UPSAMPLE_FACTOR * x.n)
+        s = _logistic(u, params.beta, out=u)
     return OccupancyGrid(_clip_occupancy(s, out=s))
-
-
-def decode_vjp(x: LatentGrid, cotangent: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Exact transpose-Jacobian product of `decode` at x, applied to an N^3 cotangent.
-
-    Returns a gradient of latent shape (n, n, n, C).
-    """
-    cot = np.asarray(cotangent, dtype=np.float64)
-    N = UPSAMPLE_FACTOR * x.n
-    if cot.shape != (N, N, N):
-        raise ValueError(f"cotangent must have shape {(N, N, N)}, got {cot.shape}")
-    if not np.all(np.isfinite(cot)):
-        raise ValueError("cotangent contains non-finite entries")
-    _check_channels(x, params)
-    with np.errstate(over="ignore"):
-        s = _sigmoid(x.data, params)
-    return _spread_channels(_upsample_transpose(_logistic_vjp(s, cot, params.beta), x.n), params)
 
 
 def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:

@@ -85,13 +85,6 @@ class MetricsReport:
         }
 
 
-def _nn_distances(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor distances a -> b and b -> a: one KD-tree query each way."""
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
-    return d_ab, d_ba
-
-
 def _nearest_distances(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Distance from each point of `a` to its nearest point of `b`.
 
@@ -113,27 +106,12 @@ def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
 
 
 def _f_score(d_pg: np.ndarray, d_gp: np.ndarray, tau: float) -> float:
+    """Harmonic mean of precision/recall of point proximity at threshold tau."""
     precision = float(np.mean(d_pg <= tau))
     recall = float(np.mean(d_gp <= tau))
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def chamfer(a: PointCloud, b: PointCloud) -> float:
-    """0.5 * (mean_a min_b |a-b| + mean_b min_a |a-b|), Euclidean, unit-cube units."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("chamfer distance requires non-empty point clouds")
-    return _chamfer(*_nn_distances(a, b))
-
-
-def f_score(pred: PointCloud, gt: PointCloud, tau: float) -> float:
-    """Harmonic mean of precision/recall of point proximity at threshold tau."""
-    if len(pred) == 0 or len(gt) == 0:
-        raise ValueError("f-score requires non-empty point clouds")
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
-    return _f_score(*_nn_distances(pred, gt), tau)
 
 
 def unit_cube_transform(points: PointCloud) -> tuple[float, np.ndarray]:
@@ -173,9 +151,9 @@ def evaluate_run(
 
     Both surface clouds are mapped by the ground-truth cloud's unit-cube
     transform, so prediction scale errors stay visible.  The distances equal
-    `_nn_distances` of the two clouds bit for bit.  An empty prediction yields
-    a failure-flagged report with sentinel metrics.  The two grids must share
-    one resolution.
+    a KD-tree query of each whole cloud against the other, bit for bit.  An
+    empty prediction yields a failure-flagged report with sentinel metrics.
+    The two grids must share one resolution.
     """
     if output.resolution != gt.resolution:
         raise ValueError(

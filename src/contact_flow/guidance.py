@@ -285,8 +285,8 @@ def energy_gradient(
     """Chain the drag-loss gradient through decoder and flow.
 
     Returns (J, grad wrt x_t, grad wrt x0_hat), using
-    grad_xt = grad_x0 - t * velocity_vjp(x_t, t, grad_x0), the transpose of
-    d x0_hat / d x_t = I - t dv/dx applied to grad_x0.
+    grad_xt = grad_x0 - t * J_v^T grad_x0, the transpose of
+    d x0_hat / d x_t = I - t dv/dx applied to grad_x0 (`_predict_x0_vjp`).
     """
     _check_time(t)
     _check_inputs(model, dec, ref)

@@ -290,7 +290,7 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
         out_dir,
         mode=_require(manifest, "mode", "manifest"),
         cfg=cfg,
-        external_contacts=ContactSet.from_dict(external) if external else None,
+        external_contacts=None if external is None else ContactSet.from_dict(external),
     )
 
 
@@ -361,7 +361,12 @@ def format_summary_table(summary: dict) -> str:
 
 def evaluate_run_dirs(run_dirs, out_dir=None):
     """Evaluate many run dirs; returns (reports, skipped).  Writes metrics.csv,
-    summary.txt, and summary.json under out_dir when given."""
+    summary.txt and summary.json to out_dir, made first (else ConfigError)."""
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
     reports: list[MetricsReport] = []
     skipped: list[tuple[str, str]] = []
     for run_dir in run_dirs:
@@ -371,7 +376,6 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
             skipped.append((str(run_dir), str(exc)))
     if out_dir is not None and reports:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_atomic(out / "metrics.csv", lambda p: write_metrics_csv(p, reports))
         summary = summarize_reports(reports)
         _write_json(out / "summary.json", summary)
@@ -560,7 +564,10 @@ def generate(scenario_spec, out_dir, seed, ref_seed, unguided, lam, recurrence,
               help="Directory for metrics.csv and the summary table.")
 def evaluate(run_dirs, out_dir):
     """Evaluate run directories and print a mean/median summary per method."""
-    reports, skipped = evaluate_run_dirs(run_dirs, out_dir)
+    try:
+        reports, skipped = evaluate_run_dirs(run_dirs, out_dir)
+    except ConfigError as exc:  # raised before any run is evaluated
+        _exit_config_error(exc)
     for run_dir, reason in skipped:
         click.echo(f"skipped {run_dir}: {reason}", err=True)
     if not reports:

@@ -187,13 +187,6 @@ def _log_responsibilities(model: MixtureFlowModel, x_flat: np.ndarray, t: float)
     return logits - norm
 
 
-def responsibilities(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> np.ndarray:
-    """Posterior probability of each component given the intermediate state."""
-    _check_time(t)
-    logr = _log_responsibilities(model, x_t.data.reshape(1, -1), t)
-    return np.exp(logr[0])
-
-
 def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
     """Velocities of batched states (B, dim), the responsibilities (B, K) they mix
     and the posterior means mubar = r @ means (B, dim)."""
@@ -201,13 +194,6 @@ def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
     r = np.exp(_log_responsibilities(model, x_flat, t))
     mubar = r @ model.means
     return c1 * x_flat - c2 * mubar, r, mubar
-
-
-def velocity(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
-    """Exact marginal velocity field of the mixture flow at (x_t, t)."""
-    _check_time(t)
-    v, _, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
-    return LatentGrid(v.reshape(model.latent_shape()))
 
 
 def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
@@ -218,37 +204,15 @@ def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid
     return LatentGrid(x0.reshape(model.latent_shape()))
 
 
-def _cov_means(
-    model: MixtureFlowModel, r: np.ndarray, mubar: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Cov_r(mu) u for one state's responsibilities r (K,) and posterior mean mubar (dim,)."""
-    return (r * (model.means @ u)) @ model.means - mubar * (mubar @ u)
-
-
 def _predict_x0_vjp(
     model: MixtureFlowModel, r: np.ndarray, mubar: np.ndarray, t: float, u: np.ndarray
 ) -> np.ndarray:
     """Transpose-Jacobian product of the one-step prediction x - t v(x) at a state
-    with responsibilities r and posterior mean mubar:
+    with responsibilities r (K,) and posterior mean mubar (dim,):
     (1 - t c1) u + t c2 (1-t)/s_t^2 Cov_r(mu) u."""
     s2, c1, c2 = _path_coeffs(model, t)
-    return (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * _cov_means(model, r, mubar, u)
-
-
-def velocity_vjp(model: MixtureFlowModel, x_t: LatentGrid, t: float, cotangent: np.ndarray) -> np.ndarray:
-    """Exact transpose-Jacobian product of `velocity` at (x_t, t).
-
-    J_v = c1 I - (c2 (1-t) / s_t^2) Cov_r(mu); the covariance term carries the
-    responsibility (softmax) gradients.  Returns latent-shaped gradient.
-    """
-    _check_time(t)
-    cot = np.asarray(cotangent, dtype=np.float64).reshape(-1)
-    if cot.shape[0] != model.dim:
-        raise ValueError("cotangent shape does not match the latent dimension")
-    s2, c1, c2 = _path_coeffs(model, t)
-    _, r, mubar = _velocity_batch(model, x_t.data.reshape(1, -1), t)
-    g = c1 * cot - c2 * (1.0 - t) / s2 * _cov_means(model, r[0], mubar[0], cot)
-    return g.reshape(model.latent_shape())
+    cov_u = (r * (model.means @ u)) @ model.means - mubar * (mubar @ u)
+    return (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * cov_u
 
 
 def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:

@@ -6,19 +6,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "contact_flow"
 
-# Public names whose only callers are tests, each kept as an oracle or contract.
+# Public names whose only callers are tests, each kept as a contract.  The
+# tests call the kernels that ship, and check them against the references in
+# tests/oracles.py.
 ORACLES = (
-    # exact-gradient contract: the gradient tests and the acceptance criteria
-    # check the sampler's fused kernels against these
-    "decode_vjp",
-    "velocity",
-    "velocity_vjp",
-    "responsibilities",
-    # the one-contact form of the drag-target search, checked against a full scan
-    "nearest_occupied",
-    # the evaluation's fused distances are checked against these public metrics
-    "chamfer",
-    "f_score",
     # the bit-reproducibility check: a manifest reruns to the same artifact hashes
     "rerun_manifest",
 )

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from contact_flow.contact import (
     ContactSet,
     _nearest_occupied,
     farthest_point_sample,
     hidden_surface_indices,
-    nearest_occupied,
     sample_contacts,
 )
 from contact_flow.voxelcore import (
@@ -18,7 +18,6 @@ from contact_flow.voxelcore import (
     Box,
     PointCloud,
     index_to_point,
-    nonzero_indices,
     point_to_index,
     surface_mask,
     voxelize_primitive,
@@ -161,8 +160,17 @@ def test_fps_each_pick_maximizes_min_distance_stepwise():
 
 
 # ---------------------------------------------------------------------------
-# nearest_occupied
+# nearest occupied voxel: the box search and its full-scan reference
 # ---------------------------------------------------------------------------
+
+
+def nearest_occupied(grid: BinaryGrid, point) -> tuple[int, int, int]:
+    """The box search's answer for one point."""
+    return tuple(int(v) for v in _nearest_occupied(grid, np.asarray(point, dtype=np.float64)[None])[0])
+
+
+def full_scan(grid: BinaryGrid, point) -> tuple[int, int, int]:
+    return tuple(int(v) for v in oracles.nearest_occupied(grid, np.asarray(point, dtype=np.float64)[None])[0])
 
 
 def test_nearest_occupied_exact_center_hit():
@@ -171,7 +179,7 @@ def test_nearest_occupied_exact_center_hit():
     data[6, 6, 6] = True
     grid = BinaryGrid(data)
     p = index_to_point(np.array([2, 3, 4]), 8)
-    assert nearest_occupied(grid, p) == (2, 3, 4)
+    assert nearest_occupied(grid, p) == full_scan(grid, p) == (2, 3, 4)
 
 
 def test_nearest_occupied_single_voxel_always_wins():
@@ -179,7 +187,7 @@ def test_nearest_occupied_single_voxel_always_wins():
     data[5, 1, 7] = True
     grid = BinaryGrid(data)
     for p in [(0, 0, 0), (1, 1, 1), (0.9, 0.2, 0.4)]:
-        assert nearest_occupied(grid, p) == (5, 1, 7)
+        assert nearest_occupied(grid, p) == full_scan(grid, p) == (5, 1, 7)
 
 
 def test_nearest_occupied_empty_grid_raises():
@@ -189,8 +197,10 @@ def test_nearest_occupied_empty_grid_raises():
 
 @pytest.mark.parametrize("p", [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5), (0.5, 0.5, -np.inf)])
 def test_nearest_occupied_rejects_non_finite_point(p):
+    # the search takes finite points only: ContactSet, through which every
+    # contact enters, rejects any other
     with pytest.raises(ValueError, match="finite"):
-        nearest_occupied(BinaryGrid(np.ones((4, 4, 4), dtype=bool)), p)
+        ContactSet(np.array([p]))
 
 
 def test_nearest_occupied_tie_breaks_lexicographically():
@@ -199,7 +209,7 @@ def test_nearest_occupied_tie_breaks_lexicographically():
     data[2, 1, 1] = True  # both at distance 1 voxel from the midpoint
     grid = BinaryGrid(data)
     p = index_to_point(np.array([1, 1, 1]), 4)
-    assert nearest_occupied(grid, p) == (0, 1, 1)
+    assert nearest_occupied(grid, p) == full_scan(grid, p) == (0, 1, 1)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -212,24 +222,14 @@ def test_nearest_occupied_matches_exhaustive_scan(seed):
     p = rng.random(3)
     best, best_d = None, np.inf
     for idx in np.argwhere(data):  # lexicographic; strict < keeps the first of a tie
-        d = float(np.sum((index_to_point(idx, 6) - p) ** 2))
+        d = float(np.sum(((idx + 0.5) / 6 - p) ** 2))
         if d < best_d:
             best, best_d = tuple(int(v) for v in idx), d
-    assert nearest_occupied(grid, p) == best
-
-
-def full_scan_nearest(grid: BinaryGrid, points: np.ndarray) -> np.ndarray:
-    """Per point, the occupied voxel nearest to it from a distance to every
-    occupied voxel; ties to the lexicographically lowest index."""
-    idx = nonzero_indices(grid.data)
-    centers = index_to_point(idx, grid.resolution)
-    return idx[[int(np.argmin(np.sum((centers - p) ** 2, axis=1))) for p in points]]
+    assert nearest_occupied(grid, p) == full_scan(grid, p) == best
 
 
 def assert_matches_full_scan(grid: BinaryGrid, points: np.ndarray) -> None:
-    expected = full_scan_nearest(grid, points)
-    np.testing.assert_array_equal(_nearest_occupied(grid, points), expected)
-    assert [nearest_occupied(grid, p) for p in points] == [tuple(map(int, e)) for e in expected]
+    np.testing.assert_array_equal(_nearest_occupied(grid, points), oracles.nearest_occupied(grid, points))
 
 
 @given(

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from contact_flow.decoder import (
     ENCODE_CLAMP,
     DecoderParams,
+    _interp,
     _interp_matrix,
     _upsample,
-    _upsample_transpose,
     decode,
-    decode_vjp,
     encode,
 )
 from contact_flow.voxelcore import (
@@ -123,14 +123,30 @@ def test_decode_monotone_in_logit_grid():
 
 
 # ---------------------------------------------------------------------------
-# decode_vjp
+# the decoder adjoint's reference (oracles.decode_vjp)
+#
+# The shipped adjoint is the drag-window chain of guidance._energy_gradient;
+# tests/test_guidance.py checks it against this reference on the whole grid.
 # ---------------------------------------------------------------------------
+
+
+def test_trilinear_weights_reference_matches_the_eight_corner_formula():
+    # the hat-function weights, applied per axis, against the direct 8-corner
+    # interpolation, at every fine voxel center
+    rng = np.random.Generator(np.random.PCG64(24))
+    for n in (1, 2, 3):
+        coarse = rng.standard_normal((n, n, n))
+        N = 4 * n
+        fine = oracles.upsample(coarse, N)
+        for idx in np.ndindex(N, N, N):
+            want = trilinear_oracle(coarse, (np.array(idx) + 0.5) / N)
+            assert fine[idx] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_vjp_of_zero_cotangent_is_zero():
     params = DecoderParams.default(3)
     x = LatentGrid(np.random.default_rng(0).standard_normal((2, 2, 2, 3)))
-    g = decode_vjp(x, np.zeros((8, 8, 8)), params)
+    g = oracles.decode_vjp(x.data, np.zeros((8, 8, 8)), params)
     assert np.count_nonzero(g) == 0
 
 
@@ -139,7 +155,7 @@ def test_vjp_matches_central_finite_differences():
     params = DecoderParams(w=np.array([1.0]), beta=1.0)
     x = LatentGrid(rng.standard_normal((2, 2, 2, 1)))
     cot = rng.standard_normal((8, 8, 8))
-    analytic = decode_vjp(x, cot, params)
+    analytic = oracles.decode_vjp(x.data, cot, params)
     h = 1e-5
     fd = np.zeros_like(x.data)
     flat = x.data.copy()
@@ -162,8 +178,8 @@ def test_vjp_linearity():
     g1 = rng.standard_normal((8, 8, 8))
     g2 = rng.standard_normal((8, 8, 8))
     a, b = 1.7, -0.4
-    combined = decode_vjp(x, a * g1 + b * g2, params)
-    separate = a * decode_vjp(x, g1, params) + b * decode_vjp(x, g2, params)
+    combined = oracles.decode_vjp(x.data, a * g1 + b * g2, params)
+    separate = a * oracles.decode_vjp(x.data, g1, params) + b * oracles.decode_vjp(x.data, g2, params)
     np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-12)
 
 
@@ -178,7 +194,7 @@ def test_vjp_inner_product_identity():
     sp = decode(LatentGrid(x.data + h * v), params).data
     sm = decode(LatentGrid(x.data - h * v), params).data
     jv_u = np.sum(u * (sp - sm)) / (2 * h)
-    v_jtu = np.sum(v * decode_vjp(x, u, params))
+    v_jtu = np.sum(v * oracles.decode_vjp(x.data, u, params))
     assert jv_u == pytest.approx(v_jtu, rel=1e-6)
 
 
@@ -303,12 +319,18 @@ def test_decode_matches_brute_force_oracle_at_odd_resolutions(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_upsample_transpose_is_the_adjoint_of_upsample(n):
+    # `_interp` with the matrices transposed, as a drag window's adjoint takes
+    # them, against the reference's contraction with the trilinear weights
     rng = np.random.Generator(np.random.PCG64(50 + n))
     coarse = rng.standard_normal((n, n, n))
     fine = rng.standard_normal((4 * n, 4 * n, 4 * n))
+    A = _interp_matrix(n, 4 * n)
+    back = _interp(fine, A.T, A.T, A)
     lhs = float(np.sum(_upsample(coarse, 4 * n) * fine))
-    rhs = float(np.sum(coarse * _upsample_transpose(fine, n)))
+    rhs = float(np.sum(coarse * back))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+    W = oracles.trilinear_weights(n, 4 * n)
+    np.testing.assert_allclose(back, np.einsum("ai,bj,ck,abc->ijk", W, W, W, fine), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -341,7 +363,8 @@ def test_decoder_passes_are_bit_identical_to_the_view_operand_expressions(n):
     # decode multiplies by a contiguous copy of A.T and finishes the logistic
     # in the upsampled array; both must leave every byte as the three matmuls
     # with the A.T view, a logistic into a fresh array and the clip give it.
-    # The adjoint keeps its A.T views and A.
+    # The drag windows' adjoint keeps its views of A: test_guidance's
+    # window_chain_oracle checks it byte for byte.
     rng = np.random.Generator(np.random.PCG64(70 + n))
     params = DecoderParams.default(3, beta=4.0)
     x = LatentGrid(3.0 * rng.standard_normal((n, n, n, 3)))
@@ -354,13 +377,6 @@ def test_decoder_passes_are_bit_identical_to_the_view_operand_expressions(n):
     expected = np.clip(s, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
     assert decode(x, params).data.tobytes() == expected.tobytes()
 
-    cot = rng.standard_normal((N, N, N))
-    d_fine = cot * s * (1.0 - s) * params.beta
-    first = np.matmul(A.T, d_fine.reshape(N, N * N)).reshape(n, N, N)
-    d_coarse = np.matmul(np.matmul(A.T, first), A)
-    expected = np.einsum("ijk,c->ijkc", d_coarse, params.w)
-    assert decode_vjp(x, cot, params).tobytes() == expected.tobytes()
-
 
 def test_decode_of_a_far_negative_logit_is_tiny_without_an_overflow_warning():
     # beta * u = -800 overflows exp; the pytest filter turns a leaked
@@ -369,5 +385,3 @@ def test_decode_of_a_far_negative_logit_is_tiny_without_an_overflow_warning():
     x = LatentGrid(np.broadcast_to(-200.0 * params.w, (4, 4, 4, 2)).copy())
     s = decode(x, params).data
     assert np.all(s == np.finfo(np.float64).tiny)
-    g = decode_vjp(x, np.ones((16, 16, 16)), params)
-    assert np.count_nonzero(g) == 0

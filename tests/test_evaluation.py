@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from contact_flow.contact import ContactSet, nearest_occupied
+import oracles
+from contact_flow.contact import ContactSet
 from contact_flow.evaluation import (
     F_SCORE_THRESHOLDS,
     METRICS_CSV_COLUMNS,
+    _chamfer,
+    _f_score,
     _nearest_distances,
-    chamfer,
     contact_residuals,
     evaluate_run,
-    f_score,
     read_metrics_csv,
     unit_cube_transform,
     write_metrics_csv,
@@ -33,18 +34,37 @@ from contact_flow.voxelcore import (
 )
 
 
-def chamfer_oracle(a, b):
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
+def distances(a, b):
+    """evaluate_run's nearest distances between clouds a and b, both ways,
+    with the points the clouds share flagged as evaluate_run flags them."""
+    same = (a[:, None, :] == b[None, :, :]).all(axis=2)
+    return _nearest_distances(a, b, same.any(axis=1)), _nearest_distances(b, a, same.any(axis=0))
 
 
-def f_score_oracle(pred, gt, tau):
-    d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
-    precision = (d.min(axis=1) <= tau).mean()
-    recall = (d.min(axis=0) <= tau).mean()
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def chamfer(a, b):
+    return _chamfer(*distances(a, b))
+
+
+def f_score(pred, gt, tau):
+    return _f_score(*distances(pred, gt), tau)
+
+
+def test_distance_reference_matches_hand_computed_distances():
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    b = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.4], [1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(oracles.nearest_distances(a, b), [0.3, 0.0])
+    np.testing.assert_array_equal(oracles.nearest_distances(b, a), [0.3, 0.4, 0.0])
+    assert oracles.chamfer(a, b) == pytest.approx(0.5 * (0.15 + 0.7 / 3), rel=1e-15)
+    # precision 1/2 and recall 1/3 at tau = 0.25, 1 and 2/3 at 0.35, both 1 at 0.4
+    assert oracles.f_score(a, b, 0.25) == pytest.approx(0.4, rel=1e-15)
+    assert oracles.f_score(a, b, 0.35) == pytest.approx(0.8, rel=1e-15)
+    assert oracles.f_score(a, b, 0.4) == 1.0
+    assert oracles.f_score(a, b + 1.0, 0.05) == 0.0
+    # blocks of rows give what one pass over all pairs gives
+    rng = np.random.Generator(np.random.PCG64(3))
+    a, b = rng.random((700, 3)), rng.random((90, 3))
+    full = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2).min(axis=1)
+    np.testing.assert_array_equal(oracles.nearest_distances(a, b), full)
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +73,13 @@ def f_score_oracle(pred, gt, tau):
 
 
 def test_chamfer_identical_clouds_is_zero():
-    pts = PointCloud(np.random.default_rng(0).random((50, 3)))
+    pts = np.random.default_rng(0).random((50, 3))
     assert chamfer(pts, pts) == 0.0
 
 
 def test_chamfer_single_pair_is_their_distance():
-    a = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-    b = PointCloud(np.array([[0.3, 0.0, 0.0]]))
+    a = np.array([[0.0, 0.0, 0.0]])
+    b = np.array([[0.3, 0.0, 0.0]])
     assert chamfer(a, b) == pytest.approx(0.3, rel=1e-12)
 
 
@@ -67,15 +87,14 @@ def test_chamfer_matches_double_loop_oracle():
     rng = np.random.default_rng(1)
     a = rng.random((200, 3))
     b = rng.random((200, 3))
-    got = chamfer(PointCloud(a), PointCloud(b))
-    assert got == pytest.approx(chamfer_oracle(a, b), abs=1e-12)
+    assert chamfer(a, b) == oracles.chamfer(a, b)
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_chamfer_symmetry(seed):
     rng = np.random.default_rng(seed)
-    a = PointCloud(rng.random((20, 3)))
-    b = PointCloud(rng.random((30, 3)))
+    a = rng.random((20, 3))
+    b = rng.random((30, 3))
     assert chamfer(a, b) == pytest.approx(chamfer(b, a), rel=1e-14)
 
 
@@ -83,13 +102,14 @@ def test_chamfer_union_bound():
     rng = np.random.default_rng(2)
     a = rng.random((40, 3))
     b = rng.random((25, 3))
-    ab = PointCloud(np.vstack([a, b]))
-    assert chamfer(PointCloud(a), ab) <= chamfer(PointCloud(a), PointCloud(b)) + 1e-12
+    assert chamfer(a, np.vstack([a, b])) <= chamfer(a, b) + 1e-12
 
 
 def test_chamfer_rejects_empty():
-    with pytest.raises(ValueError):
-        chamfer(PointCloud(np.zeros((0, 3))), PointCloud(np.array([[0.5, 0.5, 0.5]])))
+    # an empty cloud never reaches the distances: evaluate_run reports an empty
+    # prediction as a failed run and rejects an empty ground truth
+    with pytest.raises(ValueError, match="empty ground truth"):
+        evaluate_run(OccupancyGrid(np.full((4, 4, 4), 0.9)), BinaryGrid(np.zeros((4, 4, 4), bool)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +118,14 @@ def test_chamfer_rejects_empty():
 
 
 def test_f_score_identical_clouds_is_one():
-    pts = PointCloud(np.random.default_rng(3).random((30, 3)))
+    pts = np.random.default_rng(3).random((30, 3))
     for tau in (0.01, 0.02, 0.05):
         assert f_score(pts, pts, tau) == 1.0
 
 
 def test_f_score_distant_clouds_is_zero():
-    a = PointCloud(np.zeros((5, 3)) + 0.1)
-    b = PointCloud(np.zeros((5, 3)) + 0.9)
+    a = np.zeros((5, 3)) + 0.1
+    b = np.zeros((5, 3)) + 0.9
     assert f_score(a, b, 0.05) == 0.0
 
 
@@ -113,15 +133,14 @@ def test_f_score_matches_double_loop_oracle():
     rng = np.random.default_rng(4)
     a = rng.random((150, 3))
     b = rng.random((120, 3))
-    got = f_score(PointCloud(a), PointCloud(b), 0.02)
-    assert got == f_score_oracle(a, b, 0.02)
+    assert f_score(a, b, 0.02) == oracles.f_score(a, b, 0.02)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(0.005, 0.05), st.floats(0.005, 0.05))
 def test_f_score_monotone_in_threshold(seed, tau_a, tau_b):
     rng = np.random.default_rng(seed)
-    a = PointCloud(rng.random((15, 3)))
-    b = PointCloud(rng.random((15, 3)))
+    a = rng.random((15, 3))
+    b = rng.random((15, 3))
     lo, hi = sorted((tau_a, tau_b))
     assert f_score(a, b, lo) <= f_score(a, b, hi) + 1e-12
 
@@ -205,8 +224,7 @@ def test_one_voxel_dilation_bounds():
 
     ps = extract_surface(BinaryGrid(dilated)).points
     gs = extract_surface(gt).points
-    d = np.linalg.norm(ps[:, None, :] - gs[None, :, :], axis=2)
-    assert d.min(axis=1).max() <= 1.0 / N + 1e-12
+    assert oracles.nearest_distances(ps, gs).max() <= 1.0 / N + 1e-12
 
 
 def test_empty_output_yields_failure_sentinels():
@@ -225,9 +243,9 @@ def test_contact_residual_equals_nearest_occupied_distance():
     output = OccupancyGrid(gt.data.astype(float))
     contacts = ContactSet(np.array([[0.9, 0.9, 0.9], [0.5, 0.5, 0.5]]))
     residuals = contact_residuals(gt, contacts)
-    for pc, res in zip(contacts.points, residuals):
-        ps = nearest_occupied(gt, pc)
-        dist = np.linalg.norm(index_to_point(np.asarray(ps), 16) - pc)
+    nearest = oracles.nearest_occupied(gt, contacts.points)
+    for pc, ps, res in zip(contacts.points, nearest, residuals):
+        dist = np.linalg.norm(index_to_point(ps, 16) - pc)
         assert res == pytest.approx(dist, abs=1e-15)
     report = evaluate_run(output, gt, contacts)
     assert report.contact_residual_median == pytest.approx(np.median(residuals), abs=1e-15)
@@ -256,10 +274,10 @@ def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
     rep = evaluate_run(output, gt, None)
     gt_surface = extract_surface(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    pred = PointCloud(extract_surface(binarize(output, 0.5)).points * scale + offset)
-    truth = PointCloud(gt_surface.points * scale + offset)
-    assert rep.chamfer == chamfer(pred, truth)
-    assert rep.f_scores == {tau: f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
+    pred = extract_surface(binarize(output, 0.5)).points * scale + offset
+    truth = gt_surface.points * scale + offset
+    assert rep.chamfer == oracles.chamfer(pred, truth)
+    assert rep.f_scores == {tau: oracles.f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
 
 
 @given(st.sampled_from([4, 16, 64]), st.integers(0, 2**31 - 1), st.floats(0.25, 4.0))
@@ -275,11 +293,8 @@ def test_nearest_distances_equal_brute_force_and_a_default_tree_bitwise(N, seed,
     a = index_to_point(idx_a, N) * scale + offset
     b = index_to_point(idx_b, N) * scale + offset
     shared = (idx_a[:, None, :] == idx_b[None, :, :]).all(axis=2).any(axis=1)
-    diff = a[:, None, :] - b[None, :, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
-    brute = np.sqrt((dx * dx + dy * dy) + dz * dz).min(axis=1)
     got = _nearest_distances(a, b, shared)
-    assert np.array_equal(got, brute)
+    assert np.array_equal(got, oracles.nearest_distances(a, b))
     assert np.array_equal(got, cKDTree(b).query(a)[0])
 
 
@@ -365,10 +380,10 @@ def test_evaluate_run_equals_public_chamfer_and_f_score(case):
     rep = evaluate_run(OccupancyGrid(pred.data.astype(float)), gt, None)
     gt_surface = extract_surface(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    a = PointCloud(extract_surface(pred).points * scale + offset)
-    b = PointCloud(gt_surface.points * scale + offset)
-    assert rep.chamfer == chamfer(a, b)
-    assert rep.f_scores == {tau: f_score(a, b, tau) for tau in F_SCORE_THRESHOLDS}
+    a = extract_surface(pred).points * scale + offset
+    b = gt_surface.points * scale + offset
+    assert rep.chamfer == oracles.chamfer(a, b)
+    assert rep.f_scores == {tau: oracles.f_score(a, b, tau) for tau in F_SCORE_THRESHOLDS}
 
 
 def test_evaluate_run_rejects_grids_of_different_resolutions():

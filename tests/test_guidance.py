@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import contact_flow.guidance as guidance_module
-from contact_flow.contact import ContactSet, _nearest_occupied, nearest_occupied
+import oracles
+from contact_flow.contact import ContactSet, _nearest_occupied
 from contact_flow.decoder import DecoderParams, decode, encode
 from contact_flow.guidance import (
     GenerationAborted,
@@ -19,7 +20,7 @@ from contact_flow.guidance import (
     make_reference,
     unguided_sample,
 )
-from contact_flow.toyflow import MixtureFlowModel, predict_x0, sample_base, velocity
+from contact_flow.toyflow import MixtureFlowModel, _predict_x0_vjp, _velocity_batch, predict_x0, sample_base
 from contact_flow.voxelcore import (
     BinaryGrid,
     Box,
@@ -52,7 +53,7 @@ def drag_loss_oracle(s_hat, contacts, ref, radius):
     grad = np.zeros_like(s_hat)
     for pc in contacts.points:
         a = point_to_index(pc, N)
-        b = np.array(nearest_occupied(ref.binary, pc))
+        b = oracles.nearest_occupied(ref.binary, pc[None])[0]
         for dx in range(-radius, radius + 1):
             for dy in range(-radius, radius + 1):
                 for dz in range(-radius, radius + 1):
@@ -107,7 +108,7 @@ def test_radius_zero_single_contact_formula():
     cfg = small_cfg(radius=0)
     J, grad = drag_loss(s, contacts, ref, cfg)
     a = tuple(point_to_index(pc, 8))
-    b = nearest_occupied(ref.binary, pc)
+    b = tuple(oracles.nearest_occupied(ref.binary, pc[None])[0])
     expected = (s.data[a] - ref.occupancy.data[b]) ** 2
     assert J == pytest.approx(expected, abs=1e-15)
     assert np.count_nonzero(grad) == 1
@@ -177,11 +178,9 @@ def test_zero_drag_gradient_gives_zero_chain_gradients():
     assert np.count_nonzero(grad0) == 0
     # chain through decoder/flow with a zero cotangent stays zero
     x = sample_base(model, 4)
-    from contact_flow.decoder import decode_vjp
-    from contact_flow.toyflow import velocity_vjp
-
-    g_x0 = decode_vjp(predict_x0(model, x, 0.5), grad0, params)
-    g_xt = g_x0 - 0.5 * velocity_vjp(model, x, 0.5, g_x0.reshape(-1))
+    g_x0 = oracles.decode_vjp(predict_x0(model, x, 0.5).data, grad0, params)
+    _, r, mubar = _velocity_batch(model, x.data.reshape(1, -1), 0.5)
+    g_xt = _predict_x0_vjp(model, r[0], mubar[0], 0.5, g_x0.reshape(-1))
     assert np.count_nonzero(g_x0) == 0
     assert np.count_nonzero(g_xt) == 0
 
@@ -500,16 +499,14 @@ def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
 
 
 def full_grid_energy_gradient(model, params, cfg, ref, contacts, x, t):
-    """The inner step's chain on the whole grid through the public kernels:
-    decode -> drag_loss -> decode_vjp -> velocity_vjp."""
-    from contact_flow.decoder import decode_vjp
-    from contact_flow.toyflow import velocity_vjp
-
+    """The inner step's chain on the whole grid: decode -> drag_loss, then
+    back through the references, the decoder adjoint as a trilinear einsum
+    and the one-step prediction's through the dense velocity Jacobian."""
     x0 = predict_x0(model, x, t)
     J, g_s = drag_loss(decode(x0, params), contacts, ref, cfg)
-    g_x0 = decode_vjp(x0, g_s, params)
-    g_xt = g_x0 - t * velocity_vjp(model, x, t, g_x0.reshape(-1))
-    return J, g_xt, g_x0
+    g_x0 = oracles.decode_vjp(x0.data, g_s, params).reshape(-1)
+    g_xt = oracles.predict_x0_vjp(model, x.data.reshape(-1), t, g_x0)
+    return J, g_xt.reshape(model.latent_shape()), g_x0.reshape(model.latent_shape())
 
 
 # one contact in a corner (windows clipped at the grid edge), two a voxel

@@ -431,16 +431,27 @@ def test_cli_scenario_that_fails_to_build_is_config_error(tmp_path, failure, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, extra", [("generate", []), ("sweep", ["--runs", "1"])])
-def test_cli_out_naming_a_file_is_config_error(tmp_path, command, extra):
+@pytest.mark.parametrize(
+    "command, extra", [("generate", []), ("sweep", ["--runs", "1"]), ("evaluate", [])]
+)
+def test_cli_out_naming_a_file_is_config_error(tmp_path, scenario, command, extra):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    result = CliRunner().invoke(
-        main, [command, "--scenario", "suite:depth_boxes", "--grid-n", "4", "--out", str(out), *extra]
-    )
+    if command == "evaluate":
+        run = tmp_path / "run"
+        generate_run(scenario, run, mode="unguided")
+        args = [command, str(run), "--out", str(out)]
+    else:
+        args = [command, "--scenario", "suite:depth_boxes", "--grid-n", "4", "--out", str(out), *extra]
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == EXIT_CONFIG_ERROR, result.output
     assert "config error:" in result.output and "File exists" in result.output
-    assert sorted(tmp_path.iterdir()) == [out] and out.read_text() == "not a directory\n"
+    assert out.read_text() == "not a directory\n"
+    if command == "evaluate":
+        # nothing is evaluated, so the run's manifest is as generate wrote it
+        assert load_manifest(run)["metrics"] is None
+    else:
+        assert sorted(tmp_path.iterdir()) == [out]
 
 
 def test_cli_generation_abort_exit_code(tmp_path):
@@ -580,6 +591,11 @@ def test_rerun_manifest_without_external_contact_points_is_an_error(tmp_path, sc
     legacy = dict(manifest, external_contacts=True)
     with pytest.raises(ValueError, match="external contacts"):
         rerun_manifest(legacy, tmp_path / "again")
+    # only null means the scenario's sampled contacts; any other value must
+    # be a contact set
+    for malformed in ({}, [], 0, ""):
+        with pytest.raises(ValueError, match="contact set"):
+            rerun_manifest(dict(manifest, external_contacts=malformed), tmp_path / "again")
     assert not (tmp_path / "again").exists()
 
 

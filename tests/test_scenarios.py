@@ -62,14 +62,15 @@ def test_every_suite_scenario_builds_and_validates(name, n):
 
 
 def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
+    # decode's channel contraction, the first step of every decode
     decoded = []
-    sigmoid = decoder._sigmoid
+    logits = decoder._logits
 
     def counting(x, params):
         decoded.append(x.reshape(-1).copy())
-        return sigmoid(x, params)
+        return logits(x, params)
 
-    monkeypatch.setattr(decoder, "_sigmoid", counting)
+    monkeypatch.setattr(decoder, "_logits", counting)
     # an earlier build of the same scenario would be reused without a decode
     scenarios._seed_independent.cache_clear()
     built = build_scenario(suite_scenario("bracket_orientation", n=4))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from contact_flow.decoder import DecoderParams, decode
 from contact_flow.guidance import _integrate
 from contact_flow.toyflow import (
@@ -15,11 +16,8 @@ from contact_flow.toyflow import (
     VisibilityCondition,
     condition,
     predict_x0,
-    responsibilities,
     sample_base,
     time_grid,
-    velocity,
-    velocity_vjp,
     _log_responsibilities,
     _logsumexp,
     _predict_x0_vjp,
@@ -38,6 +36,19 @@ def make_model(seed=0, k=2, n=2, channels=2, sigma=0.3, weights=None):
 
 def latent(model, flat):
     return LatentGrid(np.asarray(flat, float).reshape(model.latent_shape()))
+
+
+def velocity(model, x, t):
+    """The flow pass's velocity of one flat state."""
+    v, _, _ = _velocity_batch(model, np.asarray(x, float).reshape(1, -1), t)
+    return v[0]
+
+
+def predict_x0_vjp(model, x, t, u):
+    """The guided step's transpose-Jacobian product of the one-step
+    prediction, at the responsibilities and posterior mean of the flow pass."""
+    _, r, mubar = _velocity_batch(model, x.reshape(1, -1), t)
+    return _predict_x0_vjp(model, r[0], mubar[0], t, u)
 
 
 def posterior_mean_oracle(model, x_flat, t):
@@ -64,7 +75,7 @@ def test_single_component_tiny_noise_velocity_is_drift_to_mean():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.standard_normal(model.dim)
     for t in (0.25, 0.5, 1.0):
-        v = velocity(model, latent(model, x), t).data.reshape(-1)
+        v = velocity(model, x, t)
         np.testing.assert_allclose(v, (x - model.means[0]) / t, rtol=1e-9, atol=1e-12)
 
 
@@ -82,7 +93,7 @@ def test_velocity_matches_monte_carlo_conditional_expectation():
     assert ball.sum() > 500
     mc = np.mean(x1[ball] - x0[ball])
     se = np.std(x1[ball] - x0[ball], ddof=1) / math.sqrt(ball.sum())
-    v = velocity(model, LatentGrid(np.full((1, 1, 1, 1), x_star)), t).data.ravel()[0]
+    v = velocity(model, [x_star], t)[0]
     assert abs(v - mc) < 3 * se
 
 
@@ -94,19 +105,19 @@ def test_velocity_saturates_to_single_component_deep_in_basin():
     t = 0.3
     # far into component 0's basin
     x = (1 - t) * model.means[0] + 0.01 * np.ones(model.dim)
-    v_mix = velocity(model, latent(model, x), t).data
-    v_one = velocity(single, latent(model, x), t).data
+    v_mix = velocity(model, x, t)
+    v_one = velocity(single, x, t)
     rel = np.linalg.norm(v_mix - v_one) / np.linalg.norm(v_one)
     assert rel < 1e-6
 
 
 def test_velocity_rejects_time_outside_domain():
+    # the flow pass trusts its callers' knots; the public entry points check t
     model = make_model()
     x = latent(model, np.zeros(model.dim))
-    with pytest.raises(ValueError):
-        velocity(model, x, 0.0)
-    with pytest.raises(ValueError):
-        velocity(model, x, 1.5)
+    for t in (0.0, 1.5):
+        with pytest.raises(ValueError, match="time"):
+            predict_x0(model, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +166,12 @@ def test_posterior_mean_identity_property(seed, t):
 
 
 # ---------------------------------------------------------------------------
-# velocity_vjp
+# the one-step prediction's transpose-Jacobian product
 # ---------------------------------------------------------------------------
 
 
 def test_vjp_single_component_is_scalar_multiple_of_cotangent():
+    # one component has Cov_r(mu) = 0: the product is (1 - t c1) u
     model = make_model(k=1, sigma=0.3)
     rng = np.random.Generator(np.random.PCG64(8))
     x = rng.standard_normal(model.dim)
@@ -167,8 +179,8 @@ def test_vjp_single_component_is_scalar_multiple_of_cotangent():
     t = 0.4
     s2 = (1 - t) ** 2 * model.sigma**2 + t**2
     c1 = (t - (1 - t) * model.sigma**2) / s2
-    got = velocity_vjp(model, latent(model, x), t, u).reshape(-1)
-    np.testing.assert_allclose(got, c1 * u, rtol=1e-12, atol=1e-14)
+    got = predict_x0_vjp(model, x, t, u)
+    np.testing.assert_allclose(got, (1 - t * c1) * u, rtol=1e-12, atol=1e-14)
 
 
 def test_vjp_matches_finite_differences_three_components():
@@ -177,24 +189,23 @@ def test_vjp_matches_finite_differences_three_components():
     x = rng.standard_normal(model.dim) * 0.7
     u = rng.standard_normal(model.dim)
     t = 0.55
-    got = velocity_vjp(model, latent(model, x), t, u).reshape(-1)
+    got = predict_x0_vjp(model, x, t, u)
     h = 1e-5
     fd = np.zeros(model.dim)
     for i in range(model.dim):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        vp = velocity(model, latent(model, xp), t).data.reshape(-1)
-        vm = velocity(model, latent(model, xm), t).data.reshape(-1)
-        fd[i] = np.dot(u, (vp - vm) / (2 * h))
+        x0p = xp - t * velocity(model, xp, t)
+        x0m = xm - t * velocity(model, xm, t)
+        fd[i] = np.dot(u, (x0p - x0m) / (2 * h))
     rel = np.linalg.norm(got - fd) / np.linalg.norm(fd)
     assert rel < 1e-5
 
 
 def test_vjp_zero_cotangent():
     model = make_model()
-    x = latent(model, np.zeros(model.dim))
-    out = velocity_vjp(model, x, 0.7, np.zeros(model.dim))
+    out = predict_x0_vjp(model, np.zeros(model.dim), 0.7, np.zeros(model.dim))
     assert np.count_nonzero(out) == 0
 
 
@@ -363,10 +374,11 @@ def test_unguided_runs_land_on_components_with_weight_frequencies():
 
 def test_responsibilities_sum_to_one():
     model = make_model(seed=30, k=3)
-    x = sample_base(model, 0)
-    r = responsibilities(model, x, 0.8)
+    x = sample_base(model, 0).data.reshape(1, -1)
+    r = np.exp(_log_responsibilities(model, x, 0.8))[0]
     assert r.shape == (3,)
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
+    assert_close_rel(r, oracles.responsibilities(model, x[0], 0.8))
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():
@@ -458,6 +470,48 @@ def test_flow_kernel_matches_the_formulas_it_replaced(k, tied, scale):
         assert r[0, 0] == r[0, 1]
 
 
+@pytest.mark.parametrize("k, tied", [(1, False), (3, False), (3, True)])
+def test_vjp_equals_the_dense_jacobian_reference(k, tied):
+    model = kernel_model(k, tied)
+    rng = np.random.Generator(np.random.PCG64(60 + k))
+    for t in (0.9, 0.5, 0.1, T_MIN_DEFAULT):
+        # near the midpoint of two components' marginal means, where their
+        # responsibilities mix
+        s_t = math.sqrt((1.0 - t) ** 2 * model.sigma**2 + t**2)
+        x = (1.0 - t) * model.means[: min(k, 2)].mean(axis=0) + 1e-3 * s_t * rng.standard_normal(model.dim)
+        u = rng.standard_normal(model.dim)
+        assert_close_rel(predict_x0_vjp(model, x, t, u), oracles.predict_x0_vjp(model, x, t, u))
+
+
+# the references' own checks (tests/oracles.py)
+
+
+def test_velocity_reference_gives_the_posterior_mean():
+    rng = np.random.Generator(np.random.PCG64(61))
+    model = make_model(seed=7, k=3, sigma=0.4, weights=[0.2, 0.5, 0.3])
+    for t in (0.95, 0.6, 0.2):
+        x = rng.standard_normal(model.dim) * 1.5
+        got = x - t * oracles.velocity(model, x, t)
+        assert np.abs(got - posterior_mean_oracle(model, x, t)).max() < 1e-10
+
+
+def test_dense_jacobian_reference_matches_finite_differences():
+    rng = np.random.Generator(np.random.PCG64(62))
+    model = make_model(seed=10, k=3, n=2, channels=2, sigma=0.5)
+    for t in (0.8, 0.55, 0.3):
+        # between the components, where the covariance term is not negligible
+        x = (1.0 - t) * model.means.mean(axis=0) + 0.1 * rng.standard_normal(model.dim)
+        h = 1e-5
+        fd = np.empty((model.dim, model.dim))
+        for i in range(model.dim):
+            e = np.zeros(model.dim)
+            e[i] = h
+            fd[:, i] = (oracles.velocity(model, x + e, t) - oracles.velocity(model, x - e, t)) / (2 * h)
+        J = oracles.velocity_jacobian(model, x, t)
+        assert np.linalg.norm(J - fd) <= 1e-6 * np.linalg.norm(fd)
+        np.testing.assert_allclose(J, J.T, rtol=0, atol=1e-12)
+
+
 def test_mean_norms_follow_the_means_through_replace():
     model = make_model(seed=50, k=3)
     np.testing.assert_array_equal(model.mean_sq_norms, np.sum(model.means**2, axis=1))
@@ -473,4 +527,4 @@ def test_all_components_underflow_raises_floating_point_error():
     with pytest.raises(FloatingPointError, match="underflowed"):
         _log_responsibilities(model, x, 0.5)
     with pytest.raises(FloatingPointError, match="underflowed"):
-        velocity(model, latent(model, x), 0.5)
+        _velocity_batch(model, x, 0.5)
