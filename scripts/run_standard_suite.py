@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 from contact_flow.harness import (
+    ConfigError,
     evaluate_run_dirs,
     format_summary_table,
     generate_run,
@@ -42,6 +43,10 @@ def _suite_at(ctx, param, n):
               help="Paired seeds per scenario (default: the scenario's own count).")
 def main(out_dir, suite, runs):
     out = Path(out_dir)
+    try:
+        evaluate_run_dirs([], out / "evaluation")  # makes the directory before the first run
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from None
     run_dirs = []
     for scenario in suite:
         n_runs = runs if runs is not None else scenario.runs

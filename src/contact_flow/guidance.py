@@ -414,8 +414,8 @@ def guided_sample(
                 if inner == 0 or lam != 0.0:  # else x did not move: the values below hold
                     v, r, mubar, x0 = _predict(model, x, t)
                     J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
-                    g_x0_norm = float(np.linalg.norm(g_x0))
-                    g_xt_norm = float(np.linalg.norm(g_xt))
+                    with np.errstate(over="ignore"):  # an overflowing norm is inf, recorded as null
+                        g_x0_norm, g_xt_norm = float(np.linalg.norm(g_x0)), float(np.linalg.norm(g_xt))
                     lam_att = attenuation(g_x0_norm, g_xt_norm)
                     suppressed = lam_att == 0.0
                     lam = lam_sched * lam_att

@@ -9,6 +9,7 @@ to bit-reproduce the run.  Exit codes: 0 success, 2 generation abort,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -88,6 +89,15 @@ class ConfigError(ValueError):
     """An invalid scenario or configuration, found before anything is written."""
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Re-raise a ValueError or OSError from the block as a ConfigError."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def worker_count() -> int:
     """Sweep pool size from CONTACT_FLOW_WORKERS, 1 when unset."""
     value = os.environ.get(WORKERS_ENV) or "1"
@@ -151,23 +161,29 @@ def generate_run(
     """Build the scenario, run the sampler on its seeds, and write all artifacts + manifest.
 
     Returns the manifest dict.  An invalid configuration, a scenario that
-    fails to build or a run directory that cannot be made raises ConfigError
-    before anything is written.  On a non-finite abort the partial manifest
-    (with a failure record) is still written before GenerationAborted
-    propagates to the caller.
+    fails to build, an empty reference shape or a run directory that cannot
+    be made raises ConfigError before anything is written.  On a non-finite
+    abort, in the reference run too, the partial manifest (with a failure
+    record) is still written before GenerationAborted propagates to the caller.
     """
     cfg = cfg if cfg is not None else scenario.guidance_config()
-    try:
+    seeds = scenario.seeds
+    aborted = None
+    with _config_errors():
         if mode not in ("guided", "unguided"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "guided":
             _check_radius(cfg.radius, scenario.resolution)
         built = build_scenario(scenario)
+        t0 = time.perf_counter()
+        if mode == "guided":
+            try:
+                reference = make_reference(built.model, built.decoder, cfg, seeds.reference)
+            except GenerationAborted as abort:
+                aborted = abort  # recorded below, with the run's manifest
+            reference_s = time.perf_counter() - t0
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
-    seeds = scenario.seeds
     contacts = external_contacts if external_contacts is not None else built.contacts
     if scenario.fps_count is not None and scenario.fps_count < len(contacts):
         cloud = farthest_point_sample(PointCloud(contacts.points), scenario.fps_count, seed=seeds.contacts)
@@ -204,15 +220,14 @@ def generate_run(
 
     add_artifact("contacts", "contacts.json", contacts.save)
 
-    t0 = time.perf_counter()
     trajectory: GuidedTrajectory | None = None
     try:
+        if aborted is not None:
+            raise aborted
         if mode == "unguided":
             occupancy = unguided_sample(built.model, built.decoder, cfg, seeds.guided)
         else:
-            t_ref = time.perf_counter()
-            reference = make_reference(built.model, built.decoder, cfg, seeds.reference)
-            manifest["timings"]["reference_s"] = time.perf_counter() - t_ref
+            manifest["timings"]["reference_s"] = reference_s
             add_artifact("reference", "reference.grid", lambda p: save_grid(reference.occupancy, p))
             occupancy, trajectory = guided_sample(
                 built.model, built.decoder, contacts, reference, cfg, seeds.guided
@@ -363,10 +378,8 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
     """Evaluate many run dirs; returns (reports, skipped).  Writes metrics.csv,
     summary.txt and summary.json to out_dir, made first (else ConfigError)."""
     if out_dir is not None:
-        try:
+        with _config_errors():
             Path(out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
     reports: list[MetricsReport] = []
     skipped: list[tuple[str, str]] = []
     for run_dir in run_dirs:
@@ -410,11 +423,12 @@ def sweep(
     """Cross-product ablation over guidance knobs; one summary row per cell.
 
     An empty grid keeps the base value.  Bad input raises ConfigError before
-    the first run, with nothing written.  Cells that abort are recorded and the
+    the first run, with nothing written; a run whose reference shape is empty
+    ends the sweep with a ConfigError.  Cells that abort are recorded and the
     sweep continues.  With CONTACT_FLOW_WORKERS > 1, all runs share one process pool.
     """
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
-    try:
+    with _config_errors():
         if runs < 1:
             raise ValueError(f"runs per cell must be >= 1, got {runs}")
         workers = worker_count()
@@ -428,8 +442,6 @@ def sweep(
         build_scenario(scenario)  # paired runs differ in seeds only
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
     # (run scenario, config, run directory) of every run, in cell order
     tasks = [(scenario.for_run(i), cfg, str(out / f"cell_{c:03d}" / f"run_{i:03d}"))
              for c, cfg in enumerate(cells) for i in range(runs)]
@@ -485,27 +497,30 @@ def _cfg_from_flags(scenario, lam, recurrence, radius, timesteps):
     return scenario.guidance_config(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _exit_config_error(exc: Exception) -> None:
-    click.echo(f"config error: {exc}", err=True)
-    sys.exit(EXIT_CONFIG_ERROR)
-
-
 class _Cli(click.Group):
-    """Usage errors (an unknown option, say) exit 4, a config error: 2 means a generation abort here."""
+    """The one place an error becomes an exit code: a usage error (an unknown
+    option, say) or a ConfigError exits 4, a ConfigError after one `config
+    error:` line, and a GenerationAborted exits 2."""
 
     def make_context(self, *args, **kwargs):
-        return _usage_is_config_error(super().make_context, *args, **kwargs)
+        return self._exit_on_error(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _usage_is_config_error(super().invoke, ctx)
+        return self._exit_on_error(super().invoke, ctx)
 
-
-def _usage_is_config_error(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_CONFIG_ERROR
-        raise
+    @staticmethod
+    def _exit_on_error(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG_ERROR
+            raise
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG_ERROR)
+        except GenerationAborted as abort:
+            click.echo(f"generation aborted: {abort}", err=True)
+            sys.exit(EXIT_GENERATION_ABORT)
 
 
 @click.group(cls=_Cli)
@@ -533,28 +548,15 @@ def main():
 def generate(scenario_spec, out_dir, seed, ref_seed, unguided, lam, recurrence,
              radius, timesteps, grid_n, contacts_path):
     """Generate one shape (guided by default) and write its run directory."""
-    try:
+    with _config_errors():
         scenario = _resolve_scenario(scenario_spec, grid_n)
         given = {"guided": seed, "reference": ref_seed}
         seeds = dataclasses.replace(scenario.seeds, **{k: v for k, v in given.items() if v is not None})
         scenario = dataclasses.replace(scenario, seeds=seeds)
         cfg = _cfg_from_flags(scenario, lam or None, recurrence, radius, timesteps)
         external = ContactSet.load(contacts_path) if contacts_path else None
-    except (ValueError, OSError) as exc:
-        _exit_config_error(exc)
-    try:
-        generate_run(
-            scenario,
-            out_dir,
-            mode="unguided" if unguided else "guided",
-            cfg=cfg,
-            external_contacts=external,
-        )
-    except ConfigError as exc:
-        _exit_config_error(exc)
-    except GenerationAborted as abort:
-        click.echo(f"generation aborted: {abort}", err=True)
-        sys.exit(EXIT_GENERATION_ABORT)
+    generate_run(scenario, out_dir, mode="unguided" if unguided else "guided", cfg=cfg,
+                 external_contacts=external)
     click.echo(f"run written to {out_dir}")
 
 
@@ -564,10 +566,7 @@ def generate(scenario_spec, out_dir, seed, ref_seed, unguided, lam, recurrence,
               help="Directory for metrics.csv and the summary table.")
 def evaluate(run_dirs, out_dir):
     """Evaluate run directories and print a mean/median summary per method."""
-    try:
-        reports, skipped = evaluate_run_dirs(run_dirs, out_dir)
-    except ConfigError as exc:  # raised before any run is evaluated
-        _exit_config_error(exc)
+    reports, skipped = evaluate_run_dirs(run_dirs, out_dir)
     for run_dir, reason in skipped:
         click.echo(f"skipped {run_dir}: {reason}", err=True)
     if not reports:
@@ -588,15 +587,10 @@ def evaluate(run_dirs, out_dir):
 @click.option("--grid-n", type=int, default=None)
 def sweep_command(scenario_spec, out_dir, runs, lambdas, recurrences, radii, timesteps, grid_n):
     """Cross-product ablation sweep over guidance knobs."""
-    try:
+    with _config_errors():
         scenario = _resolve_scenario(scenario_spec, grid_n)
         base = _cfg_from_flags(scenario, None, None, None, timesteps)
-    except (ValueError, OSError) as exc:
-        _exit_config_error(exc)
-    try:
-        rows = sweep(scenario, out_dir, runs, lambdas, recurrences, radii, base_cfg=base)
-    except ConfigError as exc:  # raised before any run, with nothing written
-        _exit_config_error(exc)
+    rows = sweep(scenario, out_dir, runs, lambdas, recurrences, radii, base_cfg=base)
     for row in rows:
         click.echo(json.dumps(row))
 

@@ -69,6 +69,10 @@ class MixtureFlowModel:
             raise ValueError("weights must be a probability simplex vector")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("component noise scale sigma must be positive and finite")
+        with np.errstate(over="ignore"):  # an overflow is rejected here, not met in the flow
+            sigma_sq, mean_sq_norms = np.square(self.sigma), np.sum(means**2, axis=1)
+        if np.isinf(sigma_sq) or np.isinf(mean_sq_norms).any():
+            raise ValueError(f"sigma ({self.sigma}) and each mixture mean must have a finite square")
         if not self.component_ids:
             object.__setattr__(
                 self, "component_ids", tuple(f"component_{k}" for k in range(means.shape[0]))
@@ -77,7 +81,7 @@ class MixtureFlowModel:
             raise ValueError("component_ids must match the number of components")
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "weights", _freeze(weights))
-        object.__setattr__(self, "mean_sq_norms", _freeze(np.sum(means**2, axis=1)))
+        object.__setattr__(self, "mean_sq_norms", _freeze(mean_sq_norms))
 
     @property
     def k(self) -> int:

@@ -413,7 +413,15 @@ UNBUILDABLE = {
         for field in ("sigma", "gamma", "beta")
         for value in ("nan", "inf")
     },
+    # a noise scale whose square overflows, and a logistic gain so small that
+    # the encoded means' squared norms overflow
+    "sigma_1e300": dataclasses.replace(suite_scenario("depth_boxes", n=4), sigma=1e300),
+    "beta_1e-300": dataclasses.replace(suite_scenario("depth_boxes", n=4), beta=1e-300),
 }
+
+
+def test_a_noise_scale_whose_square_underflows_still_builds():
+    build_scenario(dataclasses.replace(suite_scenario("depth_boxes", n=4), sigma=1e-300))
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -452,6 +460,58 @@ def test_cli_out_naming_a_file_is_config_error(tmp_path, scenario, command, extr
         assert load_manifest(run)["metrics"] is None
     else:
         assert sorted(tmp_path.iterdir()) == [out]
+
+
+# one box whose unguided reference binarizes to nothing at n=4
+EMPTY_REFERENCE = Scenario(
+    name="empty_reference",
+    n=4,
+    library=(Box((0.5, 0.5, 0.5), (0.625, 0.625, 0.625)),),
+    true_index=0,
+    visibility=VisibilitySpec(),
+    seeds=ScenarioSeeds(1, 2, 3),
+    contact_count=3,
+)
+
+
+def test_cli_empty_reference_is_config_error_and_unguided_still_runs(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    EMPTY_REFERENCE.save(path)
+    guided, unguided = tmp_path / "guided", tmp_path / "unguided"
+    given = ["--scenario", str(path)]
+    result = CliRunner().invoke(main, ["generate", *given, "--out", str(guided)])
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error: reference shape is empty" in result.output
+    assert not guided.exists()
+    result = CliRunner().invoke(main, ["generate", *given, "--out", str(unguided), "--unguided"])
+    assert result.exit_code == 0, result.output
+    assert verify_manifest(unguided) == []
+    # a sweep meets it at its first run's reference, so the sweep ends there
+    result = CliRunner().invoke(main, ["sweep", *given, "--out", str(tmp_path / "sweep"), "--runs", "1"])
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert "config error: reference shape is empty" in result.output
+    assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_reference_abort_writes_partial_manifest(tmp_path, scenario, monkeypatch):
+    def abort(*args):
+        raise GenerationAborted(3, 0, "state became non-finite")
+
+    monkeypatch.setattr(harness, "make_reference", abort)
+    with pytest.raises(GenerationAborted):
+        generate_run(scenario, tmp_path / "run", mode="guided")
+    manifest = load_manifest(tmp_path / "run")
+    assert manifest["failure"] == {"step": 3, "inner": 0, "reason": "state became non-finite"}
+    assert list(manifest["artifacts"]) == ["contacts"] and "reference_s" not in manifest["timings"]
+    assert verify_manifest(tmp_path / "run") == []
+
+
+def test_overflowing_gradient_norm_is_recorded_as_null_without_a_warning(tmp_path, scenario):
+    # the tests turn a RuntimeWarning into an error, so a leaked overflow fails here
+    huge_gain = dataclasses.replace(scenario, beta=1e300)
+    generate_run(huge_gain, tmp_path / "run", mode="guided")
+    lines = (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["grad_x0_norm"] is None
 
 
 def test_cli_generation_abort_exit_code(tmp_path):
@@ -865,6 +925,17 @@ def test_run_standard_suite_rejects_a_grid_size_without_a_suite(tmp_path, grid_n
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--grid-n'" in result.output
     assert not (tmp_path / "suite").exists()
+
+
+def test_run_standard_suite_checks_its_evaluation_directory_before_the_first_run(tmp_path):
+    out = tmp_path / "suite"
+    out.mkdir()
+    (out / "evaluation").write_text("not a directory\n")
+    args = ["--out", str(out), "--grid-n", "4", "--runs", "1"]
+    result = CliRunner().invoke(load_script("run_standard_suite").main, args)
+    assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"Error: [Errno 17] File exists: '{out / 'evaluation'}'"]
+    assert list(out.iterdir()) == [out / "evaluation"]
 
 
 def test_compare_runs_finds_a_sweep_row_that_differs(tmp_path, scenario):
