@@ -9,7 +9,6 @@ import numpy as np
 
 from .voxelcore import (
     BinaryGrid,
-    PointCloud,
     _expect,
     _freeze,
     _read,
@@ -71,19 +70,14 @@ class ContactSet:
             return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
-def hidden_surface_indices(gt: BinaryGrid, visibility: BinaryGrid) -> np.ndarray:
-    """Surface voxels of `gt` lying in the hidden region (visibility False), sorted lexicographically."""
-    if gt.resolution != visibility.resolution:
-        raise ValueError("ground truth and visibility resolutions differ")
-    hidden_surface = surface_mask(gt) & ~visibility.data
-    return nonzero_indices(hidden_surface)
-
-
 def sample_contacts(gt: BinaryGrid, visibility: BinaryGrid, count: int, seed: int) -> ContactSet:
-    """Uniformly sample `count` hidden-region surface voxel centers, without replacement."""
+    """Uniformly sample `count` hidden-region surface voxel centers (the surface
+    voxels of `gt` where visibility is False), without replacement."""
     if count < 1:
         raise ValueError("contact count must be positive")
-    idx = hidden_surface_indices(gt, visibility)
+    if gt.resolution != visibility.resolution:
+        raise ValueError("ground truth and visibility resolutions differ")
+    idx = nonzero_indices(surface_mask(gt) & ~visibility.data)  # in lexicographic order
     if idx.shape[0] == 0:
         raise ValueError("contacts cannot complement vision: hidden surface is empty")
     if count > idx.shape[0]:
@@ -96,8 +90,8 @@ def sample_contacts(gt: BinaryGrid, visibility: BinaryGrid, count: int, seed: in
     return ContactSet(index_to_point(idx[chosen], gt.resolution), provenance=PROVENANCE_SAMPLED)
 
 
-def farthest_point_sample(points: PointCloud, k: int, seed: int) -> PointCloud:
-    """Greedy farthest point sampling.
+def farthest_point_sample(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Greedy farthest point sampling of k rows of (M, 3) `points`.
 
     The start point is chosen by the seed; each following pick maximizes the
     minimum distance to the already-selected set, ties broken by lowest index.
@@ -107,7 +101,7 @@ def farthest_point_sample(points: PointCloud, k: int, seed: int) -> PointCloud:
         raise ValueError(f"cannot select {k} points from a cloud of {m}")
     if k < 1:
         raise ValueError("k must be positive")
-    pts = points.points
+    pts = np.asarray(points, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(seed))
     selected = [int(rng.integers(m))]
     min_d2 = np.sum((pts - pts[selected[0]]) ** 2, axis=1)
@@ -115,7 +109,7 @@ def farthest_point_sample(points: PointCloud, k: int, seed: int) -> PointCloud:
         nxt = int(np.argmax(min_d2))  # argmax returns the lowest index on ties
         selected.append(nxt)
         min_d2 = np.minimum(min_d2, np.sum((pts - pts[nxt]) ** 2, axis=1))
-    return PointCloud(pts[selected])
+    return pts[selected]
 
 
 def _nearest_occupied(ref: BinaryGrid, points: np.ndarray) -> np.ndarray:

@@ -91,11 +91,6 @@ def _interp(grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az_t: np.ndarray) 
     return np.matmul(np.matmul(ay, first), az_t)
 
 
-def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
-    """Trilinear upsampling of an (n,n,n) grid to (N,N,N): A applied along each axis."""
-    return _interp(coarse, *_upsample_operands(coarse.shape[0], N))
-
-
 def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Coarse logit grid <x, w>_channels of a latent array (n, n, n, C)."""
     return np.tensordot(x, params.w, axes=([3], [0]))
@@ -147,7 +142,8 @@ def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     if x.channels != params.channels:
         raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
     with np.errstate(over="ignore"):
-        u = _upsample(_logits(x.data, params), UPSAMPLE_FACTOR * x.n)
+        # trilinear upsampling n -> N = 4n: A applied along each axis
+        u = _interp(_logits(x.data, params), *_upsample_operands(x.n, UPSAMPLE_FACTOR * x.n))
         s = _logistic(u, params.beta, out=u)
     return OccupancyGrid(_clip_occupancy(s, out=s))
 

@@ -20,7 +20,6 @@ from .contact import ContactSet, _nearest_occupied
 from .voxelcore import (
     BinaryGrid,
     OccupancyGrid,
-    PointCloud,
     _finite_or_none,
     binarize,
     index_to_point,
@@ -114,12 +113,12 @@ def _f_score(d_pg: np.ndarray, d_gp: np.ndarray, tau: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def unit_cube_transform(points: PointCloud) -> tuple[float, np.ndarray]:
-    """Scale and offset mapping the cloud's bounding box to be centered in [0,1]^3
-    with its longest axis spanning length 1.  Returns (scale, offset) such that
-    p' = p * scale + offset."""
-    lo = points.points.min(axis=0)
-    hi = points.points.max(axis=0)
+def unit_cube_transform(points: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scale and offset mapping the bounding box of (M, 3) `points` to be centered
+    in [0,1]^3 with its longest axis spanning length 1.  Returns (scale, offset)
+    such that p' = p * scale + offset."""
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
     extent = float((hi - lo).max())
     if extent <= 0.0:
         raise ValueError("cannot normalize a cloud with zero extent on all axes")
@@ -141,7 +140,7 @@ def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
 def evaluate_run(
     output: OccupancyGrid,
     gt: BinaryGrid,
-    contacts: ContactSet | None,
+    contacts: ContactSet,
     scenario: str = "",
     method: str = "",
     seed: int = -1,
@@ -177,18 +176,15 @@ def evaluate_run(
     pred_surface, gt_surface = surface_mask(pred_binary), surface_mask(gt)
     pred_points = index_to_point(nonzero_indices(pred_surface), gt.resolution)
     gt_points = index_to_point(nonzero_indices(gt_surface), gt.resolution)
-    scale, offset = unit_cube_transform(PointCloud(gt_points))
+    scale, offset = unit_cube_transform(gt_points)
     pred_points = pred_points * scale + offset
     gt_points = gt_points * scale + offset
     d_pg = _nearest_distances(pred_points, gt_points, shared=gt_surface[pred_surface])
     d_gp = _nearest_distances(gt_points, pred_points, shared=pred_surface[gt_surface])
-    residual = math.nan
-    if contacts is not None:
-        residual = float(np.median(contact_residuals(pred_binary, contacts)))
     return MetricsReport(
         chamfer=_chamfer(d_pg, d_gp),
         f_scores={tau: _f_score(d_pg, d_gp, tau) for tau in F_SCORE_THRESHOLDS},
-        contact_residual_median=residual,
+        contact_residual_median=float(np.median(contact_residuals(pred_binary, contacts))),
         scenario=scenario,
         method=method,
         seed=seed,

@@ -167,9 +167,6 @@ class GuidedTrajectory:
     records: tuple[StepRecord, ...]
     final_J: float
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def dump_jsonl(self, path) -> None:
         """One JSON line per record, then one holding final_J; a non-finite number is null."""
         lines = [rec.to_json_dict() for rec in self.records] + [{"final_J": _finite_or_none(self.final_J)}]
@@ -197,7 +194,7 @@ def drag_loss(
     windows = _drag_windows(ref, contacts, cfg.radius)
     grad = np.zeros_like(s0_hat.data)
     for win in windows:
-        grad[win.fine] += 2.0 * _mismatch(s0_hat.data, win)
+        grad[win.fine] += 2.0 * (s0_hat.data[win.fine] - win.target)
     return _drag_value(s0_hat.data, windows), grad
 
 
@@ -252,15 +249,11 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     return windows
 
 
-def _mismatch(s: np.ndarray, win: _Window) -> np.ndarray:
-    return s[win.fine] - win.target
-
-
 def _drag_value(s: np.ndarray, windows: list[_Window]) -> float:
     """The drag loss of occupancy `s`, without its gradient."""
     loss = 0.0
     for win in windows:
-        loss += float(np.sum(_mismatch(s, win) ** 2))
+        loss += float(np.sum((s[win.fine] - win.target) ** 2))
     return loss
 
 
@@ -335,7 +328,7 @@ def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 #
-# The samplers work on flat float64 states of length model.dim (the rows of a
+# The samplers work on flat float64 states of length n^3 * C (the rows of a
 # (B, dim) array in `_integrate`); containers are built only for their inputs
 # and outputs.  Every non-finite check raises FloatingPointError, which each
 # sampler turns into one GenerationAborted at its current step.

@@ -46,7 +46,6 @@ from .guidance import (
 )
 from .scenarios import Scenario, build_scenario, suite_scenario
 from .voxelcore import (
-    PointCloud,
     _convert,
     _expect,
     _require,
@@ -186,8 +185,8 @@ def generate_run(
         out.mkdir(parents=True, exist_ok=True)
     contacts = external_contacts if external_contacts is not None else built.contacts
     if scenario.fps_count is not None and scenario.fps_count < len(contacts):
-        cloud = farthest_point_sample(PointCloud(contacts.points), scenario.fps_count, seed=seeds.contacts)
-        contacts = ContactSet(cloud.points, provenance=contacts.provenance)
+        points = farthest_point_sample(contacts.points, scenario.fps_count, seed=seeds.contacts)
+        contacts = ContactSet(points, provenance=contacts.provenance)
 
     manifest: dict = {
         "tool": "contact-flow",
@@ -359,17 +358,17 @@ def summarize_reports(reports: list[MetricsReport]) -> dict:
 
 def format_summary_table(summary: dict) -> str:
     metrics = ["chamfer", *F_SCORE_COLUMNS.values(), "contact_residual"]
-    header = f"{'method':<24}{'runs':>6}" + "".join(
-        f"{m + ' mean':>18}{m + ' med':>18}" for m in metrics
-    )
+    labels = [f"{m} {stat}" for m in metrics for stat in ("mean", "med")]
+    width = max(map(len, labels)) + 2  # each metric cell: the longest label and two spaces
+    header = f"{'method':<24}{'runs':>6}" + "".join(f"{label:>{width}}" for label in labels)
     lines = [header, "-" * len(header)]
     for method, row in summary.items():
         cells = [f"{method:<24}{row['runs']:>6}"]
         for m in metrics:
             if m in row:
-                cells.append(f"{row[m]['mean']:>18.5f}{row[m]['median']:>18.5f}")
+                cells.append(f"{row[m]['mean']:>{width}.5f}{row[m]['median']:>{width}.5f}")
             else:
-                cells.append(f"{'-':>18}{'-':>18}")
+                cells.append(f"{'-':>{width}}{'-':>{width}}")
         lines.append("".join(cells))
     return "\n".join(lines)
 

@@ -23,7 +23,7 @@ import yaml
 from .contact import ContactSet, sample_contacts
 from .decoder import UPSAMPLE_FACTOR, DecoderParams, decode, encode
 from .guidance import GuidanceConfig
-from .toyflow import MixtureFlowModel, VisibilityCondition, condition
+from .toyflow import MixtureFlowModel, condition
 from .voxelcore import (
     BinaryGrid,
     Box,
@@ -146,12 +146,6 @@ class Scenario:
     def resolution(self) -> int:
         return UPSAMPLE_FACTOR * self.n
 
-    def prior_weights(self) -> np.ndarray:
-        if self.weights is None:
-            k = len(self.library)
-            return np.full(k, 1.0 / k)
-        return np.asarray(self.weights, dtype=np.float64)
-
     def to_dict(self) -> dict:
         library = [primitive_to_dict(p) for p in self.library]
         return {"name": self.name, "grid": {"n": self.n}, "library": library, **_write(self)}
@@ -259,13 +253,17 @@ def _seed_independent(geometry: _Geometry):
     grids = tuple(voxelize_primitive(p, N) for p in scenario.library)
     latents = [encode(g, params) for g in grids]
     decoded = tuple(decode(lat, params) for lat in latents)
-    ids = tuple(f"{scenario.name}/shape_{k}" for k in range(len(grids)))
-    prior = MixtureFlowModel.from_latents(
-        latents, scenario.prior_weights(), scenario.sigma, component_ids=ids
+    k = len(grids)
+    prior = MixtureFlowModel(
+        n=scenario.n,
+        channels=params.channels,
+        means=np.stack([lat.data.reshape(-1) for lat in latents]),
+        weights=np.full(k, 1.0 / k) if scenario.weights is None else scenario.weights,
+        sigma=float(scenario.sigma),
+        component_ids=tuple(f"{scenario.name}/shape_{i}" for i in range(k)),
     )
     visibility = scenario.visibility.mask(N)
-    cond = VisibilityCondition(visibility, decoded[scenario.true_index], scenario.gamma)
-    model = condition(prior, cond, decoded)
+    model = condition(prior, visibility, decoded[scenario.true_index], scenario.gamma, decoded)
     unmet = scenario.ambiguous and not ambiguous_pairs(decoded, visibility)
     return params, grids, visibility, model, unmet
 

@@ -87,28 +87,8 @@ class MixtureFlowModel:
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.n**3 * self.channels
-
     def latent_shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.n, self.n, self.channels)
-
-    @classmethod
-    def from_latents(cls, latents, weights, sigma, component_ids=()) -> "MixtureFlowModel":
-        if not latents:
-            raise ValueError("mixture needs at least one component")
-        n = latents[0].n
-        c = latents[0].channels
-        means = np.stack([lat.data.reshape(-1) for lat in latents])
-        return cls(
-            n=n,
-            channels=c,
-            means=means,
-            weights=np.asarray(weights, dtype=np.float64),
-            sigma=float(sigma),
-            component_ids=tuple(component_ids),
-        )
 
     def describe(self) -> dict:
         return {
@@ -118,27 +98,6 @@ class MixtureFlowModel:
             "weights": self.weights.tolist(),
             "sigma": self.sigma,
         }
-
-
-@dataclass(frozen=True)
-class VisibilityCondition:
-    """Observed occupancy on a visible sub-volume, with likelihood sharpness gamma.
-
-    Volumetric analog of conditioning generation on a partially occluded view:
-    the mask marks where the object is observed, its complement is hidden.
-    """
-
-    mask: BinaryGrid
-    observation: OccupancyGrid
-    gamma: float
-
-    def __post_init__(self):
-        if self.mask.is_empty() or bool(self.mask.data.all()):
-            raise ValueError("visibility mask must be non-empty and not cover the full volume")
-        if self.mask.resolution != self.observation.resolution:
-            raise ValueError("mask and observation resolutions differ")
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError("sharpness gamma must be non-negative and finite")
 
 
 def _check_time(t: float):
@@ -226,22 +185,30 @@ def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
 
 
 def condition(
-    model: MixtureFlowModel, cond: VisibilityCondition, decoded: tuple[OccupancyGrid, ...]
+    model: MixtureFlowModel, mask: BinaryGrid, observation: OccupancyGrid, gamma: float,
+    decoded: tuple[OccupancyGrid, ...],
 ) -> MixtureFlowModel:
-    """Reweight components by how well their decoded means match the observation.
+    """Reweight components by how well their decoded means match `observation`
+    where `mask` is True (observed; the rest is hidden), with sharpness gamma.
 
     With decoded[k] = decode(mu_k): w_k' propto w_k * exp(-gamma * sum_visible
     (decoded[k] - o)^2), computed with log-sum-exp stabilization.
     """
-    if cond.mask.resolution != UPSAMPLE_FACTOR * model.n or len(decoded) != model.k:
+    if mask.is_empty() or bool(mask.data.all()):
+        raise ValueError("visibility mask must be non-empty and not cover the full volume")
+    if mask.resolution != observation.resolution:
+        raise ValueError("mask and observation resolutions differ")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError("sharpness gamma must be non-negative and finite")
+    if mask.resolution != UPSAMPLE_FACTOR * model.n or len(decoded) != model.k:
         raise ValueError("condition needs the model's paired grid and one shape per component")
-    v = cond.mask.data
-    obs = cond.observation.data[v]
+    v = mask.data
+    obs = observation.data[v]
     energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
     # a prior weight of 0 has log -inf, and gamma * energy may overflow: both a
     # mass of 0, checked below
     with np.errstate(over="ignore", divide="ignore"):
-        logits = np.log(model.weights) - cond.gamma * energies
+        logits = np.log(model.weights) - gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")
     logw = logits - _logsumexp(logits)

@@ -147,31 +147,8 @@ class BinaryGrid:
     def resolution(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def count(self) -> int:
-        return int(self.data.sum())
-
     def is_empty(self) -> bool:
         return not bool(self.data.any())
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Points in unit-cube coordinates (pipeline-produced clouds stay in [0,1]^3;
-    `evaluation.unit_cube_transform` also accepts clouds outside the cube)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"point cloud must have shape (M, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud contains non-finite coordinates")
-        object.__setattr__(self, "points", _freeze(pts))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +273,7 @@ class Box:
 
     FIELDS = {"lo": tuple, "hi": tuple}
 
-    def validate(self):
+    def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
@@ -304,7 +281,7 @@ class Box:
         if np.any(hi <= lo):
             raise ValueError(f"degenerate primitive: box has zero/negative extent (lo={self.lo}, hi={self.hi})")
         if lo.min() < 0.0 or hi.max() > 1.0:
-            raise ValueError("box parameters must lie inside the unit cube")
+            raise ValueError("box lo and hi must lie inside the unit cube")
 
     def contains(self, x, y, z) -> np.ndarray:
         (x0, y0, z0), (x1, y1, z1) = self.lo, self.hi
@@ -327,7 +304,7 @@ class Cylinder:
 
     FIELDS = {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}
 
-    def validate(self):
+    def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise ValueError("cylinder axis must be 0, 1 or 2")
         c = np.asarray(self.center, dtype=np.float64)
@@ -336,14 +313,14 @@ class Cylinder:
         if self.radius <= 0.0:
             raise ValueError("degenerate primitive: cylinder radius must be positive")
         if self.hi <= self.lo:
-            raise ValueError("degenerate primitive: cylinder span has zero/negative extent")
+            raise ValueError("degenerate primitive: cylinder span from lo to hi has zero/negative extent")
         if (
             self.lo < 0.0
             or self.hi > 1.0
             or np.any(c - self.radius < 0.0)
             or np.any(c + self.radius > 1.0)
         ):
-            raise ValueError("cylinder parameters must lie inside the unit cube")
+            raise ValueError("cylinder center, radius, lo and hi must lie inside the unit cube")
 
     def contains(self, x, y, z) -> np.ndarray:
         coords = (x, y, z)
@@ -362,10 +339,6 @@ class LBracket:
 
     FIELDS = {"first": Box, "second": Box}
 
-    def validate(self):
-        self.first.validate()
-        self.second.validate()
-
     def contains(self, x, y, z) -> np.ndarray:
         return self.first.contains(x, y, z) | self.second.contains(x, y, z)
 
@@ -376,11 +349,9 @@ class UnionOfBoxes:
 
     FIELDS = {"boxes": (Box,)}
 
-    def validate(self):
+    def __post_init__(self):
         if not self.boxes:
             raise ValueError("degenerate primitive: union of zero boxes")
-        for b in self.boxes:
-            b.validate()
 
     def contains(self, x, y, z) -> np.ndarray:
         return np.logical_or.reduce([b.contains(x, y, z) for b in self.boxes])
@@ -396,17 +367,16 @@ class SphereCappedBox:
 
     FIELDS = {"box": Box, "cap_axis": int, "cap_radius": float}
 
-    def validate(self):
-        self.box.validate()
+    def __post_init__(self):
         if self.cap_axis not in (0, 1, 2):
-            raise ValueError("cap axis must be 0, 1 or 2")
+            raise ValueError("cap_axis must be 0, 1 or 2")
         if self.cap_radius <= 0.0:
-            raise ValueError("degenerate primitive: cap radius must be positive")
+            raise ValueError("degenerate primitive: cap_radius must be positive")
         center = self._cap_center()
         lo = center - self.cap_radius
         hi = center + self.cap_radius
         if lo.min() < 0.0 or hi.max() > 1.0:
-            raise ValueError("sphere cap must lie inside the unit cube")
+            raise ValueError(f"sphere cap of cap_radius {self.cap_radius} must lie inside the unit cube")
 
     def _cap_center(self) -> np.ndarray:
         lo = np.asarray(self.box.lo)
@@ -457,22 +427,21 @@ def voxelize_primitive(spec: Primitive, resolution: int) -> BinaryGrid:
     """Voxelize a solid: a voxel is occupied iff its center lies inside it."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    spec.validate()
     mask = np.broadcast_to(spec.contains(*axis_centers(resolution)), (resolution,) * 3)
     if not mask.any():
         raise ValueError("primitive voxelizes to an empty grid at this resolution")
     return BinaryGrid(mask)
 
 
-def extract_surface(grid: BinaryGrid) -> PointCloud:
-    """Centers of occupied voxels with at least one unoccupied 6-neighbor.
+def extract_surface(grid: BinaryGrid) -> np.ndarray:
+    """(M, 3) centers of occupied voxels with at least one unoccupied 6-neighbor.
 
     The outside of the grid counts as unoccupied, so occupied voxels touching
     the grid boundary are surface voxels.
     """
     if grid.is_empty():
         raise ValueError("cannot extract surface of an empty grid")
-    return PointCloud(index_to_point(nonzero_indices(surface_mask(grid)), grid.resolution))
+    return index_to_point(nonzero_indices(surface_mask(grid)), grid.resolution)
 
 
 def surface_mask(grid: BinaryGrid) -> np.ndarray:
@@ -569,12 +538,12 @@ def load_grid(path) -> OccupancyGrid | BinaryGrid:
         return grid_from_bytes(f.read())
 
 
-def save_ply(cloud: PointCloud, path) -> None:
-    """ASCII PLY with x, y, z vertex properties, one "%.8f %.8f %.8f" line per point."""
+def save_ply(points: np.ndarray, path) -> None:
+    """ASCII PLY of (M, 3) float64 `points`, one "%.8f %.8f %.8f" vertex line each."""
     header = (
         "ply\n"
         "format ascii 1.0\n"
-        f"element vertex {len(cloud)}\n"
+        f"element vertex {len(points)}\n"
         "property float x\n"
         "property float y\n"
         "property float z\n"
@@ -583,11 +552,11 @@ def save_ply(cloud: PointCloud, path) -> None:
     # each distinct coordinate (a voxel-center cloud has at most N per axis) is
     # formatted once; its NUL-padded bytes are gathered per point and the NULs
     # dropped.  Distinct by bit pattern, so -0.0 keeps its sign.
-    bits, inverse = np.unique(cloud.points.reshape(-1).view(np.uint64), return_inverse=True)
+    bits, inverse = np.unique(points.reshape(-1).view(np.uint64), return_inverse=True)
     text = ["%.8f" % v for v in bits.view(np.float64).tolist()]
     width = max(map(len, text), default=0) + 1
     table = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    cells = table[inverse].reshape(len(cloud), 3, width)
+    cells = table[inverse].reshape(len(points), 3, width)
     cells[:, :, -1] = np.frombuffer(b"  \n", dtype=np.uint8)  # one separator per cell
     flat = cells.reshape(-1)
     with open(path, "wb") as f:

@@ -94,7 +94,7 @@ def velocity_jacobian(model, x: np.ndarray, t: float) -> np.ndarray:
     r = responsibilities(model, x, t)
     mubar = r @ model.means
     cov = model.means.T @ (r[:, None] * model.means) - np.outer(mubar, mubar)
-    return c1 * np.eye(model.dim) - c2 * (1.0 - t) / s2 * cov
+    return c1 * np.eye(model.means.shape[1]) - c2 * (1.0 - t) / s2 * cov
 
 
 def predict_x0_vjp(model, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:

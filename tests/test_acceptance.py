@@ -37,7 +37,7 @@ from contact_flow.toyflow import (
     predict_x0,
     sample_base,
 )
-from contact_flow.voxelcore import LatentGrid, OccupancyGrid, PointCloud, binarize
+from contact_flow.voxelcore import LatentGrid, OccupancyGrid, binarize
 
 FULL_SCALE = os.environ.get("CONTACT_FLOW_ACCEPTANCE_FULL", "") == "1"
 SUITE_N = 16 if FULL_SCALE else 4
@@ -211,11 +211,11 @@ def test_criterion_3_unguided_sampling_fidelity():
     built = build_scenario(suite_scenario("bracket_orientation", n=4))
     model = built.model
     # 1000 draws through the Euler integrator that unguided_sample runs
-    x = np.random.Generator(np.random.PCG64(42)).standard_normal((1000, model.dim))
+    x = np.random.Generator(np.random.PCG64(42)).standard_normal((1000, model.means.shape[1]))
     finals = _integrate(model, x, steps=200)
     d = np.linalg.norm(finals[:, None, :] - model.means[None], axis=2)
     nearest = np.argmin(d, axis=1)
-    within = d[np.arange(1000), nearest].max() <= 3 * model.sigma * math.sqrt(model.dim)
+    within = d[np.arange(1000), nearest].max() <= 3 * model.sigma * math.sqrt(model.means.shape[1])
     freqs = np.bincount(nearest, minlength=model.k) / 1000
     dev = float(np.abs(freqs - model.weights).max())
     _report(
@@ -368,8 +368,8 @@ def test_criterion_8_metric_oracles():
         m = int(rng.integers(2, 65))
         k = int(rng.integers(1, m + 1))
         pts = rng.random((m, 3))
-        got = farthest_point_sample(PointCloud(pts), k, seed=trial)
-        start = int(np.where((pts == got.points[0]).all(axis=1))[0][0])
+        got = farthest_point_sample(pts, k, seed=trial)
+        start = int(np.where((pts == got[0]).all(axis=1))[0][0])
         chosen = [start]
         while len(chosen) < k:
             best_i, best_d = -1, -1.0
@@ -378,7 +378,7 @@ def test_criterion_8_metric_oracles():
                 if dmin > best_d:
                     best_d, best_i = dmin, i
             chosen.append(best_i)
-        if not np.array_equal(got.points, pts[chosen]):
+        if not np.array_equal(got, pts[chosen]):
             fps_exact = False
     _report(
         8,

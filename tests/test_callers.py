@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller outside the tests."""
+"""Every public function and class of the package, and every public method and
+property of its public classes, has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -34,11 +35,17 @@ def _references_to(module: str, tree: ast.Module) -> set[str]:
     return names
 
 
-def _callerless_public_names() -> dict[str, str]:
+def _modules_and_trees() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """The package's modules and the syntax tree of every file that may call
+    them: the modules, scripts/ and perfbench/."""
     # a re-export in __init__.py is not a caller
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     referrers = [*modules, *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
-    trees = {path: _tree(path) for path in referrers}
+    return modules, {path: _tree(path) for path in referrers}
+
+
+def _callerless_public_names() -> dict[str, str]:
+    modules, trees = _modules_and_trees()
     callerless = {}
     for path in modules:
         tree = trees[path]
@@ -58,8 +65,24 @@ def _callerless_public_names() -> dict[str, str]:
     return callerless
 
 
+def _callerless_members() -> dict[str, str]:
+    """`Class.name` of each public method or property of a public class that no
+    module, script or perfbench file reads as an attribute (`x.name`)."""
+    modules, trees = _modules_and_trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    callerless = {}
+    for path in modules:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read:
+                    callerless[f"{cls.name}.{node.name}"] = path.name
+    return callerless
+
+
 def test_every_public_name_has_a_caller_or_is_a_named_oracle():
-    callerless = _callerless_public_names()
+    callerless = {**_callerless_public_names(), **_callerless_members()}
     unexplained = {name: module for name, module in callerless.items() if name not in ORACLES}
     assert not unexplained, f"public names with no caller outside the tests: {unexplained}"
     # an oracle that gained a caller, or was deleted, leaves the list

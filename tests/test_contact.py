@@ -10,13 +10,11 @@ from contact_flow.contact import (
     ContactSet,
     _nearest_occupied,
     farthest_point_sample,
-    hidden_surface_indices,
     sample_contacts,
 )
 from contact_flow.voxelcore import (
     BinaryGrid,
     Box,
-    PointCloud,
     index_to_point,
     point_to_index,
     surface_mask,
@@ -27,6 +25,11 @@ from contact_flow.voxelcore import (
 def half_mask(N, visible_below=0.5):
     ax = (np.arange(N) + 0.5) / N
     return BinaryGrid(np.broadcast_to((ax < visible_below)[:, None, None], (N, N, N)).copy())
+
+
+def hidden_surface(grid: BinaryGrid, vis: BinaryGrid) -> np.ndarray:
+    """Surface voxels of `grid` where `vis` is False, in lexicographic order."""
+    return np.argwhere(surface_mask(grid) & ~vis.data)
 
 
 def fps_oracle(points: np.ndarray, k: int, start: int) -> list[int]:
@@ -60,7 +63,7 @@ def test_no_visibility_samples_from_full_surface():
 def test_exhaustive_draw_returns_every_hidden_surface_voxel():
     grid = voxelize_primitive(Box((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)), 8)
     vis = half_mask(8)
-    hidden = hidden_surface_indices(grid, vis)
+    hidden = hidden_surface(grid, vis)
     contacts = sample_contacts(grid, vis, hidden.shape[0], seed=3)
     got = {tuple(p) for p in contacts.points}
     want = {tuple(p) for p in index_to_point(hidden, 8)}
@@ -88,7 +91,7 @@ def test_empty_hidden_surface_raises():
 def test_oversampling_hidden_surface_raises():
     grid = voxelize_primitive(Box((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)), 8)
     vis = half_mask(8)
-    available = hidden_surface_indices(grid, vis).shape[0]
+    available = hidden_surface(grid, vis).shape[0]
     with pytest.raises(ValueError):
         sample_contacts(grid, vis, available + 1, seed=0)
 
@@ -114,23 +117,23 @@ def _seed_with_start(m, want_start):
 
 
 def test_fps_collinear_extremes():
-    pts = PointCloud(np.array([[0.0, 0, 0], [0.25, 0, 0], [0.5, 0, 0], [0.75, 0, 0]]))
+    pts = np.array([[0.0, 0, 0], [0.25, 0, 0], [0.5, 0, 0], [0.75, 0, 0]])
     seed = _seed_with_start(4, 0)
     out = farthest_point_sample(pts, 2, seed=seed)
-    got = {tuple(p) for p in out.points}
+    got = {tuple(p) for p in out}
     assert got == {(0.0, 0.0, 0.0), (0.75, 0.0, 0.0)}
 
 
 def test_fps_all_points_when_k_equals_size():
     rng = np.random.Generator(np.random.PCG64(1))
-    pts = PointCloud(rng.random((9, 3)))
+    pts = rng.random((9, 3))
     out = farthest_point_sample(pts, 9, seed=5)
-    got = {tuple(p) for p in out.points}
-    assert got == {tuple(p) for p in pts.points}
+    got = {tuple(p) for p in out}
+    assert got == {tuple(p) for p in pts}
 
 
 def test_fps_rejects_oversized_k():
-    pts = PointCloud(np.zeros((3, 3)) + 0.5)
+    pts = np.zeros((3, 3)) + 0.5
     with pytest.raises(ValueError):
         farthest_point_sample(pts, 4, seed=0)
 
@@ -139,17 +142,17 @@ def test_fps_rejects_oversized_k():
 def test_fps_matches_quadratic_oracle(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.random((64, 3))
-    out = farthest_point_sample(PointCloud(pts), 8, seed=seed)
-    start = int(np.where((pts == out.points[0]).all(axis=1))[0][0])
+    out = farthest_point_sample(pts, 8, seed=seed)
+    start = int(np.where((pts == out[0]).all(axis=1))[0][0])
     want = fps_oracle(pts, 8, start)
-    np.testing.assert_array_equal(out.points, pts[want])
+    np.testing.assert_array_equal(out, pts[want])
 
 
 def test_fps_each_pick_maximizes_min_distance_stepwise():
     rng = np.random.Generator(np.random.PCG64(17))
     pts = rng.random((40, 3))
-    out = farthest_point_sample(PointCloud(pts), 6, seed=3)
-    idx = [int(np.where((pts == p).all(axis=1))[0][0]) for p in out.points]
+    out = farthest_point_sample(pts, 6, seed=3)
+    idx = [int(np.where((pts == p).all(axis=1))[0][0]) for p in out]
     for step in range(1, 6):
         chosen = idx[:step]
         picked = idx[step]

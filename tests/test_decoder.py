@@ -9,7 +9,7 @@ from contact_flow.decoder import (
     DecoderParams,
     _interp,
     _interp_matrix,
-    _upsample,
+    _upsample_operands,
     decode,
     encode,
 )
@@ -326,7 +326,7 @@ def test_upsample_transpose_is_the_adjoint_of_upsample(n):
     fine = rng.standard_normal((4 * n, 4 * n, 4 * n))
     A = _interp_matrix(n, 4 * n)
     back = _interp(fine, A.T, A.T, A)
-    lhs = float(np.sum(_upsample(coarse, 4 * n) * fine))
+    lhs = float(np.sum(_interp(coarse, *_upsample_operands(n, 4 * n)) * fine))
     rhs = float(np.sum(coarse * back))
     assert lhs == pytest.approx(rhs, rel=1e-12)
     W = oracles.trilinear_weights(n, 4 * n)
@@ -344,7 +344,7 @@ def test_decode_is_bit_identical_to_the_out_of_place_logistic_and_clip(n):
     low = np.indices((n, n, n)).sum(axis=0) % 2 == 1
     logits = np.where(low, -177.4, rng.uniform(170.0, 177.4, (n, n, n)))
     x = LatentGrid(logits[..., None] * params.w)
-    u = _upsample(np.tensordot(x.data, params.w, axes=([3], [0])), 4 * n)
+    u = _interp(np.tensordot(x.data, params.w, axes=([3], [0])), *_upsample_operands(n, 4 * n))
     # the logistic and clip that decode computed before they were done in place
     expected = np.clip(
         1.0 / (1.0 + np.exp(-(params.beta * u))),

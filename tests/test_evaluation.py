@@ -25,13 +25,15 @@ from contact_flow.voxelcore import (
     BinaryGrid,
     Box,
     OccupancyGrid,
-    PointCloud,
     binarize,
     extract_surface,
     index_to_point,
     surface_mask,
     voxelize_primitive,
 )
+
+# one contact, for the tests that do not read the contact residual
+CENTER = ContactSet(np.full((1, 3), 0.5))
 
 
 def distances(a, b):
@@ -109,7 +111,7 @@ def test_chamfer_rejects_empty():
     # an empty cloud never reaches the distances: evaluate_run reports an empty
     # prediction as a failed run and rejects an empty ground truth
     with pytest.raises(ValueError, match="empty ground truth"):
-        evaluate_run(OccupancyGrid(np.full((4, 4, 4), 0.9)), BinaryGrid(np.zeros((4, 4, 4), bool)), None)
+        evaluate_run(OccupancyGrid(np.full((4, 4, 4), 0.9)), BinaryGrid(np.zeros((4, 4, 4), bool)), CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -150,43 +152,43 @@ def test_f_score_monotone_in_threshold(seed, tau_a, tau_b):
 # ---------------------------------------------------------------------------
 
 
-def normalize_to_unit_cube(points: PointCloud) -> PointCloud:
+def normalize_to_unit_cube(points: np.ndarray) -> np.ndarray:
     """The cloud mapped by its own unit-cube transform, as evaluate_run maps the clouds."""
     scale, offset = unit_cube_transform(points)
-    return PointCloud(points.points * scale + offset)
+    return points * scale + offset
 
 
 def test_normalize_is_idempotent():
     rng = np.random.default_rng(5)
     pts = rng.random((40, 3))
-    once = normalize_to_unit_cube(PointCloud(pts))
+    once = normalize_to_unit_cube(pts)
     twice = normalize_to_unit_cube(once)
-    np.testing.assert_allclose(once.points, twice.points, atol=1e-12)
+    np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
 def test_normalize_similarity_invariance():
     rng = np.random.default_rng(6)
     pts = rng.random((25, 3))
-    plain = normalize_to_unit_cube(PointCloud(pts))
-    moved = normalize_to_unit_cube(PointCloud(pts * 5.0 + np.array([3.0, -2.0, 7.0])))
-    np.testing.assert_allclose(plain.points, moved.points, atol=1e-12)
+    plain = normalize_to_unit_cube(pts)
+    moved = normalize_to_unit_cube(pts * 5.0 + np.array([3.0, -2.0, 7.0]))
+    np.testing.assert_allclose(plain, moved, atol=1e-12)
 
 
 def test_normalize_longest_edge_maps_to_unit():
     corners = np.array(
         [[0, 0, 0], [4, 0, 0], [0, 2, 0], [0, 0, 1], [4, 2, 1]], dtype=float
     )
-    out = normalize_to_unit_cube(PointCloud(corners))
-    extent = out.points.max(axis=0) - out.points.min(axis=0)
+    out = normalize_to_unit_cube(corners)
+    extent = out.max(axis=0) - out.min(axis=0)
     assert extent[0] == pytest.approx(1.0, abs=1e-12)
     assert extent[1] == pytest.approx(0.5, abs=1e-12)
-    center = (out.points.max(axis=0) + out.points.min(axis=0)) / 2
+    center = (out.max(axis=0) + out.min(axis=0)) / 2
     np.testing.assert_allclose(center, 0.5, atol=1e-12)
 
 
 def test_normalize_rejects_degenerate_cloud():
     with pytest.raises(ValueError):
-        normalize_to_unit_cube(PointCloud(np.full((4, 3), 0.25)))
+        normalize_to_unit_cube(np.full((4, 3), 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_one_voxel_dilation_bounds():
     struct = ndimage.generate_binary_structure(3, 1)  # 6-connectivity
     dilated = ndimage.binary_dilation(gt.data, structure=struct)
     output = OccupancyGrid(dilated.astype(float))
-    report = evaluate_run(output, gt, None)
+    report = evaluate_run(output, gt, CENTER)
     # surfaces move by at most one voxel pitch; gt normalization scales by
     # 1/extent with extent 0.625 here, hence the 2/N bound
     assert report.chamfer <= 2.0 / N
@@ -222,8 +224,8 @@ def test_one_voxel_dilation_bounds():
     # brute-force check of the raw (unnormalized) dilation distance bound
     from contact_flow.voxelcore import extract_surface
 
-    ps = extract_surface(BinaryGrid(dilated)).points
-    gs = extract_surface(gt).points
+    ps = extract_surface(BinaryGrid(dilated))
+    gs = extract_surface(gt)
     assert oracles.nearest_distances(ps, gs).max() <= 1.0 / N + 1e-12
 
 
@@ -271,11 +273,11 @@ def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     gt = BinaryGrid(rng.random((16, 16, 16)) < 0.3)
     output = OccupancyGrid(rng.random((16, 16, 16)))
-    rep = evaluate_run(output, gt, None)
+    rep = evaluate_run(output, gt, CENTER)
     gt_surface = extract_surface(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    pred = extract_surface(binarize(output, 0.5)).points * scale + offset
-    truth = gt_surface.points * scale + offset
+    pred = extract_surface(binarize(output, 0.5)) * scale + offset
+    truth = gt_surface * scale + offset
     assert rep.chamfer == oracles.chamfer(pred, truth)
     assert rep.f_scores == {tau: oracles.f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
 
@@ -377,11 +379,11 @@ def test_evaluate_run_equals_public_chamfer_and_f_score(case):
         "one_voxel_shift": BinaryGrid(np.roll(gt.data, 1, axis=0)),
         "disjoint": voxelize_primitive(Box((0.0, 0.0, 0.0), (0.125, 0.125, 0.9)), N),
     }[case]
-    rep = evaluate_run(OccupancyGrid(pred.data.astype(float)), gt, None)
+    rep = evaluate_run(OccupancyGrid(pred.data.astype(float)), gt, CENTER)
     gt_surface = extract_surface(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    a = extract_surface(pred).points * scale + offset
-    b = gt_surface.points * scale + offset
+    a = extract_surface(pred) * scale + offset
+    b = gt_surface * scale + offset
     assert rep.chamfer == oracles.chamfer(a, b)
     assert rep.f_scores == {tau: oracles.f_score(a, b, tau) for tau in F_SCORE_THRESHOLDS}
 
@@ -389,4 +391,4 @@ def test_evaluate_run_equals_public_chamfer_and_f_score(case):
 def test_evaluate_run_rejects_grids_of_different_resolutions():
     gt = box_grid(16)
     with pytest.raises(ValueError, match="resolution"):
-        evaluate_run(OccupancyGrid(np.ones((8, 8, 8))), gt, None)
+        evaluate_run(OccupancyGrid(np.ones((8, 8, 8))), gt, CENTER)

@@ -78,7 +78,8 @@ def toy_setup(seed=0, k=2, n=2, channels=2, sigma=0.35):
     g1 = voxelize_primitive(Box((0, 0, 0), (0.5, 1, 1)), N)
     g2 = voxelize_primitive(Box((0, 0, 0), (1, 1, 1)), N)
     lats = [encode(g, params) for g in (g1, g2)][:k]
-    model = MixtureFlowModel.from_latents(lats, np.full(k, 1.0 / k), sigma)
+    means = np.stack([lat.data.reshape(-1) for lat in lats])
+    model = MixtureFlowModel(n=n, channels=channels, means=means, weights=np.full(k, 1.0 / k), sigma=sigma)
     cfg = small_cfg()
     ref = make_reference(model, params, cfg, seed=seed + 1000)
     contacts = ContactSet(np.array([[0.8, 0.5, 0.5], [0.3, 0.2, 0.6]]))
@@ -262,7 +263,7 @@ def test_zero_guidance_matches_unguided_bitwise():
         guided, traj = guided_sample(model, params, contacts, ref, zero_cfg, seed)
         unguided = unguided_sample(model, params, cfg, seed)
         assert np.array_equal(guided.data, unguided.data)
-        assert len(traj) == zero_cfg.timesteps * zero_cfg.recurrence
+        assert len(traj.records) == zero_cfg.timesteps * zero_cfg.recurrence
 
 
 def test_single_recurrence_zero_lambda_is_plain_euler():
@@ -324,7 +325,7 @@ def test_unguided_single_component_converges_to_its_shape():
     params = DecoderParams.default(2, beta=2.0)
     grid = voxelize_primitive(Box((0, 0, 0), (0.5, 1, 1)), 8)
     lat = encode(grid, params)
-    model = MixtureFlowModel.from_latents([lat], [1.0], sigma=0.01)
+    model = MixtureFlowModel(n=2, channels=2, means=lat.data.reshape(1, -1), weights=[1.0], sigma=0.01)
     cfg = small_cfg(timesteps=50, stage_bounds=(16, 32))
     target = binarize(decode(lat, params), 0.5)
     for seed in range(3):
@@ -347,7 +348,7 @@ def test_unguided_two_components_both_modes_appear():
     landings = []
     for seed in range(40):
         occ = unguided_sample(model, params, cfg, seed)
-        count = binarize(occ, 0.5).count
+        count = binarize(occ, 0.5).data.sum()
         landings.append(count)
     landings = np.array(landings)
     # the two library boxes differ in occupied volume; both sizes must occur
@@ -488,7 +489,7 @@ def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):
 
     monkeypatch.setattr(guidance_module, "_nearest_occupied", counting)
     _, traj = guided_sample(model, params, contacts, ref, cfg, seed=4)
-    assert len(traj) == cfg.timesteps * cfg.recurrence
+    assert len(traj.records) == cfg.timesteps * cfg.recurrence
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], contacts.points)
 
@@ -568,7 +569,7 @@ def test_energy_gradient_is_finite_with_windows_where_the_logistic_overflows():
     # overflows exp in every window, which the pytest filter would report
     params = DecoderParams.default(2, beta=4.0)
     mean = LatentGrid(np.broadcast_to(-200.0 * params.w, (2, 2, 2, 2)).copy())
-    model = MixtureFlowModel.from_latents([mean], [1.0], sigma=0.3)
+    model = MixtureFlowModel(n=2, channels=2, means=mean.data.reshape(1, -1), weights=[1.0], sigma=0.3)
     ref = make_reference_shape()
     cfg = small_cfg(radius=2)
     t = 0.5
@@ -629,7 +630,7 @@ def test_all_components_underflow_aborts_both_samplers(monkeypatch):
         guidance_module, "sample_base", lambda m, seed: LatentGrid(np.full(m.latent_shape(), 1e200))
     )
     # a batch of three states whose middle row underflows every component
-    batch = np.random.Generator(np.random.PCG64(0)).standard_normal((3, model.dim))
+    batch = np.random.Generator(np.random.PCG64(0)).standard_normal((3, model.means.shape[1]))
     batch[1] = 1e200
     for run in (
         lambda: unguided_sample(model, params, cfg, seed=0),
@@ -742,5 +743,5 @@ def test_an_iteration_with_zero_lambda_is_computed_once(depth_boxes_n4, monkeypa
         built.model, built.decoder, built.contacts, ref, cfg, built.scenario.seeds.guided
     )
     assert len(counted) == calls
-    assert len(traj) == cfg.timesteps * cfg.recurrence
+    assert len(traj.records) == cfg.timesteps * cfg.recurrence
     assert counted[0] == 1.0 and traj.records[0].grad_xt_norm == 0.0

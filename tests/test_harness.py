@@ -13,7 +13,7 @@ import yaml
 from click.testing import CliRunner
 
 from contact_flow import harness
-from contact_flow.evaluation import read_metrics_csv
+from contact_flow.evaluation import F_SCORE_COLUMNS, F_SCORE_THRESHOLDS, MetricsReport, read_metrics_csv
 from contact_flow.guidance import GenerationAborted
 from contact_flow.harness import (
     EXIT_CONFIG_ERROR,
@@ -23,6 +23,7 @@ from contact_flow.harness import (
     _write_json,
     evaluate_run_dir,
     evaluate_run_dirs,
+    format_summary_table,
     generate_run,
     load_manifest,
     main,
@@ -187,6 +188,20 @@ def test_evaluate_many_and_median_aggregation_oracle(tmp_path, scenario):
         assert summary[method]["chamfer"]["median"] == pytest.approx(
             float(np.median(csv_vals)), rel=1e-12
         )
+
+
+def test_summary_table_separates_every_label_and_aligns_its_lines():
+    ok = MetricsReport(
+        chamfer=0.5, f_scores={tau: 0.25 for tau in F_SCORE_THRESHOLDS}, contact_residual_median=0.125,
+        method="guided",
+    )
+    # a method whose runs all failed has no metric values
+    table = format_summary_table(summarize_reports([ok, dataclasses.replace(ok, method="unguided", failed=True)]))
+    header = table.splitlines()[0]
+    metrics = ["chamfer", *F_SCORE_COLUMNS.values(), "contact_residual"]
+    for label in ["runs", *(f"{m} {stat}" for m in metrics for stat in ("mean", "med"))]:
+        assert f" {label}" in header, label
+    assert len({len(line) for line in table.splitlines()}) == 1, table
 
 
 def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
@@ -437,6 +452,23 @@ def test_cli_scenario_that_fails_to_build_is_config_error(tmp_path, failure, com
     assert result.exit_code == EXIT_CONFIG_ERROR, result.output
     assert "config error:" in result.output
     assert not out.exists()
+
+
+def test_cli_scenario_file_with_a_box_hi_below_lo_is_config_error(tmp_path):
+    d = suite_scenario("depth_boxes", n=4).to_dict()
+    box = d["library"][0]
+    box["hi"][0] = box["lo"][0] - 0.0625
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(d))
+    # refused where the file is read, naming the field, not when it is built
+    with pytest.raises(ValueError, match="hi="):
+        Scenario.load(path)
+    out = tmp_path / "out"
+    for command, extra in (("generate", []), ("sweep", ["--runs", "1"])):
+        result = CliRunner().invoke(main, [command, "--scenario", str(path), "--out", str(out), *extra])
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert "config error: degenerate primitive: box has zero/negative extent" in result.output
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from contact_flow.guidance import _integrate
 from contact_flow.toyflow import (
     MixtureFlowModel,
     T_MIN_DEFAULT,
-    VisibilityCondition,
     condition,
     predict_x0,
     sample_base,
@@ -73,7 +72,7 @@ def posterior_mean_oracle(model, x_flat, t):
 def test_single_component_tiny_noise_velocity_is_drift_to_mean():
     model = make_model(k=1, sigma=1e-8)
     rng = np.random.Generator(np.random.PCG64(1))
-    x = rng.standard_normal(model.dim)
+    x = rng.standard_normal(model.means.shape[1])
     for t in (0.25, 0.5, 1.0):
         v = velocity(model, x, t)
         np.testing.assert_allclose(v, (x - model.means[0]) / t, rtol=1e-9, atol=1e-12)
@@ -104,7 +103,7 @@ def test_velocity_saturates_to_single_component_deep_in_basin():
     )
     t = 0.3
     # far into component 0's basin
-    x = (1 - t) * model.means[0] + 0.01 * np.ones(model.dim)
+    x = (1 - t) * model.means[0] + 0.01 * np.ones(model.means.shape[1])
     v_mix = velocity(model, x, t)
     v_one = velocity(single, x, t)
     rel = np.linalg.norm(v_mix - v_one) / np.linalg.norm(v_one)
@@ -114,7 +113,7 @@ def test_velocity_saturates_to_single_component_deep_in_basin():
 def test_velocity_rejects_time_outside_domain():
     # the flow pass trusts its callers' knots; the public entry points check t
     model = make_model()
-    x = latent(model, np.zeros(model.dim))
+    x = latent(model, np.zeros(model.means.shape[1]))
     for t in (0.0, 1.5):
         with pytest.raises(ValueError, match="time"):
             predict_x0(model, x, t)
@@ -129,7 +128,7 @@ def test_predict_x0_tiny_noise_returns_mean_for_any_state():
     model = make_model(k=1, sigma=1e-8)
     rng = np.random.Generator(np.random.PCG64(4))
     for t in (0.2, 0.9):
-        x = rng.standard_normal(model.dim) * 3
+        x = rng.standard_normal(model.means.shape[1]) * 3
         x0 = predict_x0(model, latent(model, x), t).data.reshape(-1)
         np.testing.assert_allclose(x0, model.means[0], rtol=0, atol=1e-16 * 10 / t + 1e-12)
 
@@ -138,7 +137,7 @@ def test_predict_x0_approaches_identity_at_small_time():
     sigma = 0.5
     model = make_model(k=2, sigma=sigma)
     rng = np.random.Generator(np.random.PCG64(5))
-    x = rng.standard_normal(model.dim)
+    x = rng.standard_normal(model.means.shape[1])
     x0 = predict_x0(model, latent(model, x), 1e-3).data.reshape(-1)
     assert np.abs(x0 - x).max() < sigma * 1e-2
 
@@ -148,7 +147,7 @@ def test_predict_x0_equals_independent_posterior_mean():
     model = make_model(seed=7, k=3, sigma=0.4, weights=[0.2, 0.5, 0.3])
     for _ in range(20):
         t = float(rng.uniform(0.05, 1.0))
-        x = rng.standard_normal(model.dim) * 1.5
+        x = rng.standard_normal(model.means.shape[1]) * 1.5
         got = predict_x0(model, latent(model, x), t).data.reshape(-1)
         want = posterior_mean_oracle(model, x, t)
         assert np.abs(got - want).max() < 1e-10
@@ -159,7 +158,7 @@ def test_predict_x0_equals_independent_posterior_mean():
 def test_posterior_mean_identity_property(seed, t):
     rng = np.random.Generator(np.random.PCG64(seed))
     model = make_model(seed=int(seed % 97), k=2, sigma=0.3)
-    x = rng.standard_normal(model.dim)
+    x = rng.standard_normal(model.means.shape[1])
     got = predict_x0(model, latent(model, x), t).data.reshape(-1)
     want = posterior_mean_oracle(model, x, t)
     assert np.abs(got - want).max() < 1e-10
@@ -174,8 +173,8 @@ def test_vjp_single_component_is_scalar_multiple_of_cotangent():
     # one component has Cov_r(mu) = 0: the product is (1 - t c1) u
     model = make_model(k=1, sigma=0.3)
     rng = np.random.Generator(np.random.PCG64(8))
-    x = rng.standard_normal(model.dim)
-    u = rng.standard_normal(model.dim)
+    x = rng.standard_normal(model.means.shape[1])
+    u = rng.standard_normal(model.means.shape[1])
     t = 0.4
     s2 = (1 - t) ** 2 * model.sigma**2 + t**2
     c1 = (t - (1 - t) * model.sigma**2) / s2
@@ -186,13 +185,13 @@ def test_vjp_single_component_is_scalar_multiple_of_cotangent():
 def test_vjp_matches_finite_differences_three_components():
     rng = np.random.Generator(np.random.PCG64(9))
     model = make_model(seed=10, k=3, n=2, channels=2, sigma=0.5)
-    x = rng.standard_normal(model.dim) * 0.7
-    u = rng.standard_normal(model.dim)
+    x = rng.standard_normal(model.means.shape[1]) * 0.7
+    u = rng.standard_normal(model.means.shape[1])
     t = 0.55
     got = predict_x0_vjp(model, x, t, u)
     h = 1e-5
-    fd = np.zeros(model.dim)
-    for i in range(model.dim):
+    fd = np.zeros(model.means.shape[1])
+    for i in range(model.means.shape[1]):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -205,7 +204,7 @@ def test_vjp_matches_finite_differences_three_components():
 
 def test_vjp_zero_cotangent():
     model = make_model()
-    out = predict_x0_vjp(model, np.zeros(model.dim), 0.7, np.zeros(model.dim))
+    out = predict_x0_vjp(model, np.zeros(model.means.shape[1]), 0.7, np.zeros(model.means.shape[1]))
     assert np.count_nonzero(out) == 0
 
 
@@ -268,19 +267,16 @@ def make_shape_model(n=4, sigma=0.2):
 
     lat_a = encode(BinaryGrid(shallow), params)
     lat_b = encode(BinaryGrid(deep), params)
-    model = MixtureFlowModel.from_latents([lat_a, lat_b], [0.25, 0.75], sigma)
+    means = np.stack([lat_a.data.reshape(-1), lat_b.data.reshape(-1)])
+    model = MixtureFlowModel(n=n, channels=2, means=means, weights=[0.25, 0.75], sigma=sigma)
     return model, params, BinaryGrid(shallow), BinaryGrid(deep)
 
 
 def test_condition_gamma_zero_is_identity():
     model, params, shallow, _ = make_shape_model()
     N = 4 * model.n
-    cond = VisibilityCondition(
-        mask=_visibility(N),
-        observation=OccupancyGrid(shallow.data.astype(float)),
-        gamma=0.0,
-    )
-    out = condition(model, cond, _decoded(model, params))
+    obs = OccupancyGrid(shallow.data.astype(float))
+    out = condition(model, _visibility(N), obs, 0.0, _decoded(model, params))
     np.testing.assert_array_equal(out.weights, model.weights)
 
 
@@ -301,8 +297,7 @@ def test_condition_concentrates_on_matching_components():
         sigma=model.sigma,
     )
     obs = decode(_mean(big, 1), params)  # observe the deep shape's rendering
-    cond = VisibilityCondition(mask=_visibility(N), observation=obs, gamma=100.0)
-    out = condition(big, cond, _decoded(big, params))
+    out = condition(big, _visibility(N), obs, 100.0, _decoded(big, params))
     assert out.weights[2] < 1e-6
     # the ambiguous pair splits mass proportionally to the prior (0.25 : 0.5)
     ratio = out.weights[0] / out.weights[1]
@@ -315,8 +310,7 @@ def test_condition_split_matches_closed_form_reweighting():
     vis = _visibility(N)
     obs = decode(_mean(model, 0), params)
     gamma = 3.0
-    cond = VisibilityCondition(mask=vis, observation=obs, gamma=gamma)
-    out = condition(model, cond, _decoded(model, params))
+    out = condition(model, vis, obs, gamma, _decoded(model, params))
     # independent reweighting computation
     energies = []
     for k in range(model.k):
@@ -329,22 +323,19 @@ def test_condition_split_matches_closed_form_reweighting():
 def test_condition_underflow_raises():
     model, params, *_ = make_shape_model()
     N = 4 * model.n
-    cond = VisibilityCondition(
-        mask=_visibility(N),
-        observation=OccupancyGrid(np.zeros((N, N, N))),
-        gamma=sys.float_info.max,  # times any energy above 1, -inf
-    )
-    with pytest.raises(ValueError, match="condition inconsistent with library"):
-        condition(model, cond, _decoded(model, params))
-
-
-def test_visibility_condition_rejects_empty_or_full_mask():
-    N = 8
     obs = OccupancyGrid(np.zeros((N, N, N)))
-    with pytest.raises(ValueError):
-        VisibilityCondition(BinaryGrid(np.zeros((N, N, N), dtype=bool)), obs, 1.0)
-    with pytest.raises(ValueError):
-        VisibilityCondition(BinaryGrid(np.ones((N, N, N), dtype=bool)), obs, 1.0)
+    gamma = sys.float_info.max  # times any energy above 1, -inf
+    with pytest.raises(ValueError, match="condition inconsistent with library"):
+        condition(model, _visibility(N), obs, gamma, _decoded(model, params))
+
+
+def test_condition_rejects_empty_or_full_mask():
+    model, params, *_ = make_shape_model()
+    N = 4 * model.n
+    obs = OccupancyGrid(np.zeros((N, N, N)))
+    for mask in (np.zeros((N, N, N), dtype=bool), np.ones((N, N, N), dtype=bool)):
+        with pytest.raises(ValueError, match="visibility mask must be non-empty"):
+            condition(model, BinaryGrid(mask), obs, 1.0, _decoded(model, params))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +354,13 @@ def test_time_grid_spans_one_to_t_min():
 
 def test_unguided_runs_land_on_components_with_weight_frequencies():
     model = make_model(seed=20, k=2, n=2, channels=2, sigma=0.05, weights=[0.3, 0.7])
-    x = np.random.Generator(np.random.PCG64(5)).standard_normal((400, model.dim))
+    x = np.random.Generator(np.random.PCG64(5)).standard_normal((400, model.means.shape[1]))
     finals = _integrate(model, x, steps=100)
     d = np.linalg.norm(finals[:, None, :] - model.means[None], axis=2)
     nearest = np.argmin(d, axis=1)
     freqs = np.bincount(nearest, minlength=2) / 400
     assert np.abs(freqs - model.weights).max() < 0.08
-    assert d[np.arange(400), nearest].max() < 3 * model.sigma * math.sqrt(model.dim)
+    assert d[np.arange(400), nearest].max() < 3 * model.sigma * math.sqrt(model.means.shape[1])
 
 
 def test_responsibilities_sum_to_one():
@@ -447,8 +438,8 @@ def test_flow_kernel_matches_the_formulas_it_replaced(k, tied, scale):
     model = kernel_model(k, tied)
     rng = np.random.Generator(np.random.PCG64(k))
     # states near the means, and far outside the support
-    x = (rng.standard_normal((3, model.dim)) + model.means[rng.integers(k, size=3)]) * scale
-    u = rng.standard_normal(model.dim)
+    x = (rng.standard_normal((3, model.means.shape[1])) + model.means[rng.integers(k, size=3)]) * scale
+    u = rng.standard_normal(model.means.shape[1])
     for t in (1.0, 0.7, 0.3, T_MIN_DEFAULT):
         r_want = np.exp(log_responsibilities_oracle(model, x, t))
         assert_close_rel(np.exp(_log_responsibilities(model, x, t)), r_want)
@@ -478,8 +469,8 @@ def test_vjp_equals_the_dense_jacobian_reference(k, tied):
         # near the midpoint of two components' marginal means, where their
         # responsibilities mix
         s_t = math.sqrt((1.0 - t) ** 2 * model.sigma**2 + t**2)
-        x = (1.0 - t) * model.means[: min(k, 2)].mean(axis=0) + 1e-3 * s_t * rng.standard_normal(model.dim)
-        u = rng.standard_normal(model.dim)
+        x = (1.0 - t) * model.means[: min(k, 2)].mean(axis=0) + 1e-3 * s_t * rng.standard_normal(model.means.shape[1])
+        u = rng.standard_normal(model.means.shape[1])
         assert_close_rel(predict_x0_vjp(model, x, t, u), oracles.predict_x0_vjp(model, x, t, u))
 
 
@@ -490,7 +481,7 @@ def test_velocity_reference_gives_the_posterior_mean():
     rng = np.random.Generator(np.random.PCG64(61))
     model = make_model(seed=7, k=3, sigma=0.4, weights=[0.2, 0.5, 0.3])
     for t in (0.95, 0.6, 0.2):
-        x = rng.standard_normal(model.dim) * 1.5
+        x = rng.standard_normal(model.means.shape[1]) * 1.5
         got = x - t * oracles.velocity(model, x, t)
         assert np.abs(got - posterior_mean_oracle(model, x, t)).max() < 1e-10
 
@@ -500,11 +491,11 @@ def test_dense_jacobian_reference_matches_finite_differences():
     model = make_model(seed=10, k=3, n=2, channels=2, sigma=0.5)
     for t in (0.8, 0.55, 0.3):
         # between the components, where the covariance term is not negligible
-        x = (1.0 - t) * model.means.mean(axis=0) + 0.1 * rng.standard_normal(model.dim)
+        x = (1.0 - t) * model.means.mean(axis=0) + 0.1 * rng.standard_normal(model.means.shape[1])
         h = 1e-5
-        fd = np.empty((model.dim, model.dim))
-        for i in range(model.dim):
-            e = np.zeros(model.dim)
+        fd = np.empty((model.means.shape[1], model.means.shape[1]))
+        for i in range(model.means.shape[1]):
+            e = np.zeros(model.means.shape[1])
             e[i] = h
             fd[:, i] = (oracles.velocity(model, x + e, t) - oracles.velocity(model, x - e, t)) / (2 * h)
         J = oracles.velocity_jacobian(model, x, t)
@@ -523,7 +514,7 @@ def test_mean_norms_follow_the_means_through_replace():
 
 def test_all_components_underflow_raises_floating_point_error():
     model = make_model(seed=51, k=3)
-    x = np.full((1, model.dim), 1e200)
+    x = np.full((1, model.means.shape[1]), 1e200)
     with pytest.raises(FloatingPointError, match="underflowed"):
         _log_responsibilities(model, x, 0.5)
     with pytest.raises(FloatingPointError, match="underflowed"):

@@ -11,7 +11,6 @@ from contact_flow.voxelcore import (
     Cylinder,
     LBracket,
     OccupancyGrid,
-    PointCloud,
     SphereCappedBox,
     UnionOfBoxes,
     binarize,
@@ -103,12 +102,12 @@ PRIMITIVES = [
 
 def test_full_cube_box_fills_grid():
     grid = voxelize_primitive(Box(lo=(0, 0, 0), hi=(1, 1, 1)), 4)
-    assert grid.count == 64
+    assert grid.data.sum() == 64
 
 
 def test_half_space_box_fills_lower_slabs():
     grid = voxelize_primitive(Box(lo=(0, 0, 0), hi=(0.5, 1, 1)), 4)
-    assert grid.count == 32
+    assert grid.data.sum() == 32
     assert grid.data[:2].all()
     assert not grid.data[2:].any()
 
@@ -119,10 +118,10 @@ def test_l_bracket_count_matches_inclusion_exclusion_and_brute_force():
     bracket = LBracket(b1, b2)
     N = 64
     grid = voxelize_primitive(bracket, N)
-    c1 = voxelize_primitive(b1, N).count
-    c2 = voxelize_primitive(b2, N).count
+    c1 = voxelize_primitive(b1, N).data.sum()
+    c2 = voxelize_primitive(b2, N).data.sum()
     overlap = int((voxelize_primitive(b1, N).data & voxelize_primitive(b2, N).data).sum())
-    assert grid.count == c1 + c2 - overlap
+    assert grid.data.sum() == c1 + c2 - overlap
 
     # independent per-voxel point-in-solid check
     ax = (np.arange(N) + 0.5) / N
@@ -136,27 +135,66 @@ def test_l_bracket_count_matches_inclusion_exclusion_and_brute_force():
     assert np.array_equal(grid.data, in1 | in2)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        Box(lo=(0.2, 0.2, 0.2), hi=(0.2, 0.8, 0.8)),
-        Box(lo=(0.5, 0.2, 0.2), hi=(0.4, 0.8, 0.8)),
-        Cylinder(axis=0, center=(0.5, 0.5), radius=0.0, lo=0.2, hi=0.8),
-        Cylinder(axis=1, center=(0.5, 0.5), radius=0.2, lo=0.7, hi=0.7),
-        UnionOfBoxes(boxes=()),
-        SphereCappedBox(Box((0.2, 0.2, 0.2), (0.8, 0.8, 0.8)), cap_axis=2, cap_radius=0.0),
-        # a cylinder center that is not a 2-vector
-        *(Cylinder(axis=0, center=c, radius=0.2, lo=0.1, hi=0.9) for c in [(), (0.5,), (0.5, 0.5, 0.5)]),
-    ],
-)
+_BOX_FIELDS = {"lo": [0.2, 0.2, 0.2], "hi": [0.8, 0.8, 0.8]}
+_FLAT_BOX = {"lo": [0.2, 0.2, 0.2], "hi": [0.2, 0.8, 0.8]}
+_BOX = {"kind": "box", **_BOX_FIELDS}
+_CYLINDER = {"kind": "cylinder", "axis": 0, "center": [0.5, 0.5], "radius": 0.2, "lo": 0.1, "hi": 0.9}
+
+# invalid primitives in scenario-file form, each with the field its error names
+DEGENERATE = [
+    ({"kind": "box", **_FLAT_BOX}, "hi"),
+    ({**_BOX, "lo": [0.5, 0.2, 0.2], "hi": [0.4, 0.8, 0.8]}, "hi"),
+    ({**_CYLINDER, "radius": 0.0}, "radius"),
+    ({**_CYLINDER, "axis": 1, "lo": 0.7, "hi": 0.7}, "hi"),
+    ({"kind": "union_of_boxes", "boxes": []}, "boxes"),
+    ({"kind": "sphere_capped_box", "box": _BOX_FIELDS, "cap_axis": 2, "cap_radius": 0.0}, "cap_radius"),
+    # a cylinder center that is not a 2-vector
+    *(({**_CYLINDER, "center": c}, "center") for c in [[], [0.5], [0.5, 0.5, 0.5]]),
+    ({**_BOX, "lo": [0.2, 0.2]}, "lo"),
+    ({**_CYLINDER, "axis": 3}, "axis"),
+    ({"kind": "sphere_capped_box", "box": _BOX_FIELDS, "cap_axis": -1, "cap_radius": 0.1}, "cap_axis"),
+    ({"kind": "l_bracket", "first": _BOX_FIELDS, "second": _FLAT_BOX}, "hi"),
+    ({"kind": "union_of_boxes", "boxes": [_BOX_FIELDS, _FLAT_BOX]}, "hi"),
+]
+OUT_OF_CUBE = [
+    ({**_BOX, "lo": [-0.1, 0.0, 0.0], "hi": [0.5, 0.5, 0.5]}, "lo"),
+    ({**_BOX, "hi": [0.8, 1.5, 0.8]}, "hi"),
+    ({**_CYLINDER, "center": [0.1, 0.5]}, "center"),
+    ({**_CYLINDER, "radius": 0.6}, "radius"),
+    ({**_CYLINDER, "hi": 1.2}, "hi"),
+    ({"kind": "sphere_capped_box", "box": _BOX_FIELDS, "cap_axis": 0, "cap_radius": 0.3}, "cap_radius"),
+]
+
+
+def construct(spec: dict):
+    """The primitive of file-form `spec`, built by calling the primitive classes."""
+    cls = {"box": Box, "cylinder": Cylinder, "l_bracket": LBracket,
+           "union_of_boxes": UnionOfBoxes, "sphere_capped_box": SphereCappedBox}[spec["kind"]]
+    args = {key: value for key, value in spec.items() if key != "kind"}
+    for key in ("first", "second", "box"):
+        if key in args:
+            args[key] = Box(**args[key])
+    if "boxes" in args:
+        args["boxes"] = tuple(Box(**box) for box in args["boxes"])
+    return cls(**args)
+
+
+@pytest.mark.parametrize("bad", DEGENERATE + OUT_OF_CUBE)
 def test_degenerate_primitives_rejected(bad):
-    with pytest.raises(ValueError):
-        voxelize_primitive(bad, 16)
+    # refused where the file is read, naming the field, and by the constructor
+    spec, field = bad
+    with pytest.raises(ValueError) as info:
+        primitive_from_dict(spec)
+    assert field in str(info.value)
+    with pytest.raises(ValueError) as info:
+        construct(spec)
+    assert field in str(info.value)
 
 
 def test_out_of_cube_parameters_rejected():
-    with pytest.raises(ValueError):
-        voxelize_primitive(Box(lo=(-0.1, 0, 0), hi=(0.5, 0.5, 0.5)), 8)
+    for spec, _ in OUT_OF_CUBE:
+        with pytest.raises(ValueError, match="must lie inside the unit cube"):
+            primitive_from_dict(spec)
 
 
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
@@ -296,7 +334,7 @@ def test_surface_of_single_voxel_is_its_center():
     data[1, 2, 3] = True
     cloud = extract_surface(BinaryGrid(data))
     assert len(cloud) == 1
-    np.testing.assert_allclose(cloud.points[0], [(1 + 0.5) / 4, (2 + 0.5) / 4, (3 + 0.5) / 4])
+    np.testing.assert_allclose(cloud[0], [(1 + 0.5) / 4, (2 + 0.5) / 4, (3 + 0.5) / 4])
 
 
 def test_surface_of_full_small_cube_is_shell():
@@ -337,7 +375,7 @@ def test_surface_matches_brute_force_neighbor_scan(seed):
     if not data.any():
         data[0, 0, 0] = True
     cloud = extract_surface(BinaryGrid(data))
-    got = {tuple(point_to_index(p, 8)) for p in cloud.points}
+    got = {tuple(point_to_index(p, 8)) for p in cloud}
     assert got == brute_force_surface(data)
 
 
@@ -361,8 +399,8 @@ def test_box_surface_points_lie_on_face_slabs():
     hi = np.asarray(box.hi)
     on_face = np.zeros(len(cloud), dtype=bool)
     for axis in range(3):
-        on_face |= np.abs(cloud.points[:, axis] - lo[axis]) <= half_pitch
-        on_face |= np.abs(cloud.points[:, axis] - hi[axis]) <= half_pitch
+        on_face |= np.abs(cloud[:, axis] - lo[axis]) <= half_pitch
+        on_face |= np.abs(cloud[:, axis] - hi[axis]) <= half_pitch
     assert on_face.all()
 
 
@@ -372,11 +410,11 @@ def test_box_surface_points_lie_on_face_slabs():
 
 
 def test_binarize_all_zeros_empty():
-    assert binarize(OccupancyGrid(np.zeros((4, 4, 4)))).count == 0
+    assert binarize(OccupancyGrid(np.zeros((4, 4, 4)))).data.sum() == 0
 
 
 def test_binarize_all_ones_full():
-    assert binarize(OccupancyGrid(np.ones((4, 4, 4)))).count == 64
+    assert binarize(OccupancyGrid(np.ones((4, 4, 4)))).data.sum() == 64
 
 
 def test_binarize_checkerboard_keeps_high_cells():
@@ -497,7 +535,7 @@ def test_grid_container_rejects_garbage():
         grid_from_bytes(b"not a grid at all, sorry")
 
 
-def load_ply(path) -> PointCloud:
+def load_ply(path) -> np.ndarray:
     """Reader of save_ply's ASCII PLY files, for the round-trip tests."""
     with open(path) as f:
         lines = f.read().splitlines()
@@ -505,7 +543,7 @@ def load_ply(path) -> PointCloud:
     count = next(int(line.split()[-1]) for line in lines[:end] if line.startswith("element vertex"))
     pts = np.array([[float(v) for v in line.split()] for line in lines[end + 1 :]], dtype=np.float64)
     assert len(pts) == count
-    return PointCloud(pts.reshape(count, 3))
+    return pts.reshape(count, 3)
 
 
 @pytest.mark.parametrize("kind", ["occupancy", "binary"])
@@ -547,15 +585,15 @@ def test_grid_loader_error_messages(blob, message):
 
 
 def test_ply_roundtrip(tmp_path):
-    cloud = PointCloud(np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]]))
+    cloud = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
     save_ply(cloud, tmp_path / "c.ply")
     text = (tmp_path / "c.ply").read_text()
     assert text.startswith("ply\nformat ascii 1.0")
     loaded = load_ply(tmp_path / "c.ply")
-    np.testing.assert_allclose(loaded.points, cloud.points, atol=1e-7)
+    np.testing.assert_allclose(loaded, cloud, atol=1e-7)
 
 
-def save_ply_oracle(cloud: PointCloud, path) -> None:
+def save_ply_oracle(cloud: np.ndarray, path) -> None:
     """The per-point f-string PLY writer that save_ply replaced."""
     lines = [
         "ply",
@@ -566,7 +604,7 @@ def save_ply_oracle(cloud: PointCloud, path) -> None:
         "property float z",
         "end_header",
     ]
-    lines.extend(f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f}" for p in cloud.points)
+    lines.extend(f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f}" for p in cloud)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -583,7 +621,7 @@ def test_save_ply_matches_fstring_writer_on_voxel_centers(tmp_path, N):
     occupied = rng.random((N, N, N)) < 0.3
     cloud = extract_surface(BinaryGrid(occupied))
     assert_ply_bytes_match_oracle(cloud, tmp_path)
-    assert_ply_bytes_match_oracle(PointCloud(index_to_point(np.argwhere(occupied), N)), tmp_path)
+    assert_ply_bytes_match_oracle(index_to_point(np.argwhere(occupied), N), tmp_path)
 
 
 def test_save_ply_matches_fstring_writer_on_arbitrary_floats(tmp_path):
@@ -601,12 +639,12 @@ def test_save_ply_matches_fstring_writer_on_arbitrary_floats(tmp_path):
         ]
     )
     rng.shuffle(pts)
-    cloud = PointCloud(pts[: len(pts) // 3 * 3].reshape(-1, 3))
+    cloud = pts[: len(pts) // 3 * 3].reshape(-1, 3)
     assert_ply_bytes_match_oracle(cloud, tmp_path)
 
 
 def test_save_ply_matches_fstring_writer_on_an_empty_cloud(tmp_path):
-    cloud = PointCloud(np.empty((0, 3)))
+    cloud = np.empty((0, 3))
     assert_ply_bytes_match_oracle(cloud, tmp_path)
     assert len(load_ply(tmp_path / "new.ply")) == 0
 
@@ -641,4 +679,4 @@ def test_grid_loader_rejects_a_resolution_below_one(n):
 def test_binary_payload_is_ceil_of_n_cubed_over_eight_bytes(N, length):
     blob = grid_to_bytes(BinaryGrid(np.ones((N, N, N), dtype=bool)))
     assert len(blob) - 20 == length
-    assert grid_from_bytes(blob).count == N**3
+    assert grid_from_bytes(blob).data.sum() == N**3
