@@ -9,15 +9,18 @@ change first in odd ones, and the workloads are interleaved pair by pair.
 Each pair's end-to-end metrics are printed as they arrive, then per workload
 and metric the medians and quartiles (numpy percentile, linear) of both sides,
 the parent's IQR and the pairs the change wins.  Each run's wall-clock unit
-p50 seconds and its reference-kernel p50 seconds, the divisor of its unit
-times, are recorded and printed next to its metrics, and summarized the same
-way under each workload's table, so a reader can tell whether a change of
-run_ref came from the unit or from the kernel.
+p50 and tail seconds (run_s.pNN, at the percentile run_ref.tail takes) and its
+reference-kernel p50 seconds, the divisor of its unit times, are recorded and
+printed next to its metrics, and summarized the same way under each
+workload's table.  A last line per run_ref figure puts the median changes of
+run_ref, of the unit's wall clock and of the kernel side by side, so a reader
+can tell whether a change of run_ref came from the unit or from the kernel.
 With --claim WORKLOAD:METRIC (a BENCHMARK.json workload and end-to-end metric)
 the rule is tested: the change must be better in at least 9 of the 10 pairs
-and its median must beat the parent's by more than the parent's IQR.  The exit
-code is 1 if the claim does not hold or a run's output check failed, 0
-otherwise.
+and its median must beat the parent's by more than the parent's IQR.  A note
+is printed when the claimed workload's kernel moved more than its unit: that
+run_ref change is the kernel's, not the unit's.  The exit code is 1 if the
+claim does not hold or a run's output check failed, 0 otherwise.
 
 The record is written to --out as JSON; the keys it does not write of an
 existing file are kept, so other evidence can sit next to it.
@@ -41,11 +44,15 @@ SIDES = ("parent", "change")
 PAIRS = 10
 WINS_NEEDED = 9
 SEED0 = 1001
-# the wall-clock line of a run's report: the unit p50 seconds, and the p50
-# seconds of the reference kernel that the unit times are divided by
-WALL_CLOCK = re.compile(r"wall clock: run_s\.p50 (\S+) s, .*reference kernel p50 (\S+) s")
+# the wall-clock line of a run's report: the unit p50 and tail seconds, and the
+# p50 seconds of the reference kernel that the unit times are divided by
+WALL_CLOCK = re.compile(
+    r"wall clock: run_s\.p50 (\S+) s, run_s\.p\d+ (\S+) s, .*reference kernel p50 (\S+) s"
+)
 # what a run records from its wall-clock line, in the order of the pattern's groups
-WALL_CLOCK_KEYS = ("run_s.p50", "ref_kernel_p50_s")
+WALL_CLOCK_KEYS = ("run_s.p50", "run_s.tail", "ref_kernel_p50_s")
+# each run_ref figure and the unit wall-clock figure it is made from
+UNIT_FIGURE = {"run_ref.p50": "run_s.p50", "run_ref.tail": "run_s.tail"}
 
 
 def parse_report(stdout: str) -> tuple[dict, dict] | None:
@@ -105,6 +112,19 @@ def summarize_wall_clock(runs: dict) -> dict:
     the pairs: whether a change of run_ref came from the unit or the kernel."""
     return {key: compare({side: [r[key] for r in runs[side]] for side in SIDES}, "lower")
             for key in WALL_CLOCK_KEYS}
+
+
+def median_moves(block: dict) -> dict:
+    """Per run_ref figure of a workload's summary, the relative change of the
+    median (change / parent - 1) of run_ref, of the unit's wall clock it is
+    made from and of the reference kernel it is divided by."""
+
+    def move(m: dict) -> float:
+        return m["change"]["median"] / m["parent"]["median"] - 1.0
+
+    return {ref: {"run_ref": move(block["metrics"][ref]), "unit": move(block[unit]),
+                  "kernel": move(block["ref_kernel_p50_s"])}
+            for ref, unit in UNIT_FIGURE.items()}
 
 
 def format_row(name: str, m: dict) -> str:
@@ -196,6 +216,7 @@ def main(parent_dir, change_dir, claim, out_path):
             **summarize_wall_clock(runs[w]),
             "metrics": summarize(runs[w], better),
         }
+        block["median_change"] = median_moves(block)
         record["workloads"][w] = block
         correct &= all(block["correct"].values())
         print(f"{w}: correct parent={block['correct']['parent']} change={block['correct']['change']}")
@@ -204,6 +225,10 @@ def main(parent_dir, change_dir, claim, out_path):
         print("  wall clock, seconds:")
         for key in WALL_CLOCK_KEYS:
             print(format_row(key, block[key]))
+        for ref, unit in UNIT_FIGURE.items():
+            m = block["median_change"][ref]
+            print(f"  median change: {ref} {m['run_ref']:+.2%}, {unit} {m['unit']:+.2%}, "
+                  f"reference kernel {m['kernel']:+.2%}")
     held = True
     if claim is not None:
         w, name = claim.split(":")
@@ -214,6 +239,11 @@ def main(parent_dir, change_dir, claim, out_path):
         print(f"claim {claim}: median difference {c['median_difference']:.4g}, parent IQR "
               f"{c['parent_iqr']:.4g}, change wins {c['change_wins']}/{PAIRS}: "
               f"{'holds' if held else 'does not hold'}")
+        m = record["workloads"][w]["median_change"][name if name in UNIT_FIGURE else "run_ref.p50"]
+        c["kernel_moved_more"] = abs(m["kernel"]) > abs(m["unit"])
+        if c["kernel_moved_more"]:
+            print(f"note: on {w} the reference kernel's median moved {m['kernel']:+.2%} and the "
+                  f"unit's wall clock {m['unit']:+.2%}; the run_ref change is the kernel's, not a gain")
     out = Path(out_path)
     kept = json.loads(out.read_text()) if out.exists() else {}
     out.write_text(json.dumps({**kept, **record}, indent=1) + "\n")

@@ -138,7 +138,7 @@ def contact_residuals(output: BinaryGrid, contacts: ContactSet) -> np.ndarray:
 
 
 def evaluate_run(
-    output: OccupancyGrid,
+    output: OccupancyGrid | BinaryGrid,
     gt: BinaryGrid,
     contacts: ContactSet,
     scenario: str = "",
@@ -146,7 +146,7 @@ def evaluate_run(
     seed: int = -1,
     final_J: float = math.nan,
 ) -> MetricsReport:
-    """Surface metrics of a generated occupancy against ground truth.
+    """Surface metrics of a generated occupancy, or its binary shape, against ground truth.
 
     Both surface clouds are mapped by the ground-truth cloud's unit-cube
     transform, so prediction scale errors stay visible.  The distances equal

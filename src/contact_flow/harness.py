@@ -219,6 +219,11 @@ def generate_run(
 
     add_artifact("contacts", "contacts.json", contacts.save)
 
+    def add_trajectory(trajectory: GuidedTrajectory) -> None:
+        add_artifact("trajectory", "trajectory.jsonl", trajectory.dump_jsonl)
+        # an inner step applies guidance when its weight lambda is not 0
+        manifest["guidance_applied_steps"] = sum(rec.lam != 0.0 for rec in trajectory.records)
+
     trajectory: GuidedTrajectory | None = None
     try:
         if aborted is not None:
@@ -235,7 +240,7 @@ def generate_run(
         manifest["failure"] = {"step": abort.step, "inner": abort.inner, "reason": abort.reason}
         manifest["timings"]["generate_s"] = time.perf_counter() - t0
         if abort.trajectory is not None:
-            add_artifact("trajectory", "trajectory.jsonl", abort.trajectory.dump_jsonl)
+            add_trajectory(abort.trajectory)
         _write_json(out / MANIFEST_NAME, manifest)
         raise
     manifest["timings"]["generate_s"] = time.perf_counter() - t0
@@ -247,7 +252,7 @@ def generate_run(
         surface = extract_surface(binary)
         add_artifact("surface", "surface.ply", lambda p: save_ply(surface, p))
     if trajectory is not None:
-        add_artifact("trajectory", "trajectory.jsonl", trajectory.dump_jsonl)
+        add_trajectory(trajectory)
         manifest["final_J"] = trajectory.final_J
     _write_json(out / MANIFEST_NAME, manifest)
     return manifest
@@ -309,17 +314,17 @@ def rerun_manifest(manifest: dict, out_dir) -> dict:
 
 
 def evaluate_run_dir(run_dir) -> MetricsReport:
-    """Evaluate one run directory against its scenario's true primitive, voxelized."""
+    """Evaluate a run directory's shape.grid against its scenario's true primitive, voxelized."""
     run = Path(run_dir)
     manifest = load_manifest(run)
     if manifest.get("failure"):
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
     scenario = _run_scenario(manifest)
     artifacts = _expect(_require(manifest, "artifacts", "manifest"), dict, "manifest artifacts")
-    occupancy = load_grid(run / _artifact_entry(artifacts, "occupancy", "path"))
+    shape = load_grid(run / _artifact_entry(artifacts, "shape", "path"))
     contacts = ContactSet.load(run / _artifact_entry(artifacts, "contacts", "path"))
     report = evaluate_run(
-        occupancy,
+        shape,
         voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
         contacts,
         scenario=scenario.name,

@@ -161,10 +161,6 @@ class Scenario:
         library = tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(entries))
         return _read(cls, d, "", "scenario", ("name", "grid", "library"), name=name, n=n, library=library)
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            yaml.safe_dump(self.to_dict(), f, sort_keys=False)
-
     @classmethod
     def load(cls, path) -> "Scenario":
         try:
@@ -203,14 +199,12 @@ class BuiltScenario:
     contacts: ContactSet
 
 
-def ambiguous_pairs(decoded, visibility: BinaryGrid) -> tuple[tuple[int, int], ...]:
-    """Pairs of decoded components (OccupancyGrids) that binarize identically on the
-    visible region while differing on >= HIDDEN_DIFF_FRACTION of their union in
-    the hidden region."""
-    bins = [binarize(s).data for s in decoded]
+def ambiguous_pairs(shapes, visibility: BinaryGrid) -> tuple[tuple[int, int], ...]:
+    """Pairs of binary component shapes identical on the visible region that differ
+    on >= HIDDEN_DIFF_FRACTION of their union in the hidden region."""
     visible = visibility.data
     pairs = []
-    for (i, a), (j, b) in itertools.combinations(enumerate(bins), 2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(s.data for s in shapes), 2):
         sym = a ^ b
         union = int((a | b).sum())
         hidden = int((sym & ~visible).sum())
@@ -252,7 +246,6 @@ def _seed_independent(geometry: _Geometry):
     params = DecoderParams.default(channels=8, beta=scenario.beta)
     grids = tuple(voxelize_primitive(p, N) for p in scenario.library)
     latents = [encode(g, params) for g in grids]
-    decoded = tuple(decode(lat, params) for lat in latents)
     k = len(grids)
     prior = MixtureFlowModel(
         n=scenario.n,
@@ -263,8 +256,21 @@ def _seed_independent(geometry: _Geometry):
         component_ids=tuple(f"{scenario.name}/shape_{i}" for i in range(k)),
     )
     visibility = scenario.visibility.mask(N)
-    model = condition(prior, visibility, decoded[scenario.true_index], scenario.gamma, decoded)
-    unmet = scenario.ambiguous and not ambiguous_pairs(decoded, visibility)
+    if visibility.is_empty() or bool(visibility.data.all()):
+        raise ValueError("visibility mask must be non-empty and not cover the full volume")
+    # each library latent is decoded once, the true shape's first (it is the
+    # observation), and reduced at once to its visible mismatch energy and its
+    # binary shape
+    v, t = visibility.data, scenario.true_index
+    energies, shapes, observed = np.empty(k), [None] * k, None
+    for i in sorted(range(k), key=lambda i: i != t):
+        s = decode(latents[i], params)
+        if observed is None:
+            observed = s.data[v]
+        energies[i], shapes[i] = np.sum((s.data[v] - observed) ** 2), binarize(s)
+        del s  # freed before the next decode
+    model = condition(prior, energies, scenario.gamma)
+    unmet = scenario.ambiguous and not ambiguous_pairs(shapes, visibility)
     return params, grids, visibility, model, unmet
 
 
@@ -275,8 +281,8 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
     Only the contacts depend on the seeds, so the rest is kept for the
     scenario built last and shared by its runs.
     With `run_index`, the scenario is built for that paired run (`Scenario.for_run`).
-    Raises ValueError if a primitive is empty at this resolution, the contacts
-    outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
+    Raises ValueError if a primitive, the visible or the hidden half is empty at this
+    resolution, the contacts outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
     """
     if run_index is not None:
         scenario = scenario.for_run(run_index)

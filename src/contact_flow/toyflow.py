@@ -36,8 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decoder import UPSAMPLE_FACTOR
-from .voxelcore import BinaryGrid, LatentGrid, OccupancyGrid, _freeze
+from .voxelcore import LatentGrid, _freeze
 
 T_MIN_DEFAULT = 1e-3
 
@@ -184,27 +183,13 @@ def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
     return LatentGrid(rng.standard_normal(model.latent_shape()))
 
 
-def condition(
-    model: MixtureFlowModel, mask: BinaryGrid, observation: OccupancyGrid, gamma: float,
-    decoded: tuple[OccupancyGrid, ...],
-) -> MixtureFlowModel:
-    """Reweight components by how well their decoded means match `observation`
-    where `mask` is True (observed; the rest is hidden), with sharpness gamma.
-
-    With decoded[k] = decode(mu_k): w_k' propto w_k * exp(-gamma * sum_visible
-    (decoded[k] - o)^2), computed with log-sum-exp stabilization.
-    """
-    if mask.is_empty() or bool(mask.data.all()):
-        raise ValueError("visibility mask must be non-empty and not cover the full volume")
-    if mask.resolution != observation.resolution:
-        raise ValueError("mask and observation resolutions differ")
+def condition(model: MixtureFlowModel, energies: np.ndarray, gamma: float) -> MixtureFlowModel:
+    """Reweight components by their energies, each one's mismatch with the observation:
+    w_k' propto w_k * exp(-gamma * energies[k]), computed with log-sum-exp stabilization."""
     if not 0.0 <= gamma < np.inf:
         raise ValueError("sharpness gamma must be non-negative and finite")
-    if mask.resolution != UPSAMPLE_FACTOR * model.n or len(decoded) != model.k:
-        raise ValueError("condition needs the model's paired grid and one shape per component")
-    v = mask.data
-    obs = observation.data[v]
-    energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
+    if np.shape(energies) != (model.k,):
+        raise ValueError("condition needs one energy per component")
     # a prior weight of 0 has log -inf, and gamma * energy may overflow: both a
     # mass of 0, checked below
     with np.errstate(over="ignore", divide="ignore"):

@@ -118,9 +118,10 @@ class OccupancyGrid:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"occupancy grid must be cubic (N, N, N), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # a NaN is the min and the max
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("occupancy grid contains non-finite entries")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("occupancy values must lie in [0, 1]")
         object.__setattr__(self, "data", _freeze(arr))
 
@@ -461,8 +462,8 @@ def surface_mask(grid: BinaryGrid) -> np.ndarray:
     return interior
 
 
-def binarize(s: OccupancyGrid, threshold: float = 0.5) -> BinaryGrid:
-    """Threshold continuous occupancy: occupied iff s >= threshold."""
+def binarize(s: OccupancyGrid | BinaryGrid, threshold: float = 0.5) -> BinaryGrid:
+    """Threshold continuous occupancy: occupied iff s >= threshold; a BinaryGrid keeps its voxels."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     return BinaryGrid(s.data >= threshold)

@@ -9,7 +9,10 @@ a full scan.  Each reference has a finite-difference or hand-computed test of
 its own next to the tests of the kernel it checks.
 """
 
+import dataclasses
+
 import numpy as np
+from scipy.special import logsumexp
 
 
 def sigmoid(z):
@@ -100,6 +103,19 @@ def velocity_jacobian(model, x: np.ndarray, t: float) -> np.ndarray:
 def predict_x0_vjp(model, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
     """(I - t J_v)^T u: the transpose-Jacobian product of the one-step prediction x - t v_t(x)."""
     return u - t * (velocity_jacobian(model, x, t).T @ u)
+
+
+def condition(model, mask, observation, gamma: float, decoded):
+    """The model conditioned on `observation` where `mask` is True (observed):
+    w_k' propto w_k exp(-gamma sum_visible (decoded[k] - o)^2), with decoded[k]
+    the OccupancyGrid of mu_k, each energy a sum over the masked voxels, the
+    weights normalized with scipy's logsumexp."""
+    v = mask.data
+    obs = observation.data[v]
+    energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
+    with np.errstate(over="ignore", divide="ignore"):  # a weight of 0 stays 0
+        logits = np.log(model.weights) - gamma * energies
+    return dataclasses.replace(model, weights=np.exp(logits - logsumexp(logits, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------

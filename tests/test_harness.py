@@ -13,7 +13,13 @@ import yaml
 from click.testing import CliRunner
 
 from contact_flow import harness
-from contact_flow.evaluation import F_SCORE_COLUMNS, F_SCORE_THRESHOLDS, MetricsReport, read_metrics_csv
+from contact_flow.evaluation import (
+    F_SCORE_COLUMNS,
+    F_SCORE_THRESHOLDS,
+    MetricsReport,
+    evaluate_run,
+    read_metrics_csv,
+)
 from contact_flow.guidance import GenerationAborted
 from contact_flow.harness import (
     EXIT_CONFIG_ERROR,
@@ -40,7 +46,7 @@ from contact_flow.scenarios import (
     build_scenario,
     suite_scenario,
 )
-from contact_flow.voxelcore import Box
+from contact_flow.voxelcore import Box, OccupancyGrid, load_grid
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,11 @@ def scenario():
 
 def with_seeds(scenario, **seeds):
     return dataclasses.replace(scenario, seeds=dataclasses.replace(scenario.seeds, **seeds))
+
+
+def write_scenario(scenario, path):
+    """A scenario file, as Scenario.load reads it."""
+    path.write_text(yaml.safe_dump(scenario.to_dict(), sort_keys=False))
 
 
 def artifact_hashes(manifest):
@@ -134,6 +145,25 @@ def test_generation_abort_writes_partial_manifest(tmp_path, scenario):
     assert records[-2]["g_norm"] is None
 
 
+@pytest.mark.parametrize("changes, applied", [({}, 33), ({"beta": 1.0e300}, 0)], ids=["default-beta", "beta-1e300"])
+def test_guided_manifest_counts_the_inner_steps_that_applied_guidance(tmp_path, changes, applied):
+    # 12 timesteps of 3 inner steps; at the default beta only the first
+    # timestep's three, where grad_xt is 0, apply none, and at 1e300 the
+    # attenuation suppresses every one
+    sc = dataclasses.replace(suite_scenario("depth_boxes", n=4), **changes)
+    run = tmp_path / "guided"
+    manifest = generate_run(sc, run, mode="guided")
+    lines = (run / "trajectory.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    assert len(records) == 36
+    assert manifest["guidance_applied_steps"] == applied == sum(r["lambda"] != 0 for r in records)
+    assert load_manifest(run)["guidance_applied_steps"] == applied
+    # a manifest field, in no hashed artifact, and only a guided run has one
+    assert all("guidance_applied_steps" not in (run / a["path"]).read_text(errors="replace")
+               for a in manifest["artifacts"].values())
+    assert "guidance_applied_steps" not in generate_run(sc, tmp_path / "unguided", mode="unguided")
+
+
 def test_method_labels(scenario):
     cfg = scenario.guidance_config()
     assert method_label("unguided", cfg) == "unguided"
@@ -168,6 +198,38 @@ def test_evaluate_run_dir_reads_only_the_true_shape(tmp_path, scenario, monkeypa
 
     monkeypatch.setattr(harness, "build_scenario", rebuild)
     assert json.dumps(evaluate_run_dir(run).to_json_dict(), sort_keys=True) == expected
+
+
+def test_evaluate_run_dir_scores_the_shape_the_run_wrote(tmp_path, scenario, monkeypatch):
+    # a voxel just below the threshold, which the float32 occupancy.grid rounds up to it
+    below = 0.5 - 2.0**-30
+    assert np.float32(below) == 0.5
+    sample = harness.unguided_sample
+
+    def with_a_voxel_below_the_threshold(*args):
+        data = sample(*args).data.copy()
+        assert data[0, 0, 0] < below
+        data[0, 0, 0] = below
+        return OccupancyGrid(data)
+
+    monkeypatch.setattr(harness, "unguided_sample", with_a_voxel_below_the_threshold)
+    run = tmp_path / "run"
+    generate_run(scenario, run, mode="unguided")
+    built = build_scenario(scenario)
+    occupancy = with_a_voxel_below_the_threshold(
+        built.model, built.decoder, scenario.guidance_config(), scenario.seeds.guided
+    )
+    assert not built.ground_truth.data[0, 0, 0]
+
+    def score(output):
+        report = evaluate_run(output, built.ground_truth, built.contacts, scenario=scenario.name,
+                              method="unguided", seed=scenario.seeds.guided)
+        return json.dumps(report.to_json_dict(), sort_keys=True)
+
+    want = score(occupancy)
+    assert json.dumps(evaluate_run_dir(run).to_json_dict(), sort_keys=True) == want
+    # scoring the float32 occupancy the run wrote would count the voxel
+    assert score(load_grid(run / "occupancy.grid")) != want
 
 
 def test_evaluate_many_and_median_aggregation_oracle(tmp_path, scenario):
@@ -218,9 +280,9 @@ def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
 @pytest.mark.parametrize(
     "edit, field",
     [
-        pytest.param(lambda m: m["artifacts"].update(occupancy=None), "'occupancy'", id="null-occupancy"),
+        pytest.param(lambda m: m["artifacts"].update(shape=None), "'shape'", id="null-shape"),
         pytest.param(lambda m: m["artifacts"].pop("contacts"), "'contacts'", id="no-contacts"),
-        pytest.param(lambda m: m["artifacts"]["occupancy"].update(path=None), "path", id="null-path"),
+        pytest.param(lambda m: m["artifacts"]["shape"].update(path=None), "path", id="null-path"),
         pytest.param(lambda m: m.update(artifacts=None), "artifacts", id="null-artifacts"),
         pytest.param(lambda m: m.update(seeds=None), "seeds", id="null-seeds"),
         pytest.param(lambda m: m["seeds"].pop("run"), "'run'", id="no-run-seed"),
@@ -443,7 +505,7 @@ def test_a_noise_scale_whose_square_underflows_still_builds():
 @pytest.mark.parametrize("failure", sorted(UNBUILDABLE))
 def test_cli_scenario_that_fails_to_build_is_config_error(tmp_path, failure, command):
     path = tmp_path / "scenario.yaml"
-    UNBUILDABLE[failure].save(path)
+    write_scenario(UNBUILDABLE[failure], path)
     out = tmp_path / "out"
     extra = ["--runs", "1"] if command == "sweep" else []
     result = CliRunner().invoke(
@@ -494,6 +556,22 @@ def test_cli_out_naming_a_file_is_config_error(tmp_path, scenario, command, extr
         assert sorted(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("offset", [0.01, 0.99], ids=["empty", "full"])
+def test_empty_or_full_visibility_is_config_error(tmp_path, offset):
+    # no voxel center of the 16^3 grid lies below 0.01, and every one below 0.99
+    sc = dataclasses.replace(suite_scenario("depth_boxes", n=4), visibility=VisibilitySpec(offset=offset))
+    message = "visibility mask must be non-empty and not cover the full volume"
+    with pytest.raises(ValueError, match=message):
+        build_scenario(sc)
+    path = tmp_path / "scenario.yaml"
+    write_scenario(sc, path)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["generate", "--scenario", str(path), "--out", str(out)])
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert f"config error: {message}" in result.output
+    assert not out.exists()
+
+
 # one box whose unguided reference binarizes to nothing at n=4
 EMPTY_REFERENCE = Scenario(
     name="empty_reference",
@@ -508,7 +586,7 @@ EMPTY_REFERENCE = Scenario(
 
 def test_cli_empty_reference_is_config_error_and_unguided_still_runs(tmp_path):
     path = tmp_path / "scenario.yaml"
-    EMPTY_REFERENCE.save(path)
+    write_scenario(EMPTY_REFERENCE, path)
     guided, unguided = tmp_path / "guided", tmp_path / "unguided"
     given = ["--scenario", str(path)]
     result = CliRunner().invoke(main, ["generate", *given, "--out", str(guided)])
@@ -1045,7 +1123,8 @@ def test_bench_pairs_reads_unit_and_kernel_p50_from_the_wall_clock_line():
         result,
     ]
     report, env = bench.parse_report("\n".join(lines))
-    assert report == {**json.loads(result), "run_s.p50": 0.0520936, "ref_kernel_p50_s": 0.023154}
+    assert report == {**json.loads(result), "run_s.p50": 0.0520936, "run_s.tail": 0.0556191,
+                      "ref_kernel_p50_s": 0.023154}
     assert env == {"cpu_count": 2}
     # the wall-clock figures are summarized per side like the metrics
     faster = "\n".join(lines).replace("0.0520936", "0.05").replace("0.023154", "0.024")
@@ -1061,6 +1140,37 @@ def test_bench_pairs_reads_unit_and_kernel_p50_from_the_wall_clock_line():
     assert all(math.isnan(report[key]) for key in bench.WALL_CLOCK_KEYS)
     assert bench.parse_report("\n".join(lines[:4])) is None
     assert bench.parse_report("") is None
+
+
+@pytest.mark.parametrize("unit, kernel, note", [(0.1, 0.0222, True), (0.09, 0.02, False)])
+def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_move(
+    tmp_path, monkeypatch, unit, kernel, note
+):
+    bench = load_script("bench_pairs")
+    repo = Path(__file__).resolve().parents[1]
+    parent = tmp_path / "parent"
+    parent.mkdir()
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the parent's unit takes 0.1 s and its kernel 0.02 s; the change's, `unit` and `kernel`
+        u, k = (0.1, 0.02) if checkout == parent else (unit, kernel)
+        metrics = {"run_ref.p50": {"value": u / k}, "run_ref.tail": {"value": 1.5 * u / k}}
+        result = {"correct": True, "attempted": 8, "failed": 0, "metrics": metrics}
+        return {**result, "run_s.p50": u, "run_s.tail": 1.5 * u, "ref_kernel_p50_s": k}, {}
+
+    monkeypatch.setattr(bench, "_run", fake_run)
+    out = tmp_path / "record.json"
+    result = CliRunner().invoke(bench.main, ["--parent", str(parent), "--change", str(repo),
+                                             "--claim", "guided_n16:run_ref.p50", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    moved = f"{kernel / 0.02 - 1:+.2%}"
+    assert (f"median change: run_ref.p50 {0.02 / kernel * unit / 0.1 - 1:+.2%}, "
+            f"run_s.p50 {unit / 0.1 - 1:+.2%}, reference kernel {moved}") in result.output
+    assert "median change: run_ref.tail" in result.output
+    record = json.loads(out.read_text())
+    assert record["workloads"]["guided_n16"]["run_s.tail"]["change"]["median"] == pytest.approx(1.5 * unit)
+    assert record["claimed"]["met"] and record["claimed"]["kernel_moved_more"] == note
+    assert (f"note: on guided_n16 the reference kernel's median moved {moved}" in result.output) == note
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
+
 from contact_flow import decoder, scenarios
 from contact_flow.decoder import decode
 from contact_flow.scenarios import (
@@ -28,6 +30,11 @@ def _decoded(built):
     return tuple(
         decode(LatentGrid(mu.reshape(model.latent_shape())), built.decoder) for mu in model.means
     )
+
+
+def _shapes(built):
+    """The binary shape of each decoded library latent."""
+    return tuple(binarize(s) for s in _decoded(built))
 
 
 def test_suite_is_deterministic_and_byte_identical():
@@ -56,7 +63,7 @@ def test_suite_matches_documented_manifest():
 def test_every_suite_scenario_builds_and_validates(name, n):
     built = build_scenario(suite_scenario(name, n=n))
     if built.scenario.ambiguous:
-        assert ambiguous_pairs(_decoded(built), built.visibility)
+        assert ambiguous_pairs(_shapes(built), built.visibility)
     assert not built.ground_truth.is_empty()
     assert len(built.contacts) == built.scenario.contact_count
 
@@ -71,11 +78,36 @@ def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
         return logits(x, params)
 
     monkeypatch.setattr(decoder, "_logits", counting)
-    # an earlier build of the same scenario would be reused without a decode
-    scenarios._seed_independent.cache_clear()
-    built = build_scenario(suite_scenario("bracket_orientation", n=4))
-    assert len(decoded) == built.model.k == 3
-    assert np.array_equal(np.stack(decoded), built.model.means)
+    for name, k in (("bracket_orientation", 3), ("depth_boxes", 2)):
+        decoded.clear()
+        # an earlier build of the same scenario would be reused without a decode
+        scenarios._seed_independent.cache_clear()
+        built = build_scenario(suite_scenario(name, n=4))
+        # the true shape first, as the observation, then the rest in library order
+        t = built.scenario.true_index
+        order = [t, *(i for i in range(k) if i != t)]
+        assert len(decoded) == built.model.k == k
+        assert np.array_equal(np.stack(decoded), built.model.means[order])
+
+
+@pytest.mark.parametrize("visible", ["suite", "deep"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_conditioned_weights_equal_the_mask_based_reference_bit_for_bit(name, n, visible):
+    sc = suite_scenario(name, n=n)
+    k = len(sc.library)
+    if visible == "deep":
+        # the visible region reaches past x = 0.75, where the library shapes
+        # differ, so the energies differ and move uneven prior weights
+        weights = tuple(np.arange(1, k + 1) / np.arange(1, k + 1).sum())
+        sc = dataclasses.replace(
+            sc, visibility=VisibilitySpec(offset=0.8125), ambiguous=False, gamma=0.01, weights=weights
+        )
+    built = build_scenario(sc)
+    prior = dataclasses.replace(built.model, weights=sc.weights or np.full(k, 1.0 / k))
+    decoded = _decoded(built)
+    want = oracles.condition(prior, built.visibility, decoded[sc.true_index], sc.gamma, decoded)
+    assert want.weights.tobytes() == built.model.weights.tobytes()
 
 
 @pytest.mark.parametrize("fps_count", [0, -3])
@@ -158,9 +190,8 @@ def test_from_dict_rejects_wrong_typed_fields_as_value_errors(path, bad, message
 def test_ambiguous_components_match_exactly_on_visible_region():
     built = build_scenario(suite_scenario("depth_boxes", n=4))
     visible = built.visibility.data
-    decoded = _decoded(built)
-    bins = [binarize(s, 0.5) for s in decoded]
-    for i, j in ambiguous_pairs(decoded, built.visibility):
+    bins = _shapes(built)
+    for i, j in ambiguous_pairs(bins, built.visibility):
         sym = bins[i].data ^ bins[j].data
         assert (sym & visible).sum() == 0
         union = (bins[i].data | bins[j].data).sum()
@@ -226,7 +257,7 @@ def test_demanded_ambiguity_failure_raises():
 def test_scenario_yaml_roundtrip(tmp_path):
     sc = suite_scenario("bracket_orientation", n=16)
     path = tmp_path / "scenario.yaml"
-    sc.save(path)
+    path.write_text(yaml.safe_dump(sc.to_dict(), sort_keys=False))
     loaded = Scenario.load(path)
     assert loaded == sc
 

@@ -250,6 +250,12 @@ def _decoded(model, params):
     return tuple(decode(_mean(model, k), params) for k in range(model.k))
 
 
+def _energies(decoded, mask, observation):
+    """Each decoded shape's squared mismatch with `observation` where `mask` is True."""
+    v = mask.data
+    return np.array([np.sum((s.data[v] - observation.data[v]) ** 2) for s in decoded])
+
+
 def make_shape_model(n=4, sigma=0.2):
     """Two components identical on the visible (low-x) half, distinct hidden.
 
@@ -276,7 +282,7 @@ def test_condition_gamma_zero_is_identity():
     model, params, shallow, _ = make_shape_model()
     N = 4 * model.n
     obs = OccupancyGrid(shallow.data.astype(float))
-    out = condition(model, _visibility(N), obs, 0.0, _decoded(model, params))
+    out = condition(model, _energies(_decoded(model, params), _visibility(N), obs), 0.0)
     np.testing.assert_array_equal(out.weights, model.weights)
 
 
@@ -297,7 +303,7 @@ def test_condition_concentrates_on_matching_components():
         sigma=model.sigma,
     )
     obs = decode(_mean(big, 1), params)  # observe the deep shape's rendering
-    out = condition(big, _visibility(N), obs, 100.0, _decoded(big, params))
+    out = condition(big, _energies(_decoded(big, params), _visibility(N), obs), 100.0)
     assert out.weights[2] < 1e-6
     # the ambiguous pair splits mass proportionally to the prior (0.25 : 0.5)
     ratio = out.weights[0] / out.weights[1]
@@ -307,17 +313,26 @@ def test_condition_concentrates_on_matching_components():
 def test_condition_split_matches_closed_form_reweighting():
     model, params, shallow, deep = make_shape_model()
     N = 4 * model.n
-    vis = _visibility(N)
     obs = decode(_mean(model, 0), params)
-    gamma = 3.0
-    out = condition(model, vis, obs, gamma, _decoded(model, params))
-    # independent reweighting computation
-    energies = []
-    for k in range(model.k):
-        s_k = decode(_mean(model, k), params).data
-        energies.append(np.sum((s_k[vis.data] - obs.data[vis.data]) ** 2))
-    raw = model.weights * np.exp(-gamma * np.asarray(energies))
-    np.testing.assert_allclose(out.weights, raw / raw.sum(), rtol=1e-12)
+    gamma = 0.02  # the deep mask's energy of about 51 then moves the weights partway
+    decoded = _decoded(model, params)
+    # on the visible half the two shapes agree; a mask that reaches into the
+    # deep shape's extra depth tells them apart
+    deep_mask = np.zeros((N, N, N), dtype=bool)
+    deep_mask[: N - 2] = True
+    for vis in (_visibility(N), BinaryGrid(deep_mask)):
+        # independent reweighting computation
+        energies = []
+        for k in range(model.k):
+            s_k = decode(_mean(model, k), params).data
+            energies.append(np.sum((s_k[vis.data] - obs.data[vis.data]) ** 2))
+        raw = model.weights * np.exp(-gamma * np.asarray(energies))
+        # the kernel on the energies, and the mask-based reference
+        for out in (condition(model, _energies(decoded, vis, obs), gamma),
+                    oracles.condition(model, vis, obs, gamma, decoded)):
+            np.testing.assert_allclose(out.weights, raw / raw.sum(), rtol=1e-12)
+    assert energies[0] == 0.0 < energies[1]
+    assert 0.4 < out.weights[0] < 0.6  # from the prior's 0.25, toward the observed shape
 
 
 def test_condition_underflow_raises():
@@ -326,16 +341,17 @@ def test_condition_underflow_raises():
     obs = OccupancyGrid(np.zeros((N, N, N)))
     gamma = sys.float_info.max  # times any energy above 1, -inf
     with pytest.raises(ValueError, match="condition inconsistent with library"):
-        condition(model, _visibility(N), obs, gamma, _decoded(model, params))
+        condition(model, _energies(_decoded(model, params), _visibility(N), obs), gamma)
 
 
-def test_condition_rejects_empty_or_full_mask():
-    model, params, *_ = make_shape_model()
-    N = 4 * model.n
-    obs = OccupancyGrid(np.zeros((N, N, N)))
-    for mask in (np.zeros((N, N, N), dtype=bool), np.ones((N, N, N), dtype=bool)):
-        with pytest.raises(ValueError, match="visibility mask must be non-empty"):
-            condition(model, BinaryGrid(mask), obs, 1.0, _decoded(model, params))
+def test_condition_checks_gamma_and_one_energy_per_component():
+    model, *_ = make_shape_model()
+    for gamma in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sharpness gamma must be non-negative and finite"):
+            condition(model, np.zeros(model.k), gamma)
+    for energies in (np.zeros(model.k + 1), np.zeros((model.k, 1)), 0.0):
+        with pytest.raises(ValueError, match="condition needs one energy per component"):
+            condition(model, energies, 1.0)
 
 
 # ---------------------------------------------------------------------------

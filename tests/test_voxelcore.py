@@ -503,6 +503,29 @@ def test_occupancy_grid_rejects_out_of_range():
         OccupancyGrid(np.full((4, 4, 4), np.nan))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.nan, "occupancy grid contains non-finite entries"),
+        (np.inf, "occupancy grid contains non-finite entries"),
+        (-np.inf, "occupancy grid contains non-finite entries"),
+        (-0.1, r"occupancy values must lie in \[0, 1\]"),
+        (1.1, r"occupancy values must lie in \[0, 1\]"),
+    ],
+)
+def test_occupancy_grid_names_a_bad_voxel_value(value, message):
+    # one bad voxel among valid ones, alone and beside an out-of-range one:
+    # a non-finite value is reported first
+    data = np.full((4, 4, 4), 0.5)
+    data[1, 2, 3] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OccupancyGrid(data)
+    data[0, 0, 0] = 2.0
+    first = message if not np.isfinite(value) else r"occupancy values must lie in \[0, 1\]"
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        OccupancyGrid(data)
+
+
 def test_occupancy_container_roundtrip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(3))
     s = OccupancyGrid(rng.random((8, 8, 8)).astype(np.float32).astype(np.float64))
