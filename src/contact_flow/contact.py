@@ -17,7 +17,6 @@ from .voxelcore import (
     index_to_point,
     nonzero_indices,
     point_to_index,
-    surface_mask,
 )
 
 PROVENANCE_SAMPLED = "sampled-from-ground-truth"
@@ -70,24 +69,17 @@ class ContactSet:
             return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
-def sample_contacts(gt: BinaryGrid, visibility: BinaryGrid, count: int, seed: int) -> ContactSet:
-    """Uniformly sample `count` hidden-region surface voxel centers (the surface
-    voxels of `gt` where visibility is False), without replacement."""
-    if count < 1:
-        raise ValueError("contact count must be positive")
-    if gt.resolution != visibility.resolution:
-        raise ValueError("ground truth and visibility resolutions differ")
-    idx = nonzero_indices(surface_mask(gt) & ~visibility.data)  # in lexicographic order
-    if idx.shape[0] == 0:
-        raise ValueError("contacts cannot complement vision: hidden surface is empty")
-    if count > idx.shape[0]:
+def sample_contacts(candidates: np.ndarray, resolution: int, count: int, seed: int) -> ContactSet:
+    """`count` of the (K, 3) voxel indices `candidates` (a ground truth's hidden surface), drawn
+    uniformly without replacement, as the voxel centers of a grid of `resolution`."""
+    if count > candidates.shape[0]:
         raise ValueError(
             f"contacts cannot complement vision: requested {count} contacts "
-            f"but the hidden surface has only {idx.shape[0]} voxels"
+            f"but the hidden surface has only {candidates.shape[0]} voxels"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = rng.choice(idx.shape[0], size=count, replace=False)
-    return ContactSet(index_to_point(idx[chosen], gt.resolution), provenance=PROVENANCE_SAMPLED)
+    chosen = rng.choice(candidates.shape[0], size=count, replace=False)
+    return ContactSet(index_to_point(candidates[chosen], resolution), provenance=PROVENANCE_SAMPLED)
 
 
 def farthest_point_sample(points: np.ndarray, k: int, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ in the hidden region, so contacts carry real information.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,7 @@ from .voxelcore import (
     UnionOfBoxes,
     _convert,
     _expect,
+    _freeze,
     _read,
     _reject_unknown,
     _require,
@@ -40,8 +42,11 @@ from .voxelcore import (
     _write,
     axis_centers,
     binarize,
+    grid_to_bytes,
+    nonzero_indices,
     primitive_from_dict,
     primitive_to_dict,
+    surface_mask,
     voxelize_primitive,
 )
 
@@ -193,6 +198,7 @@ class BuiltScenario:
     scenario: Scenario
     decoder: DecoderParams
     library_grids: tuple[BinaryGrid, ...]
+    library_hashes: tuple[str, ...]  # sha256 hex digest of each grid's grid_to_bytes
     ground_truth: BinaryGrid
     visibility: BinaryGrid
     model: MixtureFlowModel
@@ -237,10 +243,11 @@ class _Geometry:
 
 @functools.lru_cache(maxsize=1)
 def _seed_independent(geometry: _Geometry):
-    """Decoder, library grids, visibility mask, conditioned model, and whether
-    a demanded ambiguity is missing, for the geometry built last: the suite
-    fixture, run_standard_suite.py and a sweep build one scenario's runs back
-    to back.  Every array is read-only, so paired runs share them."""
+    """Decoder, library grids and hashes, visibility mask, conditioned model,
+    the true shape's hidden-surface voxel indices (the contact candidates) and
+    whether a demanded ambiguity is missing, for the geometry built last: the
+    suite fixture, run_standard_suite.py and a sweep build one scenario's runs
+    back to back.  Every array is read-only, so paired runs share them."""
     scenario = geometry.scenario
     N = scenario.resolution
     params = DecoderParams.default(channels=8, beta=scenario.beta)
@@ -259,19 +266,25 @@ def _seed_independent(geometry: _Geometry):
     if visibility.is_empty() or bool(visibility.data.all()):
         raise ValueError("visibility mask must be non-empty and not cover the full volume")
     # each library latent is decoded once, the true shape's first (it is the
-    # observation), and reduced at once to its visible mismatch energy and its
-    # binary shape
+    # observation, so its energy is exactly 0), and reduced at once to its
+    # visible mismatch energy and its binary shape
     v, t = visibility.data, scenario.true_index
-    energies, shapes, observed = np.empty(k), [None] * k, None
+    energies, shapes, observed = np.zeros(k), [None] * k, None
     for i in sorted(range(k), key=lambda i: i != t):
         s = decode(latents[i], params)
         if observed is None:
             observed = s.data[v]
-        energies[i], shapes[i] = np.sum((s.data[v] - observed) ** 2), binarize(s)
+        else:
+            energies[i] = np.sum((s.data[v] - observed) ** 2)
+        shapes[i] = binarize(s)
         del s  # freed before the next decode
     model = condition(prior, energies, scenario.gamma)
+    hidden = _freeze(nonzero_indices(surface_mask(grids[t]) & ~v))  # in lexicographic order
+    if hidden.shape[0] == 0:
+        raise ValueError("contacts cannot complement vision: hidden surface is empty")
+    hashes = tuple(hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in grids)
     unmet = scenario.ambiguous and not ambiguous_pairs(shapes, visibility)
-    return params, grids, visibility, model, unmet
+    return params, grids, hashes, visibility, model, hidden, unmet
 
 
 def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
@@ -281,14 +294,14 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
     Only the contacts depend on the seeds, so the rest is kept for the
     scenario built last and shared by its runs.
     With `run_index`, the scenario is built for that paired run (`Scenario.for_run`).
-    Raises ValueError if a primitive, the visible or the hidden half is empty at this
-    resolution, the contacts outnumber the hidden surface, or an `ambiguous` scenario is not ambiguous.
+    Raises ValueError if a primitive, the visible or the hidden half, or the true shape's hidden surface is
+    empty at this resolution, the contacts outnumber that surface, or an `ambiguous` scenario is not ambiguous.
     """
     if run_index is not None:
         scenario = scenario.for_run(run_index)
-    params, grids, visibility, model, unmet = _seed_independent(_Geometry.of(scenario))
+    params, grids, hashes, visibility, model, hidden, unmet = _seed_independent(_Geometry.of(scenario))
     gt = grids[scenario.true_index]
-    contacts = sample_contacts(gt, visibility, scenario.contact_count, scenario.seeds.contacts)
+    contacts = sample_contacts(hidden, gt.resolution, scenario.contact_count, scenario.seeds.contacts)
     if unmet:
         raise ValueError(
             f"scenario {scenario.name!r} demands ambiguity but no component pair "
@@ -298,6 +311,7 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
         scenario=scenario,
         decoder=params,
         library_grids=grids,
+        library_hashes=hashes,
         ground_truth=gt,
         visibility=visibility,
         model=model,

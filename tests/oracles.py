@@ -119,6 +119,26 @@ def condition(model, mask, observation, gamma: float, decoded):
 
 
 # ---------------------------------------------------------------------------
+# contacts
+# ---------------------------------------------------------------------------
+
+
+def sample_contacts(gt, visibility, count: int, seed: int) -> np.ndarray:
+    """The (count, 3) contact points a scenario build draws: the centers
+    (i + 0.5) / N of `count` surface voxels of `gt` where `visibility` is
+    False, drawn without replacement by PCG64(seed) from their argwhere list.
+    A surface voxel is occupied with a face neighbour empty or outside the grid."""
+    occ = np.pad(gt.data, 1)
+    inner = occ[1:-1, 1:-1, 1:-1].copy()
+    for axis in range(3):
+        for shift in (1, -1):
+            inner &= np.roll(occ, shift, axis=axis)[1:-1, 1:-1, 1:-1]
+    idx = np.argwhere(gt.data & ~inner & ~visibility.data)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return (idx[rng.choice(len(idx), size=count, replace=False)] + 0.5) / gt.resolution
+
+
+# ---------------------------------------------------------------------------
 # nearest neighbours and metrics
 # ---------------------------------------------------------------------------
 

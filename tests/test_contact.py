@@ -56,7 +56,7 @@ def test_no_visibility_samples_from_full_surface():
     surface_points = {
         tuple(p) for p in index_to_point(np.argwhere(surface_mask(grid)), 8)
     }
-    contacts = sample_contacts(grid, none_visible, 5, seed=0)
+    contacts = sample_contacts(hidden_surface(grid, none_visible), 8, 5, seed=0)
     assert all(tuple(p) in surface_points for p in contacts.points)
 
 
@@ -64,7 +64,7 @@ def test_exhaustive_draw_returns_every_hidden_surface_voxel():
     grid = voxelize_primitive(Box((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)), 8)
     vis = half_mask(8)
     hidden = hidden_surface(grid, vis)
-    contacts = sample_contacts(grid, vis, hidden.shape[0], seed=3)
+    contacts = sample_contacts(hidden, 8, hidden.shape[0], seed=3)
     got = {tuple(p) for p in contacts.points}
     want = {tuple(p) for p in index_to_point(hidden, 8)}
     assert got == want
@@ -73,7 +73,7 @@ def test_exhaustive_draw_returns_every_hidden_surface_voxel():
 def test_contacts_confined_to_hidden_half():
     grid = voxelize_primitive(Box((0.125, 0.25, 0.25), (0.875, 0.75, 0.75)), 16)
     vis = half_mask(16)
-    contacts = sample_contacts(grid, vis, 10, seed=7)
+    contacts = sample_contacts(hidden_surface(grid, vis), 16, 10, seed=7)
     assert (contacts.points[:, 0] > 0.5).all()
     # and they are surface voxel centers of the ground truth
     surf = surface_mask(grid)
@@ -84,23 +84,43 @@ def test_contacts_confined_to_hidden_half():
 def test_empty_hidden_surface_raises():
     grid = voxelize_primitive(Box((0.1, 0.1, 0.1), (0.4, 0.4, 0.4)), 8)
     all_visible = BinaryGrid(np.ones((8, 8, 8), dtype=bool))
-    with pytest.raises(ValueError, match="contacts cannot complement vision"):
-        sample_contacts(grid, all_visible, 3, seed=0)
+    hidden = hidden_surface(grid, all_visible)
+    message = "contacts cannot complement vision: requested 3 contacts but the hidden surface has only 0 voxels"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_contacts(hidden, 8, 3, seed=0)
 
 
 def test_oversampling_hidden_surface_raises():
     grid = voxelize_primitive(Box((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)), 8)
     vis = half_mask(8)
-    available = hidden_surface(grid, vis).shape[0]
+    hidden = hidden_surface(grid, vis)
+    available = hidden.shape[0]
+    message = (f"contacts cannot complement vision: requested {available + 1} contacts "
+               f"but the hidden surface has only {available} voxels")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_contacts(hidden, 8, available + 1, seed=0)
+
+
+def test_the_full_surface_sampler_oracle_draws_every_hidden_surface_voxel_of_a_full_cube():
+    # every voxel of a full 3^3 cube but its center is on the surface; with the
+    # x = 0 slab visible, the 17 of the other two slabs are hidden
+    cube = BinaryGrid(np.ones((3, 3, 3), dtype=bool))
+    x0_visible = BinaryGrid(np.broadcast_to((np.arange(3) == 0)[:, None, None], (3, 3, 3)).copy())
+    for vis, want in ((BinaryGrid(np.zeros((3, 3, 3), dtype=bool)), 26), (x0_visible, 17)):
+        points = oracles.sample_contacts(cube, vis, want, seed=5)
+        got = {tuple(i) for i in np.rint(points * 3 - 0.5).astype(int)}
+        assert len(got) == want and (1, 1, 1) not in got
+        assert all(not vis.data[i] for i in got)
     with pytest.raises(ValueError):
-        sample_contacts(grid, vis, available + 1, seed=0)
+        oracles.sample_contacts(cube, x0_visible, 18, seed=5)
 
 
 def test_sample_contacts_deterministic():
     grid = voxelize_primitive(Box((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)), 16)
     vis = half_mask(16)
-    a = sample_contacts(grid, vis, 6, seed=11)
-    b = sample_contacts(grid, vis, 6, seed=11)
+    hidden = hidden_surface(grid, vis)
+    a = sample_contacts(hidden, 16, 6, seed=11)
+    b = sample_contacts(hidden, 16, 6, seed=11)
     assert np.array_equal(a.points, b.points)
 
 

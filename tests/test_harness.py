@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from contact_flow import harness
+from contact_flow import harness, scenarios
 from contact_flow.evaluation import (
     F_SCORE_COLUMNS,
     F_SCORE_THRESHOLDS,
@@ -46,7 +47,7 @@ from contact_flow.scenarios import (
     build_scenario,
     suite_scenario,
 )
-from contact_flow.voxelcore import Box, OccupancyGrid, load_grid
+from contact_flow.voxelcore import Box, OccupancyGrid, grid_to_bytes, load_grid, voxelize_primitive
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,17 @@ def test_manifest_records_everything_needed(tmp_path, scenario):
         assert name in manifest["artifacts"]
     assert manifest["timings"]["generate_s"] > 0
     assert verify_manifest(tmp_path / "run") == []
+
+
+@pytest.mark.parametrize("mode", ["guided", "unguided"])
+def test_manifest_library_hashes_hash_each_voxelized_primitive(tmp_path, scenario, mode):
+    N = scenario.resolution
+    want = [hashlib.sha256(grid_to_bytes(voxelize_primitive(p, N))).hexdigest() for p in scenario.library]
+    scenarios._seed_independent.cache_clear()
+    miss = generate_run(scenario, tmp_path / "miss", mode=mode)
+    hit = generate_run(scenario.for_run(1), tmp_path / "hit", mode=mode)
+    assert scenarios._seed_independent.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert miss["library_hashes"] == hit["library_hashes"] == want
 
 
 def test_verify_manifest_detects_tampering(tmp_path, scenario):
@@ -1142,9 +1154,17 @@ def test_bench_pairs_reads_unit_and_kernel_p50_from_the_wall_clock_line():
     assert bench.parse_report("") is None
 
 
-@pytest.mark.parametrize("unit, kernel, note", [(0.1, 0.0222, True), (0.09, 0.02, False)])
+@pytest.mark.parametrize(
+    "metric, unit, kernel, note",
+    [
+        ("run_ref.p50", 0.1, 0.0222, True),
+        ("run_ref.p50", 0.09, 0.02, False),
+        # seconds, not divided by the kernel: no kernel move is judged
+        ("setup_s", 0.1, 0.0222, None),
+    ],
+)
 def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_move(
-    tmp_path, monkeypatch, unit, kernel, note
+    tmp_path, monkeypatch, metric, unit, kernel, note
 ):
     bench = load_script("bench_pairs")
     repo = Path(__file__).resolve().parents[1]
@@ -1154,14 +1174,16 @@ def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_mov
     def fake_run(checkout, workload, seed, seconds):
         # the parent's unit takes 0.1 s and its kernel 0.02 s; the change's, `unit` and `kernel`
         u, k = (0.1, 0.02) if checkout == parent else (unit, kernel)
-        metrics = {"run_ref.p50": {"value": u / k}, "run_ref.tail": {"value": 1.5 * u / k}}
+        setup = 6e-4 if checkout == parent else 2e-4
+        metrics = {"run_ref.p50": {"value": u / k}, "run_ref.tail": {"value": 1.5 * u / k},
+                   "setup_s": {"value": setup}}
         result = {"correct": True, "attempted": 8, "failed": 0, "metrics": metrics}
         return {**result, "run_s.p50": u, "run_s.tail": 1.5 * u, "ref_kernel_p50_s": k}, {}
 
     monkeypatch.setattr(bench, "_run", fake_run)
     out = tmp_path / "record.json"
     result = CliRunner().invoke(bench.main, ["--parent", str(parent), "--change", str(repo),
-                                             "--claim", "guided_n16:run_ref.p50", "--out", str(out)])
+                                             "--claim", f"guided_n16:{metric}", "--out", str(out)])
     assert result.exit_code == 0, result.output
     moved = f"{kernel / 0.02 - 1:+.2%}"
     assert (f"median change: run_ref.p50 {0.02 / kernel * unit / 0.1 - 1:+.2%}, "
@@ -1169,8 +1191,8 @@ def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_mov
     assert "median change: run_ref.tail" in result.output
     record = json.loads(out.read_text())
     assert record["workloads"]["guided_n16"]["run_s.tail"]["change"]["median"] == pytest.approx(1.5 * unit)
-    assert record["claimed"]["met"] and record["claimed"]["kernel_moved_more"] == note
-    assert (f"note: on guided_n16 the reference kernel's median moved {moved}" in result.output) == note
+    assert record["claimed"]["met"] and record["claimed"]["kernel_moved_more"] is note
+    assert (f"note: on guided_n16 the reference kernel's median moved {moved}" in result.output) == bool(note)
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,17 @@ def test_single_component_conditioning_is_normalization_noop():
     np.testing.assert_allclose(built.model.weights, [1.0])
 
 
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_contacts_equal_the_full_surface_sampler_bit_for_bit(name, n):
+    sc = suite_scenario(name, n=n)
+    for run_index in range(12):
+        built = build_scenario(sc, run_index=run_index)
+        seed = built.scenario.seeds.contacts
+        want = oracles.sample_contacts(built.ground_truth, built.visibility, sc.contact_count, seed)
+        assert built.contacts.points.tobytes() == want.tobytes(), run_index
+
+
 def test_contacts_lie_on_true_hidden_surface():
     built = build_scenario(suite_scenario("aspect_flare", n=4))
     N = built.scenario.resolution
@@ -366,12 +377,14 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
     sc = suite_scenario("bracket_orientation", n=4)
     scenarios._seed_independent.cache_clear()
     first = build_scenario(sc, run_index=0)
-    decodes = []
+    decodes, surfaces = [], []
     monkeypatch.setattr(scenarios, "decode", lambda *a: decodes.append(a))
+    monkeypatch.setattr(scenarios, "surface_mask", lambda *a: surfaces.append(a))
     second = build_scenario(sc, run_index=1)
-    assert decodes == []
+    assert decodes == [] and surfaces == []
     assert second.model is first.model
     assert second.library_grids is first.library_grids
+    assert second.library_hashes is first.library_hashes
     assert second.visibility is first.visibility
     assert second.scenario == sc.for_run(1)
     assert not np.array_equal(second.contacts.points, first.contacts.points)
@@ -434,6 +447,11 @@ NOT_AMBIGUOUS = Scenario(
         (NOT_AMBIGUOUS,
          "scenario 'not_ambiguous' demands ambiguity but no component pair matches on the "
          "visible region while differing in the hidden region"),
+        # an empty hidden surface fails before the contact count and the ambiguity verdict
+        (dataclasses.replace(NOT_AMBIGUOUS, true_index=0),
+         "contacts cannot complement vision: hidden surface is empty"),
+        (dataclasses.replace(NOT_AMBIGUOUS, true_index=0, contact_count=100_000),
+         "contacts cannot complement vision: hidden surface is empty"),
         # the contact count fails before the ambiguity verdict
         (dataclasses.replace(NOT_AMBIGUOUS, contact_count=100_000),
          "contacts cannot complement vision: requested 100000 contacts but the hidden "
