@@ -52,6 +52,7 @@ from .voxelcore import (
     _unique_keys,
     binarize,
     extract_surface,
+    grid_to_bytes,
     load_grid,
     save_grid,
     save_ply,
@@ -200,7 +201,7 @@ def generate_run(
         "seeds": {"run": seeds.guided, "reference": seeds.reference, "contacts": seeds.contacts},
         # as given, before farthest point sampling, so a rerun can pass them back
         "external_contacts": None if external_contacts is None else external_contacts.to_dict(),
-        "library_hashes": list(built.library_hashes),
+        "library_hashes": [hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in built.library_grids],
         "environment": _environment(),
         "artifacts": {},
         "timings": {},

@@ -13,7 +13,6 @@ in the hidden region, so contacts carry real information.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
@@ -42,7 +41,6 @@ from .voxelcore import (
     _write,
     axis_centers,
     binarize,
-    grid_to_bytes,
     nonzero_indices,
     primitive_from_dict,
     primitive_to_dict,
@@ -198,7 +196,6 @@ class BuiltScenario:
     scenario: Scenario
     decoder: DecoderParams
     library_grids: tuple[BinaryGrid, ...]
-    library_hashes: tuple[str, ...]  # sha256 hex digest of each grid's grid_to_bytes
     ground_truth: BinaryGrid
     visibility: BinaryGrid
     model: MixtureFlowModel
@@ -243,11 +240,11 @@ class _Geometry:
 
 @functools.lru_cache(maxsize=1)
 def _seed_independent(geometry: _Geometry):
-    """Decoder, library grids and hashes, visibility mask, conditioned model,
-    the true shape's hidden-surface voxel indices (the contact candidates) and
-    whether a demanded ambiguity is missing, for the geometry built last: the
-    suite fixture, run_standard_suite.py and a sweep build one scenario's runs
-    back to back.  Every array is read-only, so paired runs share them."""
+    """Decoder, library grids, visibility mask, conditioned model, the true
+    shape's hidden-surface voxel indices (the contact candidates) and whether
+    a demanded ambiguity is missing, for the geometry built last: the suite
+    fixture, run_standard_suite.py and a sweep build one scenario's runs back
+    to back.  Every array is read-only, so paired runs share them."""
     scenario = geometry.scenario
     N = scenario.resolution
     params = DecoderParams.default(channels=8, beta=scenario.beta)
@@ -266,25 +263,22 @@ def _seed_independent(geometry: _Geometry):
     if visibility.is_empty() or bool(visibility.data.all()):
         raise ValueError("visibility mask must be non-empty and not cover the full volume")
     # each library latent is decoded once, the true shape's first (it is the
-    # observation, so its energy is exactly 0), and reduced at once to its
-    # visible mismatch energy and its binary shape
+    # observation), and reduced at once to its visible mismatch energy and its
+    # binary shape
     v, t = visibility.data, scenario.true_index
-    energies, shapes, observed = np.zeros(k), [None] * k, None
+    energies, shapes, observed = np.empty(k), [None] * k, None
     for i in sorted(range(k), key=lambda i: i != t):
         s = decode(latents[i], params)
         if observed is None:
             observed = s.data[v]
-        else:
-            energies[i] = np.sum((s.data[v] - observed) ** 2)
-        shapes[i] = binarize(s)
+        energies[i], shapes[i] = np.sum((s.data[v] - observed) ** 2), binarize(s)
         del s  # freed before the next decode
     model = condition(prior, energies, scenario.gamma)
     hidden = _freeze(nonzero_indices(surface_mask(grids[t]) & ~v))  # in lexicographic order
     if hidden.shape[0] == 0:
         raise ValueError("contacts cannot complement vision: hidden surface is empty")
-    hashes = tuple(hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in grids)
     unmet = scenario.ambiguous and not ambiguous_pairs(shapes, visibility)
-    return params, grids, hashes, visibility, model, hidden, unmet
+    return params, grids, visibility, model, hidden, unmet
 
 
 def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
@@ -299,7 +293,7 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
     """
     if run_index is not None:
         scenario = scenario.for_run(run_index)
-    params, grids, hashes, visibility, model, hidden, unmet = _seed_independent(_Geometry.of(scenario))
+    params, grids, visibility, model, hidden, unmet = _seed_independent(_Geometry.of(scenario))
     gt = grids[scenario.true_index]
     contacts = sample_contacts(hidden, gt.resolution, scenario.contact_count, scenario.seeds.contacts)
     if unmet:
@@ -311,7 +305,6 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
         scenario=scenario,
         decoder=params,
         library_grids=grids,
-        library_hashes=hashes,
         ground_truth=gt,
         visibility=visibility,
         model=model,

@@ -384,7 +384,6 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
     assert decodes == [] and surfaces == []
     assert second.model is first.model
     assert second.library_grids is first.library_grids
-    assert second.library_hashes is first.library_hashes
     assert second.visibility is first.visibility
     assert second.scenario == sc.for_run(1)
     assert not np.array_equal(second.contacts.points, first.contacts.points)
