@@ -25,7 +25,9 @@ metric, such as setup_s in seconds, gets no note.  The exit code is 1 if the
 claim does not hold or a run's output check failed, 0 otherwise.
 
 The record is written to --out as JSON; the keys it does not write of an
-existing file are kept, so other evidence can sit next to it.
+existing file are kept, so other evidence can sit next to it.  Its `parent` is
+the commit checked out at --parent, so a --parent that is not a git work tree
+with a commit is a usage error (exit 2), found before the first run.
 
 Example:
     python scripts/bench_pairs.py --parent ../parent --change . \\
@@ -172,6 +174,11 @@ def main(parent_dir, change_dir, claim, out_path):
             raise click.BadParameter(
                 f"{claim!r} is not WORKLOAD:METRIC with WORKLOAD one of {workloads} "
                 f"and METRIC one of {list(better)}", param_hint="--claim")
+    rev = subprocess.run(["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    if rev.returncode != 0:
+        raise click.BadParameter(f"{parent_dir} is not a git work tree with a commit: {rev.stderr.strip()}",
+                                 param_hint="--parent")
     seeds = [SEED0 + i for i in range(PAIRS)]
     first = ["parent" if i % 2 == 0 else "change" for i in range(PAIRS)]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
@@ -193,10 +200,8 @@ def main(parent_dir, change_dir, claim, out_path):
             )
             print(f"pair {i} {w} seed={seed} first={first[i]} (parent/change) {line} {wall}",
                   flush=True)
-    rev = subprocess.run(["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
     record = {
-        "parent": rev.stdout.strip() if rev.returncode == 0 else str(checkouts["parent"]),
+        "parent": rev.stdout.strip(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "protocol": (
             f"{PAIRS} pairs per workload, seeds {seeds[0]}..{seeds[-1]}, one seed per pair; "

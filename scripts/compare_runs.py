@@ -5,11 +5,13 @@ and list every difference.
 Every run directory (a directory holding manifest.json) must be present in
 both trees with the same manifest, apart from its `timings` and `environment`
 blocks: the same artifact sha256s, `library_hashes`, seeds, `final_J` and
-metrics.  Each artifact file must still match the hash its manifest records,
-and every metrics.csv, summary.json and sweep.json must hold the same rows
-(a sweep.json's rows are its cells, then the rest of the document).  One line is
-printed per difference, naming a differing manifest field by its dotted path
-(`guidance.radius`); the exit code is 1 if there is any, 0 otherwise.
+metrics.  Each manifest must be one `harness.RunManifest` reads, each artifact
+file must still match the hash its manifest records, and every metrics.csv,
+summary.json and sweep.json must hold the same rows (a sweep.json's rows are
+its cells, then the rest of the document).  One line is printed per
+difference, naming a differing manifest field by its dotted path
+(`guidance.radius`) and a refused manifest by its side and the reason; the
+exit code is 1 if there is any, 0 otherwise.
 
 Example:
     python scripts/compare_runs.py runs/parent runs/change
@@ -62,11 +64,18 @@ def compare_trees(a: Path, b: Path) -> list[str]:
     diffs += [_one_side(rel, manifests_a) for rel in sorted(manifests_a ^ manifests_b)]
     for rel in sorted(manifests_a & manifests_b):
         run = rel.parent
+        refused = []
         for side, root in (("A", a), ("B", b)):
-            diffs += [
-                f"{run}: {side} artifact {name!r} does not match its recorded sha256"
-                for name in verify_manifest(root / run)
-            ]
+            try:
+                diffs += [
+                    f"{run}: {side} artifact {name!r} does not match its recorded sha256"
+                    for name in verify_manifest(root / run)
+                ]
+            except ValueError as exc:
+                refused.append(f"{run}: {side} manifest refused: {exc}")
+        if refused:  # its fields are not compared
+            diffs += refused
+            continue
         ma, mb = load_manifest(a / run), load_manifest(b / run)
         for key in sorted((ma.keys() | mb.keys()) - set(IGNORED_KEYS)):
             diffs += [f"{run}: manifest {field!r} differs"

@@ -34,7 +34,6 @@ from .decoder import (
 )
 from .toyflow import (
     MixtureFlowModel,
-    T_MIN_DEFAULT,
     _check_finite,
     _check_time,
     _predict_x0_vjp,
@@ -46,18 +45,13 @@ from .voxelcore import (
     BinaryGrid,
     LatentGrid,
     OccupancyGrid,
-    _expect,
     _finite_or_none,
-    _read,
     _write,
     binarize,
     point_to_index,
 )
 
 ATTENUATION_GUARD = 1e-12
-
-# manifest keys of fixed conventions, with the one value each may hold
-_LEGACY_KEYS = {"aggregation": "sum", "threshold": 0.5, "t_min": T_MIN_DEFAULT, "schedule": "staged"}
 
 
 class GenerationAborted(RuntimeError):
@@ -113,15 +107,6 @@ class GuidanceConfig:
 
     def to_dict(self) -> dict:
         return _write(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuidanceConfig":
-        _expect(d, dict, "guidance")
-        # older manifests carry these keys; each has one legal value
-        for key, only in _LEGACY_KEYS.items():
-            if d.get(key, only) != only:
-                raise ValueError(f"only {key} = {only!r} is supported, got {d[key]!r}")
-        return _read(cls, d, "", "guidance", own=_LEGACY_KEYS)
 
 
 @dataclass(frozen=True)

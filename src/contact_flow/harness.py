@@ -46,8 +46,8 @@ from .guidance import (
 )
 from .scenarios import Scenario, build_scenario, suite_scenario
 from .voxelcore import (
-    _convert,
     _expect,
+    _read,
     _require,
     _unique_keys,
     binarize,
@@ -118,11 +118,12 @@ def _environment() -> dict:
 
 
 def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _seeds_block(seeds) -> dict:
+    """A manifest's `seeds` block: the scenario's seeds again, under the names a run gives them."""
+    return {"run": seeds.guided, "reference": seeds.reference, "contacts": seeds.contacts}
 
 
 def method_label(mode: str, cfg: GuidanceConfig) -> str:
@@ -198,7 +199,7 @@ def generate_run(
         "guidance": cfg.to_dict(),
         "decoder": built.decoder.to_dict(),
         "model": built.model.describe(),
-        "seeds": {"run": seeds.guided, "reference": seeds.reference, "contacts": seeds.contacts},
+        "seeds": _seeds_block(seeds),
         # as given, before farthest point sampling, so a rerun can pass them back
         "external_contacts": None if external_contacts is None else external_contacts.to_dict(),
         "library_hashes": [hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in built.library_grids],
@@ -263,75 +264,90 @@ def load_manifest(run_dir) -> dict:
         return _expect(json.load(f, object_pairs_hook=_unique_keys), dict, "run manifest")
 
 
-def _artifact_entry(artifacts: dict, name: str, key: str) -> str:
-    """The `key` ("path" or "sha256") of artifact `name`, a ValueError naming both if malformed."""
+@dataclasses.dataclass(frozen=True)
+class RunManifest:
+    """What evaluate, verify_manifest and rerun_manifest read of a run's manifest.json."""
+
+    scenario: Scenario
+    guidance: GuidanceConfig
+    mode: str
+    seeds: dict
+    method: str
+    artifacts: dict
+    external_contacts: ContactSet | None = None
+    failure: dict | None = None
+    final_J: float = math.nan
+
+    FIELDS = {"scenario": Scenario.from_dict, "guidance": GuidanceConfig, "mode": str, "seeds": dict,
+              "external_contacts": ContactSet.from_dict, "method": str, "artifacts": dict, "failure": dict,
+              "final_J": float}
+    # blocks written for people and for scripts/compare_runs.py; `_artifact`
+    # checks an `artifacts` entry when the artifact is read
+    UNREAD = frozenset({"tool", "version", "metrics_schema", "decoder", "model", "library_hashes",
+                        "environment", "timings", "metrics", "guidance_applied_steps"})
+
+    def __post_init__(self):
+        # scenario.seeds is the one place a run's seeds are read from; the
+        # `seeds` block must repeat them exactly, so compare JSON, where true is not 1
+        s, expected = self.scenario.seeds, _seeds_block(self.scenario.seeds)
+        if json.dumps(self.seeds, sort_keys=True) != json.dumps(expected, sort_keys=True):
+            raise ValueError(f"manifest seeds {self.seeds} disagree with scenario seeds "
+                             f"{dataclasses.asdict(s)}, which the block records as {expected}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunManifest":
+        # a manifest writes a field that is not set, such as `failure`, as null
+        given = {key: value for key, value in _expect(d, dict, "manifest").items() if value is not None}
+        return _read(cls, given, "", "manifest", own=cls.UNREAD)
+
+
+def _artifact(run: Path, artifacts: dict, name: str) -> Path:
+    """The path of artifact `name` in run directory `run`; a ValueError naming it when its manifest
+    entry is malformed or the file's sha256 is not the one recorded (OSError: the file is unreadable)."""
     what = f"manifest artifact {name!r}"
     entry = _expect(_require(artifacts, name, "manifest artifacts"), dict, what)
-    return _expect(_require(entry, key, what), str, f"{what} {key}")
+    path = run / _expect(_require(entry, "path", what), str, f"{what} path")
+    if _file_sha256(path) != _expect(_require(entry, "sha256", what), str, f"{what} sha256"):
+        raise ValueError(f"artifact {name!r} does not match the sha256 its manifest records")
+    return path
 
 
 def verify_manifest(run_dir) -> list[str]:
     """Names of artifacts that are missing, malformed in the manifest, or whose
-    hash differs; empty = intact."""
+    hash differs; empty = intact.  A ValueError when RunManifest refuses the manifest."""
     run = Path(run_dir)
-    artifacts = _expect(_require(load_manifest(run), "artifacts", "manifest"), dict, "manifest artifacts")
+    artifacts = RunManifest.from_dict(load_manifest(run)).artifacts
 
     def intact(name: str) -> bool:
         try:
-            path = run / _artifact_entry(artifacts, name, "path")
-            return path.exists() and _file_sha256(path) == _artifact_entry(artifacts, name, "sha256")
-        except ValueError:
+            return bool(_artifact(run, artifacts, name))
+        except (OSError, ValueError):
             return False
 
     return [name for name in artifacts if not intact(name)]
 
 
-def _run_scenario(manifest: dict) -> Scenario:
-    """A manifest's `scenario` with the run and reference seeds of its `seeds`
-    block, the one place older manifests record overridden seeds."""
-    scenario = Scenario.from_dict(_require(manifest, "scenario", "manifest"))
-    given = _expect(_require(manifest, "seeds", "manifest"), dict, "manifest seeds")
-    seeds = {field: _convert(_require(given, key, "manifest seeds"), int, f"{key} seed")
-             for key, field in (("run", "guided"), ("reference", "reference"))}
-    return dataclasses.replace(scenario, seeds=dataclasses.replace(scenario.seeds, **seeds))
-
-
 def rerun_manifest(manifest: dict, out_dir) -> dict:
     """Re-execute a run from its manifest snapshot (determinism check)."""
-    cfg = GuidanceConfig.from_dict(_require(manifest, "guidance", "manifest"))
-    scenario = _run_scenario(manifest)
-    external = manifest.get("external_contacts")
-    if external is True:
-        # older manifests recorded only that the contacts were external
-        raise ValueError("manifest does not record the external contacts of its run")
-    return generate_run(
-        scenario,
-        out_dir,
-        mode=_require(manifest, "mode", "manifest"),
-        cfg=cfg,
-        external_contacts=None if external is None else ContactSet.from_dict(external),
-    )
+    record = RunManifest.from_dict(manifest)
+    return generate_run(record.scenario, out_dir, mode=record.mode, cfg=record.guidance,
+                        external_contacts=record.external_contacts)
 
 
 def evaluate_run_dir(run_dir) -> MetricsReport:
-    """Evaluate a run directory's shape.grid against its scenario's true primitive, voxelized."""
+    """Evaluate a run directory's shape.grid against its scenario's true primitive, voxelized;
+    a ValueError naming `shape` or `contacts` when its bytes are not the ones its manifest records."""
     run = Path(run_dir)
     manifest = load_manifest(run)
-    if manifest.get("failure"):
+    record = RunManifest.from_dict(manifest)
+    if record.failure:
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
-    scenario = _run_scenario(manifest)
-    artifacts = _expect(_require(manifest, "artifacts", "manifest"), dict, "manifest artifacts")
-    shape = load_grid(run / _artifact_entry(artifacts, "shape", "path"))
-    contacts = ContactSet.load(run / _artifact_entry(artifacts, "contacts", "path"))
-    report = evaluate_run(
-        shape,
-        voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
-        contacts,
-        scenario=scenario.name,
-        method=_expect(_require(manifest, "method", "manifest"), str, "manifest method"),
-        seed=scenario.seeds.guided,
-        final_J=_convert(manifest["final_J"], float, "final_J") if "final_J" in manifest else math.nan,
-    )
+    scenario = record.scenario
+    report = evaluate_run(load_grid(_artifact(run, record.artifacts, "shape")),
+                          voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
+                          ContactSet.load(_artifact(run, record.artifacts, "contacts")),
+                          scenario=scenario.name, method=record.method, seed=scenario.seeds.guided,
+                          final_J=record.final_J)
     manifest["metrics"] = report.to_json_dict()
     _write_json(run / MANIFEST_NAME, manifest)
     return report

@@ -186,12 +186,15 @@ def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # input documents
 # ---------------------------------------------------------------------------
 #
-# Each input document class (the primitives below, and the scenario, contact
-# and guidance documents) declares FIELDS = {field: reader}, in file order.  A
-# reader is int, float or tuple (a number or list field, see _convert), str or
-# bool, a document class (a nested mapping), or (reader,) (a list of them).  A
-# file may leave out a field whose dataclass has a default, unless the class
-# declares its own OPTIONAL set of such fields, and may hold no other key.
+# Each input document class (the primitives below, the scenario, contact and
+# guidance documents, and the run manifest) declares FIELDS = {field: reader},
+# in file order.  A reader is int, float or tuple (a number or list field, see
+# _convert), str or bool, dict (a mapping kept as it is, for its caller to
+# read), a document class (a nested mapping), a reading function such as
+# Scenario.from_dict (a nested mapping it reads itself; its ValueError is
+# prefixed with the field), or (reader,) (a list of them).  A file may leave
+# out a field whose dataclass has a default, unless the class declares its own
+# OPTIONAL set of such fields, and may hold no other key.
 
 
 @functools.cache
@@ -231,11 +234,16 @@ def _read(reader, value, what: str, entry: str, own=(), **given):
     (the keys `own`, read into the fields `given`)."""
     if reader in _FIELD_KINDS:
         return _convert(value, reader, what)
-    if reader is str or reader is bool:
+    if reader in (str, bool, dict):
         return _expect(value, reader, what)
     if type(reader) is tuple:
         # each entry is named in the singular: "union_of_boxes box hi"
         return tuple(_read(reader[0], v, what.removesuffix("es"), entry) for v in _expect(value, list, what))
+    if not hasattr(reader, "FIELDS"):
+        try:
+            return reader(value)
+        except ValueError as exc:
+            raise ValueError(f"{entry} {what}: {exc}") from None
     _expect(value, dict, what or entry)
     where = f"{entry} {what}".rstrip()
     _reject_unknown(value, reader.FIELDS.keys() | own, where)

@@ -4,6 +4,7 @@ table, and a wrong value is a ValueError that names the field."""
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -12,7 +13,14 @@ import pytest
 
 from contact_flow.contact import ContactSet
 from contact_flow.guidance import GuidanceConfig
-from contact_flow.harness import MANIFEST_NAME, evaluate_run_dirs, generate_run, load_manifest, verify_manifest
+from contact_flow.harness import (
+    MANIFEST_NAME,
+    RunManifest,
+    evaluate_run_dirs,
+    generate_run,
+    load_manifest,
+    verify_manifest,
+)
 from contact_flow.scenarios import (
     SUITE_NAMES,
     Scenario,
@@ -21,7 +29,7 @@ from contact_flow.scenarios import (
     build_scenario,
     suite_scenario,
 )
-from contact_flow.voxelcore import Box, Cylinder, LBracket, SphereCappedBox, UnionOfBoxes
+from contact_flow.voxelcore import Box, Cylinder, LBracket, SphereCappedBox, UnionOfBoxes, _read
 
 DELETE = object()  # the mutant that removes the field
 MUTANTS = (None, True, "x", [], {}, 10**400, math.nan, math.inf, -1, 0, DELETE)
@@ -35,7 +43,7 @@ HAND_WRITTEN = {Scenario: {"name", "n", "library"}}
 @pytest.mark.parametrize(
     "cls",
     [Box, Cylinder, LBracket, UnionOfBoxes, SphereCappedBox,
-     VisibilitySpec, ScenarioSeeds, Scenario, GuidanceConfig, ContactSet],
+     VisibilitySpec, ScenarioSeeds, Scenario, GuidanceConfig, ContactSet, RunManifest],
 )
 def test_each_table_lists_every_field_its_class_is_built_from(cls):
     # a field missing from the table would drop out of to_dict, so out of
@@ -80,16 +88,17 @@ def _repeated(doc, path) -> str:
     return json.dumps(doc).replace('"repeat-marker"', json.dumps(key))
 
 
-def _escapes(read, doc, paths, then=None, strict=True, load=None):
+def _escapes(read, doc, paths, then=None, strict=True, load=None, opaque=()):
     """Each (path, mutant, error) for which `read` of the mutated document
     raises anything but a ValueError naming the field (the path's last key
     that is not a list index), or `then` of what it read raises anything but
     a ValueError.  Every mapping, the document included, also gets an extra
-    key, which a `strict` reader must reject naming that key, and, read from
-    its text by `load`, a repeated key, which every reader must reject naming it."""
+    key, which a `strict` reader must reject naming that key unless the
+    mapping's path is `opaque` (a block read as it is), and, read from its
+    text by `load`, a repeated key, which every reader must reject naming it."""
     mutants = [(path, value) for path in paths for value in MUTANTS]
     mappings = [path for path in [(), *paths] if isinstance(_at(doc, path), dict)]
-    mutants += [(path, EXTRA) for path in mappings]
+    mutants += [(path, EXTRA) for path in mappings if path not in opaque]
     mutants += [(path, REPEAT) for path in mappings if load is not None and _at(doc, path)]
     found = []
     for path, value in mutants:
@@ -142,22 +151,31 @@ def test_every_mutated_contact_and_guidance_field_is_read_or_named(tmp_path):
     guidance = suite_scenario("depth_boxes", n=4).guidance_config().to_dict()
     load = _file_reader(tmp_path / "contacts.json", ContactSet.load)
     assert _escapes(ContactSet.from_dict, contacts, list(_paths(contacts)), load=load) == []
-    assert _escapes(GuidanceConfig.from_dict, guidance, list(_paths(guidance))) == []
+    read_guidance = functools.partial(_read, GuidanceConfig, what="", entry="guidance")
+    assert _escapes(read_guidance, guidance, list(_paths(guidance))) == []
 
 
 def test_every_mutated_manifest_entry_is_listed_or_skipped(tmp_path):
     run = tmp_path / "run"
-    manifest = json.loads(json.dumps(generate_run(suite_scenario("depth_boxes", n=4), run)))
-    paths = [(key,) for key in manifest]
-    paths += [(block, key) for block in ("artifacts", "seeds") for key in manifest[block]]
+    scenario = suite_scenario("depth_boxes", n=4)
+    # external contacts, so the record's contact set block is a mapping too
+    contacts = build_scenario(scenario, run_index=1).contacts
+    manifest = json.loads(json.dumps(generate_run(scenario, run, external_contacts=contacts)))
+    # every path of every block the record reads; its other blocks are left unread
+    paths = [path for path in _paths(manifest) if path[0] in RunManifest.FIELDS]
+    # read as they are: the artifact entries are checked when an artifact is read
+    opaque = [path for path in paths if path[0] == "artifacts" and len(path) < 3]
 
     def read(doc):
+        # a run directory with the manifest: verify lists what it cannot vouch
+        # for, and evaluate skips what it cannot read, so raises nothing
         (run / MANIFEST_NAME).write_text(json.dumps(doc))
         try:
             assert isinstance(verify_manifest(run), list)
         except ValueError:
             pass
-        evaluate_run_dirs([run])  # skips what it cannot read, so raises nothing
+        evaluate_run_dirs([run])
+        return RunManifest.from_dict(doc)
 
     def load(text):
         (run / MANIFEST_NAME).write_text(text)
@@ -165,5 +183,4 @@ def test_every_mutated_manifest_entry_is_listed_or_skipped(tmp_path):
         assert reports == [] and "repeated key" in reason
         return load_manifest(run)
 
-    # a manifest is read by hand, so an extra key must only not escape
-    assert _escapes(read, manifest, paths, strict=False, load=load) == []
+    assert _escapes(read, manifest, paths, load=load, opaque=opaque) == []

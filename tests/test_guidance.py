@@ -26,11 +26,17 @@ from contact_flow.voxelcore import (
     Box,
     LatentGrid,
     OccupancyGrid,
+    _read,
     binarize,
     index_to_point,
     point_to_index,
     voxelize_primitive,
 )
+
+
+def read_guidance(d):
+    """A manifest's guidance block, read by GuidanceConfig's table."""
+    return _read(GuidanceConfig, d, "", "guidance")
 
 
 def small_cfg(**kw):
@@ -422,7 +428,7 @@ def test_lambda_schedule_stages():
 def test_config_dict_roundtrip():
     cfg = GuidanceConfig(timesteps=9, stage_bounds=(3, 6), lambda_stage=(0.1, 0.9, 0.3),
                          recurrence=2, radius=4)
-    assert GuidanceConfig.from_dict(cfg.to_dict()) == cfg
+    assert read_guidance(cfg.to_dict()) == cfg
 
 
 def test_decoder_channel_mismatch_is_an_error_not_an_abort():
@@ -433,20 +439,14 @@ def test_decoder_channel_mismatch_is_an_error_not_an_abort():
 
 
 @pytest.mark.parametrize(
-    "key, legal, wrong",
-    [
-        ("aggregation", "sum", "mean"),
-        ("threshold", 0.5, 0.4),
-        ("t_min", 0.001, 0.01),
-        ("schedule", "staged", "covg"),
-    ],
+    "key, once_legal", [("aggregation", "sum"), ("threshold", 0.5), ("t_min", 0.001), ("schedule", "staged")]
 )
-def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wrong):
+def test_guidance_block_refuses_each_retired_key_naming_it(key, once_legal):
+    # older guidance blocks carried these fixed conventions; they are not read
     d = GuidanceConfig().to_dict()
     assert key not in d
-    assert GuidanceConfig.from_dict({**d, key: legal}) == GuidanceConfig()
-    with pytest.raises(ValueError, match=key):
-        GuidanceConfig.from_dict({**d, key: wrong})
+    with pytest.raises(ValueError, match=f"^guidance has unknown field '{key}'$"):
+        read_guidance({**d, key: once_legal})
 
 
 @pytest.mark.parametrize(
@@ -462,21 +462,21 @@ def test_config_from_dict_tolerates_legacy_sum_aggregation_only(key, legal, wron
         ("lambda_stage", [0.2, True, 0.5], "lambda_stage must be a list of numbers"),
     ],
 )
-def test_config_from_dict_rejects_wrong_typed_fields_as_value_errors(key, bad, message):
+def test_guidance_block_rejects_wrong_typed_fields_as_value_errors(key, bad, message):
     d = GuidanceConfig().to_dict()
-    assert GuidanceConfig.from_dict(d) == GuidanceConfig()
+    assert read_guidance(d) == GuidanceConfig()
     with pytest.raises(ValueError, match=message):
-        GuidanceConfig.from_dict({**d, key: bad})
+        read_guidance({**d, key: bad})
     with pytest.raises(ValueError, match="guidance must be a dict"):
-        GuidanceConfig.from_dict([d])
+        read_guidance([d])
 
 
 @pytest.mark.parametrize("key", sorted(GuidanceConfig().to_dict()))
-def test_config_from_dict_names_a_missing_field_in_a_value_error(key):
+def test_guidance_block_names_a_missing_field_in_a_value_error(key):
     d = GuidanceConfig().to_dict()
     del d[key]
     with pytest.raises(ValueError, match=f"^guidance is missing required field '{key}'$"):
-        GuidanceConfig.from_dict(d)
+        read_guidance(d)
 
 
 def test_guided_sample_looks_up_each_drag_target_once(monkeypatch):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -278,6 +279,30 @@ def test_summary_table_separates_every_label_and_aligns_its_lines():
     assert len({len(line) for line in table.splitlines()}) == 1, table
 
 
+@pytest.mark.parametrize("artifact", ["contacts", "shape"])
+def test_evaluate_skips_an_artifact_whose_bytes_its_manifest_does_not_record(tmp_path, scenario, artifact):
+    run, other = tmp_path / "run", tmp_path / "other"
+    generate_run(scenario, run, mode="unguided")
+    if artifact == "contacts":
+        # what a second run interrupted in the same directory leaves behind
+        generate_run(scenario.for_run(1), other, mode="unguided")
+        assert (other / "contacts.json").read_bytes() != (run / "contacts.json").read_bytes()
+        shutil.copy(other / "contacts.json", run / "contacts.json")
+    else:
+        grid = bytearray((run / "shape.grid").read_bytes())
+        grid[-1] ^= 1  # one voxel flipped: still a grid load_grid reads
+        (run / "shape.grid").write_bytes(bytes(grid))
+    manifest = (run / "manifest.json").read_text()
+    result = CliRunner().invoke(main, ["evaluate", str(run)])
+    assert result.exit_code == EXIT_EVALUATION_FAILURE, result.output
+    assert result.output.splitlines() == [
+        f"skipped {run}: artifact '{artifact}' does not match the sha256 its manifest records",
+        "no evaluable runs",
+    ]
+    assert (run / "manifest.json").read_text() == manifest  # no metrics written
+    assert verify_manifest(run) == [artifact]
+
+
 def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
     good = tmp_path / "good"
     generate_run(scenario, good, mode="unguided")
@@ -298,7 +323,8 @@ def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
         pytest.param(lambda m: m.update(artifacts=None), "artifacts", id="null-artifacts"),
         pytest.param(lambda m: m.update(seeds=None), "seeds", id="null-seeds"),
         pytest.param(lambda m: m["seeds"].pop("run"), "'run'", id="no-run-seed"),
-        pytest.param(lambda m: m["seeds"].update(run="7"), "run seed", id="string-run-seed"),
+        pytest.param(lambda m: m["scenario"]["seeds"].update(guided="7"), "seeds guided must be an integer",
+                     id="string-guided-seed"),
         pytest.param(lambda m: m.pop("scenario"), "'scenario'", id="no-scenario"),
         pytest.param(lambda m: m.update(method=None), "method", id="null-method"),
         pytest.param(lambda m: m.update(final_J="x"), "final_J must be a number", id="string-final-J"),
@@ -459,10 +485,10 @@ def test_cli_config_error_exit_code(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, field", [("run", "guided"), ("reference", "reference")])
-def test_rerun_manifest_rejects_a_negative_seed_before_writing(tmp_path, scenario, key, field):
+@pytest.mark.parametrize("field", ["guided", "reference"])
+def test_rerun_manifest_rejects_a_negative_seed_before_writing(tmp_path, scenario, field):
     manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
-    manifest["seeds"][key] = -1
+    manifest["scenario"]["seeds"][field] = -1
     with pytest.raises(ValueError, match=f"seeds {field} must be >= 0"):
         rerun_manifest(manifest, tmp_path / "again")
     assert not (tmp_path / "again").exists()
@@ -770,8 +796,9 @@ def test_rerun_manifest_reproduces_a_run_with_external_contacts(tmp_path, scenar
 def test_rerun_manifest_without_external_contact_points_is_an_error(tmp_path, scenario):
     manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
     assert manifest["external_contacts"] is None
+    # older manifests recorded only that the contacts were external
     legacy = dict(manifest, external_contacts=True)
-    with pytest.raises(ValueError, match="external contacts"):
+    with pytest.raises(ValueError, match="^manifest external_contacts: contact set must be a dict, got bool$"):
         rerun_manifest(legacy, tmp_path / "again")
     # only null means the scenario's sampled contacts; any other value must
     # be a contact set
@@ -809,18 +836,16 @@ def test_cli_sweep_single_cell(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, legal, wrong",
-    [("aggregation", "sum", "mean"), ("threshold", 0.5, 0.4), ("t_min", 0.001, 0.01)],
+    "key, once_legal", [("aggregation", "sum"), ("threshold", 0.5), ("t_min", 0.001), ("schedule", "staged")]
 )
-def test_rerun_manifest_accepts_legacy_aggregation_key(tmp_path, scenario, key, legal, wrong):
+def test_rerun_manifest_refuses_each_retired_guidance_key_naming_it(tmp_path, scenario, key, once_legal):
+    # older manifests carried these fixed conventions in their guidance block
     manifest = generate_run(scenario, tmp_path / "orig", mode="guided")
     legacy = json.loads(json.dumps(manifest))
-    legacy["guidance"][key] = legal
-    again = rerun_manifest(legacy, tmp_path / "again")
-    assert artifact_hashes(again) == artifact_hashes(manifest)
-    legacy["guidance"][key] = wrong
-    with pytest.raises(ValueError, match=key):
-        rerun_manifest(legacy, tmp_path / "wrong")
+    legacy["guidance"][key] = once_legal
+    with pytest.raises(ValueError, match=f"^manifest guidance has unknown field '{key}'$"):
+        rerun_manifest(legacy, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
 
 
 @pytest.mark.parametrize(
@@ -846,8 +871,14 @@ def test_rerun_manifest_with_a_missing_guidance_field_is_a_value_error(tmp_path,
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize("path", ["scenario", "guidance", "mode", "seeds", "seeds.run", "seeds.reference"])
-def test_rerun_manifest_names_a_missing_field(tmp_path, scenario, path):
+@pytest.mark.parametrize(
+    "path, what",
+    [pytest.param(path, what, id=path) for path, what in [
+        ("scenario", "manifest"), ("guidance", "manifest"), ("mode", "manifest"), ("seeds", "manifest"),
+        ("scenario.seeds.guided", "scenario seeds"), ("scenario.seeds.reference", "scenario seeds"),
+    ]],
+)
+def test_rerun_manifest_names_a_missing_field(tmp_path, scenario, path, what):
     manifest = generate_run(scenario, tmp_path / "orig", mode="unguided")
     *blocks, key = path.split(".")
     broken = json.loads(json.dumps(manifest))
@@ -855,21 +886,38 @@ def test_rerun_manifest_names_a_missing_field(tmp_path, scenario, path):
     for name in blocks:
         block = block[name]
     del block[key]
-    what = " ".join(["manifest", *blocks])
     with pytest.raises(ValueError, match=f"{what} is missing required field '{key}'"):
         rerun_manifest(broken, tmp_path / "again")
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize("key", ["run", "reference"])
+@pytest.mark.parametrize("field", ["guided", "reference"])
 @pytest.mark.parametrize("bad", [None, "7", 7.5, True])
-def test_rerun_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, scenario, key, bad):
-    # a null run seed used to fall back to the scenario's own seed: another run
+def test_rerun_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, scenario, field, bad):
+    # a null seed is an error, not a fall back to some other seed: another run
     manifest = generate_run(with_seeds(scenario, guided=123), tmp_path / "orig", mode="unguided")
     broken = json.loads(json.dumps(manifest))
-    broken["seeds"][key] = bad
-    with pytest.raises(ValueError, match=f"{key} seed must be an integer"):
+    broken["scenario"]["seeds"][field] = bad
+    with pytest.raises(ValueError, match=f"seeds {field} must be an integer"):
         rerun_manifest(broken, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
+
+
+def test_a_manifest_whose_seeds_block_disagrees_with_its_scenario_is_refused(tmp_path, scenario):
+    # an older --seed run recorded its run seed in the seeds block only
+    run = tmp_path / "orig"
+    manifest = generate_run(with_seeds(scenario, guided=123), run, mode="unguided")
+    manifest["seeds"]["run"] = 7
+    _write_json(run / "manifest.json", manifest)
+    message = (f"manifest seeds {{'contacts': {scenario.seeds.contacts}, 'reference': {scenario.seeds.reference}, "
+               f"'run': 7}} disagree with scenario seeds {{'reference': {scenario.seeds.reference}, "
+               f"'guided': 123, 'contacts': {scenario.seeds.contacts}}}, which the block records as "
+               f"{{'run': 123, 'reference': {scenario.seeds.reference}, 'contacts': {scenario.seeds.contacts}}}")
+    for read in (lambda: rerun_manifest(load_manifest(run), tmp_path / "again"), lambda: evaluate_run_dir(run),
+                 lambda: verify_manifest(run)):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == message
     assert not (tmp_path / "again").exists()
 
 
@@ -1094,11 +1142,26 @@ def test_compare_runs_finds_no_difference_between_two_suite_runs_and_an_edited_a
     # a differing field inside a manifest block is named by its dotted path
     manifest_path = tmp_path / "b" / "depth_boxes" / "run_000_unguided" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["guidance"]["schedule"] = "staged"
+    manifest["guidance"]["radius"] += 1
     manifest_path.write_text(json.dumps(manifest))
     result = CliRunner().invoke(compare.main, trees)
-    assert "run_000_unguided: manifest 'guidance.schedule' differs" in result.output
+    assert "run_000_unguided: manifest 'guidance.radius' differs" in result.output
     assert "manifest 'guidance' differs" not in result.output
+
+
+def test_compare_runs_reports_a_manifest_the_record_refuses_as_one_line(tmp_path, scenario):
+    generate_run(scenario, tmp_path / "a" / "run", mode="unguided")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    path = tmp_path / "b" / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["guidance"]["radius"] = "x"
+    path.write_text(json.dumps(manifest))
+    result = CliRunner().invoke(load_script("compare_runs").main, [str(tmp_path / "a"), str(tmp_path / "b")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output.splitlines() == [
+        "run: B manifest refused: guidance radius must be an integer, got 'x'",
+        "1 runs in A: 1 difference(s)",
+    ]
 
 
 def test_expected_drift_passes_recorded_outputs_and_flags_a_changed_record(monkeypatch):
@@ -1170,6 +1233,11 @@ def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_mov
     repo = Path(__file__).resolve().parents[1]
     parent = tmp_path / "parent"
     parent.mkdir()
+    git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "parent"], check=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout
 
     def fake_run(checkout, workload, seed, seconds):
         # the parent's unit takes 0.1 s and its kernel 0.02 s; the change's, `unit` and `kernel`
@@ -1190,6 +1258,7 @@ def test_bench_pairs_sets_the_median_changes_side_by_side_and_names_a_kernel_mov
             f"run_s.p50 {unit / 0.1 - 1:+.2%}, reference kernel {moved}") in result.output
     assert "median change: run_ref.tail" in result.output
     record = json.loads(out.read_text())
+    assert record["parent"] == commit.strip()
     assert record["workloads"]["guided_n16"]["run_s.tail"]["change"]["median"] == pytest.approx(1.5 * unit)
     assert record["claimed"]["met"] and record["claimed"]["kernel_moved_more"] is note
     assert (f"note: on guided_n16 the reference kernel's median moved {moved}" in result.output) == bool(note)
@@ -1208,4 +1277,18 @@ def test_bench_pairs_rejects_a_claim_outside_the_benchmark_before_any_run(tmp_pa
     )
     assert result.exit_code == 2, result.output
     assert "--claim" in result.output
+    assert not out.exists()
+
+
+def test_bench_pairs_refuses_a_parent_that_is_not_a_git_work_tree_before_any_run(tmp_path, monkeypatch):
+    bench = load_script("bench_pairs")
+    monkeypatch.setattr(bench, "_run", lambda *a: pytest.fail("a benchmark run started"))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no enclosing work tree is found
+    repo = Path(__file__).resolve().parents[1]
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    out = tmp_path / "record.json"
+    result = CliRunner().invoke(bench.main, ["--parent", str(parent), "--change", str(repo), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--parent" in result.output and "is not a git work tree with a commit" in result.output
     assert not out.exists()
