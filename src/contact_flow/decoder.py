@@ -96,31 +96,27 @@ def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     return np.tensordot(x, params.w, axes=([3], [0]))
 
 
-def _logistic(u: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Unclipped decoder output sigma(beta * u) of upsampled logits u.
+def _logistic(u: np.ndarray, beta: float) -> np.ndarray:
+    """Unclipped decoder output sigma(beta * u) of upsampled logits u, written over u.
 
-    One output array (`out`, which may be u), finished in place: the same IEEE
-    operations as 1 / (1 + exp(-(beta * u))), without four full-size
-    temporaries.  exp overflows (to an output of exactly 0) for
-    beta * u < -709.78; callers enter np.errstate(over="ignore") once around
-    their decoder passes.
+    Finished in place: the same IEEE operations as 1 / (1 + exp(-(beta * u))),
+    without four full-size temporaries.  exp overflows (to an output of
+    exactly 0) for beta * u < -709.78; callers enter
+    np.errstate(over="ignore") once around their decoder passes.
     """
-    s = np.multiply(u, -beta, out=out)
-    np.exp(s, out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
+    np.multiply(u, -beta, out=u)
+    np.exp(u, out=u)
+    u += 1.0
+    return np.divide(1.0, u, out=u)
 
 
-def _logistic_vjp(
-    s: np.ndarray, cotangent: np.ndarray, beta: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def _logistic_vjp(s: np.ndarray, cotangent: np.ndarray, beta: float) -> np.ndarray:
     """Cotangent of the upsampled logits, cotangent * s * (1 - s) * beta, given the
-    output s = _logistic(u, beta).  Overwrites s with 1 - s; with out=cotangent
-    the whole product is formed in place."""
-    out = np.multiply(cotangent, s, out=out)
-    out *= np.subtract(1.0, s, out=s)
-    out *= beta
-    return out
+    output s = _logistic(u, beta), written over cotangent.  Overwrites s with 1 - s."""
+    cotangent *= s
+    cotangent *= np.subtract(1.0, s, out=s)
+    cotangent *= beta
+    return cotangent
 
 
 # the logistic saturates to exactly 0/1 in float64 for |logit| > ~37
@@ -144,7 +140,7 @@ def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     with np.errstate(over="ignore"):
         # trilinear upsampling n -> N = 4n: A applied along each axis
         u = _interp(_logits(x.data, params), *_upsample_operands(x.n, UPSAMPLE_FACTOR * x.n))
-        s = _logistic(u, params.beta, out=u)
+        s = _logistic(u, params.beta)
     return OccupancyGrid(_clip_occupancy(s, out=s))
 
 

@@ -290,12 +290,12 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
     with np.errstate(over="ignore"):
         for win in windows:
             u = _interp(np.ascontiguousarray(coarse[win.coarse]), *win.blocks)
-            s = _logistic(u, dec.beta, out=u)
+            s = _logistic(u, dec.beta)
             diff = _clip_occupancy(s)
             diff -= win.target
             J += float(np.add.reduce(diff * diff, axis=None))
             diff *= 2.0
-            d_fine = _logistic_vjp(s, diff, dec.beta, out=diff)
+            d_fine = _logistic_vjp(s, diff, dec.beta)
             d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t)
     g_x0 = _spread_channels(d_coarse, dec).reshape(-1)
     return J, _predict_x0_vjp(model, r, mubar, t, g_x0), g_x0

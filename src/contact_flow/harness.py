@@ -19,7 +19,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -64,8 +63,6 @@ EXIT_GENERATION_ABORT = 2
 EXIT_EVALUATION_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
-WORKERS_ENV = "CONTACT_FLOW_WORKERS"
-
 # thread settings a BLAS or OpenMP runtime reads; reductions split across
 # threads can round differently, so they are part of a run's environment
 THREAD_VARS = (
@@ -78,6 +75,9 @@ THREAD_VARS = (
 )
 
 MANIFEST_NAME = "manifest.json"
+# the file each artifact is written to, inside its run directory
+ARTIFACT_FILES = {"contacts": "contacts.json", "reference": "reference.grid", "occupancy": "occupancy.grid",
+                  "shape": "shape.grid", "surface": "surface.ply", "trajectory": "trajectory.jsonl"}
 
 METHOD_UNGUIDED = "unguided"
 METHOD_GUIDED = "guided"
@@ -95,14 +95,6 @@ def _config_errors():
         yield
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def worker_count() -> int:
-    """Sweep pool size from CONTACT_FLOW_WORKERS, 1 when unset."""
-    value = os.environ.get(WORKERS_ENV) or "1"
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _environment() -> dict:
@@ -210,18 +202,19 @@ def generate_run(
         "metrics": None,
     }
 
-    def add_artifact(name: str, filename: str, write) -> None:
+    def add_artifact(name: str, write) -> None:
         """Write one artifact atomically with `write(path)` and record its hash."""
+        filename = ARTIFACT_FILES[name]
         _write_atomic(out / filename, write)
         manifest["artifacts"][name] = {
             "path": filename,
             "sha256": _file_sha256(out / filename),
         }
 
-    add_artifact("contacts", "contacts.json", contacts.save)
+    add_artifact("contacts", contacts.save)
 
     def add_trajectory(trajectory: GuidedTrajectory) -> None:
-        add_artifact("trajectory", "trajectory.jsonl", trajectory.dump_jsonl)
+        add_artifact("trajectory", trajectory.dump_jsonl)
         # an inner step applies guidance when its weight lambda is not 0
         manifest["guidance_applied_steps"] = sum(rec.lam != 0.0 for rec in trajectory.records)
 
@@ -233,7 +226,7 @@ def generate_run(
             occupancy = unguided_sample(built.model, built.decoder, cfg, seeds.guided)
         else:
             manifest["timings"]["reference_s"] = reference_s
-            add_artifact("reference", "reference.grid", lambda p: save_grid(reference.occupancy, p))
+            add_artifact("reference", lambda p: save_grid(reference.occupancy, p))
             occupancy, trajectory = guided_sample(
                 built.model, built.decoder, contacts, reference, cfg, seeds.guided
             )
@@ -246,12 +239,12 @@ def generate_run(
         raise
     manifest["timings"]["generate_s"] = time.perf_counter() - t0
 
-    add_artifact("occupancy", "occupancy.grid", lambda p: save_grid(occupancy, p))
+    add_artifact("occupancy", lambda p: save_grid(occupancy, p))
     binary = binarize(occupancy)
-    add_artifact("shape", "shape.grid", lambda p: save_grid(binary, p))
+    add_artifact("shape", lambda p: save_grid(binary, p))
     if not binary.is_empty():
         surface = extract_surface(binary)
-        add_artifact("surface", "surface.ply", lambda p: save_ply(surface, p))
+        add_artifact("surface", lambda p: save_ply(surface, p))
     if trajectory is not None:
         add_trajectory(trajectory)
         manifest["final_J"] = trajectory.final_J
@@ -293,6 +286,12 @@ class RunManifest:
         if json.dumps(self.seeds, sort_keys=True) != json.dumps(expected, sort_keys=True):
             raise ValueError(f"manifest seeds {self.seeds} disagree with scenario seeds "
                              f"{dataclasses.asdict(s)}, which the block records as {expected}")
+        if self.mode not in ("guided", "unguided"):
+            raise ValueError(f"manifest mode {self.mode!r} is neither 'guided' nor 'unguided'")
+        # evaluate reports a run under its method, so it must be the one mode and guidance give
+        if self.method != method_label(self.mode, self.guidance):
+            raise ValueError(f"manifest method {self.method!r} is not "
+                             f"{method_label(self.mode, self.guidance)!r}, which its mode and guidance give")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
@@ -302,11 +301,17 @@ class RunManifest:
 
 
 def _artifact(run: Path, artifacts: dict, name: str) -> Path:
-    """The path of artifact `name` in run directory `run`; a ValueError naming it when its manifest
-    entry is malformed or the file's sha256 is not the one recorded (OSError: the file is unreadable)."""
+    """The path of artifact `name` in run directory `run`; a ValueError naming it when it is not an
+    artifact a run writes, its manifest entry is malformed or names another file than the one
+    ARTIFACT_FILES gives, or the file's sha256 is not the one recorded (OSError: the file is unreadable)."""
     what = f"manifest artifact {name!r}"
+    if name not in ARTIFACT_FILES:
+        raise ValueError(f"{what} is not an artifact a run writes")
     entry = _expect(_require(artifacts, name, "manifest artifacts"), dict, what)
-    path = run / _expect(_require(entry, "path", what), str, f"{what} path")
+    filename = _expect(_require(entry, "path", what), str, f"{what} path")
+    if filename != ARTIFACT_FILES[name]:
+        raise ValueError(f"{what} path {filename!r} is not the run's own {ARTIFACT_FILES[name]!r}")
+    path = run / filename
     if _file_sha256(path) != _expect(_require(entry, "sha256", what), str, f"{what} sha256"):
         raise ValueError(f"artifact {name!r} does not match the sha256 its manifest records")
     return path
@@ -422,15 +427,6 @@ def evaluate_run_dirs(run_dirs, out_dir=None):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_task(scenario: Scenario, cfg: GuidanceConfig, out_dir: str) -> MetricsReport | None:
-    """A guided sweep run's report, None if generation aborts (module-level for process pools)."""
-    try:
-        generate_run(scenario, out_dir, mode="guided", cfg=cfg)
-    except GenerationAborted:
-        return None
-    return evaluate_run_dir(out_dir)
-
-
 def sweep(
     scenario: Scenario,
     out_dir,
@@ -445,13 +441,12 @@ def sweep(
     An empty grid keeps the base value.  Bad input raises ConfigError before
     the first run, with nothing written; a run whose reference shape is empty
     ends the sweep with a ConfigError.  Cells that abort are recorded and the
-    sweep continues.  With CONTACT_FLOW_WORKERS > 1, all runs share one process pool.
+    sweep continues.  Cells run one after another, in this process.
     """
     base = base_cfg if base_cfg is not None else scenario.guidance_config()
     with _config_errors():
         if runs < 1:
             raise ValueError(f"runs per cell must be >= 1, got {runs}")
-        workers = worker_count()
         cells = []
         for lam, m, radius in itertools.product(
             lambda_grid or [base.lambda_stage], recurrence_grid or [base.recurrence], radius_grid or [base.radius]
@@ -462,19 +457,19 @@ def sweep(
         build_scenario(scenario)  # paired runs differ in seeds only
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    # (run scenario, config, run directory) of every run, in cell order
-    tasks = [(scenario.for_run(i), cfg, str(out / f"cell_{c:03d}" / f"run_{i:03d}"))
-             for c, cfg in enumerate(cells) for i in range(runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_task, *zip(*tasks)))
-    else:
-        reports = list(map(_sweep_task, *zip(*tasks)))
     rows = []
     for cell_index, cfg in enumerate(cells):
-        cell = reports[cell_index * runs:(cell_index + 1) * runs]
-        ok = [r for r in cell if r is not None and not r.failed]
-        aborts = sum(r is None for r in cell)
+        ok, aborts = [], 0
+        for i in range(runs):
+            run_dir = out / f"cell_{cell_index:03d}" / f"run_{i:03d}"
+            try:
+                generate_run(scenario.for_run(i), run_dir, mode="guided", cfg=cfg)
+            except GenerationAborted:
+                aborts += 1
+                continue
+            report = evaluate_run_dir(run_dir)
+            if not report.failed:
+                ok.append(report)
         row = {
             "cell": cell_index,
             "lambda_stage": list(cfg.lambda_stage),
@@ -482,7 +477,7 @@ def sweep(
             "radius": cfg.radius,
             "runs": runs,
             "aborts": aborts,
-            "generation_failures": len(cell) - len(ok) - aborts,
+            "generation_failures": runs - len(ok) - aborts,
         }
         if ok:
             row["chamfer_median"] = float(np.median([r.chamfer for r in ok]))

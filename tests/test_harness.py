@@ -303,6 +303,63 @@ def test_evaluate_skips_an_artifact_whose_bytes_its_manifest_does_not_record(tmp
     assert verify_manifest(run) == [artifact]
 
 
+def test_evaluate_skips_an_artifact_path_that_is_not_the_runs_own_file(tmp_path, scenario):
+    a, b = tmp_path / "a", tmp_path / "b"
+    generate_run(scenario, a, mode="unguided")
+    shape_b = generate_run(scenario.for_run(1), b, mode="unguided")["artifacts"]["shape"]
+    manifest = load_manifest(a)
+    # run b's shape, under its own hash: the file is intact, but it is not run a's
+    manifest["artifacts"]["shape"] = {"path": "../b/shape.grid", "sha256": shape_b["sha256"]}
+    _write_json(a / "manifest.json", manifest)
+    assert verify_manifest(a) == ["shape"]
+    result = CliRunner().invoke(main, ["evaluate", str(a)])
+    assert result.exit_code == EXIT_EVALUATION_FAILURE, result.output
+    assert result.output.splitlines() == [
+        f"skipped {a}: manifest artifact 'shape' path '../b/shape.grid' is not the run's own 'shape.grid'",
+        "no evaluable runs",
+    ]
+
+
+def test_verify_manifest_reports_an_artifact_a_run_does_not_write(tmp_path, scenario):
+    run = tmp_path / "run"
+    manifest = generate_run(scenario, run, mode="unguided")
+    manifest["artifacts"]["extra"] = dict(manifest["artifacts"]["shape"])
+    _write_json(run / "manifest.json", manifest)
+    assert verify_manifest(run) == ["extra"]
+    with pytest.raises(ValueError, match="manifest artifact 'extra' is not an artifact a run writes"):
+        harness._artifact(run, manifest["artifacts"], "extra")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param({"method": "guided"}, "manifest method 'guided' is not 'unguided', which its mode and "
+                     "guidance give", id="unguided-run-labelled-guided"),
+        pytest.param({"mode": "foo"}, "manifest mode 'foo' is neither 'guided' nor 'unguided'", id="unknown-mode"),
+    ],
+)
+def test_a_manifest_whose_mode_or_method_is_not_a_runs_is_refused(tmp_path, scenario, edit, message):
+    generate_run(scenario, tmp_path / "a" / "run", mode="unguided")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    run = tmp_path / "b" / "run"
+    _write_json(run / "manifest.json", {**load_manifest(run), **edit})
+    result = CliRunner().invoke(main, ["evaluate", str(run)])
+    assert result.exit_code == EXIT_EVALUATION_FAILURE, result.output
+    assert result.output.splitlines() == [f"skipped {run}: {message}", "no evaluable runs"]
+    result = CliRunner().invoke(load_script("compare_runs").main, [str(tmp_path / "a"), str(tmp_path / "b")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output.splitlines() == [f"run: B manifest refused: {message}", "1 runs in A: 1 difference(s)"]
+
+
+def test_a_guided_manifest_gives_its_method_by_recurrence(tmp_path, scenario):
+    run = tmp_path / "run"
+    manifest = generate_run(scenario, run, mode="guided", cfg=scenario.guidance_config(recurrence=1))
+    assert manifest["method"] == "guided_no_recurrence"
+    _write_json(run / "manifest.json", {**manifest, "method": "guided"})
+    with pytest.raises(ValueError, match="manifest method 'guided' is not 'guided_no_recurrence'"):
+        evaluate_run_dir(run)
+
+
 def test_evaluate_skips_corrupt_runs(tmp_path, scenario):
     good = tmp_path / "good"
     generate_run(scenario, good, mode="unguided")
@@ -365,16 +422,18 @@ def test_recurrence_sweep_reproduces_ablation_direction(tmp_path, scenario):
     assert by_m[3]["final_J_median"] <= by_m[1]["final_J_median"]
 
 
-def test_sweep_with_worker_pool_matches_serial(tmp_path, scenario, monkeypatch):
-    serial = sweep(scenario, tmp_path / "serial", runs=2, recurrence_grid=[1, 3])
-    monkeypatch.setenv("CONTACT_FLOW_WORKERS", "2")
-    parallel = sweep(scenario, tmp_path / "parallel", runs=2, recurrence_grid=[1, 3])
-    assert serial == parallel and len(serial) == 2
-    runs = [p.parent.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("manifest.json")]
-    assert len(runs) == 4
-    for run in runs:
-        hashes = [artifact_hashes(load_manifest(tmp_path / tree / run)) for tree in ("serial", "parallel")]
-        assert hashes[0] == hashes[1] and "occupancy" in hashes[0]
+def test_sweep_run_directories_equal_generate_run_of_each_cell(tmp_path, scenario):
+    rows = sweep(scenario, tmp_path / "sweep", runs=2, recurrence_grid=[1, 3])
+    assert [row["recurrence"] for row in rows] == [1, 3]
+    assert len(list((tmp_path / "sweep").rglob("manifest.json"))) == 4
+    for c, m in enumerate([1, 3]):
+        cfg = scenario.guidance_config(recurrence=m)
+        for i in range(2):
+            alone = tmp_path / f"alone_{c}_{i}"
+            generate_run(scenario.for_run(i), alone, mode="guided", cfg=cfg)
+            swept = load_manifest(tmp_path / "sweep" / f"cell_{c:03d}" / f"run_{i:03d}")
+            hashes = artifact_hashes(swept)
+            assert hashes == artifact_hashes(load_manifest(alone)) and "occupancy" in hashes
 
 
 def test_aborting_cells_are_recorded_and_sweep_continues(tmp_path, scenario):
@@ -941,27 +1000,6 @@ def test_failed_manifest_write_keeps_previous_file(tmp_path, scenario):
         _write_json(path, payload)
     assert path.read_bytes() == before
     assert sorted(p.name for p in run.iterdir()) == listing
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_cli_sweep_bad_worker_count_is_config_error(tmp_path, value):
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["sweep", "--scenario", "suite:depth_boxes", "--grid-n", "4",
-         "--out", str(tmp_path / "sw"), "--runs", "1"],
-        env={"CONTACT_FLOW_WORKERS": value},
-    )
-    assert result.exit_code == EXIT_CONFIG_ERROR
-    assert "config error" in result.output
-    assert not (tmp_path / "sw").exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_sweep_rejects_bad_worker_count(tmp_path, scenario, monkeypatch, value):
-    monkeypatch.setenv("CONTACT_FLOW_WORKERS", value)
-    with pytest.raises(ValueError, match="CONTACT_FLOW_WORKERS"):
-        sweep(scenario, tmp_path / "sw", runs=1)
 
 
 def test_cli_generate_radius_that_does_not_fit_is_config_error(tmp_path):
