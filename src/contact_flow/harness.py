@@ -289,9 +289,9 @@ class RunManifest:
         if self.mode not in ("guided", "unguided"):
             raise ValueError(f"manifest mode {self.mode!r} is neither 'guided' nor 'unguided'")
         # evaluate reports a run under its method, so it must be the one mode and guidance give
-        if self.method != method_label(self.mode, self.guidance):
-            raise ValueError(f"manifest method {self.method!r} is not "
-                             f"{method_label(self.mode, self.guidance)!r}, which its mode and guidance give")
+        label = method_label(self.mode, self.guidance)
+        if self.method != label:
+            raise ValueError(f"manifest method {self.method!r} is not {label!r}, which its mode and guidance give")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
