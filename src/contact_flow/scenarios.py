@@ -3,7 +3,7 @@ ambiguity constructions, and ground-truth bookkeeping.
 
 A scenario is the full recipe for one experiment: a small library of
 primitive shapes (encoded as mixture components), which one is the true
-shape, a half-space visibility mask, conditioning/noise parameters, and the
+shape, a half-space visibility, conditioning/noise parameters, and the
 seeds for reference, guided, and contact sampling runs.  "Ambiguous"
 scenarios are validated at build time: at least two decoded library shapes
 must be indistinguishable on the visible region while differing substantially
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -37,10 +36,11 @@ from .voxelcore import (
     _read,
     _reject_unknown,
     _require,
+    _store_tuples,
     _unique_keys,
     _write,
-    axis_centers,
     binarize,
+    index_to_point,
     nonzero_indices,
     primitive_from_dict,
     primitive_to_dict,
@@ -75,10 +75,15 @@ class VisibilitySpec:
         if self.visible_side not in ("below", "above"):
             raise ValueError("visible_side must be 'below' or 'above'")
 
-    def mask(self, resolution: int) -> BinaryGrid:
-        coords = axis_centers(resolution)[self.axis]
-        visible = coords < self.offset if self.visible_side == "below" else coords > self.offset
-        return BinaryGrid(np.broadcast_to(visible, (resolution,) * 3))
+    def slab(self, resolution: int) -> tuple[slice, ...]:
+        """The visible voxels of an N^3 grid as the index `grid[slab]`: the whole
+        planes along `axis` whose voxel centers lie strictly on `visible_side`
+        of the offset.  Raises ValueError when they are none or all of the grid."""
+        c = index_to_point(np.arange(resolution), resolution)
+        planes = np.flatnonzero(c < self.offset if self.visible_side == "below" else c > self.offset)
+        if len(planes) in (0, resolution):
+            raise ValueError("visibility mask must be non-empty and not cover the full volume")
+        return (slice(None),) * self.axis + (slice(int(planes[0]), int(planes[-1]) + 1),)
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,7 @@ class Scenario:
     }
 
     def __post_init__(self):
+        _store_tuples(self, "library", "weights")  # hashable, so its geometry keys a memo
         if self.n < 1:
             raise ValueError("latent resolution n must be >= 1")
         if not self.library:
@@ -174,6 +180,8 @@ class Scenario:
 
     def for_run(self, run_index: int) -> "Scenario":
         """This scenario for paired run `run_index` >= 0: each of its seeds shifted by the index."""
+        if run_index < 0:
+            raise ValueError(f"run_index must be >= 0, got {run_index}")
         shifted = {f: getattr(self.seeds, f) + run_index for f in ScenarioSeeds.FIELDS}
         return replace(self, seeds=ScenarioSeeds(**shifted))
 
@@ -197,103 +205,83 @@ class BuiltScenario:
     decoder: DecoderParams
     library_grids: tuple[BinaryGrid, ...]
     ground_truth: BinaryGrid
-    visibility: BinaryGrid
     model: MixtureFlowModel
     contacts: ContactSet
 
 
-def ambiguous_pairs(shapes, visibility: BinaryGrid) -> tuple[tuple[int, int], ...]:
-    """Pairs of binary component shapes identical on the visible region that differ
-    on >= HIDDEN_DIFF_FRACTION of their union in the hidden region."""
-    visible = visibility.data
+def ambiguous_pairs(shapes, slab) -> tuple[tuple[int, int], ...]:
+    """Pairs of binary component shapes identical on the visible voxels
+    `grid[slab]` (`VisibilitySpec.slab`) that differ on >= HIDDEN_DIFF_FRACTION
+    of their union, every differing voxel then lying in the hidden region."""
     pairs = []
     for (i, a), (j, b) in itertools.combinations(enumerate(s.data for s in shapes), 2):
         sym = a ^ b
         union = int((a | b).sum())
-        hidden = int((sym & ~visible).sum())
-        if union and not (sym & visible).any() and hidden >= HIDDEN_DIFF_FRACTION * union:
+        if union and not sym[slab].any() and int(sym.sum()) >= HIDDEN_DIFF_FRACTION * union:
             pairs.append((i, j))
     return tuple(pairs)
 
 
-# the to_dict() keys of the fields _seed_independent reads
-_GEOMETRY_KEYS = (
-    "name", "grid", "library", "true_index", "visibility", "weights",
-    "gamma", "sigma", "beta", "ambiguous",
-)
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    """A scenario compared and hashed by the fields its seed-independent part
-    reads, so scenarios whose primitives hold lists can key a memo."""
-
-    key: str  # those to_dict() fields as sorted-key JSON (numpy scalars by repr)
-    scenario: Scenario = field(compare=False)
-
-    @classmethod
-    def of(cls, scenario: Scenario) -> "_Geometry":
-        d = scenario.to_dict()
-        fields = {k: d[k] for k in _GEOMETRY_KEYS if k in d}
-        return cls(json.dumps(fields, sort_keys=True, default=repr), scenario)
-
-
 @functools.lru_cache(maxsize=1)
-def _seed_independent(geometry: _Geometry):
-    """Decoder, library grids, visibility mask, conditioned model, the true
-    shape's hidden-surface voxel indices (the contact candidates) and whether
-    a demanded ambiguity is missing, for the geometry built last: the suite
-    fixture, run_standard_suite.py and a sweep build one scenario's runs back
-    to back.  Every array is read-only, so paired runs share them."""
-    scenario = geometry.scenario
-    N = scenario.resolution
-    params = DecoderParams.default(channels=8, beta=scenario.beta)
-    grids = tuple(voxelize_primitive(p, N) for p in scenario.library)
+def _seed_independent(name, n, library, true_index, visibility, weights, gamma, sigma, beta, ambiguous):
+    """Decoder, library grids, conditioned model, the true shape's
+    hidden-surface voxel indices (the contact candidates) and whether a
+    demanded ambiguity is missing, from the scenario fields of the same names.
+    Those fields are its memo key, so a scenario's seeds, contact count,
+    fps_count and run count share one entry.  The geometry built last is kept:
+    the suite fixture, run_standard_suite.py and a sweep build one scenario's
+    runs back to back.  Every array is read-only, so paired runs share them."""
+    n, beta = int(n), float(beta)  # an equal key of another type, such as np.int64, shares the entry
+    N = UPSAMPLE_FACTOR * n
+    params = DecoderParams.default(channels=8, beta=beta)
+    grids = tuple(voxelize_primitive(p, N) for p in library)
     latents = [encode(g, params) for g in grids]
     k = len(grids)
     prior = MixtureFlowModel(
-        n=scenario.n,
-        channels=params.channels,
-        means=np.stack([lat.data.reshape(-1) for lat in latents]),
-        weights=np.full(k, 1.0 / k) if scenario.weights is None else scenario.weights,
-        sigma=float(scenario.sigma),
-        component_ids=tuple(f"{scenario.name}/shape_{i}" for i in range(k)),
+        n=n, channels=params.channels, means=np.stack([lat.data.reshape(-1) for lat in latents]),
+        weights=np.full(k, 1.0 / k) if weights is None else weights, sigma=float(sigma),
+        component_ids=tuple(f"{name}/shape_{i}" for i in range(k)),
     )
-    visibility = scenario.visibility.mask(N)
-    if visibility.is_empty() or bool(visibility.data.all()):
-        raise ValueError("visibility mask must be non-empty and not cover the full volume")
-    # each library latent is decoded once, the true shape's first (it is the
-    # observation), and reduced at once to its visible mismatch energy and its
-    # binary shape
-    v, t = visibility.data, scenario.true_index
+    slab = visibility.slab(N)
+    # each library latent is decoded once, the true shape's first (its visible
+    # slab is the observation), and reduced at once to its visible mismatch
+    # energy and, for the ambiguity check alone, its binary shape
     energies, shapes, observed = np.empty(k), [None] * k, None
-    for i in sorted(range(k), key=lambda i: i != t):
+    for i in sorted(range(k), key=lambda i: i != true_index):
         s = decode(latents[i], params)
         if observed is None:
-            observed = s.data[v]
-        energies[i], shapes[i] = np.sum((s.data[v] - observed) ** 2), binarize(s)
-        del s  # freed before the next decode
-    model = condition(prior, energies, scenario.gamma)
-    hidden = _freeze(nonzero_indices(surface_mask(grids[t]) & ~v))  # in lexicographic order
+            observed = s.data[slab]
+        energies[i] = np.sum((s.data[slab] - observed) ** 2)
+        if ambiguous:
+            shapes[i] = binarize(s)
+        del s  # freed before the next decode (the observation keeps the true shape's)
+    model = condition(prior, energies, gamma)
+    surface = surface_mask(grids[true_index])
+    surface[slab] = False
+    hidden = _freeze(nonzero_indices(surface))  # in lexicographic order
     if hidden.shape[0] == 0:
         raise ValueError("contacts cannot complement vision: hidden surface is empty")
-    unmet = scenario.ambiguous and not ambiguous_pairs(shapes, visibility)
-    return params, grids, visibility, model, hidden, unmet
+    unmet = ambiguous and not ambiguous_pairs(shapes, slab)
+    return params, grids, model, hidden, unmet
 
 
 def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltScenario:
     """Resolve a scenario into grids, model, and contacts; each library latent is
     decoded once, for the observation, the conditioning and the ambiguity check.
 
-    Only the contacts depend on the seeds, so the rest is kept for the
-    scenario built last and shared by its runs.
+    Only the contacts depend on the seeds, so the rest is kept for the geometry
+    built last (the ten scenario fields `_seed_independent` takes) and shared
+    by every scenario that has it.
     With `run_index`, the scenario is built for that paired run (`Scenario.for_run`).
     Raises ValueError if a primitive, the visible or the hidden half, or the true shape's hidden surface is
     empty at this resolution, the contacts outnumber that surface, or an `ambiguous` scenario is not ambiguous.
     """
     if run_index is not None:
         scenario = scenario.for_run(run_index)
-    params, grids, visibility, model, hidden, unmet = _seed_independent(_Geometry.of(scenario))
+    params, grids, model, hidden, unmet = _seed_independent(
+        scenario.name, scenario.n, scenario.library, scenario.true_index, scenario.visibility,
+        scenario.weights, scenario.gamma, scenario.sigma, scenario.beta, scenario.ambiguous,
+    )
     gt = grids[scenario.true_index]
     contacts = sample_contacts(hidden, gt.resolution, scenario.contact_count, scenario.seeds.contacts)
     if unmet:
@@ -301,15 +289,8 @@ def build_scenario(scenario: Scenario, run_index: int | None = None) -> BuiltSce
             f"scenario {scenario.name!r} demands ambiguity but no component pair "
             "matches on the visible region while differing in the hidden region"
         )
-    return BuiltScenario(
-        scenario=scenario,
-        decoder=params,
-        library_grids=grids,
-        ground_truth=gt,
-        visibility=visibility,
-        model=model,
-        contacts=contacts,
-    )
+    return BuiltScenario(scenario=scenario, decoder=params, library_grids=grids, ground_truth=gt,
+                         model=model, contacts=contacts)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _store_tuples(obj, *names) -> None:
+    """Store the list or array fields `names` of frozen dataclass `obj` as tuples (an
+    array's entries as Python numbers), so equal values compare and hash equal."""
+    for name in names:
+        if isinstance(v := getattr(obj, name), (list, np.ndarray)):
+            object.__setattr__(obj, name, tuple(v.tolist() if isinstance(v, np.ndarray) else v))
+
+
 def _expect(value, kind: type, what: str):
     """`value` of a parsed input file; ValueError naming `what` when it is not a `kind`."""
     if not isinstance(value, kind):
@@ -283,6 +291,7 @@ class Box:
     FIELDS = {"lo": tuple, "hi": tuple}
 
     def __post_init__(self):
+        _store_tuples(self, "lo", "hi")
         lo = np.asarray(self.lo, dtype=np.float64)
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
@@ -314,6 +323,7 @@ class Cylinder:
     FIELDS = {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}
 
     def __post_init__(self):
+        _store_tuples(self, "center")
         if self.axis not in (0, 1, 2):
             raise ValueError("cylinder axis must be 0, 1 or 2")
         c = np.asarray(self.center, dtype=np.float64)
@@ -359,6 +369,7 @@ class UnionOfBoxes:
     FIELDS = {"boxes": (Box,)}
 
     def __post_init__(self):
+        _store_tuples(self, "boxes")
         if not self.boxes:
             raise ValueError("degenerate primitive: union of zero boxes")
 

@@ -105,14 +105,21 @@ def predict_x0_vjp(model, x: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
     return u - t * (velocity_jacobian(model, x, t).T @ u)
 
 
-def condition(model, mask, observation, gamma: float, decoded):
-    """The model conditioned on `observation` where `mask` is True (observed):
-    w_k' propto w_k exp(-gamma sum_visible (decoded[k] - o)^2), with decoded[k]
-    the OccupancyGrid of mu_k, each energy a sum over the masked voxels, the
-    weights normalized with scipy's logsumexp."""
-    v = mask.data
-    obs = observation.data[v]
-    energies = np.array([np.sum((s.data[v] - obs) ** 2) for s in decoded])
+def visibility_mask(spec, N: int) -> np.ndarray:
+    """The N^3 boolean mask of the voxels a VisibilitySpec sees: those whose
+    center (i + 0.5) / N along `spec.axis` lies strictly on its visible side of
+    `spec.offset`."""
+    coord = (np.indices((N, N, N))[spec.axis] + 0.5) / N
+    return coord < spec.offset if spec.visible_side == "below" else coord > spec.offset
+
+
+def condition(model, visible, observation, gamma: float, decoded):
+    """The model conditioned on `observation` where the N^3 mask `visible` is
+    True: w_k' propto w_k exp(-gamma sum_visible (decoded[k] - o)^2), with
+    decoded[k] the OccupancyGrid of mu_k, each energy a sum over the gathered
+    visible voxels, the weights normalized with scipy's logsumexp."""
+    obs = observation.data[visible]
+    energies = np.array([np.sum((s.data[visible] - obs) ** 2) for s in decoded])
     with np.errstate(over="ignore", divide="ignore"):  # a weight of 0 stays 0
         logits = np.log(model.weights) - gamma * energies
     return dataclasses.replace(model, weights=np.exp(logits - logsumexp(logits, keepdims=True)))
@@ -123,17 +130,18 @@ def condition(model, mask, observation, gamma: float, decoded):
 # ---------------------------------------------------------------------------
 
 
-def sample_contacts(gt, visibility, count: int, seed: int) -> np.ndarray:
+def sample_contacts(gt, visible, count: int, seed: int) -> np.ndarray:
     """The (count, 3) contact points a scenario build draws: the centers
-    (i + 0.5) / N of `count` surface voxels of `gt` where `visibility` is
-    False, drawn without replacement by PCG64(seed) from their argwhere list.
-    A surface voxel is occupied with a face neighbour empty or outside the grid."""
+    (i + 0.5) / N of `count` surface voxels of `gt` where the N^3 mask
+    `visible` is False, drawn without replacement by PCG64(seed) from their
+    argwhere list.  A surface voxel is occupied with a face neighbour empty
+    or outside the grid."""
     occ = np.pad(gt.data, 1)
     inner = occ[1:-1, 1:-1, 1:-1].copy()
     for axis in range(3):
         for shift in (1, -1):
             inner &= np.roll(occ, shift, axis=axis)[1:-1, 1:-1, 1:-1]
-    idx = np.argwhere(gt.data & ~inner & ~visibility.data)
+    idx = np.argwhere(gt.data & ~inner & ~visible)
     rng = np.random.Generator(np.random.PCG64(seed))
     return (idx[rng.choice(len(idx), size=count, replace=False)] + 0.5) / gt.resolution
 

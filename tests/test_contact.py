@@ -107,12 +107,12 @@ def test_the_full_surface_sampler_oracle_draws_every_hidden_surface_voxel_of_a_f
     cube = BinaryGrid(np.ones((3, 3, 3), dtype=bool))
     x0_visible = BinaryGrid(np.broadcast_to((np.arange(3) == 0)[:, None, None], (3, 3, 3)).copy())
     for vis, want in ((BinaryGrid(np.zeros((3, 3, 3), dtype=bool)), 26), (x0_visible, 17)):
-        points = oracles.sample_contacts(cube, vis, want, seed=5)
+        points = oracles.sample_contacts(cube, vis.data, want, seed=5)
         got = {tuple(i) for i in np.rint(points * 3 - 0.5).astype(int)}
         assert len(got) == want and (1, 1, 1) not in got
         assert all(not vis.data[i] for i in got)
     with pytest.raises(ValueError):
-        oracles.sample_contacts(cube, x0_visible, 18, seed=5)
+        oracles.sample_contacts(cube, x0_visible.data, 18, seed=5)
 
 
 def test_sample_contacts_deterministic():

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import json
 import re
 
 import numpy as np
@@ -37,6 +39,36 @@ def _shapes(built):
     return tuple(binarize(s) for s in _decoded(built))
 
 
+def _visible(built):
+    """The N^3 mask of the voxels the built scenario sees, made from its VisibilitySpec."""
+    return oracles.visibility_mask(built.scenario.visibility, built.scenario.resolution)
+
+
+# visibilities besides the suite's x < 0.5 (None): every axis, both sides, and
+# off-centre offsets; 0.53125 is a voxel center at N = 16, whose plane neither
+# side sees, and 0.8125 reaches past x = 0.75, where the library shapes differ
+VISIBILITIES = [
+    None,
+    VisibilitySpec(offset=0.8125),
+    VisibilitySpec(offset=0.3, visible_side="above"),
+    VisibilitySpec(axis=1, visible_side="above"),
+    VisibilitySpec(axis=1, offset=0.625),
+    VisibilitySpec(axis=2, offset=0.3),
+    VisibilitySpec(axis=2, offset=0.53125, visible_side="above"),
+]
+VISIBILITY_IDS = ["suite", "x<0.8125", "x>0.3", "y>0.5", "y<0.625", "z<0.3", "z>0.53125"]
+
+
+def _seen_through(sc, visibility):
+    """`sc` with `visibility` (None keeps the suite's), not demanding ambiguity
+    and with uneven prior weights, so the energies the visible voxels give move them."""
+    if visibility is None:
+        return sc
+    k = len(sc.library)
+    weights = tuple(np.arange(1, k + 1) / np.arange(1, k + 1).sum())
+    return dataclasses.replace(sc, visibility=visibility, ambiguous=False, gamma=0.01, weights=weights)
+
+
 def test_suite_is_deterministic_and_byte_identical():
     a = [yaml.safe_dump(s.to_dict(), sort_keys=True) for s in standard_suite(n=4)]
     b = [yaml.safe_dump(s.to_dict(), sort_keys=True) for s in standard_suite(n=4)]
@@ -63,7 +95,7 @@ def test_suite_matches_documented_manifest():
 def test_every_suite_scenario_builds_and_validates(name, n):
     built = build_scenario(suite_scenario(name, n=n))
     if built.scenario.ambiguous:
-        assert ambiguous_pairs(_shapes(built), built.visibility)
+        assert ambiguous_pairs(_shapes(built), built.scenario.visibility.slab(built.scenario.resolution))
     assert not built.ground_truth.is_empty()
     assert len(built.contacts) == built.scenario.contact_count
 
@@ -90,23 +122,16 @@ def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
         assert np.array_equal(np.stack(decoded), built.model.means[order])
 
 
-@pytest.mark.parametrize("visible", ["suite", "deep"])
+@pytest.mark.parametrize("visibility", VISIBILITIES, ids=VISIBILITY_IDS)
 @pytest.mark.parametrize("n", [4, 8, 16])
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_conditioned_weights_equal_the_mask_based_reference_bit_for_bit(name, n, visible):
-    sc = suite_scenario(name, n=n)
+def test_conditioned_weights_equal_the_mask_based_reference_bit_for_bit(name, n, visibility):
+    sc = _seen_through(suite_scenario(name, n=n), visibility)
     k = len(sc.library)
-    if visible == "deep":
-        # the visible region reaches past x = 0.75, where the library shapes
-        # differ, so the energies differ and move uneven prior weights
-        weights = tuple(np.arange(1, k + 1) / np.arange(1, k + 1).sum())
-        sc = dataclasses.replace(
-            sc, visibility=VisibilitySpec(offset=0.8125), ambiguous=False, gamma=0.01, weights=weights
-        )
     built = build_scenario(sc)
     prior = dataclasses.replace(built.model, weights=sc.weights or np.full(k, 1.0 / k))
     decoded = _decoded(built)
-    want = oracles.condition(prior, built.visibility, decoded[sc.true_index], sc.gamma, decoded)
+    want = oracles.condition(prior, _visible(built), decoded[sc.true_index], sc.gamma, decoded)
     assert want.weights.tobytes() == built.model.weights.tobytes()
 
 
@@ -189,9 +214,9 @@ def test_from_dict_rejects_wrong_typed_fields_as_value_errors(path, bad, message
 
 def test_ambiguous_components_match_exactly_on_visible_region():
     built = build_scenario(suite_scenario("depth_boxes", n=4))
-    visible = built.visibility.data
+    visible = _visible(built)
     bins = _shapes(built)
-    for i, j in ambiguous_pairs(bins, built.visibility):
+    for i, j in ambiguous_pairs(bins, built.scenario.visibility.slab(built.scenario.resolution)):
         sym = bins[i].data ^ bins[j].data
         assert (sym & visible).sum() == 0
         union = (bins[i].data | bins[j].data).sum()
@@ -218,14 +243,15 @@ def test_single_component_conditioning_is_normalization_noop():
     np.testing.assert_allclose(built.model.weights, [1.0])
 
 
+@pytest.mark.parametrize("visibility", VISIBILITIES, ids=VISIBILITY_IDS)
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_contacts_equal_the_full_surface_sampler_bit_for_bit(name, n):
-    sc = suite_scenario(name, n=n)
+def test_contacts_equal_the_full_surface_sampler_bit_for_bit(name, n, visibility):
+    sc = _seen_through(suite_scenario(name, n=n), visibility)
     for run_index in range(12):
         built = build_scenario(sc, run_index=run_index)
         seed = built.scenario.seeds.contacts
-        want = oracles.sample_contacts(built.ground_truth, built.visibility, sc.contact_count, seed)
+        want = oracles.sample_contacts(built.ground_truth, _visible(built), sc.contact_count, seed)
         assert built.contacts.points.tobytes() == want.tobytes(), run_index
 
 
@@ -233,7 +259,7 @@ def test_contacts_lie_on_true_hidden_surface():
     built = build_scenario(suite_scenario("aspect_flare", n=4))
     N = built.scenario.resolution
     surf = surface_mask(built.ground_truth)
-    hidden = ~built.visibility.data
+    hidden = ~_visible(built)
     for p in built.contacts.points:
         idx = tuple(point_to_index(p, N))
         assert surf[idx]
@@ -291,6 +317,17 @@ def test_scaled_radius_matches_defaults():
     assert scaled_radius(64) == 10
     assert scaled_radius(16) == 2
     assert 2 * scaled_radius(8) + 1 <= 8
+
+
+@pytest.mark.parametrize("run_index", [-1, -1000])
+def test_a_negative_run_index_is_refused(run_index):
+    # it would shift the seeds below the scenario's own base seeds
+    sc = suite_scenario("depth_boxes", n=4)
+    message = f"run_index must be >= 0, got {run_index}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sc.for_run(run_index)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_scenario(sc, run_index=run_index)
 
 
 def test_build_scenario_with_run_index_shifts_seeds():
@@ -384,7 +421,7 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
     assert decodes == [] and surfaces == []
     assert second.model is first.model
     assert second.library_grids is first.library_grids
-    assert second.visibility is first.visibility
+    assert second.decoder is first.decoder
     assert second.scenario == sc.for_run(1)
     assert not np.array_equal(second.contacts.points, first.contacts.points)
 
@@ -393,15 +430,32 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
 def test_an_api_scenario_with_list_or_numpy_fields_builds_like_its_plain_twin(form):
     twin = dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=(0.5, 0.5))
     if form == "lists":
-        library = tuple(Box(lo=list(b.lo), hi=list(b.hi)) for b in twin.library)
+        library = [Box(lo=list(b.lo), hi=np.array(b.hi)) for b in twin.library]
         api = dataclasses.replace(twin, library=library, weights=[0.5, 0.5])
     else:
-        api = dataclasses.replace(twin, n=np.int64(4), contact_count=np.int64(10))
+        api = dataclasses.replace(twin, n=np.int64(4), contact_count=np.int64(10), beta=np.int64(4))
+    assert api == twin and hash(api) == hash(twin)
+    scenarios._seed_independent.cache_clear()
     expected = build_scenario(twin, run_index=2)
-    for _ in range(2):
-        built = build_scenario(api, run_index=2)
-        assert _same(built.model, expected.model)
-        assert _same(built.contacts, expected.contacts)
+    scenarios._seed_independent.cache_clear()
+    built = build_scenario(api, run_index=2)
+    reused = build_scenario(twin, run_index=2)  # from the entry the API scenario made
+    info = scenarios._seed_independent.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for b in (built, reused):
+        assert _same(b.model, expected.model)
+        assert _same(b.contacts, expected.contacts)
+        # what a manifest records of the shared entry reads as the twin's own
+        assert json.dumps([b.model.describe(), b.decoder.to_dict()]) == json.dumps(
+            [expected.model.describe(), expected.decoder.to_dict()]
+        )
+
+
+def test_every_scenario_field_is_in_the_memo_key_or_changes_per_run():
+    # a geometry field missing from the key would share another geometry's entry
+    key = list(inspect.signature(scenarios._seed_independent).parameters)
+    per_run = ["seeds", "contact_count", "fps_count", "runs"]
+    assert sorted(key + per_run) == sorted(f.name for f in dataclasses.fields(Scenario))
 
 
 def test_the_memo_keeps_only_the_geometry_built_last():

@@ -329,7 +329,7 @@ def test_condition_split_matches_closed_form_reweighting():
         raw = model.weights * np.exp(-gamma * np.asarray(energies))
         # the kernel on the energies, and the mask-based reference
         for out in (condition(model, _energies(decoded, vis, obs), gamma),
-                    oracles.condition(model, vis, obs, gamma, decoded)):
+                    oracles.condition(model, vis.data, obs, gamma, decoded)):
             np.testing.assert_allclose(out.weights, raw / raw.sum(), rtol=1e-12)
     assert energies[0] == 0.0 < energies[1]
     assert 0.4 < out.weights[0] < 0.6  # from the prior's 0.25, toward the observed shape

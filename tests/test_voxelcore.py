@@ -212,11 +212,18 @@ def test_primitive_voxelization_matches_direct_check(prim, N):
 @pytest.mark.parametrize("offset", [0.5, 0.34375])
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_visibility_mask_matches_direct_check(axis, side, offset, N):
+def test_visibility_slab_matches_direct_check(axis, side, offset, N):
     coord = voxel_centers(N)[:, axis]
     expected = (coord < offset if side == "below" else coord > offset).reshape((N, N, N))
-    mask = VisibilitySpec(axis=axis, offset=offset, visible_side=side).mask(N)
-    assert np.array_equal(mask.data, expected)
+    spec = VisibilitySpec(axis=axis, offset=offset, visible_side=side)
+    if not expected.any() or expected.all():
+        # N = 1's one voxel center 0.5 lies on neither side of 0.5, and above 0.34375
+        with pytest.raises(ValueError, match="^visibility mask must be non-empty and not cover the full volume$"):
+            spec.slab(N)
+        return
+    mask = np.zeros((N, N, N), dtype=bool)
+    mask[spec.slab(N)] = True
+    assert np.array_equal(mask, expected)
 
 
 def test_sphere_capped_box_contains_cap_points():
