@@ -59,14 +59,15 @@ class ContactSet:
         d = {"provenance": PROVENANCE_EXTERNAL, **_expect(d, dict, "contact set")}
         return _read(cls, d, "", "contact set")
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
+    @classmethod
+    def from_json(cls, text: str | bytes) -> "ContactSet":
+        """The contact set of a contacts file's text or bytes."""
+        return cls.from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
     @classmethod
     def load(cls, path) -> "ContactSet":
-        with open(path) as f:
-            return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
+        with open(path, "rb") as f:
+            return cls.from_json(f.read())
 
 
 def sample_contacts(candidates: np.ndarray, resolution: int, count: int, seed: int) -> ContactSet:

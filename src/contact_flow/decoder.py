@@ -133,15 +133,22 @@ def _spread_channels(coarse: np.ndarray, params: DecoderParams) -> np.ndarray:
     return np.einsum("ijk,c->ijkc", coarse, params.w)
 
 
+def _decode_array(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """decode's occupancy array of a latent array (n, n, n, C) with params' channels,
+    a fresh (N, N, N) array of values strictly inside (0, 1), by their clip."""
+    n = x.shape[0]
+    with np.errstate(over="ignore"):
+        # trilinear upsampling n -> N = 4n: A applied along each axis
+        u = _interp(_logits(x, params), *_upsample_operands(n, UPSAMPLE_FACTOR * n))
+        s = _logistic(u, params.beta)
+    return _clip_occupancy(s, out=s)
+
+
 def decode(x: LatentGrid, params: DecoderParams) -> OccupancyGrid:
     """sigma(beta * upsample(<x, w>_channels)); values strictly inside (0, 1)."""
     if x.channels != params.channels:
         raise ValueError(f"latent has {x.channels} channels, decoder expects {params.channels}")
-    with np.errstate(over="ignore"):
-        # trilinear upsampling n -> N = 4n: A applied along each axis
-        u = _interp(_logits(x.data, params), *_upsample_operands(x.n, UPSAMPLE_FACTOR * x.n))
-        s = _logistic(u, params.beta)
-    return OccupancyGrid(_clip_occupancy(s, out=s))
+    return OccupancyGrid(_decode_array(x.data, params))
 
 
 def encode(s: BinaryGrid, params: DecoderParams) -> LatentGrid:

@@ -152,12 +152,10 @@ class GuidedTrajectory:
     records: tuple[StepRecord, ...]
     final_J: float
 
-    def dump_jsonl(self, path) -> None:
+    def to_jsonl(self) -> str:
         """One JSON line per record, then one holding final_J; a non-finite number is null."""
         lines = [rec.to_json_dict() for rec in self.records] + [{"final_J": _finite_or_none(self.final_J)}]
-        with open(path, "w") as f:
-            for line in lines:
-                f.write(json.dumps(line, allow_nan=False) + "\n")
+        return "".join(json.dumps(line, allow_nan=False) + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

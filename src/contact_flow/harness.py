@@ -46,15 +46,16 @@ from .guidance import (
 from .scenarios import Scenario, build_scenario, suite_scenario
 from .voxelcore import (
     _expect,
+    _grid_parts,
     _read,
     _require,
     _unique_keys,
     binarize,
-    extract_surface,
+    grid_from_bytes,
     grid_to_bytes,
-    load_grid,
-    save_grid,
-    save_ply,
+    nonzero_indices,
+    surface_mask,
+    voxel_ply,
     voxelize_primitive,
 )
 
@@ -109,10 +110,6 @@ def _environment() -> dict:
     }
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _seeds_block(seeds) -> dict:
     """A manifest's `seeds` block: the scenario's seeds again, under the names a run gives them."""
     return {"run": seeds.guided, "reference": seeds.reference, "contacts": seeds.contacts}
@@ -135,6 +132,13 @@ def _write_atomic(path: Path, write) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write the bytes-like `parts` to `path`, one after another."""
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -202,19 +206,20 @@ def generate_run(
         "metrics": None,
     }
 
-    def add_artifact(name: str, write) -> None:
-        """Write one artifact atomically with `write(path)` and record its hash."""
+    def add_artifact(name: str, *parts) -> None:
+        """Record the sha256 of one artifact's bytes, the bytes-like `parts` in
+        order, and write them atomically: the file is never read back."""
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
         filename = ARTIFACT_FILES[name]
-        _write_atomic(out / filename, write)
-        manifest["artifacts"][name] = {
-            "path": filename,
-            "sha256": _file_sha256(out / filename),
-        }
+        _write_atomic(out / filename, lambda tmp: _write_parts(tmp, parts))
+        manifest["artifacts"][name] = {"path": filename, "sha256": digest.hexdigest()}
 
-    add_artifact("contacts", contacts.save)
+    add_artifact("contacts", json.dumps(contacts.to_dict(), indent=2).encode())
 
     def add_trajectory(trajectory: GuidedTrajectory) -> None:
-        add_artifact("trajectory", trajectory.dump_jsonl)
+        add_artifact("trajectory", trajectory.to_jsonl().encode())
         # an inner step applies guidance when its weight lambda is not 0
         manifest["guidance_applied_steps"] = sum(rec.lam != 0.0 for rec in trajectory.records)
 
@@ -226,7 +231,7 @@ def generate_run(
             occupancy = unguided_sample(built.model, built.decoder, cfg, seeds.guided)
         else:
             manifest["timings"]["reference_s"] = reference_s
-            add_artifact("reference", lambda p: save_grid(reference.occupancy, p))
+            add_artifact("reference", *_grid_parts(reference.occupancy))
             occupancy, trajectory = guided_sample(
                 built.model, built.decoder, contacts, reference, cfg, seeds.guided
             )
@@ -239,12 +244,11 @@ def generate_run(
         raise
     manifest["timings"]["generate_s"] = time.perf_counter() - t0
 
-    add_artifact("occupancy", lambda p: save_grid(occupancy, p))
+    add_artifact("occupancy", *_grid_parts(occupancy))
     binary = binarize(occupancy)
-    add_artifact("shape", lambda p: save_grid(binary, p))
+    add_artifact("shape", *_grid_parts(binary))
     if not binary.is_empty():
-        surface = extract_surface(binary)
-        add_artifact("surface", lambda p: save_ply(surface, p))
+        add_artifact("surface", voxel_ply(nonzero_indices(surface_mask(binary)), binary.resolution))
     if trajectory is not None:
         add_trajectory(trajectory)
         manifest["final_J"] = trajectory.final_J
@@ -300,10 +304,11 @@ class RunManifest:
         return _read(cls, given, "", "manifest", own=cls.UNREAD)
 
 
-def _artifact(run: Path, artifacts: dict, name: str) -> Path:
-    """The path of artifact `name` in run directory `run`; a ValueError naming it when it is not an
-    artifact a run writes, its manifest entry is malformed or names another file than the one
-    ARTIFACT_FILES gives, or the file's sha256 is not the one recorded (OSError: the file is unreadable)."""
+def _artifact(run: Path, artifacts: dict, name: str) -> bytes:
+    """The bytes of artifact `name` in run directory `run`, read once; a ValueError naming it when it
+    is not an artifact a run writes, its manifest entry is malformed or names another file than the
+    one ARTIFACT_FILES gives, or the bytes' sha256 is not the one recorded (OSError: the file is
+    unreadable).  A caller parses the bytes it was given, so what it reads is what was checked."""
     what = f"manifest artifact {name!r}"
     if name not in ARTIFACT_FILES:
         raise ValueError(f"{what} is not an artifact a run writes")
@@ -311,10 +316,11 @@ def _artifact(run: Path, artifacts: dict, name: str) -> Path:
     filename = _expect(_require(entry, "path", what), str, f"{what} path")
     if filename != ARTIFACT_FILES[name]:
         raise ValueError(f"{what} path {filename!r} is not the run's own {ARTIFACT_FILES[name]!r}")
-    path = run / filename
-    if _file_sha256(path) != _expect(_require(entry, "sha256", what), str, f"{what} sha256"):
+    sha256 = _expect(_require(entry, "sha256", what), str, f"{what} sha256")
+    blob = (run / filename).read_bytes()
+    if hashlib.sha256(blob).hexdigest() != sha256:
         raise ValueError(f"artifact {name!r} does not match the sha256 its manifest records")
-    return path
+    return blob
 
 
 def verify_manifest(run_dir) -> list[str]:
@@ -325,9 +331,10 @@ def verify_manifest(run_dir) -> list[str]:
 
     def intact(name: str) -> bool:
         try:
-            return bool(_artifact(run, artifacts, name))
+            _artifact(run, artifacts, name)
         except (OSError, ValueError):
             return False
+        return True
 
     return [name for name in artifacts if not intact(name)]
 
@@ -348,9 +355,10 @@ def evaluate_run_dir(run_dir) -> MetricsReport:
     if record.failure:
         raise ValueError(f"run {run} recorded a generation failure; nothing to evaluate")
     scenario = record.scenario
-    report = evaluate_run(load_grid(_artifact(run, record.artifacts, "shape")),
-                          voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
-                          ContactSet.load(_artifact(run, record.artifacts, "contacts")),
+    shape = grid_from_bytes(_artifact(run, record.artifacts, "shape"))
+    contacts = ContactSet.from_json(_artifact(run, record.artifacts, "contacts"))
+    report = evaluate_run(shape, voxelize_primitive(scenario.library[scenario.true_index], scenario.resolution),
+                          contacts,
                           scenario=scenario.name, method=record.method, seed=scenario.seeds.guided,
                           final_J=record.final_J)
     manifest["metrics"] = report.to_json_dict()

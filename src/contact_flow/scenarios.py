@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .contact import ContactSet, sample_contacts
-from .decoder import UPSAMPLE_FACTOR, DecoderParams, decode, encode
+from .decoder import UPSAMPLE_FACTOR, DecoderParams, _decode_array, encode
 from .guidance import GuidanceConfig
 from .toyflow import MixtureFlowModel, condition
 from .voxelcore import (
@@ -39,7 +39,6 @@ from .voxelcore import (
     _store_tuples,
     _unique_keys,
     _write,
-    binarize,
     index_to_point,
     nonzero_indices,
     primitive_from_dict,
@@ -96,8 +95,10 @@ class ScenarioSeeds:
 
     def __post_init__(self):
         for name in self.FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"seeds {name} must be >= 0, got {getattr(self, name)}")
+            seed = _convert(getattr(self, name), int, f"seeds {name}")  # a bool or 1.5 is refused
+            if seed < 0:
+                raise ValueError(f"seeds {name} must be >= 0, got {seed}")
+            object.__setattr__(self, name, seed)
 
 
 class _YamlLoader(yaml.SafeLoader):
@@ -179,7 +180,8 @@ class Scenario:
             raise ValueError(f"{path} is not valid YAML: {exc}") from None
 
     def for_run(self, run_index: int) -> "Scenario":
-        """This scenario for paired run `run_index` >= 0: each of its seeds shifted by the index."""
+        """This scenario for paired run `run_index`, an integer >= 0: each of its seeds shifted by the index."""
+        run_index = _convert(run_index, int, "run_index")
         if run_index < 0:
             raise ValueError(f"run_index must be >= 0, got {run_index}")
         shifted = {f: getattr(self.seeds, f) + run_index for f in ScenarioSeeds.FIELDS}
@@ -235,27 +237,29 @@ def _seed_independent(name, n, library, true_index, visibility, weights, gamma, 
     N = UPSAMPLE_FACTOR * n
     params = DecoderParams.default(channels=8, beta=beta)
     grids = tuple(voxelize_primitive(p, N) for p in library)
-    latents = [encode(g, params) for g in grids]
+    latents = [encode(g, params).data for g in grids]
     k = len(grids)
-    prior = MixtureFlowModel(
-        n=n, channels=params.channels, means=np.stack([lat.data.reshape(-1) for lat in latents]),
-        weights=np.full(k, 1.0 / k) if weights is None else weights, sigma=float(sigma),
-        component_ids=tuple(f"{name}/shape_{i}" for i in range(k)),
-    )
     slab = visibility.slab(N)
     # each library latent is decoded once, the true shape's first (its visible
     # slab is the observation), and reduced at once to its visible mismatch
-    # energy and, for the ambiguity check alone, its binary shape
-    energies, shapes, observed = np.empty(k), [None] * k, None
+    # energy, in one slab buffer, and, for the ambiguity check alone, its binary
+    # shape.  The decodes are the decoder's bare arrays: encode's clamp bounds
+    # the logits and the upsampling weights are convex, so every value lies in (0, 1)
+    energies, shapes, observed, mismatch = np.empty(k), [None] * k, None, None
     for i in sorted(range(k), key=lambda i: i != true_index):
-        s = decode(latents[i], params)
+        s = _decode_array(latents[i], params)
         if observed is None:
-            observed = s.data[slab]
-        energies[i] = np.sum((s.data[slab] - observed) ** 2)
+            observed, mismatch = s[slab], np.empty(s[slab].shape)
+        np.subtract(s[slab], observed, out=mismatch)
+        energies[i] = np.sum(np.square(mismatch, out=mismatch))
         if ambiguous:
-            shapes[i] = binarize(s)
+            shapes[i] = BinaryGrid(s >= 0.5)  # binarize's threshold
         del s  # freed before the next decode (the observation keeps the true shape's)
-    model = condition(prior, energies, gamma)
+    model = MixtureFlowModel(
+        n=n, channels=params.channels, means=np.stack([lat.reshape(-1) for lat in latents]),
+        weights=condition(np.full(k, 1.0 / k) if weights is None else weights, energies, gamma),
+        sigma=float(sigma), component_ids=tuple(f"{name}/shape_{i}" for i in range(k)),
+    )
     surface = surface_mask(grids[true_index])
     surface[slab] = False
     hidden = _freeze(nonzero_indices(surface))  # in lexicographic order

@@ -32,13 +32,19 @@ squared norms |mu_k|^2 kept from construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .voxelcore import LatentGrid, _freeze
 
 T_MIN_DEFAULT = 1e-3
+
+
+def _check_simplex(weights: np.ndarray) -> None:
+    """ValueError unless the float64 array `weights` is a probability simplex vector."""
+    if weights.ndim != 1 or np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-12):
+        raise ValueError("weights must be a probability simplex vector")
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,7 @@ class MixtureFlowModel:
             raise ValueError("mixture means contain non-finite entries")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights must have one entry per component")
-        if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-12):
-            raise ValueError("weights must be a probability simplex vector")
+        _check_simplex(weights)
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("component noise scale sigma must be positive and finite")
         with np.errstate(over="ignore"):  # an overflow is rejected here, not met in the flow
@@ -81,10 +86,6 @@ class MixtureFlowModel:
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "mean_sq_norms", _freeze(mean_sq_norms))
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
 
     def latent_shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.n, self.n, self.channels)
@@ -183,21 +184,23 @@ def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:
     return LatentGrid(rng.standard_normal(model.latent_shape()))
 
 
-def condition(model: MixtureFlowModel, energies: np.ndarray, gamma: float) -> MixtureFlowModel:
-    """Reweight components by their energies, each one's mismatch with the observation:
+def condition(weights, energies: np.ndarray, gamma: float) -> np.ndarray:
+    """Prior component `weights` (a probability simplex vector) reweighted by the
+    components' energies, each one's mismatch with the observation:
     w_k' propto w_k * exp(-gamma * energies[k]), computed with log-sum-exp stabilization."""
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_simplex(weights)
     if not 0.0 <= gamma < np.inf:
         raise ValueError("sharpness gamma must be non-negative and finite")
-    if np.shape(energies) != (model.k,):
+    if np.shape(energies) != weights.shape:
         raise ValueError("condition needs one energy per component")
     # a prior weight of 0 has log -inf, and gamma * energy may overflow: both a
     # mass of 0, checked below
     with np.errstate(over="ignore", divide="ignore"):
-        logits = np.log(model.weights) - gamma * energies
+        logits = np.log(weights) - gamma * energies
     if np.all(np.isneginf(logits)):
         raise ValueError("condition inconsistent with library: all component masses underflow")
-    logw = logits - _logsumexp(logits)
-    return replace(model, weights=np.exp(logw))
+    return np.exp(logits - _logsumexp(logits))
 
 
 def time_grid(steps: int):

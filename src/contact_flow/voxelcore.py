@@ -76,6 +76,8 @@ def _convert(value, to, what: str):
     """to(value) for a number or list field of a parsed input file (`to` one of
     int, float, tuple); ValueError naming `what` when the value is not one, such
     as the None of a YAML field left empty, a bool, a string, or 10.5 for an int."""
+    if type(value) is to is int:  # the common case, a plain int, needs no check
+        return value
     name, accepts = _FIELD_KINDS[to]
     try:
         if accepts(value):
@@ -453,19 +455,10 @@ def voxelize_primitive(spec: Primitive, resolution: int) -> BinaryGrid:
     return BinaryGrid(mask)
 
 
-def extract_surface(grid: BinaryGrid) -> np.ndarray:
-    """(M, 3) centers of occupied voxels with at least one unoccupied 6-neighbor.
-
-    The outside of the grid counts as unoccupied, so occupied voxels touching
-    the grid boundary are surface voxels.
-    """
-    if grid.is_empty():
-        raise ValueError("cannot extract surface of an empty grid")
-    return index_to_point(nonzero_indices(surface_mask(grid)), grid.resolution)
-
-
 def surface_mask(grid: BinaryGrid) -> np.ndarray:
-    """Boolean mask of the surface voxels of `grid` (same rule as extract_surface)."""
+    """Boolean mask of the surface voxels of `grid`: its occupied voxels with at
+    least one unoccupied 6-neighbor, the outside of the grid counting as
+    unoccupied, so occupied voxels touching the grid boundary are surface voxels."""
     occ = grid.data
     # interior: occupied with all six neighbours occupied.  Each neighbour is a
     # shift of the flat C-order grid; a shift that wraps past the end of a row
@@ -482,9 +475,11 @@ def surface_mask(grid: BinaryGrid) -> np.ndarray:
 
 
 def binarize(s: OccupancyGrid | BinaryGrid, threshold: float = 0.5) -> BinaryGrid:
-    """Threshold continuous occupancy: occupied iff s >= threshold; a BinaryGrid keeps its voxels."""
+    """Threshold continuous occupancy: occupied iff s >= threshold; a BinaryGrid is returned as it is."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
+    if isinstance(s, BinaryGrid):
+        return s
     return BinaryGrid(s.data >= threshold)
 
 
@@ -541,16 +536,9 @@ def grid_from_bytes(blob: bytes) -> OccupancyGrid | BinaryGrid:
     if kind == _KIND_OCCUPANCY:
         data = np.frombuffer(blob, dtype="<f4", offset=20).reshape((n,) * 3)
         return OccupancyGrid(data.astype(np.float64))
+    # unpacked bits are 0 or 1, so they are read as bool where they lie
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=20), count=n**3)
-    return BinaryGrid(bits.astype(bool).reshape((n,) * 3))
-
-
-def save_grid(grid: OccupancyGrid | BinaryGrid, path) -> None:
-    """Write `grid_to_bytes(grid)`: the header, then the payload array's own buffer."""
-    header, payload = _grid_parts(grid)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    return BinaryGrid(bits.view(bool).reshape((n,) * 3))
 
 
 def load_grid(path) -> OccupancyGrid | BinaryGrid:
@@ -558,26 +546,23 @@ def load_grid(path) -> OccupancyGrid | BinaryGrid:
         return grid_from_bytes(f.read())
 
 
-def save_ply(points: np.ndarray, path) -> None:
-    """ASCII PLY of (M, 3) float64 `points`, one "%.8f %.8f %.8f" vertex line each."""
+def voxel_ply(indices: np.ndarray, resolution: int) -> bytes:
+    """ASCII PLY of the centers of the (M, 3) voxel `indices` of an N-grid, in
+    their order, one "%.8f %.8f %.8f" vertex line each."""
     header = (
         "ply\n"
         "format ascii 1.0\n"
-        f"element vertex {len(points)}\n"
+        f"element vertex {len(indices)}\n"
         "property float x\n"
         "property float y\n"
         "property float z\n"
         "end_header\n"
     )
-    # each distinct coordinate (a voxel-center cloud has at most N per axis) is
-    # formatted once; its NUL-padded bytes are gathered per point and the NULs
-    # dropped.  Distinct by bit pattern, so -0.0 keeps its sign.
-    bits, inverse = np.unique(points.reshape(-1).view(np.uint64), return_inverse=True)
-    text = ["%.8f" % v for v in bits.view(np.float64).tolist()]
-    width = max(map(len, text), default=0) + 1
-    table = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    cells = table[inverse].reshape(len(points), 3, width)
-    cells[:, :, -1] = np.frombuffer(b"  \n", dtype=np.uint8)  # one separator per cell
-    flat = cells.reshape(-1)
-    with open(path, "wb") as f:
-        f.write(header.encode() + flat[flat != 0].tobytes())
+    # a voxel center lies in (0, 1), so "%.8f " spells each of the N center
+    # coordinates in 11 bytes: each is formatted once, its row of the table is
+    # gathered per point and axis, and the last axis's space becomes a newline
+    text = "".join("%.8f " % c for c in index_to_point(np.arange(resolution), resolution).tolist())
+    table = np.frombuffer(text.encode(), dtype=np.uint8).reshape(resolution, -1)
+    cells = table[indices]
+    cells[:, 2, -1] = ord("\n")
+    return header.encode() + cells.tobytes()

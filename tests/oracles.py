@@ -126,22 +126,32 @@ def condition(model, visible, observation, gamma: float, decoded):
 
 
 # ---------------------------------------------------------------------------
-# contacts
+# surfaces and contacts
 # ---------------------------------------------------------------------------
+
+
+def surface(grid) -> np.ndarray:
+    """The N^3 mask of the surface voxels of `grid`: occupied, with a face
+    neighbour empty or outside the grid."""
+    occ = np.pad(grid.data, 1)
+    inner = occ[1:-1, 1:-1, 1:-1].copy()
+    for axis in range(3):
+        for shift in (1, -1):
+            inner &= np.roll(occ, shift, axis=axis)[1:-1, 1:-1, 1:-1]
+    return grid.data & ~inner
+
+
+def surface_points(grid) -> np.ndarray:
+    """(M, 3) centers (i + 0.5) / N of the surface voxels of `grid`, in argwhere's order."""
+    return (np.argwhere(surface(grid)) + 0.5) / grid.resolution
 
 
 def sample_contacts(gt, visible, count: int, seed: int) -> np.ndarray:
     """The (count, 3) contact points a scenario build draws: the centers
     (i + 0.5) / N of `count` surface voxels of `gt` where the N^3 mask
     `visible` is False, drawn without replacement by PCG64(seed) from their
-    argwhere list.  A surface voxel is occupied with a face neighbour empty
-    or outside the grid."""
-    occ = np.pad(gt.data, 1)
-    inner = occ[1:-1, 1:-1, 1:-1].copy()
-    for axis in range(3):
-        for shift in (1, -1):
-            inner &= np.roll(occ, shift, axis=axis)[1:-1, 1:-1, 1:-1]
-    idx = np.argwhere(gt.data & ~inner & ~visible)
+    argwhere list."""
+    idx = np.argwhere(surface(gt) & ~visible)
     rng = np.random.Generator(np.random.PCG64(seed))
     return (idx[rng.choice(len(idx), size=count, replace=False)] + 0.5) / gt.resolution
 

@@ -216,7 +216,7 @@ def test_criterion_3_unguided_sampling_fidelity():
     d = np.linalg.norm(finals[:, None, :] - model.means[None], axis=2)
     nearest = np.argmin(d, axis=1)
     within = d[np.arange(1000), nearest].max() <= 3 * model.sigma * math.sqrt(model.means.shape[1])
-    freqs = np.bincount(nearest, minlength=model.k) / 1000
+    freqs = np.bincount(nearest, minlength=len(model.weights)) / 1000
     dev = float(np.abs(freqs - model.weights).max())
     _report(
         3,

@@ -310,7 +310,7 @@ def test_nearest_occupied_far_corner_voxel_grows_box_to_whole_grid(N):
 
 def test_contact_set_json_roundtrip(tmp_path):
     cs = ContactSet(np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]]), provenance="external file")
-    cs.save(tmp_path / "c.json")
+    (tmp_path / "c.json").write_text(json.dumps(cs.to_dict(), indent=2))
     raw = json.loads((tmp_path / "c.json").read_text())
     assert raw["provenance"] == "external file"
     loaded = ContactSet.load(tmp_path / "c.json")

@@ -26,7 +26,6 @@ from contact_flow.voxelcore import (
     Box,
     OccupancyGrid,
     binarize,
-    extract_surface,
     index_to_point,
     surface_mask,
     voxelize_primitive,
@@ -222,10 +221,8 @@ def test_one_voxel_dilation_bounds():
     assert report.chamfer <= 2.0 / N
     assert report.f_scores[0.05] == 1.0
     # brute-force check of the raw (unnormalized) dilation distance bound
-    from contact_flow.voxelcore import extract_surface
-
-    ps = extract_surface(BinaryGrid(dilated))
-    gs = extract_surface(gt)
+    ps = oracles.surface_points(BinaryGrid(dilated))
+    gs = oracles.surface_points(gt)
     assert oracles.nearest_distances(ps, gs).max() <= 1.0 / N + 1e-12
 
 
@@ -274,9 +271,9 @@ def test_evaluate_run_metrics_equal_public_metrics_bitwise(seed):
     gt = BinaryGrid(rng.random((16, 16, 16)) < 0.3)
     output = OccupancyGrid(rng.random((16, 16, 16)))
     rep = evaluate_run(output, gt, CENTER)
-    gt_surface = extract_surface(gt)
+    gt_surface = oracles.surface_points(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    pred = extract_surface(binarize(output, 0.5)) * scale + offset
+    pred = oracles.surface_points(binarize(output, 0.5)) * scale + offset
     truth = gt_surface * scale + offset
     assert rep.chamfer == oracles.chamfer(pred, truth)
     assert rep.f_scores == {tau: oracles.f_score(pred, truth, tau) for tau in F_SCORE_THRESHOLDS}
@@ -380,9 +377,9 @@ def test_evaluate_run_equals_public_chamfer_and_f_score(case):
         "disjoint": voxelize_primitive(Box((0.0, 0.0, 0.0), (0.125, 0.125, 0.9)), N),
     }[case]
     rep = evaluate_run(OccupancyGrid(pred.data.astype(float)), gt, CENTER)
-    gt_surface = extract_surface(gt)
+    gt_surface = oracles.surface_points(gt)
     scale, offset = unit_cube_transform(gt_surface)
-    a = extract_surface(pred) * scale + offset
+    a = oracles.surface_points(pred) * scale + offset
     b = gt_surface * scale + offset
     assert rep.chamfer == oracles.chamfer(a, b)
     assert rep.f_scores == {tau: oracles.f_score(a, b, tau) for tau in F_SCORE_THRESHOLDS}

@@ -376,12 +376,12 @@ def test_huge_lambda_aborts_with_step_info():
     assert records[3].lam > 1e300 and not records[3].suppressed
 
 
-def test_trajectory_jsonl_dump(tmp_path):
+def test_trajectory_jsonl_text():
     model, params, cfg, ref, contacts = toy_setup(seed=31)
     _, traj = guided_sample(model, params, contacts, ref, cfg, seed=3)
-    path = tmp_path / "trajectory.jsonl"
-    traj.dump_jsonl(path)
-    lines = path.read_text().splitlines()
+    text = traj.to_jsonl()
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert len(lines) == len(traj.records) + 1
     first = json.loads(lines[0])
     # the trajectory.jsonl record format: these keys, in this order

@@ -201,6 +201,48 @@ def test_evaluate_run_dir_writes_metrics_into_manifest(tmp_path, scenario):
     assert report2.chamfer == report.chamfer
 
 
+# the names of the files opened while a test records them; an audit hook cannot
+# be removed, so one is added for the process, and records only when asked
+_OPENS = {"hooked": False, "names": None}
+
+
+def _record_open(event, args):
+    if event == "open" and _OPENS["names"] is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _OPENS["names"].append(Path(os.fsdecode(args[0])).name)
+
+
+@pytest.fixture
+def opened_files():
+    """A list that gains the name of each file the process opens until the test ends."""
+    if not _OPENS["hooked"]:
+        sys.addaudithook(_record_open)
+        _OPENS["hooked"] = True
+    _OPENS["names"] = names = []
+    yield names
+    _OPENS["names"] = None
+
+
+@pytest.mark.parametrize("mode", ["guided", "unguided"])
+def test_each_recorded_sha256_is_that_of_the_file_on_disk(tmp_path, scenario, mode):
+    run = tmp_path / "run"
+    manifest = generate_run(scenario, run, mode=mode)
+    written = {"contacts", "occupancy", "shape", "surface"} | ({"reference", "trajectory"} if mode == "guided" else set())
+    assert set(manifest["artifacts"]) == written
+    for name, entry in manifest["artifacts"].items():
+        assert entry["sha256"] == hashlib.sha256((run / entry["path"]).read_bytes()).hexdigest(), name
+
+
+@pytest.mark.parametrize("mode", ["guided", "unguided"])
+def test_evaluate_opens_the_shape_and_the_contacts_once_each(tmp_path, scenario, mode, opened_files):
+    # it parses the bytes whose sha256 it checked: a second read could see a file swapped in between
+    run = tmp_path / "run"
+    generate_run(scenario, run, mode=mode)
+    opened_files.clear()
+    evaluate_run_dir(run)
+    assert opened_files.count("shape.grid") == opened_files.count("contacts.json") == 1
+    assert {"occupancy.grid", "surface.ply", "reference.grid", "trajectory.jsonl"}.isdisjoint(opened_files)
+
+
 def test_evaluate_run_dir_reads_only_the_true_shape(tmp_path, scenario, monkeypatch):
     run = tmp_path / "run"
     generate_run(scenario, run, mode="guided")
@@ -748,7 +790,7 @@ def test_cli_evaluate_and_failure_exit(tmp_path, scenario):
 def test_cli_external_contacts(tmp_path, scenario):
     built = build_scenario(scenario)
     contacts_file = tmp_path / "contacts.json"
-    built.contacts.save(contacts_file)
+    contacts_file.write_text(json.dumps(built.contacts.to_dict(), indent=2))
     runner = CliRunner()
     result = runner.invoke(
         main,
@@ -1084,23 +1126,24 @@ def test_standard_suite_script_writes_one_row_per_run(tmp_path):
     assert {r["method"] for r in rows} == {"unguided", "guided", "guided_no_recurrence"}
 
 
-@pytest.mark.parametrize("writer", ["save_ply", "save_grid"])
-def test_an_artifact_writer_that_fails_partway_leaves_no_file(tmp_path, scenario, monkeypatch, writer):
-    real = getattr(harness, writer)
+@pytest.mark.parametrize("artifact", ["surface.ply", "occupancy.grid"])
+def test_an_artifact_writer_that_fails_partway_leaves_no_file(tmp_path, scenario, monkeypatch, artifact):
+    real = harness._write_parts
 
-    def fail_partway(obj, path):
-        real(obj, path)
-        with open(path, "r+b") as f:
-            f.truncate(10)
-        raise OSError("disk full")
+    def fail_partway(path, parts):
+        real(path, parts)
+        if path.name.startswith(f".{artifact}."):  # the temporary file beside it
+            with open(path, "r+b") as f:
+                f.truncate(10)
+            raise OSError("disk full")
 
-    monkeypatch.setattr(harness, writer, fail_partway)
+    monkeypatch.setattr(harness, "_write_parts", fail_partway)
     run = tmp_path / "run"
     with pytest.raises(OSError, match="disk full"):
         generate_run(scenario, run, mode="unguided")
     # the contacts were written before the failure; nothing else is there
     assert sorted(p.name for p in run.iterdir()) == (
-        ["contacts.json", "occupancy.grid", "shape.grid"] if writer == "save_ply" else ["contacts.json"]
+        ["contacts.json", "occupancy.grid", "shape.grid"] if artifact == "surface.ply" else ["contacts.json"]
     )
 
 

@@ -118,7 +118,7 @@ def test_build_scenario_decodes_each_library_latent_once(monkeypatch):
         # the true shape first, as the observation, then the rest in library order
         t = built.scenario.true_index
         order = [t, *(i for i in range(k) if i != t)]
-        assert len(decoded) == built.model.k == k
+        assert len(decoded) == len(built.model.weights) == k
         assert np.array_equal(np.stack(decoded), built.model.means[order])
 
 
@@ -142,6 +142,14 @@ def test_scenario_rejects_fps_count_below_one(fps_count):
         dataclasses.replace(sc, fps_count=fps_count)
     with pytest.raises(ValueError, match="fps_count"):
         Scenario.from_dict({**sc.to_dict(), "fps_count": fps_count})
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.6), (-0.5, 1.5), (0.5, float("nan"))])
+def test_prior_weights_that_are_not_a_simplex_vector_are_refused_before_conditioning(weights):
+    # conditioning normalizes, so (0.5, 0.6) would otherwise build with weights that sum to 1
+    scenarios._seed_independent.cache_clear()
+    with pytest.raises(ValueError, match="^weights must be a probability simplex vector$"):
+        build_scenario(dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=weights))
 
 
 def test_a_zero_prior_weight_conditions_to_exactly_zero():
@@ -319,6 +327,27 @@ def test_scaled_radius_matches_defaults():
     assert 2 * scaled_radius(8) + 1 <= 8
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1", np.float64(3)])
+def test_a_seed_or_run_index_that_is_not_an_integer_is_refused(value):
+    sc = suite_scenario("depth_boxes", n=4)
+    for field in ScenarioSeeds.FIELDS:
+        message = f"seeds {field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sc.seeds, **{field: value})
+    message = f"run_index must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sc.for_run(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_scenario(sc, run_index=value)
+
+
+def test_an_integer_seed_or_run_index_of_another_type_is_a_plain_int():
+    sc = suite_scenario("depth_boxes", n=4)
+    seeds = ScenarioSeeds(np.int64(1), np.uint32(2), np.int8(3))
+    assert seeds == ScenarioSeeds(1, 2, 3) and {type(getattr(seeds, f)) for f in ScenarioSeeds.FIELDS} == {int}
+    assert sc.for_run(np.int64(2)) == sc.for_run(2)
+
+
 @pytest.mark.parametrize("run_index", [-1, -1000])
 def test_a_negative_run_index_is_refused(run_index):
     # it would shift the seeds below the scenario's own base seeds
@@ -415,7 +444,7 @@ def test_a_second_run_index_decodes_nothing_and_shares_the_fixed_part(monkeypatc
     scenarios._seed_independent.cache_clear()
     first = build_scenario(sc, run_index=0)
     decodes, surfaces = [], []
-    monkeypatch.setattr(scenarios, "decode", lambda *a: decodes.append(a))
+    monkeypatch.setattr(scenarios, "_decode_array", lambda *a: decodes.append(a))
     monkeypatch.setattr(scenarios, "surface_mask", lambda *a: surfaces.append(a))
     second = build_scenario(sc, run_index=1)
     assert decodes == [] and surfaces == []

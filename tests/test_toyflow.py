@@ -247,7 +247,7 @@ def _mean(model, k):
 
 
 def _decoded(model, params):
-    return tuple(decode(_mean(model, k), params) for k in range(model.k))
+    return tuple(decode(_mean(model, k), params) for k in range(len(model.weights)))
 
 
 def _energies(decoded, mask, observation):
@@ -282,8 +282,8 @@ def test_condition_gamma_zero_is_identity():
     model, params, shallow, _ = make_shape_model()
     N = 4 * model.n
     obs = OccupancyGrid(shallow.data.astype(float))
-    out = condition(model, _energies(_decoded(model, params), _visibility(N), obs), 0.0)
-    np.testing.assert_array_equal(out.weights, model.weights)
+    out = condition(model.weights, _energies(_decoded(model, params), _visibility(N), obs), 0.0)
+    np.testing.assert_array_equal(out, model.weights)
 
 
 def test_condition_concentrates_on_matching_components():
@@ -303,10 +303,10 @@ def test_condition_concentrates_on_matching_components():
         sigma=model.sigma,
     )
     obs = decode(_mean(big, 1), params)  # observe the deep shape's rendering
-    out = condition(big, _energies(_decoded(big, params), _visibility(N), obs), 100.0)
-    assert out.weights[2] < 1e-6
+    out = condition(big.weights, _energies(_decoded(big, params), _visibility(N), obs), 100.0)
+    assert out[2] < 1e-6
     # the ambiguous pair splits mass proportionally to the prior (0.25 : 0.5)
-    ratio = out.weights[0] / out.weights[1]
+    ratio = out[0] / out[1]
     assert ratio == pytest.approx(0.5, rel=1e-9)
 
 
@@ -323,16 +323,16 @@ def test_condition_split_matches_closed_form_reweighting():
     for vis in (_visibility(N), BinaryGrid(deep_mask)):
         # independent reweighting computation
         energies = []
-        for k in range(model.k):
+        for k in range(len(model.weights)):
             s_k = decode(_mean(model, k), params).data
             energies.append(np.sum((s_k[vis.data] - obs.data[vis.data]) ** 2))
         raw = model.weights * np.exp(-gamma * np.asarray(energies))
         # the kernel on the energies, and the mask-based reference
-        for out in (condition(model, _energies(decoded, vis, obs), gamma),
-                    oracles.condition(model, vis.data, obs, gamma, decoded)):
-            np.testing.assert_allclose(out.weights, raw / raw.sum(), rtol=1e-12)
+        for out in (condition(model.weights, _energies(decoded, vis, obs), gamma),
+                    oracles.condition(model, vis.data, obs, gamma, decoded).weights):
+            np.testing.assert_allclose(out, raw / raw.sum(), rtol=1e-12)
     assert energies[0] == 0.0 < energies[1]
-    assert 0.4 < out.weights[0] < 0.6  # from the prior's 0.25, toward the observed shape
+    assert 0.4 < out[0] < 0.6  # from the prior's 0.25, toward the observed shape
 
 
 def test_condition_underflow_raises():
@@ -341,17 +341,24 @@ def test_condition_underflow_raises():
     obs = OccupancyGrid(np.zeros((N, N, N)))
     gamma = sys.float_info.max  # times any energy above 1, -inf
     with pytest.raises(ValueError, match="condition inconsistent with library"):
-        condition(model, _energies(_decoded(model, params), _visibility(N), obs), gamma)
+        condition(model.weights, _energies(_decoded(model, params), _visibility(N), obs), gamma)
 
 
 def test_condition_checks_gamma_and_one_energy_per_component():
     model, *_ = make_shape_model()
     for gamma in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sharpness gamma must be non-negative and finite"):
-            condition(model, np.zeros(model.k), gamma)
-    for energies in (np.zeros(model.k + 1), np.zeros((model.k, 1)), 0.0):
+            condition(model.weights, np.zeros(len(model.weights)), gamma)
+    for energies in (np.zeros(len(model.weights) + 1), np.zeros((len(model.weights), 1)), 0.0):
         with pytest.raises(ValueError, match="condition needs one energy per component"):
-            condition(model, energies, 1.0)
+            condition(model.weights, energies, 1.0)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6], [-0.25, 1.25], [0.5, math.nan], [[0.5, 0.5]]])
+def test_condition_refuses_prior_weights_that_are_not_a_simplex_vector(weights):
+    # conditioning normalizes its result, so a bad prior is refused before it
+    with pytest.raises(ValueError, match="^weights must be a probability simplex vector$"):
+        condition(weights, np.zeros(np.shape(weights)), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from contact_flow.voxelcore import (
     OccupancyGrid,
     SphereCappedBox,
     UnionOfBoxes,
+    _grid_parts,
     binarize,
-    extract_surface,
     grid_from_bytes,
     grid_to_bytes,
     index_to_point,
@@ -23,9 +23,8 @@ from contact_flow.voxelcore import (
     point_to_index,
     primitive_from_dict,
     primitive_to_dict,
-    save_grid,
-    save_ply,
     surface_mask,
+    voxel_ply,
     voxelize_primitive,
 )
 from contact_flow.scenarios import VisibilitySpec
@@ -332,27 +331,32 @@ def test_primitive_from_dict_names_the_entry_and_a_missing_field(spec, message):
 
 
 # ---------------------------------------------------------------------------
-# extract_surface
+# surfaces
 # ---------------------------------------------------------------------------
+
+
+def surface_centers(grid: BinaryGrid) -> np.ndarray:
+    """(M, 3) centers of the surface voxels of `grid` in lexicographic order,
+    the cloud a run's surface.ply and evaluate_run take from surface_mask."""
+    return index_to_point(nonzero_indices(surface_mask(grid)), grid.resolution)
 
 
 def test_surface_of_single_voxel_is_its_center():
     data = np.zeros((4, 4, 4), dtype=bool)
     data[1, 2, 3] = True
-    cloud = extract_surface(BinaryGrid(data))
+    cloud = surface_centers(BinaryGrid(data))
     assert len(cloud) == 1
     np.testing.assert_allclose(cloud[0], [(1 + 0.5) / 4, (2 + 0.5) / 4, (3 + 0.5) / 4])
 
 
 def test_surface_of_full_small_cube_is_shell():
     grid = voxelize_primitive(Box(lo=(0, 0, 0), hi=(1, 1, 1)), 4)
-    cloud = extract_surface(grid)
+    cloud = surface_centers(grid)
     assert len(cloud) == 4**3 - 2**3
 
 
-def test_surface_of_empty_grid_raises():
-    with pytest.raises(ValueError):
-        extract_surface(BinaryGrid(np.zeros((4, 4, 4), dtype=bool)))
+def test_surface_of_empty_grid_is_empty():
+    assert surface_centers(BinaryGrid(np.zeros((4, 4, 4), dtype=bool))).shape == (0, 3)
 
 
 def brute_force_surface(data):
@@ -381,7 +385,7 @@ def test_surface_matches_brute_force_neighbor_scan(seed):
     data = rng.random((8, 8, 8)) < 0.4
     if not data.any():
         data[0, 0, 0] = True
-    cloud = extract_surface(BinaryGrid(data))
+    cloud = surface_centers(BinaryGrid(data))
     got = {tuple(point_to_index(p, 8)) for p in cloud}
     assert got == brute_force_surface(data)
 
@@ -400,7 +404,7 @@ def test_surface_mask_matches_brute_force_on_small_and_full_grids(N, density):
 def test_box_surface_points_lie_on_face_slabs():
     box = Box(lo=(0.125, 0.25, 0.25), hi=(0.875, 0.75, 0.75))
     N = 16
-    cloud = extract_surface(voxelize_primitive(box, N))
+    cloud = surface_centers(voxelize_primitive(box, N))
     half_pitch = 0.5 / N
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
@@ -414,6 +418,11 @@ def test_box_surface_points_lie_on_face_slabs():
 # ---------------------------------------------------------------------------
 # binarize
 # ---------------------------------------------------------------------------
+
+
+def test_binarize_returns_a_binary_grid_as_it_is():
+    grid = BinaryGrid(np.random.Generator(np.random.PCG64(6)).random((4, 4, 4)) < 0.5)
+    assert binarize(grid) is grid
 
 
 def test_binarize_all_zeros_empty():
@@ -536,7 +545,7 @@ def test_occupancy_grid_names_a_bad_voxel_value(value, message):
 def test_occupancy_container_roundtrip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(3))
     s = OccupancyGrid(rng.random((8, 8, 8)).astype(np.float32).astype(np.float64))
-    save_grid(s, tmp_path / "s.grid")
+    (tmp_path / "s.grid").write_bytes(grid_to_bytes(s))
     loaded = load_grid(tmp_path / "s.grid")
     assert isinstance(loaded, OccupancyGrid)
     np.testing.assert_array_equal(loaded.data, s.data)
@@ -545,7 +554,7 @@ def test_occupancy_container_roundtrip(tmp_path):
 def test_binary_container_roundtrip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(4))
     g = BinaryGrid(rng.random((12, 12, 12)) < 0.5)
-    save_grid(g, tmp_path / "g.grid")
+    (tmp_path / "g.grid").write_bytes(grid_to_bytes(g))
     loaded = load_grid(tmp_path / "g.grid")
     assert isinstance(loaded, BinaryGrid)
     assert np.array_equal(loaded.data, g.data)
@@ -565,10 +574,9 @@ def test_grid_container_rejects_garbage():
         grid_from_bytes(b"not a grid at all, sorry")
 
 
-def load_ply(path) -> np.ndarray:
-    """Reader of save_ply's ASCII PLY files, for the round-trip tests."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+def load_ply(blob: bytes) -> np.ndarray:
+    """Reader of voxel_ply's ASCII PLY bytes, for the round-trip tests."""
+    lines = blob.decode().splitlines()
     end = lines.index("end_header")
     count = next(int(line.split()[-1]) for line in lines[:end] if line.startswith("element vertex"))
     pts = np.array([[float(v) for v in line.split()] for line in lines[end + 1 :]], dtype=np.float64)
@@ -578,11 +586,11 @@ def load_ply(path) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["occupancy", "binary"])
 @pytest.mark.parametrize("N", [1, 5, 64])
-def test_save_grid_writes_the_bytes_of_grid_to_bytes(tmp_path, kind, N):
+def test_grid_parts_are_the_bytes_of_grid_to_bytes(kind, N):
     data = np.random.Generator(np.random.PCG64(N)).random((N, N, N))
     grid = OccupancyGrid(data) if kind == "occupancy" else binarize(OccupancyGrid(data))
-    save_grid(grid, tmp_path / "g.grid")
-    blob = (tmp_path / "g.grid").read_bytes()
+    header, payload = _grid_parts(grid)
+    blob = header + payload.tobytes()
     assert blob == grid_to_bytes(grid)
     # the payload as the container defines it: float32 in C order, or packed bits
     payload = data.astype("<f4").tobytes() if kind == "occupancy" else np.packbits(grid.data).tobytes()
@@ -614,17 +622,15 @@ def test_grid_loader_error_messages(blob, message):
     assert str(info.value) == message
 
 
-def test_ply_roundtrip(tmp_path):
-    cloud = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
-    save_ply(cloud, tmp_path / "c.ply")
-    text = (tmp_path / "c.ply").read_text()
-    assert text.startswith("ply\nformat ascii 1.0")
-    loaded = load_ply(tmp_path / "c.ply")
-    np.testing.assert_allclose(loaded, cloud, atol=1e-7)
+def test_ply_roundtrip():
+    idx = np.array([[0, 1, 2], [3, 3, 3], [2, 0, 1]])
+    blob = voxel_ply(idx, 4)
+    assert blob.startswith(b"ply\nformat ascii 1.0")
+    np.testing.assert_allclose(load_ply(blob), index_to_point(idx, 4), atol=1e-7)
 
 
-def save_ply_oracle(cloud: np.ndarray, path) -> None:
-    """The per-point f-string PLY writer that save_ply replaced."""
+def ply_oracle(cloud: np.ndarray) -> bytes:
+    """The per-point f-string PLY writer of an (M, 3) float cloud."""
     lines = [
         "ply",
         "format ascii 1.0",
@@ -635,48 +641,27 @@ def save_ply_oracle(cloud: np.ndarray, path) -> None:
         "end_header",
     ]
     lines.extend(f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f}" for p in cloud)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
 
 
-def assert_ply_bytes_match_oracle(cloud, tmp_path):
-    save_ply(cloud, tmp_path / "new.ply")
-    save_ply_oracle(cloud, tmp_path / "old.ply")
-    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+def assert_ply_bytes_match_oracle(idx, N):
+    assert voxel_ply(idx, N) == ply_oracle(index_to_point(idx, N))
 
 
 @pytest.mark.parametrize("N", [4, 16, 64])
-def test_save_ply_matches_fstring_writer_on_voxel_centers(tmp_path, N):
+def test_voxel_ply_matches_fstring_writer_on_voxel_centers(N):
     rng = np.random.Generator(np.random.PCG64(N))
     occupied = rng.random((N, N, N)) < 0.3
-    cloud = extract_surface(BinaryGrid(occupied))
-    assert_ply_bytes_match_oracle(cloud, tmp_path)
-    assert_ply_bytes_match_oracle(index_to_point(np.argwhere(occupied), N), tmp_path)
+    assert_ply_bytes_match_oracle(nonzero_indices(surface_mask(BinaryGrid(occupied))), N)
+    assert_ply_bytes_match_oracle(np.argwhere(occupied), N)
+    # any order, repeats included: every point is its indices' centers
+    assert_ply_bytes_match_oracle(rng.integers(0, N, (500, 3)), N)
 
 
-def test_save_ply_matches_fstring_writer_on_arbitrary_floats(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(11))
-    # exact and near ties at the 8th decimal, both signs, zeros and large values
-    ties = (np.arange(-50, 50) + 0.5) * 1e-8
-    pts = np.concatenate(
-        [
-            ties,
-            np.nextafter(ties, np.inf),
-            np.nextafter(ties, -np.inf),
-            rng.uniform(-2.0, 2.0, 300),
-            rng.standard_normal(99) * 1e6,
-            [0.0, -0.0, 1.0, 0.999999995, 1e-300, -1e-300, 123456789.123456789],
-        ]
-    )
-    rng.shuffle(pts)
-    cloud = pts[: len(pts) // 3 * 3].reshape(-1, 3)
-    assert_ply_bytes_match_oracle(cloud, tmp_path)
-
-
-def test_save_ply_matches_fstring_writer_on_an_empty_cloud(tmp_path):
-    cloud = np.empty((0, 3))
-    assert_ply_bytes_match_oracle(cloud, tmp_path)
-    assert len(load_ply(tmp_path / "new.ply")) == 0
+def test_voxel_ply_matches_fstring_writer_on_an_empty_cloud():
+    idx = np.empty((0, 3), dtype=np.int64)
+    assert_ply_bytes_match_oracle(idx, 16)
+    assert len(load_ply(voxel_ply(idx, 16))) == 0
 
 
 @pytest.mark.parametrize("kind", ["occupancy", "binary"])
