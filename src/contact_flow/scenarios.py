@@ -27,6 +27,7 @@ from .voxelcore import (
     BinaryGrid,
     Box,
     Cylinder,
+    OCCUPANCY_THRESHOLD,
     LBracket,
     Primitive,
     UnionOfBoxes,
@@ -242,18 +243,17 @@ def _seed_independent(name, n, library, true_index, visibility, weights, gamma, 
     slab = visibility.slab(N)
     # each library latent is decoded once, the true shape's first (its visible
     # slab is the observation), and reduced at once to its visible mismatch
-    # energy, in one slab buffer, and, for the ambiguity check alone, its binary
-    # shape.  The decodes are the decoder's bare arrays: encode's clamp bounds
-    # the logits and the upsampling weights are convex, so every value lies in (0, 1)
-    energies, shapes, observed, mismatch = np.empty(k), [None] * k, None, None
+    # energy and, for the ambiguity check alone, its binary shape.  The decodes
+    # are the decoder's bare arrays: encode's clamp bounds the logits and the
+    # upsampling weights are convex, so every value lies in (0, 1)
+    energies, shapes, observed = np.empty(k), [None] * k, None
     for i in sorted(range(k), key=lambda i: i != true_index):
         s = _decode_array(latents[i], params)
         if observed is None:
-            observed, mismatch = s[slab], np.empty(s[slab].shape)
-        np.subtract(s[slab], observed, out=mismatch)
-        energies[i] = np.sum(np.square(mismatch, out=mismatch))
+            observed = s[slab]
+        energies[i] = np.sum((s[slab] - observed) ** 2)
         if ambiguous:
-            shapes[i] = BinaryGrid(s >= 0.5)  # binarize's threshold
+            shapes[i] = BinaryGrid(s >= OCCUPANCY_THRESHOLD)
         del s  # freed before the next decode (the observation keeps the true shape's)
     model = MixtureFlowModel(
         n=n, channels=params.channels, means=np.stack([lat.reshape(-1) for lat in latents]),

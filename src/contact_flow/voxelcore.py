@@ -76,8 +76,6 @@ def _convert(value, to, what: str):
     """to(value) for a number or list field of a parsed input file (`to` one of
     int, float, tuple); ValueError naming `what` when the value is not one, such
     as the None of a YAML field left empty, a bool, a string, or 10.5 for an int."""
-    if type(value) is to is int:  # the common case, a plain int, needs no check
-        return value
     name, accepts = _FIELD_KINDS[to]
     try:
         if accepts(value):
@@ -474,7 +472,11 @@ def surface_mask(grid: BinaryGrid) -> np.ndarray:
     return interior
 
 
-def binarize(s: OccupancyGrid | BinaryGrid, threshold: float = 0.5) -> BinaryGrid:
+# the occupancy at and above which a voxel is occupied, everywhere in the package
+OCCUPANCY_THRESHOLD = 0.5
+
+
+def binarize(s: OccupancyGrid | BinaryGrid, threshold: float = OCCUPANCY_THRESHOLD) -> BinaryGrid:
     """Threshold continuous occupancy: occupied iff s >= threshold; a BinaryGrid is returned as it is."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
