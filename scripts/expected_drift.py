@@ -16,7 +16,6 @@ Example:
 """
 
 import dataclasses
-import math
 import os
 import shutil
 import sys
@@ -68,10 +67,8 @@ def main(names):
                             label = f"{method}/{field}"
                             if dev > worst.get(label, (-1.0, ""))[0]:
                                 worst[label] = (dev, key)
-                            # the benchmark's own test, as in workloads.mismatches
-                            if not math.isclose(
-                                value, want[field], rel_tol=workloads.REL_TOL, abs_tol=1e-12
-                            ):
+                            # the benchmark's own test, on this one value
+                            if workloads.mismatches(expected, key, {method: {field: value}}):
                                 over.setdefault(label, set()).add(key)
             for label, (dev, key) in sorted(worst.items()):
                 print(

@@ -36,6 +36,7 @@ from .toyflow import (
     MixtureFlowModel,
     _check_finite,
     _check_time,
+    _predict,
     _predict_x0_vjp,
     _velocity_batch,
     sample_base,
@@ -70,7 +71,9 @@ class GuidanceConfig:
     """Schedule stages, guidance weights, recurrence, and drag-neighborhood size."""
 
     timesteps: int = 12
-    stage_bounds: tuple[int, int] = (4, 8)
+    # the steps where the middle and late stages start; when not given,
+    # (timesteps // 3, 2 * timesteps // 3), so (4, 8) at the default 12
+    stage_bounds: tuple[int, int] | None = None
     lambda_stage: tuple[float, float, float] = (0.2, 1.0, 0.5)
     recurrence: int = 3
     radius: int = 10
@@ -83,6 +86,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.timesteps < 3:
             raise ValueError("need at least 3 timesteps")
+        if self.stage_bounds is None:
+            object.__setattr__(self, "stage_bounds", (self.timesteps // 3, 2 * self.timesteps // 3))
         if len(self.stage_bounds) != 2:
             raise ValueError(f"stage_bounds must be two step indices, got {self.stage_bounds}")
         b0, b1 = self.stage_bounds
@@ -174,11 +179,12 @@ def drag_loss(
     """
     if ref.binary.resolution != s0_hat.resolution:
         raise ValueError("reference and prediction resolutions differ")
-    windows = _drag_windows(ref, contacts, cfg.radius)
-    grad = np.zeros_like(s0_hat.data)
-    for win in windows:
-        grad[win.fine] += 2.0 * (s0_hat.data[win.fine] - win.target)
-    return _drag_value(s0_hat.data, windows), grad
+    loss, grad = 0.0, np.zeros_like(s0_hat.data)
+    for win in _drag_windows(ref, contacts, cfg.radius):
+        J, d_fine = _window_loss(s0_hat.data[win.fine].copy(), win)
+        loss += J
+        grad[win.fine] += d_fine
+    return loss, grad
 
 
 def _check_radius(radius: int, N: int) -> None:
@@ -232,12 +238,13 @@ def _drag_windows(ref: ReferenceShape, contacts: ContactSet, r: int) -> list[_Wi
     return windows
 
 
-def _drag_value(s: np.ndarray, windows: list[_Window]) -> float:
-    """The drag loss of occupancy `s`, without its gradient."""
-    loss = 0.0
-    for win in windows:
-        loss += float(np.sum((s[win.fine] - win.target) ** 2))
-    return loss
+def _window_loss(s: np.ndarray, win: _Window) -> tuple[float, np.ndarray]:
+    """One window's drag loss sum (s - target)^2 and its gradient 2 (s - target)
+    at the window's occupancy `s`, a fresh array the gradient overwrites."""
+    s -= win.target
+    J = float(np.add.reduce(s * s, axis=None))
+    s *= 2.0
+    return J, s
 
 
 def _check_inputs(model: MixtureFlowModel, dec: DecoderParams, ref: ReferenceShape) -> None:
@@ -269,14 +276,14 @@ def energy_gradient(
     windows = _drag_windows(ref, contacts, cfg.radius)
     if x_t.data.shape != model.latent_shape():
         raise ValueError(f"latent must have shape {model.latent_shape()}, got {x_t.data.shape}")
-    _, r, mubar, x0 = _predict(model, x_t.data.reshape(-1), t)
+    _, r, mubar, x0 = _predict(model, x_t.data.reshape(1, -1), t)
     J, g_xt, g_x0 = _energy_gradient(model, t, r, mubar, x0, windows, dec)
     return J, g_xt.reshape(model.latent_shape()), g_x0.reshape(model.latent_shape())
 
 
 def _energy_gradient(model, t, r, mubar, x0, windows, dec):
-    """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 of a state
-    with responsibilities r and posterior mean mubar.
+    """Flat (J, grad wrt x_t, grad wrt x0) at one-step prediction x0 (1, dim) of
+    a state with responsibilities r (1, K) and posterior mean mubar (1, dim).
 
     The drag loss is zero outside the windows, so the decoder, the loss and the
     decoder's adjoint run on each window alone; overlapping windows add up.
@@ -289,14 +296,12 @@ def _energy_gradient(model, t, r, mubar, x0, windows, dec):
         for win in windows:
             u = _interp(np.ascontiguousarray(coarse[win.coarse]), *win.blocks)
             s = _logistic(u, dec.beta)
-            diff = _clip_occupancy(s)
-            diff -= win.target
-            J += float(np.add.reduce(diff * diff, axis=None))
-            diff *= 2.0
-            d_fine = _logistic_vjp(s, diff, dec.beta)
+            J_win, d_s = _window_loss(_clip_occupancy(s), win)
+            J += J_win
+            d_fine = _logistic_vjp(s, d_s, dec.beta)
             d_coarse[win.coarse] += _interp(d_fine, *win.blocks_t)
     g_x0 = _spread_channels(d_coarse, dec).reshape(-1)
-    return J, _predict_x0_vjp(model, r, mubar, t, g_x0), g_x0
+    return J, _predict_x0_vjp(model, r[0], mubar[0], t, g_x0), g_x0
 
 
 def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
@@ -311,18 +316,10 @@ def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 #
-# The samplers work on flat float64 states of length n^3 * C (the rows of a
-# (B, dim) array in `_integrate`); containers are built only for their inputs
-# and outputs.  Every non-finite check raises FloatingPointError, which each
-# sampler turns into one GenerationAborted at its current step.
-
-
-def _predict(model: MixtureFlowModel, x: np.ndarray, t: float):
-    """Velocity, responsibilities, posterior mean and one-step prediction x - t v
-    at state x; FloatingPointError when the prediction is not finite."""
-    v, r, mubar = _velocity_batch(model, x[None, :], t)
-    x0 = _check_finite(x - v[0] * t, "one-step prediction became non-finite")
-    return v[0], r[0], mubar[0], x0
+# The samplers work on flat float64 states of length n^3 * C, the rows of a
+# (B, dim) array (one row in `guided_sample`); containers are built only for
+# their inputs and outputs.  Every non-finite check raises FloatingPointError,
+# which each sampler turns into one GenerationAborted at its current step.
 
 
 def _integrate(model: MixtureFlowModel, x: np.ndarray, steps: int) -> np.ndarray:
@@ -333,8 +330,8 @@ def _integrate(model: MixtureFlowModel, x: np.ndarray, steps: int) -> np.ndarray
         for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
             v, _, _ = _velocity_batch(model, x, t)
             x = _check_finite(x + v * (t_next - t), "latent state became non-finite")
-        v, _, _ = _velocity_batch(model, x, t_nexts[-1])
-        return _check_finite(x - v * t_nexts[-1], "one-step prediction became non-finite")
+        *_, x0 = _predict(model, x, t_nexts[-1])
+        return x0
     except FloatingPointError as exc:
         raise GenerationAborted(step, 0, str(exc)) from exc
 
@@ -380,7 +377,7 @@ def guided_sample(
     """
     _check_inputs(model, dec, ref)
     windows = _drag_windows(ref, contacts, cfg.radius)
-    x = sample_base(model, seed).data.reshape(-1)
+    x = sample_base(model, seed).data.reshape(1, -1)
     ts, t_nexts = time_grid(cfg.timesteps)
     records: list[StepRecord] = []
     try:
@@ -426,5 +423,5 @@ def guided_sample(
         trajectory = GuidedTrajectory(tuple(records), final_J=math.nan)
         raise GenerationAborted(step, inner, str(exc), trajectory) from exc
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
-    final_J = _drag_value(occupancy.data, windows)
+    final_J = sum(_window_loss(occupancy.data[win.fine].copy(), win)[0] for win in windows)
     return occupancy, GuidedTrajectory(tuple(records), final_J=final_J)

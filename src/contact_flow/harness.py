@@ -37,7 +37,6 @@ from .evaluation import (
 from .guidance import (
     GenerationAborted,
     GuidanceConfig,
-    GuidedTrajectory,
     _check_radius,
     guided_sample,
     make_reference,
@@ -147,6 +146,13 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
+def _reread(name: str, document):
+    """`document` (a Scenario, GuidanceConfig or ContactSet, or None) as RunManifest reads
+    it back from the manifest's `name` block: a numpy scalar becomes a plain number, and
+    a value of the wrong kind, such as 4.5 for an integer, is a ValueError naming the field."""
+    return None if document is None else _read(RunManifest.FIELDS[name], document.to_dict(), name, "run")
+
+
 def generate_run(
     scenario: Scenario,
     out_dir,
@@ -156,16 +162,20 @@ def generate_run(
 ) -> dict:
     """Build the scenario, run the sampler on its seeds, and write all artifacts + manifest.
 
-    Returns the manifest dict.  An invalid configuration, a scenario that
-    fails to build, an empty reference shape or a run directory that cannot
-    be made raises ConfigError before anything is written.  On a non-finite
-    abort, in the reference run too, the partial manifest (with a failure
-    record) is still written before GenerationAborted propagates to the caller.
+    Returns the manifest dict.  An invalid configuration (each input is first
+    read back as its manifest block would be), a scenario that fails to build,
+    an empty reference shape or a run directory that cannot be made raises
+    ConfigError before anything is written.  On a non-finite abort, in the
+    reference run too, the manifest (with a failure record) and the artifacts
+    made so far are still written before GenerationAborted propagates.
     """
-    cfg = cfg if cfg is not None else scenario.guidance_config()
-    seeds = scenario.seeds
     aborted = None
+    timings: dict = {}
     with _config_errors():
+        scenario = _reread("scenario", scenario)
+        cfg = _reread("guidance", cfg if cfg is not None else scenario.guidance_config())
+        external_contacts = _reread("external_contacts", external_contacts)
+        seeds = scenario.seeds
         if mode not in ("guided", "unguided"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "guided":
@@ -177,7 +187,7 @@ def generate_run(
                 reference = make_reference(built.model, built.decoder, cfg, seeds.reference)
             except GenerationAborted as abort:
                 aborted = abort  # recorded below, with the run's manifest
-            reference_s = time.perf_counter() - t0
+            timings["reference_s"] = time.perf_counter() - t0
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     contacts = external_contacts if external_contacts is not None else built.contacts
@@ -201,7 +211,7 @@ def generate_run(
         "library_hashes": [hashlib.sha256(grid_to_bytes(g)).hexdigest() for g in built.library_grids],
         "environment": _environment(),
         "artifacts": {},
-        "timings": {},
+        "timings": timings,
         "failure": None,
         "metrics": None,
     }
@@ -217,42 +227,37 @@ def generate_run(
         manifest["artifacts"][name] = {"path": filename, "sha256": digest.hexdigest()}
 
     add_artifact("contacts", json.dumps(contacts.to_dict(), indent=2).encode())
-
-    def add_trajectory(trajectory: GuidedTrajectory) -> None:
-        add_artifact("trajectory", trajectory.to_jsonl().encode())
-        # an inner step applies guidance when its weight lambda is not 0
-        manifest["guidance_applied_steps"] = sum(rec.lam != 0.0 for rec in trajectory.records)
-
-    trajectory: GuidedTrajectory | None = None
+    occupancy = trajectory = None
     try:
-        if aborted is not None:
-            raise aborted
         if mode == "unguided":
             occupancy = unguided_sample(built.model, built.decoder, cfg, seeds.guided)
-        else:
-            manifest["timings"]["reference_s"] = reference_s
+        elif aborted is None:
             add_artifact("reference", *_grid_parts(reference.occupancy))
             occupancy, trajectory = guided_sample(
                 built.model, built.decoder, contacts, reference, cfg, seeds.guided
             )
     except GenerationAborted as abort:
-        manifest["failure"] = {"step": abort.step, "inner": abort.inner, "reason": abort.reason}
-        manifest["timings"]["generate_s"] = time.perf_counter() - t0
-        if abort.trajectory is not None:
-            add_trajectory(abort.trajectory)
-        _write_json(out / MANIFEST_NAME, manifest)
-        raise
-    manifest["timings"]["generate_s"] = time.perf_counter() - t0
+        aborted, trajectory = abort, abort.trajectory
+    timings["generate_s"] = time.perf_counter() - t0
 
-    add_artifact("occupancy", *_grid_parts(occupancy))
-    binary = binarize(occupancy)
-    add_artifact("shape", *_grid_parts(binary))
-    if not binary.is_empty():
-        add_artifact("surface", voxel_ply(nonzero_indices(surface_mask(binary)), binary.resolution))
+    # the one place a run ends: what its outcome has is recorded, then the manifest written
+    if aborted is not None:
+        manifest["failure"] = {"step": aborted.step, "inner": aborted.inner, "reason": aborted.reason}
+    if occupancy is not None:
+        add_artifact("occupancy", *_grid_parts(occupancy))
+        binary = binarize(occupancy)
+        add_artifact("shape", *_grid_parts(binary))
+        if not binary.is_empty():
+            add_artifact("surface", voxel_ply(nonzero_indices(surface_mask(binary)), binary.resolution))
     if trajectory is not None:
-        add_trajectory(trajectory)
-        manifest["final_J"] = trajectory.final_J
+        add_artifact("trajectory", trajectory.to_jsonl().encode())
+        # an inner step applies guidance when its weight lambda is not 0
+        manifest["guidance_applied_steps"] = sum(rec.lam != 0.0 for rec in trajectory.records)
+        if aborted is None:
+            manifest["final_J"] = trajectory.final_J
     _write_json(out / MANIFEST_NAME, manifest)
+    if aborted is not None:
+        raise aborted
     return manifest
 
 
@@ -451,15 +456,16 @@ def sweep(
     ends the sweep with a ConfigError.  Cells that abort are recorded and the
     sweep continues.  Cells run one after another, in this process.
     """
-    base = base_cfg if base_cfg is not None else scenario.guidance_config()
     with _config_errors():
+        scenario = _reread("scenario", scenario)
+        base = base_cfg if base_cfg is not None else scenario.guidance_config()
         if runs < 1:
             raise ValueError(f"runs per cell must be >= 1, got {runs}")
         cells = []
         for lam, m, radius in itertools.product(
             lambda_grid or [base.lambda_stage], recurrence_grid or [base.recurrence], radius_grid or [base.radius]
         ):
-            cfg = dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius)
+            cfg = _reread("guidance", dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius))
             _check_radius(cfg.radius, scenario.resolution)
             cells.append(cfg)
         build_scenario(scenario)  # paired runs differ in seeds only
@@ -515,8 +521,7 @@ def _resolve_scenario(spec: str, grid_n: int | None) -> Scenario:
 def _cfg_from_flags(scenario, lam, recurrence, radius, timesteps):
     """The scenario's guidance config with each flag that was given in place."""
     flags = {"lambda_stage": None if lam is None else tuple(lam), "recurrence": recurrence,
-             "radius": radius, "timesteps": timesteps,
-             "stage_bounds": None if timesteps is None else (timesteps // 3, (2 * timesteps) // 3)}
+             "radius": radius, "timesteps": timesteps}
     return scenario.guidance_config(**{k: v for k, v in flags.items() if v is not None})
 
 

@@ -159,11 +159,17 @@ def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
     return c1 * x_flat - c2 * mubar, r, mubar
 
 
+def _predict(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
+    """`_velocity_batch`'s (v, r, mubar) at states x_flat (B, dim) and their one-step
+    predictions x - v t; FloatingPointError when a prediction is not finite."""
+    v, r, mubar = _velocity_batch(model, x_flat, t)
+    return v, r, mubar, _check_finite(x_flat - v * t, "one-step prediction became non-finite")
+
+
 def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
     """One-step prediction x_t - t*v_t(x_t); equals the posterior mean E[x0 | x_t]."""
     _check_time(t)
-    v, _, _ = _velocity_batch(model, x_t.data.reshape(1, -1), t)
-    x0 = x_t.data.reshape(1, -1) - t * v
+    *_, x0 = _predict(model, x_t.data.reshape(1, -1), t)
     return LatentGrid(x0.reshape(model.latent_shape()))
 
 

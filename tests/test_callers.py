@@ -2,6 +2,8 @@
 property of its public classes, has a caller outside the tests."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,3 +89,12 @@ def test_every_public_name_has_a_caller_or_is_a_named_oracle():
     assert not unexplained, f"public names with no caller outside the tests: {unexplained}"
     # an oracle that gained a caller, or was deleted, leaves the list
     assert sorted(callerless) == sorted(ORACLES)
+
+
+def test_the_benchmarks_own_tests_pass_on_this_tree():
+    # perfbench calls the package's API (drag_loss, energy_gradient, predict_x0,
+    # GuidanceConfig, ReferenceShape, ...); a separate process keeps the BLAS
+    # thread settings perfbench/run.py makes on import out of this one
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"]
+    result = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -20,7 +20,7 @@ from contact_flow.guidance import (
     make_reference,
     unguided_sample,
 )
-from contact_flow.toyflow import MixtureFlowModel, _predict_x0_vjp, _velocity_batch, predict_x0, sample_base
+from contact_flow.toyflow import MixtureFlowModel, _predict, _predict_x0_vjp, _velocity_batch, predict_x0, sample_base
 from contact_flow.voxelcore import (
     BinaryGrid,
     Box,
@@ -418,6 +418,21 @@ def test_config_validation():
     assert cfg.radius == 10
 
 
+@pytest.mark.parametrize("timesteps, bounds", [(9, (4, 8)), (6, (2, 4)), (3, (0, 3)), (12, (0, 0)), (12, (12, 12))])
+def test_explicit_stage_bounds_are_kept_as_given(timesteps, bounds):
+    cfg = GuidanceConfig(timesteps=timesteps, stage_bounds=bounds)
+    assert cfg.stage_bounds == bounds
+    assert read_guidance(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "timesteps, bounds", [(12, (8, 4)), (12, (-1, 4)), (12, (4, 13)), (9, (4, 10)), (12, (4,)), (12, (2, 4, 8))]
+)
+def test_explicit_stage_bounds_that_do_not_partition_the_steps_are_refused(timesteps, bounds):
+    with pytest.raises(ValueError, match="stage_bounds"):
+        GuidanceConfig(timesteps=timesteps, stage_bounds=bounds)
+
+
 def test_lambda_schedule_stages():
     cfg = GuidanceConfig()
     assert [cfg.lambda_schedule(i) for i in (0, 3)] == [0.2, 0.2]
@@ -615,9 +630,9 @@ def test_window_chain_is_bit_identical_to_the_out_of_place_one(n, radius, contac
 
     model, params, _, ref, _ = toy_setup(seed=n, n=n)
     windows = guidance_module._drag_windows(ref, contacts, radius)
-    x = sample_base(model, 6).data.reshape(-1) * 0.8
+    x = sample_base(model, 6).data.reshape(1, -1) * 0.8
     for t in (0.9, 0.3):
-        _, r, mubar, x0 = guidance_module._predict(model, x, t)
+        _, r, mubar, x0 = _predict(model, x, t)
         J, _, g_x0 = guidance_module._energy_gradient(model, t, r, mubar, x0, windows, params)
         J_want, g_x0_want = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), params), windows, params)
         assert J == J_want
@@ -662,18 +677,18 @@ def every_iteration_guided_sample(model, dec, contacts, ref, cfg, seed):
     """The staged guided loop with no reuse: every inner iteration runs the
     flow pass and the window chain, the chain out of place (window_chain_oracle)."""
     from contact_flow.decoder import _logits
-    from contact_flow.toyflow import _predict_x0_vjp, time_grid
+    from contact_flow.toyflow import time_grid
 
     windows = guidance_module._drag_windows(ref, contacts, cfg.radius)
-    x = sample_base(model, seed).data.reshape(-1)
+    x = sample_base(model, seed).data.reshape(1, -1)
     ts, t_nexts = time_grid(cfg.timesteps)
     records = []
     for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
         lam_sched = cfg.lambda_schedule(step)
         for inner in range(cfg.recurrence):
-            v, r, mubar, x0 = guidance_module._predict(model, x, t)
+            v, r, mubar, x0 = _predict(model, x, t)
             J, g_x0 = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), dec), windows, dec)
-            g_xt = _predict_x0_vjp(model, r, mubar, t, g_x0)
+            g_xt = _predict_x0_vjp(model, r[0], mubar[0], t, g_x0)
             g_x0_norm, g_xt_norm = float(np.linalg.norm(g_x0)), float(np.linalg.norm(g_xt))
             lam_att = attenuation(g_x0_norm, g_xt_norm)
             lam = lam_sched * lam_att
@@ -689,7 +704,7 @@ def every_iteration_guided_sample(model, dec, contacts, ref, cfg, seed):
                 )
             )
         x = x + v * (t_next - t)
-    *_, x0 = guidance_module._predict(model, x, t_nexts[-1])
+    *_, x0 = _predict(model, x, t_nexts[-1])
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
     return occupancy, records, drag_loss(occupancy, contacts, ref, cfg)[0]
 

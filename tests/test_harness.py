@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,11 +23,13 @@ from contact_flow.evaluation import (
     evaluate_run,
     read_metrics_csv,
 )
-from contact_flow.guidance import GenerationAborted
+from contact_flow.guidance import GenerationAborted, GuidanceConfig
 from contact_flow.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_EVALUATION_FAILURE,
     EXIT_GENERATION_ABORT,
+    ConfigError,
+    _cfg_from_flags,
     _write_atomic,
     _write_json,
     evaluate_run_dir,
@@ -751,7 +754,9 @@ def test_reference_abort_writes_partial_manifest(tmp_path, scenario, monkeypatch
         generate_run(scenario, tmp_path / "run", mode="guided")
     manifest = load_manifest(tmp_path / "run")
     assert manifest["failure"] == {"step": 3, "inner": 0, "reason": "state became non-finite"}
-    assert list(manifest["artifacts"]) == ["contacts"] and "reference_s" not in manifest["timings"]
+    assert list(manifest["artifacts"]) == ["contacts"]
+    # the reference ran, so its time is recorded, as part of the run's
+    assert 0.0 <= manifest["timings"]["reference_s"] <= manifest["timings"]["generate_s"]
     assert verify_manifest(tmp_path / "run") == []
 
 
@@ -1081,6 +1086,69 @@ def test_sweep_checks_every_cell_before_the_first_runs(tmp_path, scenario):
     with pytest.raises(ValueError, match="radius"):
         sweep(scenario, tmp_path / "sw", runs=1, radius_grid=[1, 40])
     assert not (tmp_path / "sw").exists()
+
+
+def _without_timings(manifest: dict) -> str:
+    return json.dumps({k: v for k, v in manifest.items() if k not in ("timings", "environment")}, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "scenario_given, cfg_given",
+    [
+        ({"n": np.int64(4)}, {}),
+        ({"contact_count": np.int64(10)}, {}),
+        ({"true_index": np.int64(1)}, {}),
+        ({"gamma": np.float32(1.0)}, {}),
+        ({}, {"radius": np.int64(2)}),
+    ],
+    ids=["n", "contact_count", "true_index", "gamma", "radius"],
+)
+def test_numpy_scalars_of_a_python_run_are_read_as_plain_numbers(tmp_path, scenario, scenario_given, cfg_given):
+    # generate_run and sweep read their documents as a manifest's blocks are
+    # read, so a run from numpy scalars is its plain twin, manifest included
+    plain_cfg = scenario.guidance_config(radius=2)
+    api = dataclasses.replace(scenario, **scenario_given)
+    api_cfg = dataclasses.replace(plain_cfg, **cfg_given)
+    assert (scenario.true_index, scenario.gamma, scenario.guidance_config().radius) == (1, 1.0, 2)
+    want = generate_run(scenario, tmp_path / "plain", cfg=plain_cfg)
+    got = generate_run(api, tmp_path / "api", cfg=api_cfg)
+    assert _without_timings(got) == _without_timings(load_manifest(tmp_path / "api")) == _without_timings(want)
+    sweep(scenario, tmp_path / "plain_sweep", runs=1, base_cfg=plain_cfg)
+    sweep(api, tmp_path / "api_sweep", runs=1, base_cfg=api_cfg)
+    sweep_json = [(tmp_path / side / "sweep.json").read_bytes() for side in ("plain_sweep", "api_sweep")]
+    assert sweep_json[0] == sweep_json[1]
+
+
+@pytest.mark.parametrize(
+    "scenario_given, cfg_given, message",
+    [
+        ({"n": 4.5}, {}, "run scenario: grid n must be an integer, got 4.5"),
+        ({"fps_count": 2.5}, {}, "run scenario: fps_count must be an integer, got 2.5"),
+        ({"true_index": 1.0}, {}, "run scenario: true_index must be an integer, got 1.0"),
+        ({"contact_count": 3.5}, {}, "run scenario: contact_count must be an integer, got 3.5"),
+        ({}, {"timesteps": 12.0}, "guidance timesteps must be an integer, got 12.0"),
+        ({}, {"recurrence": 2.5}, "guidance recurrence must be an integer, got 2.5"),
+        ({}, {"radius": 2.0}, "guidance radius must be an integer, got 2.0"),
+    ],
+)
+def test_a_python_run_with_a_value_of_the_wrong_kind_is_a_config_error_naming_it(
+    tmp_path, scenario, scenario_given, cfg_given, message
+):
+    api = dataclasses.replace(scenario, **scenario_given)
+    cfg = api.guidance_config(**cfg_given)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        generate_run(api, tmp_path / "run", cfg=cfg)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep(api, tmp_path / "sweep", runs=1, base_cfg=cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("timesteps", range(3, 16))
+def test_the_config_the_scenario_and_the_cli_derive_the_same_stage_bounds(scenario, timesteps):
+    from_flags = _cfg_from_flags(scenario, None, None, None, timesteps)
+    assert scenario.guidance_config(timesteps=timesteps) == from_flags
+    assert GuidanceConfig(timesteps=timesteps).stage_bounds == from_flags.stage_bounds
+    assert from_flags.stage_bounds == (timesteps // 3, 2 * timesteps // 3)
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])
