@@ -12,6 +12,7 @@ from .voxelcore import (
     _expect,
     _freeze,
     _read,
+    _read_fields,
     _unique_keys,
     _write,
     index_to_point,
@@ -33,6 +34,9 @@ class ContactSet:
     FIELDS = {"points": (tuple,), "provenance": str}
 
     def __post_init__(self):
+        # rows given as lists, as in a file, are read entry by entry, so a bool or
+        # a string is refused; an array is taken as its float64 values
+        _read_fields(self, {"provenance": str} if isinstance(self.points, np.ndarray) else None)
         try:
             pts = np.asarray(self.points, dtype=np.float64)
         except ValueError:  # rows of unequal length

@@ -47,6 +47,7 @@ from .voxelcore import (
     LatentGrid,
     OccupancyGrid,
     _finite_or_none,
+    _read_fields,
     _write,
     binarize,
     point_to_index,
@@ -84,17 +85,15 @@ class GuidanceConfig:
     OPTIONAL = frozenset()  # a manifest's guidance block names every field
 
     def __post_init__(self):
+        _read_fields(self)
         if self.timesteps < 3:
             raise ValueError("need at least 3 timesteps")
         if self.stage_bounds is None:
             object.__setattr__(self, "stage_bounds", (self.timesteps // 3, 2 * self.timesteps // 3))
-        if len(self.stage_bounds) != 2:
-            raise ValueError(f"stage_bounds must be two step indices, got {self.stage_bounds}")
-        b0, b1 = self.stage_bounds
-        if not 0 <= b0 <= b1 <= self.timesteps:
-            raise ValueError("stage_bounds must partition [0, timesteps)")
-        # finite, so a suppressed step's weight lam_sched * 0.0 is 0.0
-        if len(self.lambda_stage) != 3 or not all(0 <= l < math.inf for l in self.lambda_stage):
+        if len(b := self.stage_bounds) != 2 or not 0 <= b[0] <= b[1] <= self.timesteps:
+            raise ValueError(f"stage_bounds must be two step indices that partition [0, timesteps), got {b}")
+        # finite, as read, so a suppressed step's weight lam_sched * 0.0 is 0.0
+        if len(self.lambda_stage) != 3 or not all(l >= 0 for l in self.lambda_stage):
             raise ValueError("lambda_stage must be three finite non-negative values")
         if self.recurrence < 1:
             raise ValueError("recurrence must be >= 1")
@@ -102,13 +101,8 @@ class GuidanceConfig:
             raise ValueError("neighborhood radius must be >= 0")
 
     def lambda_schedule(self, step: int) -> float:
-        """Stage weight of the step with index `step`."""
-        b0, b1 = self.stage_bounds
-        if step < b0:
-            return self.lambda_stage[0]
-        if step < b1:
-            return self.lambda_stage[1]
-        return self.lambda_stage[2]
+        """Stage weight of the step with index `step`, whose stage is the number of bounds at or below it."""
+        return self.lambda_stage[sum(step >= b for b in self.stage_bounds)]
 
     def to_dict(self) -> dict:
         return _write(self)

@@ -44,9 +44,11 @@ from .guidance import (
 )
 from .scenarios import Scenario, build_scenario, suite_scenario
 from .voxelcore import (
+    _convert,
     _expect,
     _grid_parts,
     _read,
+    _read_fields,
     _require,
     _unique_keys,
     binarize,
@@ -146,13 +148,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
-def _reread(name: str, document):
-    """`document` (a Scenario, GuidanceConfig or ContactSet, or None) as RunManifest reads
-    it back from the manifest's `name` block: a numpy scalar becomes a plain number, and
-    a value of the wrong kind, such as 4.5 for an integer, is a ValueError naming the field."""
-    return None if document is None else _read(RunManifest.FIELDS[name], document.to_dict(), name, "run")
-
-
 def generate_run(
     scenario: Scenario,
     out_dir,
@@ -162,8 +157,7 @@ def generate_run(
 ) -> dict:
     """Build the scenario, run the sampler on its seeds, and write all artifacts + manifest.
 
-    Returns the manifest dict.  An invalid configuration (each input is first
-    read back as its manifest block would be), a scenario that fails to build,
+    Returns the manifest dict.  An invalid configuration, a scenario that fails to build,
     an empty reference shape or a run directory that cannot be made raises
     ConfigError before anything is written.  On a non-finite abort, in the
     reference run too, the manifest (with a failure record) and the artifacts
@@ -172,9 +166,7 @@ def generate_run(
     aborted = None
     timings: dict = {}
     with _config_errors():
-        scenario = _reread("scenario", scenario)
-        cfg = _reread("guidance", cfg if cfg is not None else scenario.guidance_config())
-        external_contacts = _reread("external_contacts", external_contacts)
+        cfg = cfg if cfg is not None else scenario.guidance_config()
         seeds = scenario.seeds
         if mode not in ("guided", "unguided"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -289,6 +281,7 @@ class RunManifest:
                         "environment", "timings", "metrics", "guidance_applied_steps"})
 
     def __post_init__(self):
+        _read_fields(self)
         # scenario.seeds is the one place a run's seeds are read from; the
         # `seeds` block must repeat them exactly, so compare JSON, where true is not 1
         s, expected = self.scenario.seeds, _seeds_block(self.scenario.seeds)
@@ -457,15 +450,14 @@ def sweep(
     sweep continues.  Cells run one after another, in this process.
     """
     with _config_errors():
-        scenario = _reread("scenario", scenario)
         base = base_cfg if base_cfg is not None else scenario.guidance_config()
-        if runs < 1:
+        if (runs := _convert(runs, int, "runs")) < 1:  # np.int64(1) is written as 1
             raise ValueError(f"runs per cell must be >= 1, got {runs}")
         cells = []
         for lam, m, radius in itertools.product(
             lambda_grid or [base.lambda_stage], recurrence_grid or [base.recurrence], radius_grid or [base.radius]
         ):
-            cfg = _reread("guidance", dataclasses.replace(base, lambda_stage=tuple(lam), recurrence=m, radius=radius))
+            cfg = dataclasses.replace(base, lambda_stage=lam, recurrence=m, radius=radius)
             _check_radius(cfg.radius, scenario.resolution)
             cells.append(cfg)
         build_scenario(scenario)  # paired runs differ in seeds only
@@ -520,8 +512,7 @@ def _resolve_scenario(spec: str, grid_n: int | None) -> Scenario:
 
 def _cfg_from_flags(scenario, lam, recurrence, radius, timesteps):
     """The scenario's guidance config with each flag that was given in place."""
-    flags = {"lambda_stage": None if lam is None else tuple(lam), "recurrence": recurrence,
-             "radius": radius, "timesteps": timesteps}
+    flags = {"lambda_stage": lam, "recurrence": recurrence, "radius": radius, "timesteps": timesteps}
     return scenario.guidance_config(**{k: v for k, v in flags.items() if v is not None})
 
 

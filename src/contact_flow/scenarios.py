@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -37,7 +37,7 @@ from .voxelcore import (
     _read,
     _reject_unknown,
     _require,
-    _store_tuples,
+    _read_fields,
     _unique_keys,
     _write,
     index_to_point,
@@ -68,6 +68,7 @@ class VisibilitySpec:
     FIELDS = {"axis": int, "offset": float, "visible_side": str}
 
     def __post_init__(self):
+        _read_fields(self)
         if self.axis not in (0, 1, 2):
             raise ValueError("visibility axis must be 0, 1 or 2")
         if not 0.0 < self.offset < 1.0:
@@ -95,11 +96,14 @@ class ScenarioSeeds:
     FIELDS = {"reference": int, "guided": int, "contacts": int}
 
     def __post_init__(self):
+        # named as in a file, under seeds, also when built in Python
+        try:
+            _read_fields(self)  # a bool or 1.5 is refused
+        except ValueError as exc:
+            raise ValueError(f"seeds {exc}") from None
         for name in self.FIELDS:
-            seed = _convert(getattr(self, name), int, f"seeds {name}")  # a bool or 1.5 is refused
-            if seed < 0:
+            if (seed := getattr(self, name)) < 0:
                 raise ValueError(f"seeds {name} must be >= 0, got {seed}")
-            object.__setattr__(self, name, seed)
 
 
 class _YamlLoader(yaml.SafeLoader):
@@ -137,7 +141,9 @@ class Scenario:
     }
 
     def __post_init__(self):
-        _store_tuples(self, "library", "weights")  # hashable, so its geometry keys a memo
+        # its lists are read as tuples, so it hashes and its geometry keys a memo
+        object.__setattr__(self, "n", _convert(self.n, int, "grid n"))  # written under grid
+        _read_fields(self, {"name": str, "library": (Primitive,), **self.FIELDS})
         if self.n < 1:
             raise ValueError("latent resolution n must be >= 1")
         if not self.library:
@@ -166,9 +172,9 @@ class Scenario:
         _expect(d, dict, "scenario")
         grid = _expect(_require(d, "grid", "scenario"), dict, "grid")
         entries = _expect(_require(d, "library", "scenario"), list, "library")
-        name = _expect(_require(d, "name", "scenario"), str, "name")
+        name = _require(d, "name", "scenario")
         _reject_unknown(grid, ("n",), "grid")
-        n = _convert(_require(grid, "n", "grid"), int, "grid n")
+        n = _require(grid, "n", "grid")
         library = tuple(primitive_from_dict(p, f"library {i}") for i, p in enumerate(entries))
         return _read(cls, d, "", "scenario", ("name", "grid", "library"), name=name, n=n, library=library)
 
@@ -185,8 +191,11 @@ class Scenario:
         run_index = _convert(run_index, int, "run_index")
         if run_index < 0:
             raise ValueError(f"run_index must be >= 0, got {run_index}")
-        shifted = {f: getattr(self.seeds, f) + run_index for f in ScenarioSeeds.FIELDS}
-        return replace(self, seeds=ScenarioSeeds(**shifted))
+        # a copy made without __init__: only the seeds change, so only they are read
+        # again (vars lists them in field order)
+        run = object.__new__(Scenario)
+        run.__dict__.update(vars(self), seeds=ScenarioSeeds(*(s + run_index for s in vars(self.seeds).values())))
+        return run
 
     def guidance_config(self, **overrides) -> GuidanceConfig:
         """Default guidance config with the drag radius scaled to this grid size."""
@@ -234,7 +243,6 @@ def _seed_independent(name, n, library, true_index, visibility, weights, gamma, 
     fps_count and run count share one entry.  The geometry built last is kept:
     the suite fixture, run_standard_suite.py and a sweep build one scenario's
     runs back to back.  Every array is read-only, so paired runs share them."""
-    n, beta = int(n), float(beta)  # an equal key of another type, such as np.int64, shares the entry
     N = UPSAMPLE_FACTOR * n
     params = DecoderParams.default(channels=8, beta=beta)
     grids = tuple(voxelize_primitive(p, N) for p in library)
@@ -258,7 +266,7 @@ def _seed_independent(name, n, library, true_index, visibility, weights, gamma, 
     model = MixtureFlowModel(
         n=n, channels=params.channels, means=np.stack([lat.reshape(-1) for lat in latents]),
         weights=condition(np.full(k, 1.0 / k) if weights is None else weights, energies, gamma),
-        sigma=float(sigma), component_ids=tuple(f"{name}/shape_{i}" for i in range(k)),
+        sigma=sigma, component_ids=tuple(f"{name}/shape_{i}" for i in range(k)),
     )
     surface = surface_mask(grids[true_index])
     surface[slab] = False

@@ -35,18 +35,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _store_tuples(obj, *names) -> None:
-    """Store the list or array fields `names` of frozen dataclass `obj` as tuples (an
-    array's entries as Python numbers), so equal values compare and hash equal."""
-    for name in names:
-        if isinstance(v := getattr(obj, name), (list, np.ndarray)):
-            object.__setattr__(obj, name, tuple(v.tolist() if isinstance(v, np.ndarray) else v))
+class _KindError(ValueError):
+    """A field holding a value of the wrong kind; `_read` names it by its path in the file."""
 
 
 def _expect(value, kind: type, what: str):
     """`value` of a parsed input file; ValueError naming `what` when it is not a `kind`."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+        # a union of classes has no name of its own; the one such reader is Primitive
+        raise _KindError(f"{what} must be a {getattr(kind, '__name__', 'primitive')}, got {type(value).__name__}")
     return value
 
 
@@ -64,25 +61,26 @@ def _is_number(value) -> bool:
     return real and math.isfinite(value)
 
 
-# each kind of number or list field: its name and the values it takes
+# each kind of number or list field: its name, the values it takes and what it
+# stores of them, plain numbers (a numpy scalar's .item() in a list)
 _FIELD_KINDS = {
-    int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
-    float: ("a number", _is_number),
-    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral), int),
+    float: ("a number", _is_number, float),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_number, v)),
+            lambda v: tuple(x.item() if isinstance(x, np.generic) else x for x in v)),
 }
 
 
 def _convert(value, to, what: str):
-    """to(value) for a number or list field of a parsed input file (`to` one of
-    int, float, tuple); ValueError naming `what` when the value is not one, such
-    as the None of a YAML field left empty, a bool, a string, or 10.5 for an int."""
-    name, accepts = _FIELD_KINDS[to]
+    """The plain int, float or tuple of numbers (`to`) a field holds; ValueError naming `what` when
+    it is not one, such as the None of a YAML field left empty, a bool, a string, or 10.5 for an int."""
+    name, accepts, store = _FIELD_KINDS[to]
     try:
         if accepts(value):
-            return to(value)
+            return store(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    raise ValueError(f"{what} must be {name}, got {value!r}") from None
+    raise _KindError(f"{what} must be {name}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +195,17 @@ def axis_centers(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Each input document class (the primitives below, the scenario, contact and
 # guidance documents, and the run manifest) declares FIELDS = {field: reader},
 # in file order.  A reader is int, float or tuple (a number or list field, see
-# _convert), str or bool, dict (a mapping kept as it is, for its caller to
-# read), a document class (a nested mapping), a reading function such as
+# _convert), str, bool or dict (a mapping kept as it is, for its caller to
+# read), a document class (a nested document), a reading function such as
 # Scenario.from_dict (a nested mapping it reads itself; its ValueError is
 # prefixed with the field), or (reader,) (a list of them).  A file may leave
 # out a field whose dataclass has a default, unless the class declares its own
 # OPTIONAL set of such fields, and may hold no other key.
+#
+# A document reads its own fields when it is built (_read_fields, from its
+# __post_init__), so one built in Python holds what the same document read
+# from a file does; _read checks a file's structure, builds its nested
+# documents, and names a field the constructor refuses by its path in the file.
 
 
 @functools.cache
@@ -210,6 +213,25 @@ def _optional(cls) -> frozenset:
     """The fields a `cls` document may leave out."""
     defaults = frozenset(f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING)
     return getattr(cls, "OPTIONAL", defaults)
+
+
+def _read_value(reader, value, what: str):
+    """`value` of field `what` as `reader` reads it (a reading function: its class); else a _KindError."""
+    if reader in _FIELD_KINDS:
+        return _convert(value, reader, what)
+    if type(reader) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _KindError(f"{what} must be a list, got {type(value).__name__}")
+        return tuple(_read_value(reader[0], v, what) for v in value)
+    return _expect(value, getattr(reader, "__self__", reader), what)
+
+
+def _read_fields(doc, fields=None) -> None:
+    """Store each field `fields` (its class's FIELDS) names of frozen `doc` as its reader reads it."""
+    for name, reader in (fields or type(doc).FIELDS).items():
+        # a field left at its default, such as None, is kept as it is
+        if (value := getattr(doc, name)) is not doc.__dataclass_fields__[name].default:
+            object.__setattr__(doc, name, _read_value(reader, value, name))
 
 
 def _reject_unknown(d: dict, known, what: str) -> None:
@@ -236,17 +258,15 @@ def _finite_or_none(v):
 
 
 def _read(reader, value, what: str, entry: str, own=(), **given):
-    """A field of a parsed input document, read by `reader`; ValueError naming
-    `what` when it has the wrong type, or `entry`, `what` and the key when a
-    document lacks a field or holds a key neither a field nor read by its caller
-    (the keys `own`, read into the fields `given`)."""
-    if reader in _FIELD_KINDS:
-        return _convert(value, reader, what)
-    if reader in (str, bool, dict):
-        return _expect(value, reader, what)
-    if type(reader) is tuple:
+    """A field of a parsed input document, read by `reader`; ValueError naming `what` when it
+    has the wrong kind, or `entry`, `what` and the key when a document lacks a field or holds a
+    key neither a field nor read by its caller (the keys `own`, read into the fields `given`)."""
+    if type(reader) is tuple and hasattr(reader[0], "FIELDS"):
         # each entry is named in the singular: "union_of_boxes box hi"
         return tuple(_read(reader[0], v, what.removesuffix("es"), entry) for v in _expect(value, list, what))
+    if isinstance(reader, (type, tuple)) and not hasattr(reader, "FIELDS"):
+        # read by its document's constructor; left empty, it is refused, not taken for a default of None
+        return value if value is not None else _read_value(reader, value, what)
     if not hasattr(reader, "FIELDS"):
         try:
             return reader(value)
@@ -260,7 +280,10 @@ def _read(reader, value, what: str, entry: str, own=(), **given):
             given[f] = _read(r, value[f], f"{what} {f}".lstrip(), entry)
         elif f not in _optional(reader):
             raise ValueError(f"{where} is missing required field {f!r}")
-    return reader(**given)
+    try:
+        return reader(**given)
+    except _KindError as exc:  # a field its constructor refused, named by its path
+        raise ValueError(f"{what} {exc}".lstrip()) from None
 
 
 def _write(value, reader=None):
@@ -291,14 +314,12 @@ class Box:
     FIELDS = {"lo": tuple, "hi": tuple}
 
     def __post_init__(self):
-        _store_tuples(self, "lo", "hi")
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != (3,) or hi.shape != (3,):
+        _read_fields(self)
+        if len(self.lo) != 3 or len(self.hi) != 3:
             raise ValueError("box lo/hi must be 3-vectors")
-        if np.any(hi <= lo):
+        if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"degenerate primitive: box has zero/negative extent (lo={self.lo}, hi={self.hi})")
-        if lo.min() < 0.0 or hi.max() > 1.0:
+        if min(self.lo) < 0.0 or max(self.hi) > 1.0:
             raise ValueError("box lo and hi must lie inside the unit cube")
 
     def contains(self, x, y, z) -> np.ndarray:
@@ -323,22 +344,16 @@ class Cylinder:
     FIELDS = {"axis": int, "center": tuple, "radius": float, "lo": float, "hi": float}
 
     def __post_init__(self):
-        _store_tuples(self, "center")
+        _read_fields(self)
         if self.axis not in (0, 1, 2):
             raise ValueError("cylinder axis must be 0, 1 or 2")
-        c = np.asarray(self.center, dtype=np.float64)
-        if c.shape != (2,):
+        if len(self.center) != 2:
             raise ValueError("cylinder center must be a 2-vector")
         if self.radius <= 0.0:
             raise ValueError("degenerate primitive: cylinder radius must be positive")
         if self.hi <= self.lo:
             raise ValueError("degenerate primitive: cylinder span from lo to hi has zero/negative extent")
-        if (
-            self.lo < 0.0
-            or self.hi > 1.0
-            or np.any(c - self.radius < 0.0)
-            or np.any(c + self.radius > 1.0)
-        ):
+        if self.lo < 0.0 or self.hi > 1.0 or min(self.center) < self.radius or max(self.center) + self.radius > 1.0:
             raise ValueError("cylinder center, radius, lo and hi must lie inside the unit cube")
 
     def contains(self, x, y, z) -> np.ndarray:
@@ -358,6 +373,9 @@ class LBracket:
 
     FIELDS = {"first": Box, "second": Box}
 
+    def __post_init__(self):
+        _read_fields(self)
+
     def contains(self, x, y, z) -> np.ndarray:
         return self.first.contains(x, y, z) | self.second.contains(x, y, z)
 
@@ -369,7 +387,7 @@ class UnionOfBoxes:
     FIELDS = {"boxes": (Box,)}
 
     def __post_init__(self):
-        _store_tuples(self, "boxes")
+        _read_fields(self)
         if not self.boxes:
             raise ValueError("degenerate primitive: union of zero boxes")
 
@@ -388,6 +406,7 @@ class SphereCappedBox:
     FIELDS = {"box": Box, "cap_axis": int, "cap_radius": float}
 
     def __post_init__(self):
+        _read_fields(self)
         if self.cap_axis not in (0, 1, 2):
             raise ValueError("cap_axis must be 0, 1 or 2")
         if self.cap_radius <= 0.0:

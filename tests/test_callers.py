@@ -2,6 +2,7 @@
 property of its public classes, has a caller outside the tests."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +99,17 @@ def test_the_benchmarks_own_tests_pass_on_this_tree():
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"]
     result = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_the_full_scale_acceptance_suite_passes_on_this_tree(capsys):
+    # every acceptance criterion at production size (n=16, N=64), in a process
+    # of its own so this run's n=4 suite fixture is not shared; its ACCEPTANCE
+    # lines, margins included, are printed into every tier-1 log
+    command = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+    env = {**os.environ, "CONTACT_FLOW_ACCEPTANCE_FULL": "1"}
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=1800)
+    # each criterion's line, after the progress marks of -q
+    lines = [line[line.index("ACCEPTANCE"):] for line in result.stdout.splitlines() if "ACCEPTANCE" in line]
+    with capsys.disabled():
+        print("", *lines, sep="\n")
+    assert result.returncode == 0 and lines, result.stdout + result.stderr

@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from contact_flow.contact import ContactSet
@@ -29,7 +30,18 @@ from contact_flow.scenarios import (
     build_scenario,
     suite_scenario,
 )
-from contact_flow.voxelcore import Box, Cylinder, LBracket, SphereCappedBox, UnionOfBoxes, _read
+from contact_flow.voxelcore import (
+    Box,
+    Cylinder,
+    LBracket,
+    SphereCappedBox,
+    UnionOfBoxes,
+    _finite_or_none,
+    _read,
+    _write,
+    primitive_from_dict,
+    primitive_to_dict,
+)
 
 DELETE = object()  # the mutant that removes the field
 MUTANTS = (None, True, "x", [], {}, 10**400, math.nan, math.inf, -1, 0, DELETE)
@@ -40,11 +52,11 @@ REPEAT = object()  # the mutant that repeats a mapping's first key in the docume
 HAND_WRITTEN = {Scenario: {"name", "n", "library"}}
 
 
-@pytest.mark.parametrize(
-    "cls",
-    [Box, Cylinder, LBracket, UnionOfBoxes, SphereCappedBox,
-     VisibilitySpec, ScenarioSeeds, Scenario, GuidanceConfig, ContactSet, RunManifest],
-)
+DOCUMENT_CLASSES = [Box, Cylinder, LBracket, UnionOfBoxes, SphereCappedBox,
+                    VisibilitySpec, ScenarioSeeds, Scenario, GuidanceConfig, ContactSet, RunManifest]
+
+
+@pytest.mark.parametrize("cls", DOCUMENT_CLASSES)
 def test_each_table_lists_every_field_its_class_is_built_from(cls):
     # a field missing from the table would drop out of to_dict, so out of
     # manifests and out of the scenario memo's key
@@ -184,3 +196,80 @@ def test_every_mutated_manifest_entry_is_listed_or_skipped(tmp_path):
         return load_manifest(run)
 
     assert _escapes(read, manifest, paths, load=load, opaque=opaque) == []
+
+
+def _python_documents(tmp_path) -> dict:
+    """A document of each class, built in Python, with its file form and reader:
+    class -> (document, its parsed-file form, the reader of that form)."""
+    box = Box((0.25, 0.25, 0.25), (0.5, 0.5, 0.5))
+    other = Box((0.5, 0.25, 0.25), (0.75, 0.5, 0.5))
+    scenario = dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=(0.5, 0.5))
+    manifest = generate_run(scenario, tmp_path / "run", mode="unguided")
+    docs = [
+        box,
+        Cylinder(axis=2, center=(0.5, 0.5), radius=0.25, lo=0.25, hi=0.75),
+        LBracket(box, other),
+        UnionOfBoxes((box, other)),
+        SphereCappedBox(box, cap_axis=2, cap_radius=0.1),
+        VisibilitySpec(axis=1, offset=0.25, visible_side="above"),
+        ScenarioSeeds(1, 2, 3),
+        scenario,
+        scenario.guidance_config(),
+        ContactSet([[0.5, 0.5, 0.5], [0.25, 0.75, 0.5]], provenance="external file"),
+        RunManifest.from_dict(manifest),
+    ]
+
+    def manifest_form(m):
+        # the blocks a manifest writes; a field that is not set is left out
+        return {f: v.to_dict() if hasattr(v, "to_dict") else v for f in RunManifest.FIELDS
+                if (v := _finite_or_none(getattr(m, f))) is not None}
+
+    forms = {
+        Scenario: (Scenario.to_dict, Scenario.from_dict),
+        ContactSet: (ContactSet.to_dict, ContactSet.from_dict),
+        RunManifest: (manifest_form, RunManifest.from_dict),
+        **dict.fromkeys((Box, Cylinder, LBracket, UnionOfBoxes, SphereCappedBox),
+                        (primitive_to_dict, primitive_from_dict)),
+    }
+    # any other document is written and read by its table alone
+    tables = {type(doc): (_write, functools.partial(_read, type(doc), what="", entry="document")) for doc in docs}
+    return {type(doc): (doc, *forms.get(type(doc), tables[type(doc)])) for doc in docs}
+
+
+def _equal(a, b) -> bool:
+    """Documents equal field by field, a contact set's points as arrays."""
+    if isinstance(a, ContactSet):
+        return type(b) is ContactSet and np.array_equal(a.points, b.points) and a.provenance == b.provenance
+    return a == b
+
+
+def _replaced(doc, field, value, write, read) -> str | None:
+    """What is wrong with dataclasses.replace(doc, field=value), or None when it
+    is a ValueError naming the field or a document its file form reads back as."""
+    try:
+        mutated = dataclasses.replace(doc, **{field: value})
+    except ValueError as exc:
+        return None if field in str(exc) else f"ValueError not naming it: {exc}"
+    except Exception as exc:  # noqa: BLE001 - every other escape is reported
+        return repr(exc)
+    try:
+        again = read(write(mutated))
+    except Exception as exc:  # noqa: BLE001
+        return f"its file form is refused: {exc!r}"
+    return None if _equal(again, mutated) else f"read back as {again!r}"
+
+
+def test_every_mutated_field_of_a_document_built_in_python_is_read_or_named(tmp_path):
+    # the twin of the file mutations above: a document built in Python reads
+    # its fields as one read from a file does, so a wrong value is a ValueError
+    # naming the field (never a TypeError of a comparison or a len), and a
+    # value it takes gives the document its own file form reads back as
+    documents = _python_documents(tmp_path)
+    assert list(documents) == DOCUMENT_CLASSES
+    found = []
+    for cls, (doc, write, read) in documents.items():
+        assert _equal(read(write(doc)), doc)
+        for field in cls.FIELDS.keys() | HAND_WRITTEN.get(cls, set()):
+            found += [(cls.__name__, field, value, problem) for value in MUTANTS if value is not DELETE
+                      if (problem := _replaced(doc, field, value, write, read))]
+    assert found == []

@@ -405,8 +405,8 @@ def test_config_validation():
             GuidanceConfig(stage_bounds=bad)
     with pytest.raises(ValueError):
         GuidanceConfig(lambda_stage=(-0.1, 1.0, 0.5))
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
+    for bad in (math.inf, math.nan):  # not a number, as a file's inf or nan is not
+        with pytest.raises(ValueError, match="lambda_stage must be a list of numbers"):
             GuidanceConfig(lambda_stage=(0.2, bad, 0.5))
     with pytest.raises(ValueError):
         GuidanceConfig(recurrence=0)

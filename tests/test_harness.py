@@ -64,8 +64,9 @@ def with_seeds(scenario, **seeds):
 
 
 def write_scenario(scenario, path):
-    """A scenario file, as Scenario.load reads it."""
-    path.write_text(yaml.safe_dump(scenario.to_dict(), sort_keys=False))
+    """A scenario file of a Scenario or its document, as Scenario.load reads it."""
+    d = scenario if isinstance(scenario, dict) else scenario.to_dict()
+    path.write_text(yaml.safe_dump(d, sort_keys=False))
 
 
 def artifact_hashes(manifest):
@@ -624,11 +625,10 @@ UNBUILDABLE = {
         visibility=VisibilitySpec(),
         seeds=ScenarioSeeds(1, 2, 3),
     ),
-    # a noise scale, likelihood sharpness or logistic gain that is not finite
+    # a noise scale, likelihood sharpness or logistic gain that is not finite,
+    # as documents: a Scenario refuses them when it is built
     **{
-        f"{field}_{value}": dataclasses.replace(
-            suite_scenario("depth_boxes", n=4), **{field: float(value)}
-        )
+        f"{field}_{value}": {**suite_scenario("depth_boxes", n=4).to_dict(), field: float(value)}
         for field in ("sigma", "gamma", "beta")
         for value in ("nan", "inf")
     },
@@ -1093,20 +1093,25 @@ def _without_timings(manifest: dict) -> str:
 
 
 @pytest.mark.parametrize(
-    "scenario_given, cfg_given",
+    "scenario_given, cfg_given, runs",
     [
-        ({"n": np.int64(4)}, {}),
-        ({"contact_count": np.int64(10)}, {}),
-        ({"true_index": np.int64(1)}, {}),
-        ({"gamma": np.float32(1.0)}, {}),
-        ({}, {"radius": np.int64(2)}),
+        ({"n": np.int64(4)}, {}, 1),
+        ({"contact_count": np.int64(10)}, {}, 1),
+        ({"true_index": np.int64(1)}, {}, 1),
+        ({"gamma": np.float32(1.0)}, {}, 1),
+        ({}, {"radius": np.int64(2)}, 1),
+        # np.float32(0.5) is 0.5 exactly, so it is the plain 0.5
+        ({}, {"lambda_stage": (np.float32(0.5), 1.0, 0.5)}, 1),
+        ({}, {}, np.int64(1)),
     ],
-    ids=["n", "contact_count", "true_index", "gamma", "radius"],
+    ids=["n", "contact_count", "true_index", "gamma", "radius", "lambda_stage", "runs"],
 )
-def test_numpy_scalars_of_a_python_run_are_read_as_plain_numbers(tmp_path, scenario, scenario_given, cfg_given):
-    # generate_run and sweep read their documents as a manifest's blocks are
-    # read, so a run from numpy scalars is its plain twin, manifest included
-    plain_cfg = scenario.guidance_config(radius=2)
+def test_numpy_scalars_of_a_python_run_are_read_as_plain_numbers(
+    tmp_path, scenario, scenario_given, cfg_given, runs
+):
+    # a document reads its fields when it is made, so a run from numpy scalars
+    # is its plain twin, manifest and sweep.json included
+    plain_cfg = scenario.guidance_config(radius=2, lambda_stage=(0.5, 1.0, 0.5))
     api = dataclasses.replace(scenario, **scenario_given)
     api_cfg = dataclasses.replace(plain_cfg, **cfg_given)
     assert (scenario.true_index, scenario.gamma, scenario.guidance_config().radius) == (1, 1.0, 2)
@@ -1114,7 +1119,7 @@ def test_numpy_scalars_of_a_python_run_are_read_as_plain_numbers(tmp_path, scena
     got = generate_run(api, tmp_path / "api", cfg=api_cfg)
     assert _without_timings(got) == _without_timings(load_manifest(tmp_path / "api")) == _without_timings(want)
     sweep(scenario, tmp_path / "plain_sweep", runs=1, base_cfg=plain_cfg)
-    sweep(api, tmp_path / "api_sweep", runs=1, base_cfg=api_cfg)
+    sweep(api, tmp_path / "api_sweep", runs=runs, base_cfg=api_cfg)
     sweep_json = [(tmp_path / side / "sweep.json").read_bytes() for side in ("plain_sweep", "api_sweep")]
     assert sweep_json[0] == sweep_json[1]
 
@@ -1122,24 +1127,36 @@ def test_numpy_scalars_of_a_python_run_are_read_as_plain_numbers(tmp_path, scena
 @pytest.mark.parametrize(
     "scenario_given, cfg_given, message",
     [
-        ({"n": 4.5}, {}, "run scenario: grid n must be an integer, got 4.5"),
-        ({"fps_count": 2.5}, {}, "run scenario: fps_count must be an integer, got 2.5"),
-        ({"true_index": 1.0}, {}, "run scenario: true_index must be an integer, got 1.0"),
-        ({"contact_count": 3.5}, {}, "run scenario: contact_count must be an integer, got 3.5"),
-        ({}, {"timesteps": 12.0}, "guidance timesteps must be an integer, got 12.0"),
-        ({}, {"recurrence": 2.5}, "guidance recurrence must be an integer, got 2.5"),
-        ({}, {"radius": 2.0}, "guidance radius must be an integer, got 2.0"),
+        ({"n": 4.5}, {}, "grid n must be an integer, got 4.5"),
+        ({"fps_count": 2.5}, {}, "fps_count must be an integer, got 2.5"),
+        ({"true_index": 1.0}, {}, "true_index must be an integer, got 1.0"),
+        ({"contact_count": 3.5}, {}, "contact_count must be an integer, got 3.5"),
+        ({}, {"timesteps": 12.0}, "timesteps must be an integer, got 12.0"),
+        ({}, {"recurrence": 2.5}, "recurrence must be an integer, got 2.5"),
+        ({}, {"radius": 2.0}, "radius must be an integer, got 2.0"),
     ],
 )
 def test_a_python_run_with_a_value_of_the_wrong_kind_is_a_config_error_naming_it(
     tmp_path, scenario, scenario_given, cfg_given, message
 ):
-    api = dataclasses.replace(scenario, **scenario_given)
-    cfg = api.guidance_config(**cfg_given)
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+    # a document reads its fields when it is made, so the value is refused
+    # there, by dataclasses.replace or guidance_config, before any run starts
+    def run():
+        api = dataclasses.replace(scenario, **scenario_given)
+        cfg = api.guidance_config(**cfg_given)
         generate_run(api, tmp_path / "run", cfg=cfg)
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         sweep(api, tmp_path / "sweep", runs=1, base_cfg=cfg)
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("runs", [1.5, True, "1", None])
+def test_sweep_refuses_a_run_count_that_is_not_an_integer(tmp_path, scenario, runs):
+    message = f"runs must be an integer, got {runs!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep(scenario, tmp_path / "sw", runs=runs)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -144,11 +144,19 @@ def test_scenario_rejects_fps_count_below_one(fps_count):
         Scenario.from_dict({**sc.to_dict(), "fps_count": fps_count})
 
 
-@pytest.mark.parametrize("weights", [(0.5, 0.6), (-0.5, 1.5), (0.5, float("nan"))])
-def test_prior_weights_that_are_not_a_simplex_vector_are_refused_before_conditioning(weights):
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((0.5, 0.6), "weights must be a probability simplex vector"),
+        ((-0.5, 1.5), "weights must be a probability simplex vector"),
+        # not a number, so refused when the scenario is made, as in a file
+        ((0.5, float("nan")), "weights must be a list of numbers, got (0.5, nan)"),
+    ],
+)
+def test_prior_weights_that_are_not_a_simplex_vector_are_refused_before_conditioning(weights, message):
     # conditioning normalizes, so (0.5, 0.6) would otherwise build with weights that sum to 1
     scenarios._seed_independent.cache_clear()
-    with pytest.raises(ValueError, match="^weights must be a probability simplex vector$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_scenario(dataclasses.replace(suite_scenario("depth_boxes", n=4), weights=weights))
 
 
