@@ -92,8 +92,8 @@ def _interp(grid: np.ndarray, ax: np.ndarray, ay: np.ndarray, az_t: np.ndarray) 
 
 
 def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Coarse logit grid <x, w>_channels of a latent array (n, n, n, C)."""
-    return np.tensordot(x, params.w, axes=([3], [0]))
+    """Coarse logit grid <x, w>_channels of a latent (n, n, n, C): np.tensordot's reshape and dot."""
+    return x.reshape(-1, x.shape[3]).dot(params.w).reshape(x.shape[:3])
 
 
 def _logistic(u: np.ndarray, beta: float) -> np.ndarray:

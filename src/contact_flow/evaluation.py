@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .contact import ContactSet, _nearest_occupied
 from .voxelcore import (
@@ -93,6 +92,8 @@ def _nearest_distances(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.n
     returns the same minimum whatever the tree's shape, so the tree is built
     the cheap way: sliding-midpoint splits, no bounding-box shrinking.
     """
+    from scipy.spatial import cKDTree  # here, so a process that evaluates nothing never loads it
+
     d = np.zeros(len(a))
     rest = ~shared
     if rest.any():

@@ -312,18 +312,24 @@ def attenuation(grad_x0_norm: float, grad_xt_norm: float) -> float:
 #
 # The samplers work on flat float64 states of length n^3 * C, the rows of a
 # (B, dim) array (one row in `guided_sample`); containers are built only for
-# their inputs and outputs.  Every non-finite check raises FloatingPointError,
-# which each sampler turns into one GenerationAborted at its current step.
+# their inputs and outputs.  A sampler owns its state: it copies the base draw
+# once and updates it in place.  Each full-length quantity of a step is made in
+# one fresh array and finished in place, by the same IEEE operations in the same
+# order as the out-of-place expression.  Every non-finite check raises
+# FloatingPointError, which each sampler turns into one GenerationAborted at its
+# current step.
 
 
 def _integrate(model: MixtureFlowModel, x: np.ndarray, steps: int) -> np.ndarray:
-    """Euler-integrate states x (B, dim) over time_grid(steps); returns their
+    """Euler-integrate a copy of states x (B, dim) over time_grid(steps); returns their
     one-step predictions at the last knot, or aborts at the step a state turns non-finite."""
     ts, t_nexts = time_grid(steps)
+    x = x.copy()
     try:
         for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
             v, _, _ = _velocity_batch(model, x, t)
-            x = _check_finite(x + v * (t_next - t), "latent state became non-finite")
+            v *= t_next - t
+            _check_finite(np.add(x, v, out=x), "latent state became non-finite")
         *_, x0 = _predict(model, x, t_nexts[-1])
         return x0
     except FloatingPointError as exc:
@@ -371,7 +377,7 @@ def guided_sample(
     """
     _check_inputs(model, dec, ref)
     windows = _drag_windows(ref, contacts, cfg.radius)
-    x = sample_base(model, seed).data.reshape(1, -1)
+    x = sample_base(model, seed).data.reshape(1, -1).copy()
     ts, t_nexts = time_grid(cfg.timesteps)
     records: list[StepRecord] = []
     try:
@@ -391,7 +397,7 @@ def guided_sample(
                     # a huge finite lam can overflow g; the non-finite checks below abort the run
                     with np.errstate(invalid="ignore", over="ignore"):
                         g = lam * g_xt
-                        x = x + g * (t_next - t)
+                        x += g * (t_next - t)
                         g_norm = float(np.linalg.norm(g))
                 records.append(
                     StepRecord(
@@ -410,8 +416,8 @@ def guided_sample(
                     )
                 )
                 _check_finite(x, "latent state became non-finite after guided update")
-            x = x + v * (t_next - t)
-            _check_finite(x, "latent state became non-finite after Euler step")
+            v *= t_next - t
+            _check_finite(np.add(x, v, out=x), "latent state became non-finite after Euler step")
         *_, x0 = _predict(model, x, t_nexts[-1])
     except FloatingPointError as exc:
         trajectory = GuidedTrajectory(tuple(records), final_J=math.nan)

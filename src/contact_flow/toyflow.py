@@ -57,8 +57,9 @@ class MixtureFlowModel:
     weights: np.ndarray
     sigma: float
     component_ids: tuple[str, ...] = ()
-    # |mu_k|^2 per component, set from the means at construction
+    # |mu_k|^2 and log w_k per component, set from the means and weights at construction
     mean_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
@@ -73,8 +74,10 @@ class MixtureFlowModel:
         _check_simplex(weights)
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("component noise scale sigma must be positive and finite")
-        with np.errstate(over="ignore"):  # an overflow is rejected here, not met in the flow
+        # an overflow is rejected here, not met in the flow; a weight of 0 has log -inf
+        with np.errstate(over="ignore", divide="ignore"):
             sigma_sq, mean_sq_norms = np.square(self.sigma), np.sum(means**2, axis=1)
+            log_weights = np.log(weights)
         if np.isinf(sigma_sq) or np.isinf(mean_sq_norms).any():
             raise ValueError(f"sigma ({self.sigma}) and each mixture mean must have a finite square")
         if not self.component_ids:
@@ -86,6 +89,7 @@ class MixtureFlowModel:
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "mean_sq_norms", _freeze(mean_sq_norms))
+        object.__setattr__(self, "log_weights", _freeze(log_weights))
 
     def latent_shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.n, self.n, self.channels)
@@ -144,7 +148,7 @@ def _log_responsibilities(model: MixtureFlowModel, x_flat: np.ndarray, t: float)
             - (2.0 * a) * (x_flat @ model.means.T)
             + (a * a) * model.mean_sq_norms
         )
-        logits = np.log(model.weights)[None, :] - quad / (2.0 * s2)
+        logits = model.log_weights[None, :] - quad / (2.0 * s2)
         norm = _logsumexp(logits)
     _check_finite(norm, "all mixture components underflowed in responsibility computation")
     return logits - norm
@@ -156,14 +160,16 @@ def _velocity_batch(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
     _, c1, c2 = _path_coeffs(model, t)
     r = np.exp(_log_responsibilities(model, x_flat, t))
     mubar = r @ model.means
-    return c1 * x_flat - c2 * mubar, r, mubar
+    v = c1 * x_flat
+    return np.subtract(v, c2 * mubar, out=v), r, mubar
 
 
 def _predict(model: MixtureFlowModel, x_flat: np.ndarray, t: float):
     """`_velocity_batch`'s (v, r, mubar) at states x_flat (B, dim) and their one-step
     predictions x - v t; FloatingPointError when a prediction is not finite."""
     v, r, mubar = _velocity_batch(model, x_flat, t)
-    return v, r, mubar, _check_finite(x_flat - v * t, "one-step prediction became non-finite")
+    x0 = v * t
+    return v, r, mubar, _check_finite(np.subtract(x_flat, x0, out=x0), "one-step prediction became non-finite")
 
 
 def predict_x0(model: MixtureFlowModel, x_t: LatentGrid, t: float) -> LatentGrid:
@@ -180,8 +186,11 @@ def _predict_x0_vjp(
     with responsibilities r (K,) and posterior mean mubar (dim,):
     (1 - t c1) u + t c2 (1-t)/s_t^2 Cov_r(mu) u."""
     s2, c1, c2 = _path_coeffs(model, t)
-    cov_u = (r * (model.means @ u)) @ model.means - mubar * (mubar @ u)
-    return (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * cov_u
+    cov_u = (r * (model.means @ u)) @ model.means
+    cov_u -= mubar * (mubar @ u)
+    cov_u *= t * c2 * (1.0 - t) / s2
+    cov_u += (1.0 - t * c1) * u
+    return cov_u
 
 
 def sample_base(model: MixtureFlowModel, seed: int) -> LatentGrid:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +299,17 @@ def test_nearest_distances_equal_brute_force_and_a_default_tree_bitwise(N, seed,
     got = _nearest_distances(a, b, shared)
     assert np.array_equal(got, oracles.nearest_distances(a, b))
     assert np.array_equal(got, cKDTree(b).query(a)[0])
+
+
+def test_importing_the_harness_leaves_scipy_spatial_unloaded():
+    # the KD-tree module (which loads scipy.sparse) is imported by the first
+    # evaluation, so a process that only generates never pays for it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, contact_flow.harness; print(sorted({'scipy.spatial', 'scipy.sparse'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("N, density, seed", [(4, 0.1, 0), (8, 0.02, 1), (16, 0.005, 2), (16, 0.4, 3)])

@@ -673,40 +673,86 @@ def test_clipped_yz_windows_are_clipped_on_y_or_z(n, radius):
 # ---------------------------------------------------------------------------
 
 
+def out_of_place_predict(model, x, t):
+    """_predict's (v, r, mubar, x0) and its checks, every full-length array
+    made by an out-of-place expression."""
+    from contact_flow.toyflow import _check_finite, _log_responsibilities
+
+    s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+    c1 = (t - (1.0 - t) * model.sigma**2) / s2
+    c2 = t / s2
+    r = np.exp(_log_responsibilities(model, x, t))
+    mubar = r @ model.means
+    v = c1 * x - c2 * mubar
+    return v, r, mubar, _check_finite(x - v * t, "one-step prediction became non-finite")
+
+
+def out_of_place_predict_x0_vjp(model, r, mubar, t, u):
+    """_predict_x0_vjp as one out-of-place expression."""
+    s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+    c1 = (t - (1.0 - t) * model.sigma**2) / s2
+    c2 = t / s2
+    cov_u = (r * (model.means @ u)) @ model.means - mubar * (mubar @ u)
+    return (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * cov_u
+
+
 def every_iteration_guided_sample(model, dec, contacts, ref, cfg, seed):
     """The staged guided loop with no reuse: every inner iteration runs the
-    flow pass and the window chain, the chain out of place (window_chain_oracle)."""
+    flow pass and the window chain, the chain out of place (window_chain_oracle),
+    and so are the flow pass, the prediction VJP and the updates (x = x + ...).
+    Returns (occupancy, records, final_J), or (step, inner, reason) where a
+    non-finite check fails."""
     from contact_flow.decoder import _logits
-    from contact_flow.toyflow import time_grid
+    from contact_flow.toyflow import _check_finite, time_grid
 
     windows = guidance_module._drag_windows(ref, contacts, cfg.radius)
     x = sample_base(model, seed).data.reshape(1, -1)
     ts, t_nexts = time_grid(cfg.timesteps)
     records = []
-    for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
-        lam_sched = cfg.lambda_schedule(step)
-        for inner in range(cfg.recurrence):
-            v, r, mubar, x0 = _predict(model, x, t)
-            J, g_x0 = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), dec), windows, dec)
-            g_xt = _predict_x0_vjp(model, r[0], mubar[0], t, g_x0)
-            g_x0_norm, g_xt_norm = float(np.linalg.norm(g_x0)), float(np.linalg.norm(g_xt))
-            lam_att = attenuation(g_x0_norm, g_xt_norm)
-            lam = lam_sched * lam_att
-            g_norm = 0.0
-            if lam != 0.0:
-                g = lam * g_xt
-                x = x + g * (t_next - t)
-                g_norm = float(np.linalg.norm(g))
-            records.append(
-                guidance_module.StepRecord(
-                    step, inner, float(t), float(t_next), J, g_x0_norm, g_xt_norm,
-                    float(lam_sched), lam_att, float(lam), g_norm, lam_att == 0.0,
+    try:
+        for step, (t, t_next) in enumerate(zip(ts, t_nexts)):
+            lam_sched = cfg.lambda_schedule(step)
+            for inner in range(cfg.recurrence):
+                v, r, mubar, x0 = out_of_place_predict(model, x, t)
+                J, g_x0 = window_chain_oracle(_logits(x0.reshape(model.latent_shape()), dec), windows, dec)
+                g_xt = out_of_place_predict_x0_vjp(model, r[0], mubar[0], t, g_x0)
+                with np.errstate(over="ignore"):
+                    g_x0_norm, g_xt_norm = float(np.linalg.norm(g_x0)), float(np.linalg.norm(g_xt))
+                lam_att = attenuation(g_x0_norm, g_xt_norm)
+                lam = lam_sched * lam_att
+                g_norm = 0.0
+                if lam != 0.0:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        g = lam * g_xt
+                        x = x + g * (t_next - t)
+                        g_norm = float(np.linalg.norm(g))
+                records.append(
+                    guidance_module.StepRecord(
+                        step, inner, float(t), float(t_next), J, g_x0_norm, g_xt_norm,
+                        float(lam_sched), lam_att, float(lam), g_norm, lam_att == 0.0,
+                    )
                 )
-            )
-        x = x + v * (t_next - t)
-    *_, x0 = _predict(model, x, t_nexts[-1])
+                _check_finite(x, "latent state became non-finite after guided update")
+            x = _check_finite(x + v * (t_next - t), "latent state became non-finite after Euler step")
+        *_, x0 = out_of_place_predict(model, x, t_nexts[-1])
+    except FloatingPointError as exc:
+        return step, inner, str(exc)
     occupancy = decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
     return occupancy, records, drag_loss(occupancy, contacts, ref, cfg)[0]
+
+
+def out_of_place_unguided_sample(model, dec, cfg, seed):
+    """unguided_sample's Euler loop with x = x + v (t_next - t) and the flow
+    pass out of place."""
+    from contact_flow.toyflow import time_grid
+
+    x = sample_base(model, seed).data.reshape(1, -1)
+    ts, t_nexts = time_grid(cfg.timesteps)
+    for t, t_next in zip(ts, t_nexts):
+        v, *_ = out_of_place_predict(model, x, t)
+        x = x + v * (t_next - t)
+    *_, x0 = out_of_place_predict(model, x, t_nexts[-1])
+    return decode(LatentGrid(x0.reshape(model.latent_shape())), dec)
 
 
 @pytest.fixture(scope="module")
@@ -760,3 +806,45 @@ def test_an_iteration_with_zero_lambda_is_computed_once(depth_boxes_n4, monkeypa
     assert len(counted) == calls
     assert len(traj.records) == cfg.timesteps * cfg.recurrence
     assert counted[0] == 1.0 and traj.records[0].grad_xt_norm == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a sampler owns its state and finishes each full-length array in place
+# ---------------------------------------------------------------------------
+
+
+def test_unguided_sample_is_bit_identical_to_the_out_of_place_loop(depth_boxes_n4):
+    built, cfg, _ = depth_boxes_n4
+    args = (built.model, built.decoder, cfg, built.scenario.seeds.reference)
+    assert unguided_sample(*args).data.tobytes() == out_of_place_unguided_sample(*args).data.tobytes()
+
+
+def test_a_huge_stage_weight_aborts_where_the_out_of_place_loop_does(depth_boxes_n4):
+    built, cfg, ref = depth_boxes_n4
+    hot = dataclasses.replace(cfg, lambda_stage=(1e300, 1e300, 1e300))
+    args = (built.model, built.decoder, built.contacts, ref, hot, built.scenario.seeds.guided)
+    with pytest.raises(GenerationAborted) as err:
+        guided_sample(*args)
+    assert (err.value.step, err.value.inner, err.value.reason) == every_iteration_guided_sample(*args)
+    assert err.value.step > 0
+
+
+def test_samplers_leave_the_model_and_the_base_draw_unchanged(depth_boxes_n4, monkeypatch):
+    built, cfg, ref = depth_boxes_n4
+    model = built.model
+    arrays = ("means", "weights", "mean_sq_norms", "log_weights")
+    before = {name: getattr(model, name).tobytes() for name in arrays}
+    base = sample_base(model, built.scenario.seeds.guided)
+    base_bytes = base.data.tobytes()
+    monkeypatch.setattr(guidance_module, "sample_base", lambda m, seed: base)
+    unguided_sample(model, built.decoder, cfg, seed=0)
+    guided_sample(model, built.decoder, built.contacts, ref, cfg, seed=0)
+    # a caller's writable batch is integrated as a copy
+    batch = np.stack([base.data.reshape(-1), 0.5 * base.data.reshape(-1)])
+    batch_bytes = batch.tobytes()
+    guidance_module._integrate(model, batch, cfg.timesteps)
+    assert batch.tobytes() == batch_bytes
+    assert base.data.tobytes() == base_bytes and not base.data.flags.writeable
+    for name in arrays:
+        assert getattr(model, name).tobytes() == before[name]
+        assert not getattr(model, name).flags.writeable

@@ -19,6 +19,7 @@ from contact_flow.toyflow import (
     time_grid,
     _log_responsibilities,
     _logsumexp,
+    _predict,
     _predict_x0_vjp,
     _velocity_batch,
 )
@@ -533,6 +534,46 @@ def test_mean_norms_follow_the_means_through_replace():
     np.testing.assert_array_equal(reweighted.mean_sq_norms, model.mean_sq_norms)
     with pytest.raises(ValueError):
         model.mean_sq_norms[0] = 1.0
+
+
+def test_log_weights_are_the_logs_of_the_weights_and_follow_them_through_replace():
+    model = make_model(seed=52, k=3, weights=[0.2, 0.5, 0.3])
+    assert model.log_weights.tobytes() == np.log(model.weights).tobytes()
+    with pytest.raises(ValueError):
+        model.log_weights[0] = 0.0
+    # a zero weight is log -inf, without a divide warning (pytest makes one an
+    # error), and its component gets no responsibility
+    never = replace(model, weights=[0.0, 0.4, 0.6])
+    assert never.log_weights[0] == -np.inf
+    assert never.log_weights[1:].tobytes() == np.log([0.4, 0.6]).tobytes()
+    r = np.exp(_log_responsibilities(never, never.means[:1] * 0.5, 0.5))
+    assert r[0, 0] == 0.0 and r[0, 1:].sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t", [1.0, 0.5, 1e-3])
+@pytest.mark.parametrize("channels", [2, 8])
+def test_flow_pass_and_prediction_vjp_are_bit_identical_to_the_out_of_place_expressions(k, t, channels):
+    # the flow pass and the prediction VJP finish each full-length array in
+    # place; every byte must be what the out-of-place expressions give
+    model = make_model(seed=70 + k, k=k, n=4, channels=channels, sigma=0.3)
+    rng = np.random.Generator(np.random.PCG64(71 + k))
+    x = (1.0 - t) * model.means[rng.integers(k, size=2)] + rng.standard_normal((2, model.means.shape[1]))
+    u = rng.standard_normal(model.means.shape[1])
+    s2 = (1.0 - t) ** 2 * model.sigma**2 + t**2
+    c1 = (t - (1.0 - t) * model.sigma**2) / s2
+    c2 = t / s2
+    r_want = np.exp(_log_responsibilities(model, x, t))
+    mubar_want = r_want @ model.means
+    v_want = c1 * x - c2 * mubar_want
+    v, r, mubar, x0 = _predict(model, x, t)
+    assert r.tobytes() == r_want.tobytes() and mubar.tobytes() == mubar_want.tobytes()
+    assert v.tobytes() == v_want.tobytes()
+    assert x0.tobytes() == (x - v_want * t).tobytes()
+    for row in range(2):
+        cov_u = (r_want[row] * (model.means @ u)) @ model.means - mubar_want[row] * (mubar_want[row] @ u)
+        want = (1.0 - t * c1) * u + (t * c2 * (1.0 - t) / s2) * cov_u
+        assert _predict_x0_vjp(model, r[row], mubar[row], t, u).tobytes() == want.tobytes()
 
 
 def test_all_components_underflow_raises_floating_point_error():
